@@ -536,11 +536,11 @@ class LstConnector(Connector):
     def files_for(self, key: CandidateKey):
         """Live data files in a candidate's scope."""
         table = self.table_for(key)
+        snap = table.current_snapshot()
         if key.scope is CandidateScope.PARTITION:
-            return [f for f in table.live_files() if f.partition == key.partition]
+            return snap.files_in_partition(key.partition) if snap else []
         if key.scope is CandidateScope.SNAPSHOT:
-            base = table.snapshot(key.snapshot_id)
-            base_ids = {f.file_id for f in base.live_files}
+            base_ids = table.snapshot(key.snapshot_id).files.keys()
             return [f for f in table.live_files() if f.file_id not in base_ids]
         return table.live_files()
 

@@ -23,7 +23,8 @@ partition-level compactions sequentially per table.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CommitConflictError, ValidationError
 from repro.lst.files import DataFile, DeleteFile, FileContent
@@ -132,9 +133,13 @@ class ScanPlan:
         return sum(f.size_bytes for f in self.delete_files)
 
 
-@dataclass(frozen=True)
-class _PendingFile:
-    """A file staged by a transaction, materialised at commit."""
+class _PendingFile(NamedTuple):
+    """A file staged by a transaction, materialised at commit.
+
+    A named tuple rather than a frozen dataclass: writers stage every file
+    through :meth:`Transaction.add_file`, so its construction is on the
+    ingest hot path.
+    """
 
     size_bytes: int
     record_count: int
@@ -154,6 +159,13 @@ class _CommitRecord:
     removed_file_ids: frozenset
     is_rewrite: bool
     timestamp: float
+
+
+def _not_live(live: dict[int, DataFile], files: list[DataFile]) -> list[DataFile]:
+    """The ``files`` that are not the live file holding their id."""
+    # Staged files are usually the live objects themselves: test identity
+    # before paying for the dataclass field-by-field equality.
+    return [f for f in files if (g := live.get(f.file_id)) is not f and g != f]
 
 
 class Transaction:
@@ -190,12 +202,11 @@ class Transaction:
         self._check_open()
         if size_bytes < 0:
             raise ValidationError(f"file size must be >= 0, got {size_bytes}")
-        records = record_count if record_count is not None else max(
-            1, size_bytes // DEFAULT_ROW_BYTES
+        size = int(size_bytes)
+        records = (
+            int(record_count) if record_count is not None else max(1, size // DEFAULT_ROW_BYTES)
         )
-        self._pending.append(
-            _PendingFile(int(size_bytes), int(records), tuple(partition))
-        )
+        self._pending.append(_PendingFile(size, records, tuple(partition)))
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -460,7 +471,8 @@ class BaseTable(abc.ABC):
 
     def snapshots(self) -> list[Snapshot]:
         """All retained snapshots, oldest first."""
-        return sorted(self._snapshots.values(), key=lambda s: s.sequence_number)
+        # Commits insert in sequence order and expiry only drops a prefix.
+        return list(self._snapshots.values())
 
     def history(self) -> list[tuple[float, int, str]]:
         """``(timestamp, snapshot_id, operation)`` per commit, oldest first."""
@@ -548,13 +560,7 @@ class BaseTable(abc.ABC):
         if partitions is None:
             files = snap.ordered_files
         else:
-            wanted = set(partitions)
-            files = tuple(
-                sorted(
-                    (f for f in snap.live_files if f.partition in wanted),
-                    key=lambda f: f.file_id,
-                )
-            )
+            files = tuple(snap.files_in_partitions(partitions))
         file_ids = {f.file_id for f in files}
         deletes = tuple(
             sorted(
@@ -567,28 +573,37 @@ class BaseTable(abc.ABC):
     # --- commit protocol ------------------------------------------------------------------
 
     def _commit_transaction(self, txn: Transaction) -> Snapshot:
-        self._validate(txn)
+        touched = txn._touched_partitions()
+        self._validate(txn, touched)
 
         parent = self.current_snapshot()
-        old_files = parent.live_files if parent else frozenset()
-        old_deletes = parent.delete_files if parent else frozenset()
-
-        removed_ids = frozenset(f.file_id for f in txn._removed) | frozenset(
-            f.file_id for f in txn._sources
-        )
         added_data, added_deletes = self._materialize(txn._pending)
 
-        new_files = frozenset(f for f in old_files if f.file_id not in removed_ids)
-        new_files |= frozenset(added_data)
+        # Copy-then-patch: the C-level dict copy never hashes a file, and
+        # the Python work is one pop per removed file and one insert per
+        # added one.  New ids exceed every live id, so inserting at the end
+        # keeps the map in id order.
+        files = parent.files.copy() if parent else {}
+        removed: list[DataFile | DeleteFile] = []
+        for f in txn._removed + txn._sources:
+            gone = files.pop(f.file_id, None)
+            if gone is not None:
+                removed.append(gone)
+        for f in added_data:
+            files[f.file_id] = f
+        removed_ids = frozenset(f.file_id for f in removed)
 
-        # Delete files whose referenced data files were all removed are dropped
-        # (a rewrite applies MoR deletes); others carry forward.
-        live_ids = frozenset(f.file_id for f in new_files)
-        surviving_deletes = frozenset(
-            d for d in old_deletes if d.references & live_ids
-        )
-        dropped_deletes = old_deletes - surviving_deletes
-        new_deletes = surviving_deletes | frozenset(added_deletes)
+        # Delete files whose referenced data files were all removed are
+        # dropped (a rewrite applies MoR deletes); others carry forward.
+        deletes = parent.deletes.copy() if parent else {}
+        dropped = 0
+        if deletes:
+            for d in list(deletes.values()):
+                if not any(ref in files for ref in d.references):
+                    removed.append(deletes.pop(d.file_id))
+                    dropped += 1
+        for d in added_deletes:
+            deletes[d.file_id] = d
 
         snapshot_id = self._next_snapshot_id
         self._next_snapshot_id += 1
@@ -607,17 +622,18 @@ class BaseTable(abc.ABC):
             sequence_number=version,
             timestamp=self.clock.now,
             operation=txn.operation,
-            live_files=new_files,
-            delete_files=new_deletes,
+            files=files,
+            deletes=deletes,
             manifest_paths=manifest_paths,
             exclusive_metadata_paths=exclusive_paths,
             summary={
                 "added-data-files": len(added_data),
                 "added-delete-files": len(added_deletes),
                 "removed-data-files": len(removed_ids),
-                "dropped-delete-files": len(dropped_deletes),
-                "total-data-files": len(new_files),
+                "dropped-delete-files": dropped,
+                "total-data-files": len(files),
             },
+            removed=tuple(removed),
         )
         self._snapshots[snapshot_id] = snapshot
         self._current_id = snapshot_id
@@ -627,7 +643,7 @@ class BaseTable(abc.ABC):
                 version=version,
                 snapshot_id=snapshot_id,
                 operation=txn.operation,
-                partitions=txn._touched_partitions(),
+                partitions=touched,
                 removed_file_ids=removed_ids,
                 is_rewrite=txn.operation == "replace",
                 timestamp=self.clock.now,
@@ -637,7 +653,7 @@ class BaseTable(abc.ABC):
         if txn.operation != "replace":
             # Rewrites are maintenance, not user writes: they must not make
             # a partition look "hot" to write-activity filters.
-            for partition in txn._touched_partitions():
+            for partition in touched:
                 self._partition_last_modified[partition] = self.clock.now
         self.telemetry.increment(f"lst.commits.{txn.operation}")
         if self.commit_hooks:
@@ -726,8 +742,8 @@ class BaseTable(abc.ABC):
                 sequence_number=self._version,
                 timestamp=self.last_modified_at,
                 operation="checkpoint",
-                live_files=frozenset(data_files),
-                delete_files=frozenset(delete_files),
+                files={f.file_id: f for f in sorted(data_files, key=lambda f: f.file_id)},
+                deletes={d.file_id: d for d in sorted(delete_files, key=lambda d: d.file_id)},
                 manifest_paths=(),
                 exclusive_metadata_paths=(),
                 summary={"total-data-files": len(data_files)},
@@ -735,14 +751,27 @@ class BaseTable(abc.ABC):
             self._snapshots[snapshot.snapshot_id] = snapshot
             self._current_id = snapshot.snapshot_id
 
-    def _validate(self, txn: Transaction) -> None:
-        concurrent = self._commit_log[txn.base_version :]
+    def _validate(self, txn: Transaction, touched: frozenset) -> None:
+        if len({f.file_id for f in txn._sources}) != len(txn._sources):
+            # Rewriting a source twice would double its bytes in the output.
+            raise ValidationError("a rewrite source file is staged more than once")
+        snap = self.current_snapshot()
+        live = snap.files if snap else {}
+        # A restored table's log starts at its checkpointed version.
+        logged_from = self._version - len(self._commit_log)
+        concurrent = self._commit_log[max(txn.base_version - logged_from, 0) :]
         if not concurrent:
+            # Nothing committed since the transaction started, so every
+            # file it removes must be live *here* — a file of another table
+            # (or one already gone) would otherwise evict whichever live
+            # file shares its id and, for a rewrite, invent bytes.
+            stale = _not_live(live, txn._removed + txn._sources)
+            if stale:
+                raise ValidationError(
+                    f"{len(stale)} file(s) to remove are not live in {self.identifier}"
+                )
             return
         sem = self.conflict_semantics
-        snap = self.current_snapshot()
-        live_ids = frozenset(f.file_id for f in snap.live_files) if snap else frozenset()
-        touched = txn._touched_partitions()
 
         def overlapping(records: list[_CommitRecord]) -> bool:
             return any(r.partitions & touched for r in records)
@@ -759,7 +788,7 @@ class BaseTable(abc.ABC):
             return
 
         if txn.operation in ("overwrite", "delete"):
-            missing = [f for f in txn._removed if f.file_id not in live_ids]
+            missing = _not_live(live, txn._removed)
             if missing:
                 self._count_conflict(txn)
                 raise CommitConflictError(
@@ -778,7 +807,7 @@ class BaseTable(abc.ABC):
                 referenced = frozenset().union(
                     *(p.references for p in txn._pending if p.references)
                 ) if txn._pending else frozenset()
-                if referenced - live_ids:
+                if any(ref not in live for ref in referenced):
                     self._count_conflict(txn)
                     raise CommitConflictError(
                         "client", "data files referenced by deletes were removed"
@@ -786,7 +815,7 @@ class BaseTable(abc.ABC):
             return
 
         if txn.operation == "replace":
-            missing = [f for f in txn._sources if f.file_id not in live_ids]
+            missing = _not_live(live, txn._sources)
             if missing:
                 self._count_conflict(txn)
                 raise CommitConflictError(
@@ -821,13 +850,17 @@ class BaseTable(abc.ABC):
     ) -> tuple[list[DataFile], list[DeleteFile]]:
         data: list[DataFile] = []
         deletes: list[DeleteFile] = []
+        directories: dict[tuple, str] = {}  # a commit usually hits one partition
         for spec in pending:
             file_id = self._next_file_id
             self._next_file_id += 1
-            partition_dir = self.spec.partition_path(spec.partition)
-            subdir = f"data/{partition_dir}" if partition_dir else "data"
+            directory = directories.get(spec.partition)
+            if directory is None:
+                partition_dir = self.spec.partition_path(spec.partition)
+                subdir = f"data/{partition_dir}" if partition_dir else "data"
+                directory = directories[spec.partition] = f"{self.location}/{subdir}"
             if spec.content is FileContent.DATA:
-                path = f"{self.location}/{subdir}/part-{file_id:08d}.parquet"
+                path = f"{directory}/part-{file_id:08d}.parquet"
                 self.fs.create_file(path, spec.size_bytes)
                 data.append(
                     DataFile(
@@ -839,7 +872,7 @@ class BaseTable(abc.ABC):
                     )
                 )
             else:
-                path = f"{self.location}/{subdir}/delete-{file_id:08d}.parquet"
+                path = f"{directory}/delete-{file_id:08d}.parquet"
                 self.fs.create_file(path, spec.size_bytes)
                 deletes.append(
                     DeleteFile(
@@ -860,9 +893,13 @@ class BaseTable(abc.ABC):
     ) -> int:
         """Drop old snapshots and physically delete unreachable files.
 
+        The work is proportional to what the expired commits changed, not
+        to the size of any retained snapshot's live set.
+
         Args:
             older_than: expire snapshots committed at or before this time;
-                defaults to "everything but the retained tail".
+                defaults to "everything but the retained tail".  A snapshot
+                newer than the cutoff keeps every later one too.
             retain_last: always keep at least this many most-recent snapshots
                 (minimum 1 — the current snapshot is never expired).
 
@@ -872,50 +909,40 @@ class BaseTable(abc.ABC):
         if retain_last < 1:
             raise ValidationError("retain_last must be >= 1")
         ordered = self.snapshots()
-        if not ordered:
-            return 0
         cutoff = older_than if older_than is not None else float("inf")
-        keep_tail = ordered[-retain_last:]
-        retained = [
-            s for s in ordered if s in keep_tail or s.timestamp > cutoff
-        ]
-        retained_ids = {s.snapshot_id for s in retained}
-        expired = [s for s in ordered if s.snapshot_id not in retained_ids]
-        if not expired:
+        # Commit times never decrease, so the retained snapshots (the last
+        # ``retain_last`` plus any newer than the cutoff) form a suffix.
+        first = max(len(ordered) - retain_last, 0)
+        while first > 0 and ordered[first - 1].timestamp > cutoff:
+            first -= 1
+        if first == 0:
             return 0
-
-        reachable: set[int] = set()
-        for snap in retained:
-            for f in snap.live_files:
-                reachable.add(f.file_id)
-            for d in snap.delete_files:
-                reachable.add(d.file_id)
-        retained_manifests: set[str] = set()
-        for snap in retained:
-            retained_manifests.update(snap.manifest_paths)
+        expired = ordered[:first]
 
         deleted = 0
-        seen: set[str] = set()
 
         def remove(path: str) -> None:
             nonlocal deleted
-            if path not in seen:
-                seen.add(path)
-                if self.fs.namenode.exists(path):
-                    self.fs.delete_file(path)
-                    deleted += 1
+            if self.fs.namenode.exists(path):
+                self.fs.delete_file(path)
+                deleted += 1
 
-        for snap in expired:
-            for f in list(snap.live_files) + list(snap.delete_files):
-                if f.file_id not in reachable:
-                    remove(f.path)
-            # Metadata cleanup: exclusively owned files always go; shared
-            # manifests go once no retained snapshot references them.
-            for path in snap.exclusive_metadata_paths:
+        # History is linear and a removed file never returns, so a file is
+        # unreachable from every retained snapshot exactly when a commit up
+        # to the oldest retained one removed it.  The oldest surviving
+        # snapshot's own removals were collected when its parent expired.
+        # Manifests follow the same rule: once a commit drops one from its
+        # reachable list, no later snapshot references it again.
+        for parent, child in zip(expired, ordered[1 : first + 1]):
+            for f in child.removed:
+                remove(f.path)
+            for path in parent.exclusive_metadata_paths:
                 remove(path)
-            for path in snap.manifest_paths:
-                if path not in retained_manifests:
+            kept = set(child.manifest_paths)
+            for path in parent.manifest_paths:
+                if path not in kept:
                     remove(path)
+        for snap in expired:
             del self._snapshots[snap.snapshot_id]
         self.telemetry.increment("lst.expired_files", deleted)
         return deleted

@@ -63,7 +63,7 @@ class DeltaTable(BaseTable):
 
         interval = self.checkpoint_interval
         if version % interval == 0:
-            live = len(parent.live_files) + added - removed if parent else added
+            live = parent.data_file_count + added - removed if parent else added
             checkpoint_path = f"{log_dir}/{version:020d}.checkpoint.parquet"
             self.fs.create_file(
                 checkpoint_path, CHECKPOINT_BASE + CHECKPOINT_PER_FILE * max(live, 0)

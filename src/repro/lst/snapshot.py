@@ -1,11 +1,18 @@
 """Table snapshots.
 
-Each successful commit produces an immutable :class:`Snapshot` capturing the
-complete live file set at that version.  Storing the live set per snapshot
-(rather than replaying logs) keeps time-travel, expiration and conflict
-validation simple and O(1) to query, at the cost of sharing frozensets
-between snapshots — acceptable at simulation scale and semantically
-identical to manifest reachability in Iceberg.
+Each successful commit produces an immutable :class:`Snapshot` holding the
+complete live file set at that version, so time-travel, conflict
+validation and observation read one snapshot instead of replaying logs.
+
+The live sets are insertion-ordered ``dict[file_id, file]`` maps.  File
+ids are allocated monotonically and a commit only ever appends new ids, so
+insertion order *is* ``file_id`` order.  A commit derives its child map
+with ``dict.copy()`` (a C-level copy that never hashes a file object)
+followed by one pop or insert per changed file, which makes a commit cost
+O(Δ) in Python work rather than O(live files).  Each snapshot also records
+the files its commit removed (data files plus the delete files it
+dropped); history is linear, so snapshot expiration can find every
+unreachable file from those deltas alone, without walking any live set.
 """
 
 from __future__ import annotations
@@ -27,14 +34,18 @@ class Snapshot:
         timestamp: simulated commit time in seconds.
         operation: one of ``append``, ``overwrite``, ``delete``, ``replace``
             (compaction) — Iceberg's operation vocabulary.
-        live_files: all data files readable at this version.
-        delete_files: all merge-on-read delete files in force.
+        files: live data files readable at this version, keyed by
+            ``file_id`` in ascending id order.  Owned by the snapshot;
+            never mutate it.
+        deletes: merge-on-read delete files in force, keyed by ``file_id``.
         manifest_paths: metadata manifests reachable from this snapshot; the
             engine's planning cost scales with this list's length.
         exclusive_metadata_paths: metadata files owned solely by this
             snapshot (e.g. Iceberg's manifest list and metadata JSON);
             deleted when the snapshot expires.
         summary: counters describing the commit (added/removed files etc.).
+        removed: files this commit took out of the live sets relative to
+            its parent — removed data files, then dropped delete files.
     """
 
     snapshot_id: int
@@ -42,41 +53,72 @@ class Snapshot:
     sequence_number: int
     timestamp: float
     operation: str
-    live_files: frozenset[DataFile]
-    delete_files: frozenset[DeleteFile] = frozenset()
+    files: dict[int, DataFile]
+    deletes: dict[int, DeleteFile] = field(default_factory=dict)
     manifest_paths: tuple[str, ...] = ()
     exclusive_metadata_paths: tuple[str, ...] = ()
     summary: dict[str, int] = field(default_factory=dict)
+    removed: tuple[DataFile | DeleteFile, ...] = ()
+
+    @property
+    def live_files(self):
+        """All data files readable at this version (iterable, sized)."""
+        return self.files.values()
+
+    @property
+    def delete_files(self):
+        """All merge-on-read delete files in force (iterable, sized)."""
+        return self.deletes.values()
 
     @cached_property
     def ordered_files(self) -> tuple[DataFile, ...]:
         """Live data files in deterministic (``file_id``) order.
 
         Snapshots are immutable, so every observation of the same version
-        shares one sort instead of re-sorting per read — observation is
-        the hottest per-file path in the control plane.
+        shares one tuple — observation is the hottest per-file path in the
+        control plane.
         """
-        return tuple(sorted(self.live_files, key=lambda f: f.file_id))
+        return tuple(self.files.values())
+
+    @cached_property
+    def files_by_partition(self) -> dict[tuple, tuple[DataFile, ...]]:
+        """Live data files grouped by partition, each group in id order.
+
+        Built once per observed version, so partition-scope reads cost
+        O(files in the partition) instead of a scan of the whole table.
+        """
+        groups: dict[tuple, list[DataFile]] = {}
+        for f in self.files.values():
+            groups.setdefault(f.partition, []).append(f)
+        return {partition: tuple(group) for partition, group in groups.items()}
 
     @property
     def data_file_count(self) -> int:
         """Number of live data files."""
-        return len(self.live_files)
+        return len(self.files)
 
     @property
     def delete_file_count(self) -> int:
         """Number of live delete files."""
-        return len(self.delete_files)
+        return len(self.deletes)
 
     @property
     def total_data_bytes(self) -> int:
         """Total bytes across live data files."""
-        return sum(f.size_bytes for f in self.live_files)
+        return sum(f.size_bytes for f in self.files.values())
 
     def files_in_partition(self, partition: tuple) -> list[DataFile]:
-        """Live data files belonging to ``partition``."""
-        return [f for f in self.live_files if f.partition == partition]
+        """Live data files belonging to ``partition``, in id order."""
+        return list(self.files_by_partition.get(partition, ()))
+
+    def files_in_partitions(self, partitions) -> list[DataFile]:
+        """Live data files belonging to any of ``partitions``, in id order."""
+        by_partition = self.files_by_partition
+        return sorted(
+            (f for p in set(partitions) for f in by_partition.get(p, ())),
+            key=lambda f: f.file_id,
+        )
 
     def partitions(self) -> list[tuple]:
         """Distinct partitions holding live files, sorted."""
-        return sorted({f.partition for f in self.live_files})
+        return sorted(self.files_by_partition)

@@ -30,6 +30,8 @@ def normalize_path(path: str) -> str:
     """
     if not path or not path.startswith("/"):
         raise ValidationError(f"paths must be absolute, got {path!r}")
+    if "//" not in path and not path.endswith("/"):
+        return path  # already normal: the common case on every create
     parts = [part for part in path.split("/") if part]
     return "/" + "/".join(parts)
 
@@ -80,6 +82,11 @@ class NameNode:
     _dirs: set[str] = field(default_factory=set)
     _quotas: dict[str, _Quota] = field(default_factory=dict)
     _total_bytes: int = 0
+    #: Directory -> the ``(root, quota)`` pairs whose subtree holds its
+    #: entries, in ``_quotas`` order; rebuilt lazily after ``set_quota``.
+    _dir_quotas: dict[str, tuple[tuple[str, _Quota], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # --- namespace-wide accounting ---------------------------------------------
 
@@ -123,13 +130,20 @@ class NameNode:
             raise ValidationError(f"file size must be >= 0, got {size_bytes}")
         if path in self._files or path in self._dirs:
             raise FileExistsInStorageError(path)
-        for ancestor in parent_directories(path):
-            if ancestor in self._files:
-                raise FileExistsInStorageError(
-                    f"{path}: ancestor {ancestor!r} is a file"
-                )
-
-        new_dirs = [d for d in parent_directories(path) if d not in self._dirs]
+        parent = path.rpartition("/")[0]
+        if parent in self._dirs:
+            # The directory set is closed under ancestors and no directory
+            # ever sits below a file, so a known parent means no new
+            # directories and no file-valued ancestor.
+            new_dirs: list[str] = []
+        else:
+            ancestors = parent_directories(path)
+            for ancestor in ancestors:
+                if ancestor in self._files:
+                    raise FileExistsInStorageError(
+                        f"{path}: ancestor {ancestor!r} is a file"
+                    )
+            new_dirs = [d for d in ancestors if d not in self._dirs]
         self._check_quotas(path, new_dirs)
         for directory in new_dirs:
             self._dirs.add(directory)
@@ -220,6 +234,7 @@ class NameNode:
         used = sum(1 for p in self._files if p.startswith(needle))
         used += sum(1 for d in self._dirs if d.startswith(needle))
         self._quotas[directory] = _Quota(limit=int(max_objects), used=used)
+        self._dir_quotas.clear()
 
     def quota_usage(self, directory: str) -> tuple[int, int]:
         """``(used, limit)`` for the quota on ``directory``.
@@ -237,24 +252,30 @@ class NameNode:
         """Directories that carry a quota, sorted."""
         return sorted(self._quotas)
 
-    def _enclosing_quotas(self, path: str) -> list[_Quota]:
-        quotas = []
-        for directory, quota in self._quotas.items():
-            needle = "/" if directory == "/" else directory + "/"
-            if path.startswith(needle):
-                quotas.append(quota)
-        return quotas
+    def _enclosing_quotas(self, path: str) -> tuple[tuple[str, _Quota], ...]:
+        """Quotas charged for an entry at ``path``: those on its ancestors."""
+        parent = path.rpartition("/")[0]
+        enclosing = self._dir_quotas.get(parent)
+        if enclosing is None:
+            inside = parent + "/"
+            enclosing = tuple(
+                (directory, quota)
+                for directory, quota in self._quotas.items()
+                if inside.startswith("/" if directory == "/" else directory + "/")
+            )
+            self._dir_quotas[parent] = enclosing
+        return enclosing
 
     def _check_quotas(self, path: str, new_dirs: list[str]) -> None:
-        # Count how many new objects each quota root would absorb.
-        for directory, quota in self._quotas.items():
+        # Count how many new objects each quota root would absorb.  Every new
+        # directory is an ancestor of ``path``, so only the quotas enclosing
+        # ``path`` can absorb any.
+        for directory, quota in self._enclosing_quotas(path):
             needle = "/" if directory == "/" else directory + "/"
-            added = sum(1 for d in new_dirs if d.startswith(needle))
-            if path.startswith(needle):
-                added += 1
-            if added and quota.used + added > quota.limit:
+            added = 1 + sum(1 for d in new_dirs if d.startswith(needle))
+            if quota.used + added > quota.limit:
                 raise QuotaExceededError(directory, quota.used, quota.limit)
 
     def _charge_quotas(self, path: str, delta: int) -> None:
-        for quota in self._enclosing_quotas(path):
+        for _, quota in self._enclosing_quotas(path):
             quota.used += delta
