@@ -16,8 +16,8 @@ latency for:
   workers** under a CPU-bound observe workload (``--observe-cost`` burns
   deterministic per-candidate CPU emulating real statistics-collection
   cost): threads serialize that work on the GIL, process workers spread
-  it across cores via picklable :class:`~repro.core.workers.ShardWorkSpec`
-  round trips.
+  it across cores via :class:`~repro.core.workers.ShardWorkSpec` round
+  trips.
 
 All configurations run the same decisions (global selection is exactly
 equivalent to the unsharded pipeline, and worker modes produce identical
@@ -28,13 +28,11 @@ With ``--connector lst`` the same worker-mode comparison runs over the
 *realistic* catalog path instead of the vectorised fleet model: a
 :class:`~repro.core.connectors.LstConnector` over live simulated tables
 with realistic per-table file populations, shipping shard work over the
-negotiated :class:`~repro.core.transport.WorkerTransport` (columnar
-shared-memory statistics arrays by default, ``--transport pickle`` for
-the legacy per-object path), with ``selection="local"`` so process
-cycles exercise worker-side decide.  Two extra tables accompany it: a
-pickle-vs-columnar transport comparison on identical process fleets,
-and a payload measurement comparing the shipped-back bytes/candidates
-with decide in the worker vs on the coordinator.
+:class:`~repro.core.transport.ColumnarTransport` (shared-memory
+statistics arrays), with ``selection="local"`` so process cycles
+exercise worker-side decide.  A payload measurement accompanies it,
+comparing the shipped-back candidates (and bytes) with decide in the
+worker vs on the coordinator.
 
 Run as a script::
 
@@ -279,8 +277,9 @@ class ObserveCostTrait(Trait):
     so the statistics-collection work a production connector pays per
     candidate (manifest parsing, column-stat decoding) is absent.  This
     trait burns :func:`~repro.core.workers.burn_cpu` rounds keyed on the
-    candidate's file count — bit-identical across the per-object and
-    columnar paths — and stores the checksum as an inert trait value (the
+    candidate's file count — bit-identical across the per-object (thread)
+    and columnar (worker) paths — and stores the checksum as an inert
+    trait value (the
     policy's objectives only read the two named OpenHouse traits).  Thread
     workers serialize the burn on the GIL; process workers spread it.
     """
@@ -361,7 +360,6 @@ def _lst_pipeline(
     workers,
     max_workers=None,
     worker_decide=None,
-    transport=None,
     observe_cost=0,
 ):
     from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
@@ -375,14 +373,13 @@ def _lst_pipeline(
         selection="local",
         workers=workers,
         worker_decide=worker_decide,
-        transport=transport,
         max_workers=max_workers,
         k=TOP_K,
         min_table_age_s=0.0,
     )
     if observe_cost:
         # Shards share one registry; the burn trait rides the same
-        # transport as the built-ins (pickled registry or columnar matrix).
+        # trait matrix as the built-ins.
         pipeline.shards[0].traits.register(ObserveCostTrait(observe_cost))
     return pipeline
 
@@ -422,7 +419,6 @@ def measure_lst_worker_modes(
     days: int,
     seed: int,
     observe_cost: int,
-    transport: str | None = None,
 ) -> dict:
     """Thread- vs process-mode sharded cycles over the live-catalog connector.
 
@@ -441,7 +437,6 @@ def measure_lst_worker_modes(
             n_shards,
             mode,
             max_workers=n_shards,
-            transport=transport if mode == "processes" else None,
             observe_cost=observe_cost,
         )
         runs.append((mode, catalog, pipeline))
@@ -460,63 +455,22 @@ def measure_lst_worker_modes(
     }
 
 
-def measure_lst_transport_modes(
-    tables: int, n_shards: int, days: int, seed: int, observe_cost: int
-) -> dict:
-    """Legacy pickle vs columnar transport, both on process workers.
-
-    Same fleet, same cycles, same worker mode — the only variable is how
-    shard work crosses the process boundary: per-object pickled snapshot
-    slices (``transport="pickle"``) or flat shared-memory statistics
-    arrays with stats-only deltas (``transport="columnar"``, the
-    negotiated default).  Selections must be byte-identical.
-    """
-    runs = []
-    for transport in ("pickle", "columnar"):
-        catalog = _build_lst_catalog(tables, seed)
-        pipeline = _lst_pipeline(
-            catalog,
-            n_shards,
-            "processes",
-            max_workers=n_shards,
-            transport=transport,
-            observe_cost=observe_cost,
-        )
-        runs.append((transport, catalog, pipeline))
-    latencies, selections = _interleaved_lst_cycles(runs, days)
-
-    pickle_latency = statistics.median(latencies["pickle"])
-    columnar_latency = statistics.median(latencies["columnar"])
-    return {
-        "pickle": {"latency_s": pickle_latency, "speedup": 1.0},
-        "columnar": {
-            "latency_s": columnar_latency,
-            "speedup": pickle_latency / columnar_latency,
-        },
-        "identical_selections": selections["pickle"] == selections["columnar"],
-    }
-
-
 def measure_lst_payload(tables: int, n_shards: int, seed: int) -> dict:
-    """Shipped-back payload, decide-on-coordinator vs decide-in-worker.
+    """Shipped-back candidates, decide-on-coordinator vs decide-in-worker.
 
-    Replays one cold shard cycle's export → worker → result sequence
-    inline (no pool, so the results can be pickled and sized exactly) and
-    compares what crosses back: all observed candidates without worker
-    decide, only the selected ones with it.
+    Replays one cold shard cycle's export → (attach decide →) worker →
+    result sequence through the shards' own
+    :class:`~repro.core.transport.ColumnarTransport` inline (no pool, so
+    the results can be pickled and sized exactly).  Without worker decide
+    the coordinator takes back every observed miss; with it, only the
+    selected candidates' references.  Byte sizes are reported as
+    information: the trait matrix covering every miss rides back either
+    way, so the bytes stay about level.
     """
-    from repro.core import (
-        ShardDecideSpec,
-        TopKSelector,
-        run_shard_work,
-        shard_for_key,
-        split_selector,
-    )
+    from repro.core import TopKSelector, run_shard_work, shard_for_key, split_selector
 
     sizes: dict[bool, dict[str, int]] = {}
     for decide in (False, True):
-        import dataclasses
-
         catalog = _build_lst_catalog(tables, seed)
         pipeline = _lst_pipeline(catalog, n_shards, "threads")
         try:
@@ -527,33 +481,31 @@ def measure_lst_payload(tables: int, n_shards: int, seed: int) -> dict:
             total_candidates = 0
             for i, shard in enumerate(pipeline.shards):
                 subset = [k for k in keys if shard_for_key(k, n_shards) == i]
-                placed, spec = shard.connector.export_shard_work(subset, i, shard.traits)
+                transport = shard.worker_transport()
+                placed, spec = transport.export(subset, i, shard.traits)
                 if spec is None:
                     continue
-                if decide:
-                    spec = dataclasses.replace(
-                        spec,
-                        decide=ShardDecideSpec(
-                            policy=shard.policy,
-                            selector=selectors[i],
-                            stats_filters=tuple(shard.stats_filters),
-                            trait_filters=tuple(shard.trait_filters),
-                            hits=tuple(placed),
-                        ),
+                try:
+                    if decide:
+                        spec = transport.attach_decide(
+                            spec,
+                            placed,
+                            shard.policy,
+                            selectors[i],
+                            shard.stats_filters,
+                            shard.trait_filters,
+                        )
+                    result = run_shard_work(spec)
+                    total_bytes += len(pickle.dumps(result))
+                    total_candidates += (
+                        len(result.columnar.selected) if decide else len(spec.keys)
                     )
-                result = run_shard_work(spec)
-                total_bytes += len(pickle.dumps(result))
-                total_candidates += len(
-                    result.decision.selected if decide else result.candidates
-                )
+                finally:
+                    transport.release(spec)
         finally:
             pipeline.close()
         sizes[decide] = {"bytes": total_bytes, "candidates": total_candidates}
-    return {
-        "coordinator_decide": sizes[False],
-        "worker_decide": sizes[True],
-        "bytes_reduction": sizes[False]["bytes"] / max(sizes[True]["bytes"], 1),
-    }
+    return {"coordinator_decide": sizes[False], "worker_decide": sizes[True]}
 
 
 def selected_keys_per_day(tables: int, n_shards: int, days: int, seed: int) -> list[tuple]:
@@ -605,18 +557,11 @@ def main() -> int:
         f"(default: {OBSERVE_COST} fleet, {LST_OBSERVE_COST} lst)",
     )
     parser.add_argument(
-        "--transport",
-        choices=["pickle", "columnar"],
-        default=None,
-        help="pin the worker transport for the LST worker-mode comparison "
-        "(default: negotiated, i.e. columnar for process workers)",
-    )
-    parser.add_argument(
         "--connector",
         choices=["fleet", "lst"],
         default="fleet",
         help="fleet: vectorised fleet model (default); lst: the realistic "
-        "live-catalog connector with picklable snapshot export and "
+        "live-catalog connector with columnar shard export and "
         "worker-side decide",
     )
     parser.add_argument(
@@ -739,7 +684,7 @@ def main() -> int:
 
 
 def main_lst(args) -> int:
-    """The ``--connector lst`` flow: worker modes, transports, payload."""
+    """The ``--connector lst`` flow: worker modes and returned payload."""
     tables = args.tables or (240 if args.smoke else 400)
     days = args.days or (2 if args.smoke else 5)
     n_shards = 2 if args.smoke else 4
@@ -753,31 +698,19 @@ def main_lst(args) -> int:
             f"Scale-out control plane — LST catalog connector, {tables} tables",
             "Realistic catalog path on process workers: columnar shared-memory "
             "transport, worker-side decide (selection='local'), O(selected) "
-            "return payload; selections must be identical across worker modes "
-            "and transports",
+            "returned candidates; selections must be identical across worker "
+            "modes",
         )
     )
     print(
         f"\nworker modes — {n_shards} shards, observe cost {observe_cost} "
-        f"units/candidate, transport {args.transport or 'negotiated'}:"
+        "units/candidate:"
     )
-    rows = measure_lst_worker_modes(
-        tables, n_shards, days, args.seed, observe_cost, args.transport
-    )
+    rows = measure_lst_worker_modes(tables, n_shards, days, args.seed, observe_cost)
     _print_rows(rows)
     print(
         "worker-mode selections: "
         + ("identical" if rows["identical_selections"] else "DIVERGED")
-    )
-
-    print(f"\nworker transports — process workers, {n_shards} shards:")
-    transports = measure_lst_transport_modes(
-        tables, n_shards, days, args.seed, observe_cost
-    )
-    _print_rows(transports)
-    print(
-        "transport selections: "
-        + ("identical" if transports["identical_selections"] else "DIVERGED")
     )
 
     payload = measure_lst_payload(tables, n_shards, args.seed)
@@ -786,23 +719,15 @@ def main_lst(args) -> int:
         f"\ncold-cycle return payload — decide on coordinator: "
         f"{coordinator['candidates']} candidates / {coordinator['bytes']} B; "
         f"decide in worker: {worker['candidates']} candidates / "
-        f"{worker['bytes']} B ({payload['bytes_reduction']:.1f}x smaller)"
+        f"{worker['bytes']} B"
     )
 
     failures = []
     if not rows["identical_selections"]:
         failures.append("LST process-mode selections diverged from thread mode")
-    if not transports["identical_selections"]:
-        failures.append("LST columnar-transport selections diverged from pickle")
-    if worker["bytes"] >= coordinator["bytes"]:
-        failures.append("worker-side decide did not shrink the return payload")
+    if worker["candidates"] >= coordinator["candidates"]:
+        failures.append("worker-side decide did not shrink the returned candidates")
     if not args.smoke:
-        transport_speedup = transports["columnar"]["speedup"]
-        if transport_speedup < 1.0:
-            failures.append(
-                f"columnar transport {transport_speedup:.2f}x vs pickle — "
-                "below the 1.0x floor"
-            )
         worker_speedup = rows["processes"]["speedup"]
         if cores >= 4:
             if worker_speedup < 1.0:
@@ -817,12 +742,9 @@ def main_lst(args) -> int:
         payload_metrics = {
             "lst_worker_speedup": rows["processes"]["speedup"],
             "lst_modes_identical": int(rows["identical_selections"]),
-            "lst_transport_speedup": transports["columnar"]["speedup"],
-            "lst_transports_identical": int(transports["identical_selections"]),
             "lst_selected_total": rows["selected_total"],
             "lst_returned_coordinator_decide": coordinator["candidates"],
             "lst_returned_worker_decide": worker["candidates"],
-            "lst_payload_bytes_reduction": payload["bytes_reduction"],
         }
         blob = {
             "bench": "scaleout_lst",
@@ -834,7 +756,6 @@ def main_lst(args) -> int:
                 "smoke": args.smoke,
                 "cores": cores,
                 "observe_cost": observe_cost,
-                "transport": args.transport or "negotiated",
             },
             "metrics": payload_metrics,
         }

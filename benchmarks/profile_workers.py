@@ -15,23 +15,22 @@ Profiler selection:
 * **cProfile** (fallback): hermetic environments without py-spy get a
   deterministic cProfile run instead: a ``.pstats`` dump plus a
   cumulative-time top table as text.  cProfile only sees the coordinator
-  process, which is still the right lens for the transport: pack, pickle,
-  merge and cache-delta application all happen coordinator-side.
+  process, which is still the right lens for the transport: pack, merge
+  and cache-delta application all happen coordinator-side.
 
 Usage::
 
     python benchmarks/profile_workers.py --mode processes --label after
-    python benchmarks/profile_workers.py --mode threads --transport columnar
+    python benchmarks/profile_workers.py --mode threads
 
 Artifacts land in ``benchmarks/profiles/`` as
-``lst_<mode>[_<transport>]_<label>.{svg,pstats,txt}``.
+``lst_<mode>_<label>.{svg,pstats,txt}``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import inspect
 import io
 import os
 import pstats
@@ -47,23 +46,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "src"))
 TOP_FRAMES = 40
 
 
-def _supports_kwarg(fn, name: str) -> bool:
-    """Whether ``fn`` accepts keyword argument ``name`` (API-drift guard)."""
-    try:
-        return name in inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def run_workload(mode: str, transport: str | None, tables: int, days: int, seed: int) -> dict:
+def run_workload(mode: str, tables: int, days: int, seed: int) -> dict:
     """The profiled region: warm-up plus ``days`` measured LST cycles."""
     from bench_scaleout import _build_lst_catalog, _lst_daily_writes, _lst_pipeline
 
-    kwargs = {}
-    if transport is not None and _supports_kwarg(_lst_pipeline, "transport"):
-        kwargs["transport"] = transport
     catalog = _build_lst_catalog(tables, seed)
-    pipeline = _lst_pipeline(catalog, 2, mode, max_workers=2, **kwargs)
+    pipeline = _lst_pipeline(catalog, 2, mode, max_workers=2)
     selected = 0
     try:
         for cycle in range(1 + days):  # first cycle warms caches + pools
@@ -76,11 +64,7 @@ def run_workload(mode: str, transport: str | None, tables: int, days: int, seed:
 
 
 def _artifact_stem(args) -> str:
-    parts = ["lst", args.mode]
-    if args.transport:
-        parts.append(args.transport)
-    parts.append(args.label)
-    return "_".join(parts)
+    return f"lst_{args.mode}_{args.label}"
 
 
 def record_pyspy(args, out_dir: str) -> int:
@@ -99,8 +83,6 @@ def record_pyspy(args, out_dir: str) -> int:
         "--seed",
         str(args.seed),
     ]
-    if args.transport:
-        inner += ["--transport", args.transport]
     command = [
         "py-spy",
         "record",
@@ -128,17 +110,17 @@ def record_cprofile(args, out_dir: str) -> int:
     text_path = os.path.join(out_dir, f"{stem}.txt")
     profiler = cProfile.Profile()
     profiler.enable()
-    summary = run_workload(args.mode, args.transport, args.tables, args.days, args.seed)
+    summary = run_workload(args.mode, args.tables, args.days, args.seed)
     profiler.disable()
     profiler.dump_stats(pstats_path)
 
     buffer = io.StringIO()
     buffer.write(
         f"# LST worker-transport profile (cProfile fallback; py-spy not on PATH)\n"
-        f"# mode={args.mode} transport={args.transport or 'default'} "
+        f"# mode={args.mode} "
         f"tables={args.tables} days={args.days} seed={args.seed}\n"
         f"# cycles={summary['cycles']} selected={summary['selected']}\n"
-        f"# coordinator-process view: pack/pickle/merge/cache-delta costs "
+        f"# coordinator-process view: pack/merge/cache-delta costs "
         f"are coordinator-side, worker CPU appears as executor waits\n\n"
     )
     stats = pstats.Stats(profiler, stream=buffer)
@@ -157,12 +139,6 @@ def record_cprofile(args, out_dir: str) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=["threads", "processes"], default="processes")
-    parser.add_argument(
-        "--transport",
-        choices=["pickle", "columnar"],
-        default=None,
-        help="worker transport under test (omit for the pipeline default)",
-    )
     parser.add_argument("--tables", type=int, default=120)
     parser.add_argument("--days", type=int, default=8)
     parser.add_argument("--seed", type=int, default=20250730)
@@ -180,7 +156,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.inner:
-        summary = run_workload(args.mode, args.transport, args.tables, args.days, args.seed)
+        summary = run_workload(args.mode, args.tables, args.days, args.seed)
         print(f"workload done: {summary}")
         return 0
 

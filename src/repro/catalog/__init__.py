@@ -20,11 +20,10 @@ from repro.catalog.policies import TablePolicy
 # Imported last: the snapshot module reaches into ``repro.core``, which in
 # turn imports ``repro.catalog.catalog`` — by this line that submodule is
 # fully initialised, so the cycle cannot bite.
-from repro.catalog.snapshot import CatalogObservationSlice, build_candidate_statistics
+from repro.catalog.snapshot import build_candidate_statistics
 
 __all__ = [
     "Catalog",
-    "CatalogObservationSlice",
     "Database",
     "DataServices",
     "TablePolicy",

@@ -1,30 +1,23 @@
-"""Picklable catalog snapshots: frozen table-metadata slices for workers.
+"""Statistics constructors shared by live and worker-side observation.
 
 The scale-out control plane's process workers
 (:mod:`repro.core.workers`) cannot touch a live
 :class:`~repro.catalog.catalog.Catalog` — open tables hold clocks,
 filesystems and commit logs that must not cross a process boundary.  What
-*can* cross is a frozen slice of exactly the metadata one observation
-needs: per-candidate file sizes, the policy's target file size, partition
-counts, delete-file counts, timestamps, quota utilisation — plus each
-table's metadata ``version`` as the freshness token the worker's cache
-delta carries back.
+crosses instead is the raw observation input of each dirty candidate
+(file sizes, target file size, partition and delete-file counts,
+timestamps, quota utilisation), packed as flat arrays by
+:class:`~repro.core.columnar.ColumnarMissBlock`.
 
-:class:`CatalogObservationSlice` is that slice.  It satisfies the
-``snapshot`` payload contract of
-:class:`~repro.core.workers.ShardWorkSpec` (``__len__`` plus
-``statistics(i)``), and both it and the live
-:class:`~repro.core.connectors.LstConnector` path build their statistics
-through the same :func:`build_candidate_statistics`, so a worker-observed
-candidate is value-identical to a coordinator-observed one — the property
-the modes' byte-identical cycle reports rest on.
+Both the live :class:`~repro.core.connectors.LstConnector` path
+(:func:`build_candidate_statistics`) and the columnar rebuild
+(:func:`build_candidate_statistics_batch`) produce their statistics here,
+so a worker-observed candidate is value-identical to a
+coordinator-observed one — the property the worker modes' byte-identical
+cycle reports rest on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.errors import ValidationError
 
 
 def build_candidate_statistics(
@@ -36,13 +29,11 @@ def build_candidate_statistics(
     last_modified_at: float,
     quota_utilization: float,
 ):
-    """The single statistics constructor behind live and snapshot observation.
+    """The statistics constructor behind live catalog observation.
 
-    Both :meth:`LstConnector._collect_statistics
-    <repro.core.connectors.LstConnector>` and
-    :meth:`CatalogObservationSlice.statistics` call this, so the two paths
-    cannot drift — a shard worker reconstructing statistics from a
-    snapshot row produces exactly the object a live observation would.
+    :meth:`LstConnector._collect_statistics
+    <repro.core.connectors.LstConnector>` calls this;
+    :func:`build_candidate_statistics_batch` is its columnar twin.
     """
     # Imported lazily: this module is reachable from ``repro.catalog``
     # before ``repro.core`` finishes initialising (core imports catalog),
@@ -121,70 +112,3 @@ def build_candidate_statistics_batch(
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class CatalogObservationSlice:
-    """Frozen per-candidate observation inputs for a set of catalog keys.
-
-    Row ``i`` holds everything needed to rebuild candidate ``i``'s
-    statistics in another process, in the order the keys were captured.
-    All fields are plain tuples of plain scalars, so the slice pickles
-    cheaply and deterministically.
-
-    Attributes:
-        file_sizes: per-candidate live-file size lists (scope-filtered).
-        target_file_sizes: per-candidate policy targets (LST policies are
-            per *table*, so this cannot be a spec-level scalar).
-        partition_counts: distinct partitions holding live files.
-        delete_file_counts: merge-on-read delete files in force.
-        created_ats: table creation times.
-        last_modified_ats: last commit times (partition-granular for
-            partition-scope candidates).
-        quota_utilizations: owning database's UsedQuota/TotalQuota.
-        versions: table metadata versions at capture time — the freshness
-            tokens the worker's cache delta stores, so cached entries
-            self-heal exactly when the table commits again.
-    """
-
-    file_sizes: tuple[tuple[int, ...], ...]
-    target_file_sizes: tuple[int, ...]
-    partition_counts: tuple[int, ...]
-    delete_file_counts: tuple[int, ...]
-    created_ats: tuple[float, ...]
-    last_modified_ats: tuple[float, ...]
-    quota_utilizations: tuple[float, ...]
-    versions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.file_sizes)
-        lengths = {
-            "target_file_sizes": len(self.target_file_sizes),
-            "partition_counts": len(self.partition_counts),
-            "delete_file_counts": len(self.delete_file_counts),
-            "created_ats": len(self.created_ats),
-            "last_modified_ats": len(self.last_modified_ats),
-            "quota_utilizations": len(self.quota_utilizations),
-            "versions": len(self.versions),
-        }
-        bad = [name for name, length in lengths.items() if length != n]
-        if bad:
-            raise ValidationError(
-                f"catalog observation slice columns must all have {n} rows "
-                f"(mismatched: {bad})"
-            )
-
-    def __len__(self) -> int:
-        return len(self.file_sizes)
-
-    def statistics(self, i: int):
-        """Rebuild row ``i``'s :class:`~repro.core.candidates.CandidateStatistics`."""
-        return build_candidate_statistics(
-            self.file_sizes[i],
-            target_file_size=self.target_file_sizes[i],
-            partition_count=self.partition_counts[i],
-            delete_file_count=self.delete_file_counts[i],
-            created_at=self.created_ats[i],
-            last_modified_at=self.last_modified_ats[i],
-            quota_utilization=self.quota_utilizations[i],
-        )

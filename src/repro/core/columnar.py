@@ -1,14 +1,13 @@
-"""Columnar shard payloads over shared memory: the zero-copy transport.
+"""Columnar shard payloads over shared memory: the worker transport's encoding.
 
-The pickle transport ships a shard's observation inputs as one Python
-object per candidate (``CatalogObservationSlice`` rows, hit ``Candidate``
-objects), which makes process-mode cycles serialization-bound: the
-coordinator spends the fork win re-encoding tuples.  This module flips the
-representation to *structure-of-arrays*: every per-candidate statistic
-becomes one flat numpy array, the arrays are packed into a single
-:mod:`multiprocessing.shared_memory` segment, and only the segment name
-plus a layout table cross the process boundary — workers map the segment
-and read the coordinator's bytes in place.
+Shipping a shard's observation inputs as one Python object per candidate
+would make process-mode cycles serialization-bound: the coordinator would
+spend the fork win re-encoding tuples.  This module uses a
+*structure-of-arrays* representation instead: every per-candidate
+statistic becomes one flat numpy array, the arrays are packed into a
+single :mod:`multiprocessing.shared_memory` segment, and only the segment
+name plus a layout table cross the process boundary — workers map the
+segment and read the coordinator's bytes in place.
 
 Three layers:
 
@@ -18,12 +17,11 @@ Three layers:
   stay valid until :meth:`~SharedArrayBlock.dispose`, which is what lets
   the coordinator rebuild worker results from its *own* arrays instead of
   shipping them back.
-* :class:`ColumnarMissBlock` — the observation payload: scalar statistic
-  columns plus (for catalog connectors) the ragged per-file size array
-  with its offsets.  Implements both the ``snapshot`` protocol of
-  :class:`~repro.core.workers.ShardWorkSpec` and the
-  :class:`~repro.core.traits.ColumnarBlock` protocol traits vectorise
-  over.
+* :class:`ColumnarMissBlock` — the observation payload of a
+  :class:`~repro.core.workers.ShardWorkSpec`: scalar statistic columns
+  plus (for catalog connectors) the ragged per-file size array with its
+  offsets.  Implements the :class:`~repro.core.traits.ColumnarBlock`
+  protocol traits vectorise over.
 * :class:`ColumnarHitPayload` / :class:`ColumnarResultPayload` — the
   decide-phase halves: coordinator-resolved cache hits shipped as scalar
   columns + a trait matrix, and the worker's answer shipped as a trait
@@ -34,7 +32,7 @@ Integer aggregates are computed with exact int64 cumulative sums and
 surfaced as Python ints via ``tolist()``; float columns round-trip
 float64 bit-for-bit.  Together with the trait layer's slice-reduction
 guarantee (:meth:`~repro.core.traits.Trait.compute_columnar`) this keeps
-cycle reports byte-identical to the pickle transport and to thread mode.
+cycle reports byte-identical to thread mode.
 
 Lifecycle: the creating process owns each segment and must call
 ``dispose()`` (the transport does, per cycle, in a ``finally``); a
@@ -152,14 +150,6 @@ class SharedArrayBlock:
         """``"shm"`` for a shared-memory segment, ``"inline"`` otherwise."""
         return "inline" if self._inline is not None else "shm"
 
-    @property
-    def nbytes(self) -> int:
-        """Total payload bytes (zero-copy bytes when backed by shm)."""
-        if not self._layout:
-            return 0
-        name, dtype, shape, start = self._layout[-1]
-        return start + int(np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64)))
-
     def __getstate__(self) -> dict:
         # Ship the name + layout, never the bytes (inline blocks excepted).
         return {
@@ -183,10 +173,13 @@ class SharedArrayBlock:
                 self._views = dict(self._inline)
             else:
                 if self._shm is None:
-                    # Attaching from a pool worker: the resource tracker is
-                    # shared with the forking coordinator, so the extra
-                    # register is idempotent and the coordinator's unlink
-                    # clears it — no double-unlink, no shutdown warnings.
+                    # Attaching from a pool worker registers the segment
+                    # with the resource tracker again.  That is harmless
+                    # only because the pool starts the coordinator's
+                    # tracker before forking (WorkerPool._ensure), so the
+                    # worker shares it and the coordinator's unlink clears
+                    # the entry.  A worker-private tracker would unlink the
+                    # coordinator's live segments when the worker exits.
                     self._shm = shared_memory.SharedMemory(name=self._shm_name)
                 buf = self._shm.buf
                 self._views = {
@@ -238,10 +231,8 @@ class SharedArrayBlock:
 class ColumnarMissBlock:
     """A shard's cache-miss observations as flat arrays.
 
-    Satisfies the ``snapshot`` protocol of
-    :class:`~repro.core.workers.ShardWorkSpec` (``__len__`` +
-    ``statistics(i)``) and the :class:`~repro.core.traits.ColumnarBlock`
-    protocol, so the same payload feeds spec validation, vectorised trait
+    Satisfies the :class:`~repro.core.traits.ColumnarBlock` protocol, so
+    the same payload feeds spec validation (``len``), vectorised trait
     evaluation, and (coordinator-side, from the retained arrays) candidate
     rebuild.
     """
@@ -367,40 +358,11 @@ class ColumnarMissBlock:
             )
         return self._rep_targets
 
-    # -- snapshot protocol + rebuild --------------------------------------
-
-    @property
-    def has_sizes(self) -> bool:
-        return self._has_sizes
-
-    @property
-    def nbytes(self) -> int:
-        return self._block.nbytes
+    # -- rebuild ----------------------------------------------------------
 
     @property
     def backing(self) -> str:
         return self._block.backing
-
-    def statistics(self, i: int) -> CandidateStatistics:
-        """Row accessor for snapshot-protocol parity; hot paths batch."""
-        arrays = self._block.arrays()
-        sizes: tuple = ()
-        if self._has_sizes:
-            offsets = arrays["size_offsets"]
-            sizes = tuple(arrays["sizes"][int(offsets[i]) : int(offsets[i + 1])].tolist())
-        return CandidateStatistics.build_unchecked(
-            file_count=int(arrays["file_count"][i]),
-            total_bytes=int(arrays["total_bytes"][i]),
-            small_file_count=int(arrays["small_file_count"][i]),
-            small_file_bytes=int(arrays["small_file_bytes"][i]),
-            target_file_size=int(arrays["target_file_size"][i]),
-            partition_count=int(arrays["partition_count"][i]),
-            created_at=float(arrays["created_at"][i]),
-            last_modified_at=float(arrays["last_modified_at"][i]),
-            quota_utilization=float(arrays["quota_utilization"][i]),
-            file_sizes=sizes,
-            delete_file_count=int(arrays["delete_file_count"][i]),
-        )
 
     def statistics_batch(self, include_sizes: bool = True) -> list[CandidateStatistics]:
         """All rows as statistics objects, scalars exact via ``tolist()``.

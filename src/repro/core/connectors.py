@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import abc
 import threading
-import warnings
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.snapshot import CatalogObservationSlice, build_candidate_statistics
+from repro.catalog.snapshot import build_candidate_statistics
 from repro.core.candidates import (
     Candidate,
     CandidateKey,
@@ -51,16 +50,6 @@ class Connector(abc.ABC):
     #: caches).  The pipeline then skips trait recomputation for
     #: candidates that already carry every registered trait.
     reuses_candidates = False
-
-    #: True when this connector can split observation into local cache
-    #: hits plus a *picklable* :class:`~repro.core.workers.ShardWorkSpec`
-    #: (:meth:`export_shard_work` / :meth:`merge_shard_result`) — the
-    #: contract process-mode shard workers require.  Connectors whose
-    #: observation reads live, unpicklable state (e.g. a catalog of open
-    #: tables) leave this False and stay on the thread-pool fallback.
-    #: Superseded by :meth:`worker_transport_kinds` (kept one release for
-    #: introspection compatibility).
-    supports_worker_observe = False
 
     @abc.abstractmethod
     def list_candidates(self, strategy: str = "table") -> list[CandidateKey]:
@@ -134,80 +123,29 @@ class Connector(abc.ABC):
     # --- process-mode shard-worker contract ---------------------------------
     #
     # The scale-out control plane's process workers cannot touch this
-    # connector's live state; instead the coordinator drives a
-    # :class:`~repro.core.transport.WorkerTransport` obtained from
+    # connector's live state; instead the coordinator drives the
+    # :class:`~repro.core.transport.ColumnarTransport` obtained from
     # :meth:`worker_transport`, which (a) resolves cache hits locally and
-    # snapshots the miss inputs into a picklable spec, then (b) merges the
-    # worker's result — candidates or a trait matrix, plus a cache delta —
-    # back in.  The export/merge/apply method trio below is the *pickle*
-    # encoding of that contract; third-party connectors implementing only
-    # the trio are wrapped into a deprecated
-    # :class:`~repro.core.transport.LegacyPickleTransport`.
+    # packs the miss inputs into a shippable spec (the connector's
+    # ``export_columnar`` hook), then (b) merges the worker's trait matrix
+    # and cache delta back in (:meth:`store_worker_observations`).
 
-    def worker_transport_kinds(self) -> tuple[str, ...]:
-        """Transport kinds this connector speaks, in preference order.
+    def worker_transport(self):
+        """The :class:`~repro.core.transport.ColumnarTransport` to use.
 
-        Empty means no process-worker support (thread-pool fallback).
-        The base implementation detects the legacy method trio and
-        advertises ``("pickle",)`` for it; connectors with native
-        transport support override this alongside
-        :meth:`worker_transport`.
+        Returns None (the base behaviour) when this connector cannot feed
+        process workers — its observation reads live, unshippable state —
+        and the sharded pipeline must stay on threads.  Connectors that
+        implement ``export_columnar`` override this.
         """
-        from repro.core.transport import LEGACY_WORKER_METHODS
-
-        overridden = any(
-            getattr(type(self), name, None) is not getattr(Connector, name)
-            for name in LEGACY_WORKER_METHODS
-        )
-        return ("pickle",) if overridden else ()
-
-    def worker_transport(self, kind: str | None = None):
-        """Build the :class:`~repro.core.transport.WorkerTransport` to use.
-
-        Args:
-            kind: requested transport kind, or None for the connector's
-                preferred one.
-
-        Returns:
-            A transport instance, or None when this connector cannot feed
-            process workers at all.
-
-        Raises:
-            ValidationError: when ``kind`` is requested but not spoken.
-
-        The base implementation only serves the deprecation shim: a
-        subclass that overrode the legacy method trio (and nothing else)
-        gets a :class:`~repro.core.transport.LegacyPickleTransport` plus a
-        :class:`DeprecationWarning` pointing at this method.
-        """
-        kinds = self.worker_transport_kinds()
-        if not kinds:
-            return None
-        if kind is not None and kind not in kinds:
-            raise ValidationError(
-                f"{type(self).__name__} does not speak the {kind!r} worker "
-                f"transport (supported: {kinds})"
-            )
-        from repro.core.transport import LegacyPickleTransport
-
-        warnings.warn(
-            f"{type(self).__name__} implements the legacy worker-observe "
-            "method trio (export_shard_work/merge_shard_result/"
-            "apply_shard_delta); override Connector.worker_transport to "
-            "return a WorkerTransport instead — the implicit adapter will "
-            "be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return LegacyPickleTransport(self)
+        return None
 
     def store_worker_observations(self, delta, candidates: list[Candidate]) -> None:
         """Absorb worker observations (rebuilt coordinator-side) into the cache.
 
-        The columnar transport's delta path: ``candidates`` are position-
-        aligned with ``delta`` and already oriented.  Candidate-reusing
-        caches store the candidates themselves, statistics caches their
-        statistics.
+        ``candidates`` are position-aligned with ``delta`` and already
+        oriented.  Candidate-reusing caches store the candidates
+        themselves, statistics caches their statistics.
         """
         cache = self.stats_cache
         if cache is None:
@@ -216,58 +154,6 @@ class Connector(abc.ABC):
             cache.apply_delta(delta, candidates)
         else:
             cache.apply_delta(delta, [c.statistics for c in candidates])
-
-    def export_shard_work(self, keys: list[CandidateKey], shard_index: int, traits):
-        """Split ``keys`` into local hits and a picklable miss spec.
-
-        Args:
-            keys: the shard's candidate keys, in generation order.
-            shard_index: which shard the work belongs to.
-            traits: the shard pipeline's
-                :class:`~repro.core.traits.TraitRegistry` (shipped in the
-                spec — workers orient what they observe).
-
-        Returns:
-            ``(placed, spec)`` — ``placed`` is a candidate list with
-            ``None`` holes at miss positions, ``spec`` the
-            :class:`~repro.core.workers.ShardWorkSpec` covering the holes
-            in order (``None`` when everything hit).
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot export shard work for process "
-            "workers (supports_worker_observe is False); run the sharded "
-            "pipeline with workers='threads'"
-        )
-
-    def merge_shard_result(self, placed: list, result) -> list[Candidate]:
-        """Fill ``placed``'s holes from a worker result and merge its cache delta.
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot merge shard worker results "
-            "(supports_worker_observe is False)"
-        )
-
-    def apply_shard_delta(self, result) -> None:
-        """Replay a worker result's cache delta without filling holes.
-
-        The decide-in-worker path: the worker returns only the *selected*
-        candidates (position-aligned with the delta), so there is nothing
-        to merge into a placed list — the coordinator just absorbs the
-        cache updates.
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot apply shard worker cache deltas "
-            "(supports_worker_observe is False)"
-        )
 
 
 class LstConnector(Connector):
@@ -296,32 +182,17 @@ class LstConnector(Connector):
     The bulk :meth:`observe` path passes each table's metadata ``version``
     as the freshness token for *both* cache kinds, so cached entries
     self-heal when a table commits even if no write event arrives — and,
-    because :meth:`export_shard_work` applies the identical hit rule, a
+    because :meth:`export_columnar` applies the identical hit rule, a
     key is shipped to a process worker if and only if the in-process path
     would have re-observed it (the worker modes' byte-identical cycle
     reports depend on exactly that).  The single-key
     :meth:`collect_statistics` API keeps the event/TTL-only trust model.
     """
 
-    #: Observation snapshots to a frozen, picklable
-    #: :class:`~repro.catalog.snapshot.CatalogObservationSlice`, so this
-    #: connector can feed process-mode shard workers.
-    supports_worker_observe = True
+    def worker_transport(self):
+        from repro.core.transport import ColumnarTransport
 
-    def worker_transport_kinds(self) -> tuple[str, ...]:
-        return ("columnar", "pickle")
-
-    def worker_transport(self, kind: str | None = None):
-        from repro.core.transport import ColumnarTransport, PickleTransport
-
-        if kind in (None, "columnar"):
-            return ColumnarTransport(self)
-        if kind == "pickle":
-            return PickleTransport(self)
-        raise ValidationError(
-            f"LstConnector does not speak the {kind!r} worker transport "
-            f"(supported: {self.worker_transport_kinds()})"
-        )
+        return ColumnarTransport(self)
 
     def __init__(
         self,
@@ -390,7 +261,7 @@ class LstConnector(Connector):
         A key hits iff its cache entry was stored under the table's
         current metadata ``version`` (and is younger than the TTL); hits
         get their database-level quota re-stamped in place.  Shared by
-        :meth:`observe` and :meth:`export_shard_work`, so the in-process
+        :meth:`observe` and :meth:`export_columnar`, so the in-process
         and worker paths can never disagree about which keys need
         rebuilding.
 
@@ -574,16 +445,14 @@ class LstConnector(Connector):
             return 0.0
 
     def _observation_row(self, key: CandidateKey) -> tuple:
-        """The raw per-candidate observation inputs, in snapshot column order.
+        """The raw per-candidate observation inputs.
 
         ``(file_sizes, target_file_size, partition_count,
         delete_file_count, created_at, last_modified_at,
-        quota_utilization, version)`` — everything
-        :func:`~repro.catalog.snapshot.build_candidate_statistics` needs,
-        plus the table's metadata version as the freshness token.  Both
-        the live statistics build and the worker-bound
-        :class:`~repro.catalog.snapshot.CatalogObservationSlice` come from
-        this method, so the two observation paths cannot drift.
+        quota_utilization)`` — exactly the arguments of
+        :func:`~repro.catalog.snapshot.build_candidate_statistics`.  Both
+        the live statistics build and the worker-bound columnar export
+        come from this method, so the two observation paths cannot drift.
         """
         table = self.table_for(key)
         policy = self.catalog.policy(key.qualified_table)
@@ -605,57 +474,12 @@ class LstConnector(Connector):
             table.created_at,
             last_modified,
             self._quota(key),
-            table.version,
         )
 
     def _collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
-        row = self._observation_row(key)
-        return build_candidate_statistics(*row[:-1])
+        return build_candidate_statistics(*self._observation_row(key))
 
     # --- process-mode shard workers ---------------------------------------------
-
-    def export_shard_work(
-        self, keys: list[CandidateKey], shard_index: int, traits
-    ) -> tuple[list[Candidate | None], "object | None"]:
-        """Resolve cache hits locally; snapshot the misses into a picklable spec.
-
-        The hit pass *is* :meth:`_split_hits` — the same code the
-        in-process :meth:`observe` path runs — and the miss rows are
-        captured into a frozen
-        :class:`~repro.catalog.snapshot.CatalogObservationSlice` carrying
-        per-key file sizes, policy targets and ``table.version`` freshness
-        tokens.  Only the dirty slice crosses the process boundary, never
-        the live catalog.
-        """
-        from repro.core.workers import ShardWorkSpec
-
-        now = self.catalog.clock.now
-        placed, miss_keys, miss_slots, miss_tokens, _ = self._split_hits(keys, now)
-        if not miss_keys:
-            return placed, None
-        rows = [self._observation_row(key) for key in miss_keys]
-        snapshot = CatalogObservationSlice(
-            file_sizes=tuple(row[0] for row in rows),
-            target_file_sizes=tuple(row[1] for row in rows),
-            partition_counts=tuple(row[2] for row in rows),
-            delete_file_counts=tuple(row[3] for row in rows),
-            created_ats=tuple(row[4] for row in rows),
-            last_modified_ats=tuple(row[5] for row in rows),
-            quota_utilizations=tuple(row[6] for row in rows),
-            versions=tuple(row[7] for row in rows),
-        )
-        spec = ShardWorkSpec(
-            shard_index=shard_index,
-            keys=tuple(miss_keys),
-            columns={},
-            slots=tuple(miss_slots),
-            tokens=tuple(miss_tokens),
-            target_file_size=1,  # unused: the snapshot carries per-key targets
-            now=now,
-            traits=traits,
-            snapshot=snapshot,
-        )
-        return placed, spec
 
     def export_columnar(
         self, keys: list[CandidateKey], shard_index: int, traits
@@ -690,44 +514,10 @@ class LstConnector(Connector):
         spec = ShardWorkSpec(
             shard_index=shard_index,
             keys=tuple(miss_keys),
-            columns={},
             slots=tuple(miss_slots),
             tokens=tuple(miss_tokens),
-            target_file_size=1,  # unused: the block carries per-key targets
             now=now,
             traits=traits,
-            snapshot=block,
-            transport="columnar",
+            block=block,
         )
         return placed, spec
-
-    def apply_shard_delta(self, result) -> None:
-        """Replay a worker result's cache delta into whichever cache kind is wired.
-
-        Version compatibility is the pool handshake's job
-        (:meth:`~repro.core.workers.WorkerPool.negotiate`), not a
-        per-result check.
-        """
-        cache = self.stats_cache
-        if cache is None:
-            return
-        if self._dense:
-            cache.apply_delta(result.cache_delta, result.candidates)
-        else:
-            cache.apply_delta(
-                result.cache_delta, [c.statistics for c in result.candidates]
-            )
-
-    def merge_shard_result(
-        self, placed: list[Candidate | None], result
-    ) -> list[Candidate]:
-        """Fill the miss holes from a worker's result; replay its cache delta."""
-        holes = sum(1 for candidate in placed if candidate is None)
-        if holes != len(result.candidates):
-            raise ValidationError(
-                f"shard result carries {len(result.candidates)} candidates "
-                f"for {holes} miss positions"
-            )
-        self.apply_shard_delta(result)
-        fill = iter(result.candidates)
-        return [c if c is not None else next(fill) for c in placed]

@@ -240,17 +240,17 @@ class AutoCompPipeline:
             report.candidates_generated = len(keys)
         return keys
 
-    def worker_transport(self, kind: str | None = None):
-        """This pipeline's :class:`~repro.core.transport.WorkerTransport`.
+    def worker_transport(self):
+        """This pipeline's :class:`~repro.core.transport.ColumnarTransport`.
 
-        Delegates to
+        None when the connector cannot feed process workers.  Delegates to
         :meth:`~repro.core.connectors.Connector.worker_transport`.  The
         sharded control plane builds each shard's transport through this
         hook (rather than reaching into the connector directly), so
         pipeline subclasses can interpose on how their shard's work
         crosses the process boundary.
         """
-        return self.connector.worker_transport(kind)
+        return self.connector.worker_transport()
 
     def observe_orient(
         self, keys: list[CandidateKey], now: float, report: CycleReport | None = None

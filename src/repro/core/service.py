@@ -148,7 +148,6 @@ def openhouse_sharded_pipeline(
     selection: str = "global",
     workers: str = "threads",
     worker_decide: bool | None = None,
-    transport: str | None = None,
     max_workers: int | None = None,
     telemetry=None,
     tracer=None,
@@ -160,10 +159,11 @@ def openhouse_sharded_pipeline(
     *share* one :class:`~repro.core.connectors.LstConnector` (and its
     optional stats cache): the sharded control plane partitions the work,
     not the catalog, and a shared connector keeps dense-cache slot
-    interning consistent across shards.  The LST connector exports
-    picklable :class:`~repro.catalog.snapshot.CatalogObservationSlice`
-    shard work, so ``workers="processes"`` / ``"auto"`` run the realistic
-    catalog path on true multi-core workers.
+    interning consistent across shards.  The LST connector packs its
+    shard work into columnar shared-memory blocks
+    (:class:`~repro.core.transport.ColumnarTransport`), so
+    ``workers="processes"`` runs the realistic catalog path on true
+    multi-core workers.
 
     Args:
         catalog: control plane holding the tables.
@@ -172,10 +172,8 @@ def openhouse_sharded_pipeline(
         stats_cache: optional shared incremental-observation cache
             (:class:`~repro.core.statscache.StatsCache` or
             :class:`~repro.core.statscache.IndexedCandidateCache`).
-        selection / workers / worker_decide / transport / max_workers:
-            forwarded to :class:`~repro.core.sharding.ShardedPipeline`
-            (``transport=None`` negotiates the columnar shared-memory
-            encoding, which the LST connector speaks).
+        selection / workers / worker_decide / max_workers: forwarded to
+            :class:`~repro.core.sharding.ShardedPipeline`.
         telemetry: fleet-level metric sink (defaults to the catalog's).
         tracer: optional :class:`~repro.obs.tracing.Tracer` installed on
             the sharded pipeline (and thus every shard), so cycles emit
@@ -219,7 +217,6 @@ def openhouse_sharded_pipeline(
         selection=selection,
         workers=workers,
         worker_decide=worker_decide,
-        transport=transport,
         max_workers=max_workers,
         telemetry=telemetry if telemetry is not None else catalog.telemetry,
         tracer=tracer,

@@ -203,7 +203,7 @@ class FileEntropyTrait(Trait):
         # array and reduces contiguous per-candidate slices, which is
         # bit-identical to this (np.add.reduce pairwise order depends only
         # on segment length) — keeping cycle reports byte-identical across
-        # transports.
+        # worker modes.
         target = float(statistics.target_file_size)
         arr = np.asarray(sizes, dtype=np.float64)
         shortfall = (target - arr) / target

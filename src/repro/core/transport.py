@@ -1,159 +1,33 @@
-"""The ``WorkerTransport`` seam: one protocol between connectors and workers.
+"""The worker transport: how one shard's work crosses a process boundary.
 
-Process-mode sharding used to reach into connectors through three ad-hoc
-methods (``export_shard_work`` / ``merge_shard_result`` /
-``apply_shard_delta``) gated by a ``supports_worker_observe`` boolean,
-with raw ``version:`` checks sprinkled over every result.  This module
-collapses that into a first-class protocol:
+:class:`ColumnarTransport` is the coordinator half of the process-worker
+contract (:mod:`repro.core.workers`).  The sharded pipeline drives five
+calls per shard and cycle: ``export`` a shard's keys into hits + a
+picklable spec, ``attach_decide`` the decide phase, ``merge`` /
+``merge_decision`` a worker's answer back, ``release`` the spec's shared
+resources.
 
-* :class:`WorkerTransport` — the contract the sharded pipeline drives:
-  ``export`` a shard's keys into hits + a picklable spec,
-  ``attach_decide`` the decide phase, ``merge`` / ``merge_decision`` a
-  worker's answer back, ``release`` the spec's shared resources.
-* :class:`PickleTransport` — the per-object encoding, delegating to the
-  connector's existing export/merge implementations.
-* :class:`ColumnarTransport` — the zero-copy encoding
-  (:mod:`repro.core.columnar`): flat arrays in shared memory out, trait
-  matrices and selection references back, with every miss riding the
-  cache delta so process-mode caches stay as warm as thread-mode ones.
-* :class:`LegacyPickleTransport` — the deprecation shim wrapping
-  third-party connectors that still implement the old method trio.
-
-Capability negotiation is two-layered: a connector advertises the
-transport *kinds* it speaks (:meth:`Connector.worker_transport_kinds`)
-and builds a transport on request
-(:meth:`Connector.worker_transport`); the
-:class:`~repro.core.workers.WorkerPool` then performs the contract
-handshake (:meth:`~repro.core.workers.WorkerPool.negotiate`) verifying
-the worker side runs the same spec version and transport before any spec
-ships.
+The encoding is zero-copy (:mod:`repro.core.columnar`): flat arrays in
+shared memory out, trait matrices and selection references back, with
+every miss riding the cache delta so process-mode caches stay as warm as
+thread-mode ones.  A connector feeds process workers exactly when its
+:meth:`~repro.core.connectors.Connector.worker_transport` returns a
+transport; the :class:`~repro.core.workers.WorkerPool` then verifies, once
+per pool (:meth:`~repro.core.workers.WorkerPool.negotiate`), that the
+worker side runs the same spec version before any spec ships.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 
 from repro.core.candidates import Candidate
 from repro.core.columnar import ColumnarHitPayload
 from repro.core.workers import ShardDecideSpec, ShardDecision, ShardWorkSpec
-
-#: The old connector worker-observe method trio, detected for the
-#: deprecation shim.
-LEGACY_WORKER_METHODS = (
-    "export_shard_work",
-    "merge_shard_result",
-    "apply_shard_delta",
-)
+from repro.errors import ValidationError
 
 
-class WorkerTransport(abc.ABC):
-    """How one shard's work crosses (or does not cross) a process boundary.
-
-    A transport is bound to one connector and optionally to the
-    :class:`~repro.core.workers.WorkerPool` executing its specs
-    (:meth:`bind_pool` lets the pool track shared resources for
-    crash-safe cleanup).  The sharded pipeline drives the same five calls
-    whatever the encoding, which is what lets transports be negotiated
-    per pool instead of hard-coded per connector.
-    """
-
-    #: The negotiated capability name (:data:`~repro.core.workers.TRANSPORT_KINDS`).
-    kind: str = "pickle"
-
-    def __init__(self, connector) -> None:
-        self.connector = connector
-        self._pool = None
-
-    def bind_pool(self, pool) -> None:
-        """Attach the executing pool so shared resources survive crashes."""
-        self._pool = pool
-
-    @abc.abstractmethod
-    def export(
-        self, keys: list, shard_index: int, traits
-    ) -> tuple[list, ShardWorkSpec | None]:
-        """Split ``keys`` into local cache hits and a shippable spec.
-
-        Returns ``(placed, spec)``: ``placed`` is the generation-order
-        candidate list with ``None`` holes at miss positions; ``spec``
-        covers the holes in order (``None`` when everything hit).
-        """
-
-    @abc.abstractmethod
-    def attach_decide(
-        self,
-        spec: ShardWorkSpec,
-        placed: list,
-        policy,
-        selector,
-        stats_filters,
-        trait_filters,
-    ) -> ShardWorkSpec:
-        """Extend a spec with the worker-side decide phase."""
-
-    @abc.abstractmethod
-    def merge(self, spec: ShardWorkSpec, placed: list, result) -> list[Candidate]:
-        """Fill ``placed``'s holes from a worker result; absorb its cache delta."""
-
-    @abc.abstractmethod
-    def merge_decision(self, spec: ShardWorkSpec, placed: list, result) -> ShardDecision:
-        """Resolve a worker's decide answer into a decision with real candidates."""
-
-    def release(self, spec: ShardWorkSpec | None) -> None:
-        """Free any shared resources the spec holds (idempotent, crash-safe)."""
-
-    def close(self) -> None:
-        """Transport-lifetime teardown (pipeline close)."""
-
-
-class PickleTransport(WorkerTransport):
-    """Per-object encoding: candidates and snapshots cross as pickles.
-
-    Delegates to the connector's export/merge/apply implementations —
-    the encoding every connector with worker-observe support already
-    speaks, and the fallback when columnar negotiation fails.
-    """
-
-    kind = "pickle"
-
-    def export(self, keys, shard_index, traits):
-        return self.connector.export_shard_work(keys, shard_index, traits)
-
-    def attach_decide(self, spec, placed, policy, selector, stats_filters, trait_filters):
-        return dataclasses.replace(
-            spec,
-            decide=ShardDecideSpec(
-                policy=policy,
-                selector=selector,
-                stats_filters=tuple(stats_filters),
-                trait_filters=tuple(trait_filters),
-                hits=tuple(placed),
-            ),
-        )
-
-    def merge(self, spec, placed, result):
-        return self.connector.merge_shard_result(placed, result)
-
-    def merge_decision(self, spec, placed, result):
-        self.connector.apply_shard_delta(result)
-        return result.decision
-
-
-class LegacyPickleTransport(PickleTransport):
-    """Deprecation shim over the old connector worker-observe method trio.
-
-    Third-party connectors that implement ``export_shard_work`` /
-    ``merge_shard_result`` / ``apply_shard_delta`` without overriding
-    :meth:`~repro.core.connectors.Connector.worker_transport` get wrapped
-    into this adapter (with a :class:`DeprecationWarning`) so they keep
-    working for one release; behaviour is exactly the pickle transport's.
-    """
-
-    kind = "pickle"
-
-
-class ColumnarTransport(WorkerTransport):
+class ColumnarTransport:
     """Zero-copy encoding: flat arrays in shared memory, references back.
 
     Export packs the miss observations into a
@@ -170,19 +44,39 @@ class ColumnarTransport(WorkerTransport):
     matrix; per-file sizes and custom statistics stay behind (hits
     carrying custom statistics fall back to object pickling).  A custom
     ``stats_filter`` that reads ``file_sizes`` therefore sees empty sizes
-    on worker-side hits under this transport — select ``pickle`` when
-    that matters.
+    on worker-side hits — keep such filters on the coordinator
+    (``worker_decide=False``).
+
+    A transport is bound to one connector and optionally to the
+    :class:`~repro.core.workers.WorkerPool` executing its specs
+    (:meth:`bind_pool` lets the pool track shared resources for
+    crash-safe cleanup).
     """
 
-    kind = "columnar"
+    def __init__(self, connector) -> None:
+        self.connector = connector
+        self._pool = None
 
-    def export(self, keys, shard_index, traits):
+    def bind_pool(self, pool) -> None:
+        """Attach the executing pool so shared resources survive crashes."""
+        self._pool = pool
+
+    def export(self, keys: list, shard_index: int, traits) -> tuple[list, ShardWorkSpec | None]:
+        """Split ``keys`` into local cache hits and a shippable spec.
+
+        Returns ``(placed, spec)``: ``placed`` is the generation-order
+        candidate list with ``None`` holes at miss positions; ``spec``
+        covers the holes in order (``None`` when everything hit).
+        """
         placed, spec = self.connector.export_columnar(keys, shard_index, traits)
         if spec is not None and self._pool is not None:
-            self._pool.track_resource(spec.snapshot)
+            self._pool.track_resource(spec.block)
         return placed, spec
 
-    def attach_decide(self, spec, placed, policy, selector, stats_filters, trait_filters):
+    def attach_decide(
+        self, spec: ShardWorkSpec, placed: list, policy, selector, stats_filters, trait_filters
+    ) -> ShardWorkSpec:
+        """Extend a spec with the worker-side decide phase."""
         names = tuple(spec.traits.names())
         payload = ColumnarHitPayload.try_pack(placed, names)
         if payload is not None and self._pool is not None:
@@ -198,29 +92,73 @@ class ColumnarTransport(WorkerTransport):
         return dataclasses.replace(spec, decide=decide)
 
     def _rebuild(self, spec: ShardWorkSpec, result) -> list[Candidate]:
-        """Miss candidates from the retained arrays + the returned matrix."""
+        """Miss candidates from the retained arrays + the returned matrix.
+
+        Checks the result's shape against the spec first: a short matrix
+        or delta would otherwise be truncated silently by the zips below
+        and surface much later as a bare ``StopIteration``/``IndexError``.
+        """
         payload = result.columnar
-        names = payload.trait_names
-        statistics = spec.snapshot.statistics_batch()  # type: ignore[attr-defined]
+        names = tuple(payload.trait_names)
+        n = len(spec.keys)
+        shape = getattr(payload.matrix, "shape", None)
+        if shape != (n, len(names)):
+            raise ValidationError(
+                f"shard {spec.shard_index} result carries a trait matrix of "
+                f"shape {shape} for {n} miss keys and {len(names)} traits"
+            )
+        expected = tuple(spec.traits.names())
+        if names != expected:
+            raise ValidationError(
+                f"shard {spec.shard_index} result carries traits {names}, "
+                f"expected {expected}"
+            )
+        delta = result.cache_delta
+        if len(delta.slots) != n or len(delta.tokens) != n:
+            raise ValidationError(
+                f"shard {spec.shard_index} result carries a cache delta of "
+                f"{len(delta.slots)} slots / {len(delta.tokens)} tokens for "
+                f"{n} miss keys"
+            )
+        statistics = spec.block.statistics_batch()  # type: ignore[attr-defined]
         rows = payload.matrix.tolist()
         return [
             Candidate(key=key, statistics=stats, traits=dict(zip(names, row)))
             for key, stats, row in zip(spec.keys, statistics, rows)
         ]
 
-    def merge(self, spec, placed, result):
+    def merge(self, spec: ShardWorkSpec, placed: list, result) -> list[Candidate]:
+        """Fill ``placed``'s holes from a worker result; absorb its cache delta."""
         rebuilt = self._rebuild(spec, result)
         self.connector.store_worker_observations(result.cache_delta, rebuilt)
         fill = iter(rebuilt)
         return [c if c is not None else next(fill) for c in placed]
 
-    def merge_decision(self, spec, placed, result):
+    def merge_decision(self, spec: ShardWorkSpec, placed: list, result) -> ShardDecision:
+        """Resolve a worker's decide answer into a decision with real candidates."""
         rebuilt = self._rebuild(spec, result)
-        self.connector.store_worker_observations(result.cache_delta, rebuilt)
         payload = result.columnar
+        refs = payload.selected or ()
+        if len(payload.scores) != len(refs):
+            raise ValidationError(
+                f"shard {spec.shard_index} result carries {len(payload.scores)} "
+                f"scores for {len(refs)} selected references"
+            )
+        for origin, position in refs:
+            if origin == "hit":
+                valid = 0 <= position < len(placed) and placed[position] is not None
+            else:
+                valid = origin == "miss" and 0 <= position < len(rebuilt)
+            if not valid:
+                raise ValidationError(
+                    f"shard {spec.shard_index} result selects "
+                    f"{(origin, position)!r}, outside its {len(placed)} "
+                    f"placed candidates / {len(rebuilt)} misses"
+                )
+        self.connector.store_worker_observations(result.cache_delta, rebuilt)
         selected: list[Candidate] = []
         hit_selected: list[Candidate] = []
-        for (origin, position), score in zip(payload.selected, payload.scores):
+        for (origin, position), score in zip(refs, payload.scores):
             if origin == "hit":
                 candidate = placed[position]
                 hit_selected.append(candidate)
@@ -242,14 +180,13 @@ class ColumnarTransport(WorkerTransport):
             selected=selected,
         )
 
-    def release(self, spec):
+    def release(self, spec: ShardWorkSpec | None) -> None:
+        """Free the spec's shared resources (idempotent, crash-safe)."""
         if spec is None:
             return
-        snapshot = spec.snapshot
-        if snapshot is not None:
-            snapshot.dispose()  # type: ignore[attr-defined]
-            if self._pool is not None:
-                self._pool.untrack_resource(snapshot)
+        spec.block.dispose()  # type: ignore[attr-defined]
+        if self._pool is not None:
+            self._pool.untrack_resource(spec.block)
         if spec.decide is not None and spec.decide.hits_payload is not None:
             payload = spec.decide.hits_payload
             payload.dispose()  # type: ignore[attr-defined]

@@ -8,22 +8,24 @@ cycles need shard work to cross a *process* boundary, and everything that
 crosses must become an explicit, versioned, picklable contract:
 
 * :class:`ShardWorkSpec` — one shard's unit of work: the candidate keys
-  that missed the coordinator's stats cache, a picklable **connector
-  snapshot** (parallel columns of observation inputs, e.g. a
-  :meth:`~repro.fleet.model.ObserveView.take` slice), the cache slot
-  indices and freshness **tokens** those keys map to, and the orient-phase
-  trait registry;
-* :class:`ShardCycleResult` — what comes back: fully observed *and*
-  oriented candidates plus a :class:`CacheDelta`, so the coordinator's
-  :class:`~repro.core.statscache.StatsCache` /
+  that missed the coordinator's stats cache, their observation inputs as
+  a :class:`~repro.core.columnar.ColumnarMissBlock` (flat arrays in shared
+  memory), the cache slot indices and freshness **tokens** those keys map
+  to, and the orient-phase trait registry;
+* :class:`ShardCycleResult` — what comes back: a trait matrix (one row
+  per miss key) plus a :class:`CacheDelta` covering every miss, so the
+  coordinator rebuilds the observed candidates from its *own* retained
+  arrays and its :class:`~repro.core.statscache.StatsCache` /
   :class:`~repro.core.statscache.IndexedCandidateCache` learn the worker's
-  observations instead of silently dropping them (the next cycle stays
-  O(dirty tables) in every worker mode);
+  observations (the next cycle stays O(dirty tables) in every worker
+  mode);
 * :func:`run_shard_work` — the module-level worker entry point (process
   pools can only ship module-level callables).
 
 Only the *miss* slice crosses the boundary: the coordinator resolves cache
 hits locally (a token compare per key), so steady-state specs stay small.
+:class:`~repro.core.transport.ColumnarTransport` packs specs and merges
+results on the coordinator side.
 
 The decide phase can cross the boundary too — but only for *local*
 selection.  Global selection must see every shard's survivors at once, so
@@ -31,13 +33,10 @@ it always decides on the coordinator; a ``selection="local"`` shard, by
 contrast, ranks and selects under its own split budget, which a worker can
 do entirely in-process when the spec carries a :class:`ShardDecideSpec`
 (picklable policy + selector + filter chains + the coordinator-resolved
-cache hits).  The worker then returns a :class:`ShardDecision` — counts
-plus the *selected* candidates only — shrinking the return payload from
-O(shard candidates) to O(selected).  The trade-off is cache warmth: only
-selected misses ride back in the cache delta, so unselected dirty tables
-are re-observed next cycle (a fair trade when observation is CPU-bound
-and fans out across workers anyway).  Either way the cycle reports stay
-byte-identical to thread/inline mode (property-tested).
+cache hits).  The worker then answers with counts plus *references* to
+the selected candidates, which the coordinator resolves against its own
+candidate lists.  Either way the cycle reports stay byte-identical to
+thread/inline mode (property-tested).
 
 :class:`WorkerPool` is the persistent executor behind both the sharded
 pipeline and the Policy Lab's what-if sweeps
@@ -57,7 +56,7 @@ from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.candidates import Candidate, CandidateKey, CandidateStatistics
+from repro.core.candidates import Candidate, CandidateKey
 from repro.core.filters import CandidateFilter, apply_filters
 from repro.core.ranking import RankingPolicy
 from repro.core.selection import Selector
@@ -77,38 +76,17 @@ WORKER_MODES = ("threads", "processes")
 #: Version 3 added span propagation: ``ShardWorkSpec.trace`` carries the
 #: coordinator's span context in, ``ShardCycleResult.spans`` carries the
 #: worker-side observe/decide spans back.
-#: Version 4 added transport negotiation: specs/results carry a
-#: ``transport`` kind, the columnar payloads
-#: (:mod:`repro.core.columnar`) replace per-object pickling, worker-side
-#: decide ships stats-only deltas for *all* misses (full cache warmth),
-#: and version checks moved into the :meth:`WorkerPool.negotiate`
-#: handshake.
-WORK_SPEC_VERSION = 4
-
-#: Worker transport kinds this build speaks, in preference order.
-#: ``columnar`` ships shard payloads as flat arrays in shared memory
-#: (:mod:`repro.core.columnar`); ``pickle`` ships per-candidate objects.
-TRANSPORT_KINDS = ("columnar", "pickle")
-
-#: Column names a :class:`ShardWorkSpec` snapshot must carry — exactly the
-#: per-candidate inputs of
-#: :meth:`~repro.core.candidates.CandidateStatistics.build_unchecked`
-#: (``target_file_size`` is a scalar on the spec).
-SPEC_COLUMNS = (
-    "file_count",
-    "total_bytes",
-    "small_file_count",
-    "small_file_bytes",
-    "partition_count",
-    "created_at",
-    "last_modified_at",
-    "quota_utilization",
-)
+#: Version 4 added transport negotiation and the columnar payloads
+#: (:mod:`repro.core.columnar`), and moved version checks into the
+#: :meth:`WorkerPool.negotiate` handshake.
+#: Version 5 made the columnar encoding the only one: specs carry a
+#: :class:`~repro.core.columnar.ColumnarMissBlock`, results a trait matrix.
+WORK_SPEC_VERSION = 5
 
 
 @dataclass(frozen=True)
 class TransportContract:
-    """One side's worker contract: spec/result version + spoken transports.
+    """One side's worker contract: the spec/result version it speaks.
 
     The coordinator's :meth:`WorkerPool.negotiate` compares its own
     contract against one fetched from a live worker before the first spec
@@ -118,12 +96,11 @@ class TransportContract:
     """
 
     version: int
-    transports: tuple[str, ...]
 
 
 def describe_contract() -> TransportContract:
     """This build's worker contract (module-level: pools must pickle it)."""
-    return TransportContract(version=WORK_SPEC_VERSION, transports=TRANSPORT_KINDS)
+    return TransportContract(version=WORK_SPEC_VERSION)
 
 
 def process_workers_available() -> bool:
@@ -215,8 +192,8 @@ class ShardDecision:
     after_stats_filters: int = 0
     after_trait_filters: int = 0
     ranked: int = 0
-    #: Selected candidates in rank order — the only candidates that cross
-    #: back when workers decide.
+    #: Selected candidates in rank order.  Empty in a worker's answer (the
+    #: selection crosses back as references); filled by the coordinator.
     selected: list[Candidate] = field(default_factory=list)
 
 
@@ -229,79 +206,47 @@ class ShardWorkSpec:
         shard_index: which shard this work belongs to.
         keys: candidate keys that missed the coordinator's cache, in
             generation order.
-        columns: the connector snapshot — name → per-key tuple for every
-            :data:`SPEC_COLUMNS` name (ignored when ``snapshot`` is set).
         slots: cache slot per key (int index or the key itself).
         tokens: freshness token per key (what the cache delta stores, so
             invalidation state survives the round trip).
-        target_file_size: scalar compaction target for every key (unused
-            when ``snapshot`` carries per-key targets).
         now: observation time (stamped on the cache delta).
         traits: the orient-phase registry (applied in the worker — trait
             math is the CPU-bound half of orientation).
+        block: the keys' observation inputs, one row per key — a
+            :class:`~repro.core.columnar.ColumnarMissBlock` whose arrays
+            the worker reads in place and the coordinator retains to
+            rebuild the observed candidates on merge.
         observe_cost: per-candidate CPU units handed to :func:`burn_cpu`,
             emulating real statistics-collection cost.
-        snapshot: alternative observation payload for connectors whose
-            statistics do not fit :data:`SPEC_COLUMNS` — any picklable
-            object with ``__len__`` and ``statistics(i) ->
-            CandidateStatistics`` (e.g.
-            :class:`repro.catalog.snapshot.CatalogObservationSlice`, which
-            carries per-key file sizes and ``table.version`` tokens).
         decide: when set, the worker runs the full local decide phase
-            after observe/orient and returns a :class:`ShardDecision`
-            instead of the observed candidates (see the module docstring
-            for the payload trade-off).
+            after observe/orient and answers with a :class:`ShardDecision`
+            plus selection references.
         trace: when set, the coordinator's span context for this shard
             (:class:`repro.obs.tracing.SpanContext`); the worker records
             its observe/decide spans under it and ships them back in
             :attr:`ShardCycleResult.spans` so per-process timings stitch
             into one coordinator trace.
-        transport: which :data:`TRANSPORT_KINDS` encoding this spec uses.
-            ``columnar`` specs carry a
-            :class:`repro.core.columnar.ColumnarMissBlock` snapshot and
-            return trait matrices instead of candidate objects.
     """
 
     shard_index: int
     keys: tuple[CandidateKey, ...]
-    columns: dict[str, tuple]
     slots: tuple
     tokens: tuple
-    target_file_size: int
     now: float
     traits: TraitRegistry
+    block: object
     observe_cost: int = 0
-    snapshot: object | None = None
     decide: ShardDecideSpec | None = None
     trace: object | None = None
-    transport: str = "pickle"
     version: int = WORK_SPEC_VERSION
 
     def __post_init__(self) -> None:
         n = len(self.keys)
-        if self.transport not in TRANSPORT_KINDS:
+        if len(self.block) != n:  # type: ignore[arg-type]
             raise ValidationError(
-                f"unknown worker transport {self.transport!r}; "
-                f"expected one of {TRANSPORT_KINDS}"
+                f"shard work block has {len(self.block)} rows "  # type: ignore[arg-type]
+                f"for {n} keys"
             )
-        if self.snapshot is not None:
-            if len(self.snapshot) != n:  # type: ignore[arg-type]
-                raise ValidationError(
-                    f"shard work snapshot has {len(self.snapshot)} rows "  # type: ignore[arg-type]
-                    f"for {n} keys"
-                )
-        else:
-            missing = [name for name in SPEC_COLUMNS if name not in self.columns]
-            if missing:
-                raise ValidationError(f"shard work spec missing columns: {missing}")
-            bad = [
-                name for name in SPEC_COLUMNS if len(self.columns[name]) != n
-            ]
-            if bad:
-                raise ValidationError(
-                    f"shard work spec columns must all have {n} rows "
-                    f"(mismatched: {bad})"
-                )
         if len(self.slots) != n or len(self.tokens) != n:
             raise ValidationError(
                 f"shard work spec slots/tokens must both have {n} rows"
@@ -329,131 +274,32 @@ class ShardCycleResult:
     Attributes:
         version: contract version (must match the coordinator's).
         shard_index: echo of the spec's shard.
-        candidates: observed + oriented candidates, position-aligned with
-            ``cache_delta``.  Without a decide spec these are *all* the
-            spec's candidates in key order; with one, only the selected
-            misses (the rest never cross back).
-        cache_delta: the cache updates the coordinator merges (see
-            :class:`CacheDelta`); without it, process-mode cycles would
-            re-observe every table every cycle.
-        decision: the worker's decide-phase outcome (only when the spec
+        cache_delta: the cache updates the coordinator merges — one entry
+            per spec key (see :class:`CacheDelta`); without it,
+            process-mode cycles would re-observe every table every cycle.
+        decision: the worker's decide-phase counts (only when the spec
             carried a :class:`ShardDecideSpec`).
         observe_wall_s: wall-clock seconds the worker spent.
         spans: worker-side :class:`repro.obs.tracing.Span` records (only
             when the spec carried a ``trace`` context); the coordinator
             adopts them into its tracer.
-        transport: echo of the spec's transport kind.
-        columnar: the stats-only answer of a columnar-transport worker
-            (:class:`repro.core.columnar.ColumnarResultPayload`) —
-            ``candidates`` stays empty and the coordinator rebuilds them
-            from its retained observation arrays plus this trait matrix.
+        columnar: the worker's answer
+            (:class:`repro.core.columnar.ColumnarResultPayload`): a trait
+            matrix the coordinator zips with its retained observation
+            arrays, plus selection references under worker decide.
     """
 
     shard_index: int
-    candidates: list[Candidate] = field(default_factory=list)
+    columnar: object
     cache_delta: CacheDelta = field(default_factory=CacheDelta)
     decision: ShardDecision | None = None
     observe_wall_s: float = 0.0
     spans: list = field(default_factory=list)
-    transport: str = "pickle"
-    columnar: object | None = None
     version: int = WORK_SPEC_VERSION
 
 
-def _observe_spec(spec: ShardWorkSpec) -> list[Candidate]:
-    """Observe phase over a spec's miss keys (columns or snapshot payload)."""
-    cost = spec.observe_cost
-    candidates: list[Candidate] = []
-    append = candidates.append
-    snapshot = spec.snapshot
-    if snapshot is not None:
-        statistics = snapshot.statistics  # type: ignore[attr-defined]
-        for i, key in enumerate(spec.keys):
-            if cost:
-                burn_cpu(cost, str(key).encode("utf-8"))
-            append(Candidate(key=key, statistics=statistics(i)))
-        return candidates
-    build = CandidateStatistics.build_unchecked
-    columns = spec.columns
-    target = spec.target_file_size
-    files = columns["file_count"]
-    total_b = columns["total_bytes"]
-    small = columns["small_file_count"]
-    small_b = columns["small_file_bytes"]
-    partitions = columns["partition_count"]
-    created = columns["created_at"]
-    modified = columns["last_modified_at"]
-    quota = columns["quota_utilization"]
-    for i, key in enumerate(spec.keys):
-        if cost:
-            burn_cpu(cost, str(key).encode("utf-8"))
-        stats = build(
-            file_count=files[i],
-            total_bytes=total_b[i],
-            small_file_count=small[i],
-            small_file_bytes=small_b[i],
-            target_file_size=target,
-            partition_count=partitions[i],
-            created_at=created[i],
-            last_modified_at=modified[i],
-            quota_utilization=quota[i],
-        )
-        append(Candidate(key=key, statistics=stats))
-    return candidates
-
-
-def _decide_in_worker(
-    spec: ShardWorkSpec, observed: list[Candidate]
-) -> tuple[ShardDecision, list[Candidate], CacheDelta]:
-    """Run the local decide phase exactly as the coordinator would.
-
-    Filter → orient → filter → rank → select, over the full generation-
-    order candidate list (coordinator hits with the observed misses filled
-    into their holes) — the same sequence as
-    :meth:`~repro.core.pipeline.AutoCompPipeline.orient` followed by the
-    sharded pipeline's local decide, so the decision is value-identical
-    to a coordinator-side one.
-
-    Returns the decision plus the cache-delta slice: only the *selected
-    misses* (candidates observed this call) ride back to the coordinator's
-    cache — unselected observations stay in the worker and die with it.
-    """
-    decide = spec.decide
-    assert decide is not None
-    fill = iter(observed)
-    candidates = [c if c is not None else next(fill) for c in decide.hits]
-    survivors = apply_filters(list(decide.stats_filters), candidates, spec.now)
-    after_stats = len(survivors)
-    spec.traits.annotate_all(survivors, only_missing=True)
-    survivors = apply_filters(list(decide.trait_filters), survivors, spec.now)
-    after_traits = len(survivors)
-    ranked = decide.policy.rank(survivors)
-    selected = decide.selector.select(ranked)
-    slot_of = {
-        id(c): (slot, token)
-        for c, slot, token in zip(observed, spec.slots, spec.tokens)
-    }
-    delta_candidates: list[Candidate] = []
-    slots: list = []
-    tokens: list = []
-    for candidate in selected:
-        entry = slot_of.get(id(candidate))
-        if entry is not None:
-            delta_candidates.append(candidate)
-            slots.append(entry[0])
-            tokens.append(entry[1])
-    decision = ShardDecision(
-        after_stats_filters=after_stats,
-        after_trait_filters=after_traits,
-        ranked=len(ranked),
-        selected=list(selected),
-    )
-    delta = CacheDelta(tuple(slots), tuple(tokens), stored_at=spec.now)
-    return decision, delta_candidates, delta
-
-
-def _observe_columnar(spec: ShardWorkSpec):
-    """Columnar observe/orient: trait matrix straight from the miss block.
+def _observe(spec: ShardWorkSpec):
+    """Observe/orient: the trait matrix straight from the miss block.
 
     Returns ``(trait_names, matrix, observed)`` where ``observed`` is
     ``None`` on the vectorised path and the per-object fallback's
@@ -463,7 +309,7 @@ def _observe_columnar(spec: ShardWorkSpec):
     """
     from repro.core.columnar import matrix_from_candidates
 
-    block = spec.snapshot
+    block = spec.block
     cost = spec.observe_cost
     if cost:
         for key in spec.keys:
@@ -481,24 +327,25 @@ def _observe_columnar(spec: ShardWorkSpec):
     return names, matrix_from_candidates(observed, names), observed
 
 
-def _decide_columnar(spec: ShardWorkSpec, names: tuple, matrix, observed):
-    """Worker-side decide over columnar payloads; no candidates cross back.
+def _decide(spec: ShardWorkSpec, names: tuple, matrix, observed):
+    """Worker-side decide; no candidate objects cross back.
 
-    The same filter → orient → filter → rank → select sequence as
-    :func:`_decide_in_worker`, over transient worker-local candidates:
+    Filter → orient → filter → rank → select — the same sequence as
+    :meth:`~repro.core.pipeline.AutoCompPipeline.orient` followed by the
+    sharded pipeline's local decide, so the decision is value-identical
+    to a coordinator-side one — over transient worker-local candidates:
     misses rebuilt from the block's scalars with traits pre-assigned from
     the matrix, hits rebuilt from the spec's
     :class:`~repro.core.columnar.ColumnarHitPayload` (or taken verbatim
     from object hits).  The answer is counts plus *references* into the
-    coordinator's own candidate lists — and a cache delta covering every
-    miss, so process-mode caches stay exactly as warm as thread-mode ones.
+    coordinator's own candidate lists.
     """
     from repro.core.columnar import ColumnarResultPayload
 
     decide = spec.decide
     assert decide is not None
     if observed is None:
-        statistics = spec.snapshot.statistics_batch(  # type: ignore[attr-defined]
+        statistics = spec.block.statistics_batch(  # type: ignore[attr-defined]
             include_sizes=False
         )
         rows = matrix.tolist()
@@ -529,7 +376,6 @@ def _decide_columnar(spec: ShardWorkSpec, names: tuple, matrix, observed):
         after_stats_filters=after_stats,
         after_trait_filters=after_traits,
         ranked=len(ranked),
-        selected=[],
     )
     payload = ColumnarResultPayload(
         trait_names=names,
@@ -540,64 +386,17 @@ def _decide_columnar(spec: ShardWorkSpec, names: tuple, matrix, observed):
     return decision, payload
 
 
-def _run_columnar(spec: ShardWorkSpec, recorder, start: float) -> ShardCycleResult:
-    """Columnar-transport half of :func:`run_shard_work`."""
-    from repro.core.columnar import ColumnarResultPayload
-
-    try:
-        if recorder is not None:
-            with recorder.span("observe", shard=spec.shard_index, keys=len(spec.keys)):
-                names, matrix, observed = _observe_columnar(spec)
-        else:
-            names, matrix, observed = _observe_columnar(spec)
-        # Every miss rides the delta: the coordinator rebuilds all of them
-        # from its retained arrays, so nothing observed here is re-observed
-        # next cycle (the pickle decide path's warmth loss does not apply).
-        delta = CacheDelta(slots=spec.slots, tokens=spec.tokens, stored_at=spec.now)
-        if spec.decide is None:
-            return ShardCycleResult(
-                shard_index=spec.shard_index,
-                candidates=[],
-                cache_delta=delta,
-                observe_wall_s=time.perf_counter() - start,
-                spans=recorder.spans if recorder is not None else [],
-                transport="columnar",
-                columnar=ColumnarResultPayload(trait_names=names, matrix=matrix),
-            )
-        if recorder is not None:
-            with recorder.span("decide", shard=spec.shard_index):
-                decision, payload = _decide_columnar(spec, names, matrix, observed)
-        else:
-            decision, payload = _decide_columnar(spec, names, matrix, observed)
-        return ShardCycleResult(
-            shard_index=spec.shard_index,
-            candidates=[],
-            cache_delta=delta,
-            decision=decision,
-            observe_wall_s=time.perf_counter() - start,
-            spans=recorder.spans if recorder is not None else [],
-            transport="columnar",
-            columnar=payload,
-        )
-    finally:
-        # Drop this process's segment mappings; the coordinator owns the
-        # segments and unlinks them when it releases the spec.
-        snapshot = spec.snapshot
-        if snapshot is not None and hasattr(snapshot, "close"):
-            snapshot.close()
-        if spec.decide is not None and spec.decide.hits_payload is not None:
-            spec.decide.hits_payload.close()  # type: ignore[attr-defined]
-
-
 def run_shard_work(spec: ShardWorkSpec) -> ShardCycleResult:
     """Worker entry point: observe + orient (+ optionally decide) one spec.
 
     Module-level so process pools can pickle it.  Statistics go through
     the same constructors as the in-process paths and traits through the
-    same registry batch compute, so the returned candidates are
-    value-identical to thread-mode observation of the same inputs —
-    the foundation of the modes' byte-identical cycle reports.
+    same registry compute, so the returned trait matrix is value-identical
+    to thread-mode observation of the same inputs — the foundation of the
+    modes' byte-identical cycle reports.
     """
+    from repro.core.columnar import ColumnarResultPayload
+
     if spec.version != WORK_SPEC_VERSION:
         # Backstop only: WorkerPool.negotiate performs the real handshake
         # before any spec ships, so hitting this means a pool skipped it.
@@ -606,53 +405,45 @@ def run_shard_work(spec: ShardWorkSpec) -> ShardCycleResult:
             f"{WORK_SPEC_VERSION}; the transport handshake "
             "(WorkerPool.negotiate) must run before specs ship"
         )
-    if spec.transport == "columnar":
-        recorder = None
-        if spec.trace is not None:
-            from repro.obs.tracing import SpanRecorder
-
-            recorder = SpanRecorder(spec.trace)
-        return _run_columnar(spec, recorder, time.perf_counter())
     recorder = None
     if spec.trace is not None:
         from repro.obs.tracing import SpanRecorder
 
         recorder = SpanRecorder(spec.trace)
     start = time.perf_counter()
-    if recorder is not None:
-        with recorder.span(
-            "observe", shard=spec.shard_index, keys=len(spec.keys)
-        ):
-            candidates = _observe_spec(spec)
-            if spec.decide is None:
-                spec.traits.annotate_all(candidates)
-    else:
-        candidates = _observe_spec(spec)
+    try:
+        if recorder is not None:
+            with recorder.span("observe", shard=spec.shard_index, keys=len(spec.keys)):
+                names, matrix, observed = _observe(spec)
+        else:
+            names, matrix, observed = _observe(spec)
+        decision = None
         if spec.decide is None:
-            spec.traits.annotate_all(candidates)
-    if spec.decide is None:
+            payload = ColumnarResultPayload(trait_names=names, matrix=matrix)
+        elif recorder is not None:
+            with recorder.span("decide", shard=spec.shard_index):
+                decision, payload = _decide(spec, names, matrix, observed)
+        else:
+            decision, payload = _decide(spec, names, matrix, observed)
         return ShardCycleResult(
             shard_index=spec.shard_index,
-            candidates=candidates,
+            columnar=payload,
+            # Every miss rides the delta: the coordinator rebuilds all of
+            # them from its retained arrays, so nothing observed here is
+            # re-observed next cycle.
             cache_delta=CacheDelta(
                 slots=spec.slots, tokens=spec.tokens, stored_at=spec.now
             ),
+            decision=decision,
             observe_wall_s=time.perf_counter() - start,
             spans=recorder.spans if recorder is not None else [],
         )
-    if recorder is not None:
-        with recorder.span("decide", shard=spec.shard_index):
-            decision, delta_candidates, delta = _decide_in_worker(spec, candidates)
-    else:
-        decision, delta_candidates, delta = _decide_in_worker(spec, candidates)
-    return ShardCycleResult(
-        shard_index=spec.shard_index,
-        candidates=delta_candidates,
-        cache_delta=delta,
-        decision=decision,
-        observe_wall_s=time.perf_counter() - start,
-        spans=recorder.spans if recorder is not None else [],
-    )
+    finally:
+        # Drop this process's segment mappings; the coordinator owns the
+        # segments and unlinks them when it releases the spec.
+        spec.block.close()  # type: ignore[attr-defined]
+        if spec.decide is not None and spec.decide.hits_payload is not None:
+            spec.decide.hits_payload.close()  # type: ignore[attr-defined]
 
 
 def _shutdown_executor(executor: Executor) -> None:
@@ -705,7 +496,15 @@ class WorkerPool:
             if self.mode == "processes":
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import resource_tracker
 
+                # Start the coordinator's shared-memory resource tracker
+                # before forking, so the workers inherit it.  A worker
+                # forked first would start a tracker of its own on its
+                # first segment attach, and that tracker would "clean up"
+                # (unlink) segments the coordinator still owns when the
+                # worker exits.
+                resource_tracker.ensure_running()
                 executor = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     mp_context=multiprocessing.get_context("fork"),
@@ -718,19 +517,19 @@ class WorkerPool:
             self._finalizer = weakref.finalize(self, _shutdown_executor, executor)
         return executor
 
-    def negotiate(self, transport: str) -> TransportContract:
+    def negotiate(self) -> TransportContract:
         """Handshake the worker contract; the pool's one version check.
 
         Fetches :func:`describe_contract` from a live worker (threads
         share the interpreter, so their contract is by construction the
-        local one) and verifies both sides run the same spec version and
-        both speak ``transport``.  Cached until :meth:`close` — one round
-        trip per pool lifetime, not per cycle.
+        local one) and verifies both sides run the same spec version.
+        Cached until :meth:`close` — one round trip per pool lifetime,
+        not per cycle.
 
         Raises:
-            WorkerError: naming both sides' versions and transports on
-                any mismatch — the single failure point that replaced
-                per-object ``version:`` field checks.
+            WorkerError: naming both sides' versions on a mismatch — the
+                single failure point that replaced per-object
+                ``version:`` field checks.
         """
         local = describe_contract()
         remote = self._contract
@@ -740,15 +539,10 @@ class WorkerPool:
             else:
                 remote = local
             self._contract = remote
-        if (
-            remote.version != local.version
-            or transport not in remote.transports
-            or transport not in local.transports
-        ):
+        if remote.version != local.version:
             raise WorkerError(
-                f"worker transport handshake failed for {transport!r}: "
-                f"coordinator speaks v{local.version} {local.transports}, "
-                f"workers speak v{remote.version} {remote.transports}"
+                f"worker contract handshake failed: coordinator speaks "
+                f"v{local.version}, workers speak v{remote.version}"
             )
         return remote
 

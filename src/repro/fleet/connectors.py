@@ -29,7 +29,7 @@ from repro.core.scheduling import (
     PreparedJob,
 )
 from repro.core.statscache import IndexedCandidateCache
-from repro.core.workers import ShardCycleResult, ShardWorkSpec, burn_cpu
+from repro.core.workers import ShardWorkSpec, burn_cpu
 from repro.errors import ValidationError
 from repro.fleet.model import FleetModel
 from repro.units import DAY
@@ -81,24 +81,10 @@ class FleetConnector(Connector):
     never change), so steady-state generation allocates no new key objects.
     """
 
-    #: Observation state is exportable as picklable column slices, so this
-    #: connector can feed process-mode shard workers.
-    supports_worker_observe = True
+    def worker_transport(self):
+        from repro.core.transport import ColumnarTransport
 
-    def worker_transport_kinds(self) -> tuple[str, ...]:
-        return ("columnar", "pickle")
-
-    def worker_transport(self, kind: str | None = None):
-        from repro.core.transport import ColumnarTransport, PickleTransport
-
-        if kind in (None, "columnar"):
-            return ColumnarTransport(self)
-        if kind == "pickle":
-            return PickleTransport(self)
-        raise ValidationError(
-            f"FleetConnector does not speak the {kind!r} worker transport "
-            f"(supported: {self.worker_transport_kinds()})"
-        )
+        return ColumnarTransport(self)
 
     def __init__(
         self,
@@ -369,60 +355,20 @@ class FleetConnector(Connector):
 
     # --- process-mode shard workers ---------------------------------------------
 
-    def export_shard_work(
-        self, keys: list[CandidateKey], shard_index: int, traits
-    ) -> tuple[list[Candidate | None], ShardWorkSpec | None]:
-        """Resolve cache hits locally; snapshot the misses into a picklable spec.
-
-        The hit pass *is* :meth:`_split_cache_hits` — the same code the
-        in-process path runs — so a key is shipped to a worker if and only
-        if :meth:`_observe_incremental` would have rebuilt it.  The spec's
-        columns are plain-list slices of the memoised
-        :meth:`~repro.fleet.model.FleetModel.observe_view` — only the dirty
-        rows cross the process boundary.
-        """
-        model = self.model
-        now = float(model.day) * DAY
-        view = model.observe_view()
-        indices = self._resolve_indices(keys)
-        placed, miss_keys, miss_indices, _ = self._split_cache_hits(
-            keys, indices, view, now
-        )
-        if not miss_keys:
-            return placed, None
-        sliced = view.take(miss_indices)
-        spec = ShardWorkSpec(
-            shard_index=shard_index,
-            keys=tuple(miss_keys),
-            columns={
-                "file_count": tuple(sliced.files),
-                "total_bytes": tuple(sliced.total_bytes),
-                "small_file_count": tuple(sliced.small_files),
-                "small_file_bytes": tuple(sliced.small_bytes),
-                "partition_count": (1,) * len(miss_keys),
-                "created_at": tuple(sliced.created_s),
-                "last_modified_at": tuple(sliced.modified_s),
-                "quota_utilization": tuple(sliced.quota),
-            },
-            slots=tuple(miss_indices),
-            tokens=tuple(sliced.versions),
-            target_file_size=model.config.target_file_size,
-            now=now,
-            traits=traits,
-            observe_cost=self.observe_cost,
-        )
-        return placed, spec
-
     def export_columnar(
         self, keys: list[CandidateKey], shard_index: int, traits
     ) -> tuple[list[Candidate | None], ShardWorkSpec | None]:
-        """Columnar export: the same hit rule, miss columns as int64/float64 arrays.
+        """Resolve cache hits locally; pack the misses into a shippable spec.
 
-        The observe-view slice that :meth:`export_shard_work` ships as
-        per-column tuples lands in one shared-memory block instead; the
-        fleet model tracks no per-file sizes, so the block carries scalar
-        columns only and rebuilt statistics have empty ``file_sizes`` —
-        exactly like every other fleet observation path.
+        The hit pass *is* :meth:`_split_cache_hits` — the same code the
+        in-process path runs — so a key is shipped to a worker if and only
+        if :meth:`_observe_incremental` would have rebuilt it.  The dirty
+        rows of the memoised
+        :meth:`~repro.fleet.model.FleetModel.observe_view` land in one
+        int64/float64 block; the fleet model tracks no per-file sizes, so
+        the block carries scalar columns only and rebuilt statistics have
+        empty ``file_sizes`` — exactly like every other fleet observation
+        path.
         """
         from repro.core.columnar import ColumnarMissBlock
 
@@ -454,44 +400,14 @@ class FleetConnector(Connector):
         spec = ShardWorkSpec(
             shard_index=shard_index,
             keys=tuple(miss_keys),
-            columns={},
             slots=tuple(miss_indices),
             tokens=tuple(sliced.versions),
-            target_file_size=target,
             now=now,
             traits=traits,
+            block=block,
             observe_cost=self.observe_cost,
-            snapshot=block,
-            transport="columnar",
         )
         return placed, spec
-
-    def apply_shard_delta(self, result: ShardCycleResult) -> None:
-        """Replay a worker result's cache delta (no hole filling).
-
-        Applying the delta is what keeps process-mode cycles incremental:
-        the worker's freshness tokens land in the coordinator's cache, so
-        the next cycle's hit pass sees the observation as if it had
-        happened here.  Version compatibility is the pool handshake's job
-        (:meth:`~repro.core.workers.WorkerPool.negotiate`), not a
-        per-result check.
-        """
-        if self.stats_cache is not None:
-            self.stats_cache.apply_delta(result.cache_delta, result.candidates)
-
-    def merge_shard_result(
-        self, placed: list[Candidate | None], result: ShardCycleResult
-    ) -> list[Candidate]:
-        """Fill the miss holes from a worker's result; replay its cache delta."""
-        holes = sum(1 for candidate in placed if candidate is None)
-        if holes != len(result.candidates):
-            raise ValidationError(
-                f"shard result carries {len(result.candidates)} candidates "
-                f"for {holes} miss positions"
-            )
-        self.apply_shard_delta(result)
-        fill = iter(result.candidates)
-        return [c if c is not None else next(fill) for c in placed]
 
     def collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
         return self._statistics(key, self.model.database_quota_utilization())

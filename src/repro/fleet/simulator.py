@@ -224,17 +224,12 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             hits on trickle-writing tables.
         selection: ``"global"`` (exactly the unsharded decisions) or
             ``"local"`` (split budgets, fully independent shards).
-        workers: shard execution mode — ``"threads"`` (default),
-            ``"processes"`` (true multi-core observe/orient via picklable
-            shard work; see :mod:`repro.core.workers`) or ``"auto"``
-            (per-cycle adaptive choice from observed observe walls).  All
-            produce byte-identical cycle reports.
+        workers: shard execution mode — ``"threads"`` (default) or
+            ``"processes"`` (true multi-core observe/orient via columnar
+            shard work; see :mod:`repro.core.workers`).  Both produce
+            byte-identical cycle reports.
         worker_decide: ship the decide phase into process workers for
             local selection (see
-            :class:`~repro.core.sharding.ShardedPipeline`).
-        transport: worker-transport kind for process cycles (``None``
-            negotiates; the fleet connector speaks both ``"columnar"``
-            and ``"pickle"`` — see
             :class:`~repro.core.sharding.ShardedPipeline`).
         max_workers: worker-pool width (see
             :class:`~repro.core.sharding.ShardedPipeline`).
@@ -261,7 +256,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         selection: str = "global",
         workers: str = "threads",
         worker_decide: bool | None = None,
-        transport: str | None = None,
         max_workers: int | None = None,
         observe_cost: int = 0,
         telemetry: Telemetry | None = None,
@@ -301,7 +295,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             merge_order="any",
             workers=workers,
             worker_decide=worker_decide,
-            transport=transport,
             max_workers=max_workers,
             telemetry=telemetry,
         )

@@ -81,7 +81,6 @@ METRICS: dict[str, tuple[str, str]] = {
     "autocomp.fleet.cycle_wall_s": ("series", "Fleet cycle wall-clock seconds"),
     "autocomp.fleet.observe_wall.threads": ("series", "Observe-phase wall seconds (thread workers)"),
     "autocomp.fleet.observe_wall.processes": ("series", "Observe-phase wall seconds (process workers)"),
-    "autocomp.fleet.worker_mode": ("series", "Worker mode per cycle (0=threads, 1=processes)"),
     "autocomp.fleet.returned_candidates": ("series", "Candidates returned from process workers per cycle"),
     "autocomp.fleet.cache_hit_ratio": ("series", "Stats-cache hit ratio per fleet cycle"),
     "autocomp.files_reduced": ("series", "Net file-count reduction per committed job"),

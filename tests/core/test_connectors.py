@@ -226,7 +226,7 @@ class TestDenseLstCache:
 
 
 class TestLstWorkerObservation:
-    """The catalog connector's picklable shard-work contract."""
+    """The catalog connector's columnar shard-work contract."""
 
     def _dense(self, populated_catalog):
         from repro.core.statscache import IndexedCandidateCache
@@ -239,31 +239,38 @@ class TestLstWorkerObservation:
         from repro.core.workers import run_shard_work
 
         connector = LstConnector(populated_catalog)
+        transport = connector.worker_transport()
         keys = connector.list_candidates("hybrid")
-        placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
+        placed, spec = transport.export(keys, 0, TraitRegistry([]))
         assert placed == [None] * len(keys)  # no cache: everything misses
-        assert spec is not None and spec.snapshot is not None
-        result = run_shard_work(spec)
-        merged = connector.merge_shard_result(placed, result)
+        assert spec is not None and len(spec.block) == len(keys)
+        merged = transport.merge(spec, placed, run_shard_work(spec))
         live = LstConnector(populated_catalog).observe(keys)
         assert [c.key for c in merged] == [c.key for c in live]
         assert [c.statistics for c in merged] == [c.statistics for c in live]
-        # file_sizes survive the snapshot (entropy-style traits need them).
+        # file_sizes survive the block (entropy-style traits need them).
         assert all(c.statistics.file_sizes for c in merged)
+        transport.release(spec)
 
     def test_spec_is_picklable_and_worker_output_stable(self, populated_catalog):
         import pickle
 
         from repro.core import TraitRegistry
+        from repro.core.traits import FileCountReductionTrait
         from repro.core.workers import run_shard_work
 
         connector = LstConnector(populated_catalog)
         keys = connector.list_candidates("table")
-        _, spec = connector.export_shard_work(keys, 2, TraitRegistry([]))
+        _, spec = connector.export_columnar(
+            keys, 2, TraitRegistry([FileCountReductionTrait()])
+        )
         thawed = pickle.loads(pickle.dumps(spec))
-        assert [c.statistics for c in run_shard_work(thawed).candidates] == [
-            c.statistics for c in run_shard_work(spec).candidates
-        ]
+        assert thawed.block.statistics_batch() == spec.block.statistics_batch()
+        assert (
+            run_shard_work(thawed).columnar.matrix.tolist()
+            == run_shard_work(spec).columnar.matrix.tolist()
+        )
+        spec.block.dispose()
 
     def test_dense_cache_hits_stay_local(self, populated_catalog):
         from repro.core import TraitRegistry
@@ -271,7 +278,7 @@ class TestLstWorkerObservation:
         connector, cache = self._dense(populated_catalog)
         keys = connector.list_candidates("table")
         connector.observe(keys)  # warm
-        placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
+        placed, spec = connector.export_columnar(keys, 0, TraitRegistry([]))
         assert spec is None  # fully warm: nothing crosses the boundary
         assert all(c is not None for c in placed)
 
@@ -283,11 +290,12 @@ class TestLstWorkerObservation:
         keys = connector.list_candidates("table")
         connector.observe(keys)
         fragment_table(populated_catalog.load_table("db1.flat"), partitions=[()])
-        placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
+        placed, spec = connector.export_columnar(keys, 0, TraitRegistry([]))
         assert spec is not None
         assert [str(k) for k in spec.keys] == ["db1.flat"]
         # The freshness token is the table's post-write metadata version.
         assert spec.tokens == (populated_catalog.load_table("db1.flat").version,)
+        spec.block.dispose()
 
     def test_sparse_observe_self_heals_on_version_bump(self, populated_catalog):
         from repro.core.statscache import StatsCache
@@ -309,19 +317,20 @@ class TestLstWorkerObservation:
         # ...while clean tables keep hitting.
         assert second["db2.other"].statistics is first["db2.other"].statistics
 
-    def test_apply_shard_delta_feeds_either_cache_kind(self, populated_catalog):
+    def test_worker_merge_feeds_either_cache_kind(self, populated_catalog):
         from repro.core import TraitRegistry
         from repro.core.statscache import StatsCache
         from repro.core.workers import run_shard_work
 
         for cache in (StatsCache(), None):
             connector = LstConnector(populated_catalog, stats_cache=cache)
+            transport = connector.worker_transport()
             keys = connector.list_candidates("table")
-            placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
-            result = run_shard_work(spec)
-            connector.apply_shard_delta(result)
+            placed, spec = transport.export(keys, 0, TraitRegistry([]))
+            transport.merge(spec, placed, run_shard_work(spec))
+            transport.release(spec)
             if cache is not None:
                 assert len(cache) == len(keys)
                 # Next bulk pass hits without re-collection.
-                _, spec2 = connector.export_shard_work(keys, 0, TraitRegistry([]))
+                _, spec2 = transport.export(keys, 0, TraitRegistry([]))
                 assert spec2 is None

@@ -24,6 +24,8 @@ from repro.core import (
     WorkerPool,
     run_shard_work,
 )
+from repro.core.columnar import ColumnarMissBlock
+from repro.core.transport import ColumnarTransport
 from repro.core.workers import WORK_SPEC_VERSION, burn_cpu
 from repro.errors import ValidationError
 from repro.fleet import FleetConfig, FleetModel, ShardedAutoCompStrategy
@@ -43,26 +45,43 @@ def _spec(n: int = 3, observe_cost: int = 0) -> ShardWorkSpec:
     keys = tuple(
         CandidateKey("db", f"table{i:06d}", CandidateScope.TABLE) for i in range(n)
     )
+    block = ColumnarMissBlock.from_columns(
+        {
+            "file_count": [10 + i for i in range(n)],
+            "total_bytes": [(10 + i) * 1024 for i in range(n)],
+            "small_file_count": [5 + i for i in range(n)],
+            "small_file_bytes": [(5 + i) * 512 for i in range(n)],
+            "target_file_size": [512] * n,
+            "created_at": [0.0] * n,
+            "last_modified_at": [float(i) * DAY for i in range(n)],
+            "quota_utilization": [0.25] * n,
+        },
+        n,
+    )
     return ShardWorkSpec(
         shard_index=1,
         keys=keys,
-        columns={
-            "file_count": tuple(10 + i for i in range(n)),
-            "total_bytes": tuple((10 + i) * 1024 for i in range(n)),
-            "small_file_count": tuple(5 + i for i in range(n)),
-            "small_file_bytes": tuple((5 + i) * 512 for i in range(n)),
-            "partition_count": (1,) * n,
-            "created_at": (0.0,) * n,
-            "last_modified_at": tuple(float(i) * DAY for i in range(n)),
-            "quota_utilization": (0.25,) * n,
-        },
         slots=tuple(range(n)),
         tokens=tuple(7 + i for i in range(n)),
-        target_file_size=512,
         now=2.0 * DAY,
         traits=_registry(),
+        block=block,
         observe_cost=observe_cost,
     )
+
+
+class _Sink:
+    """A connector stand-in without a cache."""
+
+    def store_worker_observations(self, delta, candidates) -> None:
+        pass
+
+
+def _observed(spec: ShardWorkSpec, result=None) -> list[Candidate]:
+    """The candidates a coordinator rebuilds from a spec's worker result."""
+    if result is None:
+        result = run_shard_work(spec)
+    return ColumnarTransport(_Sink()).merge(spec, [None] * len(spec.keys), result)
 
 
 class TestWorkerPool:
@@ -104,7 +123,7 @@ class TestWorkerPool:
         with WorkerPool(mode="processes", max_workers=1) as pool:
             result = pool.submit(run_shard_work, spec).result()
         assert isinstance(result, ShardCycleResult)
-        assert [c.key for c in result.candidates] == list(spec.keys)
+        assert result.columnar.matrix.shape == (len(spec.keys), len(spec.traits.names()))
 
 
 class TestWorkerPoolDrain:
@@ -158,17 +177,8 @@ class TestWorkerPoolDrain:
 class TestShardWorkContracts:
     def test_spec_validates_column_shape(self):
         spec = _spec()
-        with pytest.raises(ValidationError):
-            ShardWorkSpec(
-                shard_index=0,
-                keys=spec.keys,
-                columns={"file_count": (1,) * len(spec.keys)},  # missing columns
-                slots=spec.slots,
-                tokens=spec.tokens,
-                target_file_size=512,
-                now=0.0,
-                traits=_registry(),
-            )
+        with pytest.raises(ValidationError, match="rows"):
+            dataclasses.replace(spec, block=_spec(n=1).block)  # 1 row, 3 keys
         with pytest.raises(ValidationError):
             dataclasses.replace(spec, tokens=(1,))  # ragged tokens
 
@@ -176,16 +186,14 @@ class TestShardWorkContracts:
         spec = _spec()
         thawed = pickle.loads(pickle.dumps(spec))
         assert thawed.keys == spec.keys
-        assert thawed.columns == spec.columns
         assert thawed.tokens == spec.tokens
         assert thawed.traits.names() == spec.traits.names()
+        assert thawed.block.statistics_batch() == spec.block.statistics_batch()
         result = run_shard_work(spec)
         revived = pickle.loads(pickle.dumps(result))
         assert revived.version == WORK_SPEC_VERSION
-        assert [c.key for c in revived.candidates] == list(spec.keys)
-        assert [c.traits for c in revived.candidates] == [
-            c.traits for c in result.candidates
-        ]
+        assert revived.columnar.trait_names == result.columnar.trait_names
+        assert revived.columnar.matrix.tolist() == result.columnar.matrix.tolist()
         assert revived.cache_delta.slots == spec.slots
         assert revived.cache_delta.tokens == spec.tokens
 
@@ -213,10 +221,11 @@ class TestShardWorkContracts:
 
     def test_worker_output_matches_inline_observation(self):
         spec = _spec()
-        result = run_shard_work(spec)
+        observed = _observed(spec)
         registry = _registry()
-        for i, candidate in enumerate(result.candidates):
-            assert candidate.statistics.file_count == spec.columns["file_count"][i]
+        for i, candidate in enumerate(observed):
+            assert candidate.key == spec.keys[i]
+            assert candidate.statistics.file_count == 10 + i
             expected = Candidate(key=candidate.key, statistics=candidate.statistics)
             registry.annotate_all([expected])
             assert candidate.traits == expected.traits
@@ -224,9 +233,7 @@ class TestShardWorkContracts:
     def test_observe_cost_is_deterministic_and_result_neutral(self):
         cheap = run_shard_work(_spec())
         costly = run_shard_work(_spec(observe_cost=5))
-        assert [c.statistics for c in cheap.candidates] == [
-            c.statistics for c in costly.candidates
-        ]
+        assert cheap.columnar.matrix.tolist() == costly.columnar.matrix.tolist()
         assert burn_cpu(5, b"x") == burn_cpu(5, b"x")
 
 
@@ -234,18 +241,18 @@ class TestCacheDeltaMerge:
     def test_indexed_cache_learns_worker_observations(self):
         spec = _spec()
         result = run_shard_work(spec)
+        observed = _observed(spec, result)
         cache = IndexedCandidateCache()
-        assert cache.apply_delta(result.cache_delta, result.candidates) == len(spec.keys)
+        assert cache.apply_delta(result.cache_delta, observed) == len(spec.keys)
         for i in range(len(spec.keys)):
-            assert cache.get(i, now=spec.now, token=spec.tokens[i]) is result.candidates[i]
+            assert cache.get(i, now=spec.now, token=spec.tokens[i]) is observed[i]
             # A bumped version token must still evict (freshness survived).
             assert cache.get(i, now=spec.now, token=spec.tokens[i] + 1) is None
 
     def test_stats_cache_learns_worker_observations(self):
         spec = _spec()
-        result = run_shard_work(spec)
+        statistics = [c.statistics for c in _observed(spec)]
         cache = StatsCache()
-        statistics = [c.statistics for c in result.candidates]
         keyed_delta = CacheDelta(
             slots=spec.keys, tokens=spec.tokens, stored_at=spec.now
         )
@@ -257,12 +264,13 @@ class TestCacheDeltaMerge:
     def test_misaligned_delta_is_rejected(self):
         spec = _spec()
         result = run_shard_work(spec)
+        observed = _observed(spec, result)
         with pytest.raises(ValidationError):
-            IndexedCandidateCache().apply_delta(result.cache_delta, result.candidates[:-1])
+            IndexedCandidateCache().apply_delta(result.cache_delta, observed[:-1])
         with pytest.raises(ValidationError):
             StatsCache().apply_delta(
                 CacheDelta(slots=spec.keys, tokens=spec.tokens, stored_at=0.0),
-                [c.statistics for c in result.candidates[:-1]],
+                [c.statistics for c in observed[:-1]],
             )
 
 
@@ -291,9 +299,9 @@ class TestShardedPipelineWorkerModes:
                 raise NotImplementedError
 
         connector = LiveOnlyConnector()
-        assert not connector.supports_worker_observe
-        # The catalog connector, by contrast, snapshots to picklable slices.
-        assert LstConnector(Catalog()).supports_worker_observe
+        assert connector.worker_transport() is None
+        # The catalog connector, by contrast, packs columnar shard work.
+        assert LstConnector(Catalog()).worker_transport() is not None
         lst = LstConnector(Catalog())
         pipeline = AutoCompPipeline(
             connector=connector,
@@ -307,12 +315,6 @@ class TestShardedPipelineWorkerModes:
         )
         with pytest.raises(ValidationError, match="worker"):
             ShardedPipeline([pipeline], workers="processes")
-        with pytest.raises(ValidationError, match="worker"):
-            connector.export_shard_work([], 0, _registry())
-        with pytest.raises(ValidationError, match="worker"):
-            connector.merge_shard_result([], None)
-        with pytest.raises(ValidationError, match="worker"):
-            connector.apply_shard_delta(None)
 
     def test_rejects_unknown_worker_mode(self):
         model = FleetModel(FleetConfig(initial_tables=50, seed=1))
@@ -328,14 +330,14 @@ class TestShardedPipelineWorkerModes:
         ) as strategy:
             pipeline = strategy.pipeline
             pipeline.run_cycle(now=0.0)
-            executor = pipeline._pool("processes")._executor
+            executor = pipeline._pool._executor
             assert executor is not None
             model.step_day()
             pipeline.run_cycle(now=DAY)
-            assert pipeline._pool("processes")._executor is executor, (
+            assert pipeline._pool._executor is executor, (
                 "the worker pool must persist across cycles"
             )
-        assert not pipeline._pools
+        assert not pipeline._pool.started
 
     def test_process_cycles_stay_incremental_via_cache_delta(self):
         model = FleetModel(FleetConfig(initial_tables=150, seed=11))
@@ -373,40 +375,28 @@ class TestWorkerSideDecide:
         spec = self._decided_spec(k=2)
         result = run_shard_work(spec)
         assert result.decision is not None
+        assert result.decision.selected == []  # references cross, not objects
         # Coordinator-side reference: observe + orient + rank + select the
         # same inputs with the same components.
-        reference = run_shard_work(dataclasses.replace(spec, decide=None))
-        ranked = spec.decide.policy.rank(list(reference.candidates))
+        ranked = spec.decide.policy.rank(_observed(dataclasses.replace(spec, decide=None)))
         expected = spec.decide.selector.select(ranked)
-        assert [c.key for c in result.decision.selected] == [c.key for c in expected]
-        assert [c.statistics for c in result.decision.selected] == [
-            c.statistics for c in expected
-        ]
+        refs = result.columnar.selected
+        assert all(origin == "miss" for origin, _ in refs)
+        assert [spec.keys[j] for _, j in refs] == [c.key for c in expected]
+        assert list(result.columnar.scores) == [c.score for c in expected]
         assert result.decision.ranked == len(ranked)
         assert result.decision.after_stats_filters == 4
         assert result.decision.after_trait_filters == 4
 
-    def test_return_payload_shrinks_to_selected(self):
+    def test_delta_covers_every_miss(self):
         spec = self._decided_spec(k=1)
         result = run_shard_work(spec)
-        # Only the selected miss crosses back — candidates and the cache
-        # delta are O(selected), not O(shard candidates).
-        assert len(result.candidates) == 1
-        assert len(result.cache_delta) == 1
-        assert result.candidates[0] is result.decision.selected[0]
-        undecided = run_shard_work(dataclasses.replace(spec, decide=None))
-        assert len(undecided.candidates) == 4
-        assert len(pickle.dumps(result)) < len(pickle.dumps(undecided))
-
-    def test_delta_slots_follow_the_selected_misses(self):
-        spec = self._decided_spec(k=4)
-        result = run_shard_work(spec)
-        # TopK(4) selects all four misses; the delta must carry each one's
-        # original slot/token pairing, in rank order.
-        key_to_slot = dict(zip(spec.keys, spec.slots))
-        assert list(result.cache_delta.slots) == [
-            key_to_slot[c.key] for c in result.candidates
-        ]
+        # Only one candidate is selected, but every observed miss rides the
+        # delta with its original slot/token pairing, so unselected dirty
+        # tables are not re-observed next cycle.
+        assert len(result.columnar.selected) == 1
+        assert result.cache_delta.slots == spec.slots
+        assert result.cache_delta.tokens == spec.tokens
 
     def test_decide_spec_validates_hole_count(self):
         from repro.core import ShardDecideSpec, TopKSelector, WeightedSumPolicy, Objective
@@ -443,12 +433,10 @@ class TestWorkerFailureHandling:
             k=5,
             workers="processes",
             max_workers=2,
-            # Pin the pickle transport: the poison patches its export hook.
-            transport="pickle",
         ) as strategy:
             pipeline = strategy.pipeline
             victim = pipeline.shards[1].connector
-            original = victim.export_shard_work
+            original = victim.export_columnar
 
             def poisoned(keys, shard_index, traits):
                 placed, spec = original(keys, shard_index, traits)
@@ -456,12 +444,12 @@ class TestWorkerFailureHandling:
                     spec = dataclasses.replace(spec, version=99)
                 return placed, spec
 
-            victim.export_shard_work = poisoned
+            victim.export_columnar = poisoned
             with pytest.raises(WorkerError, match="shard 1"):
                 pipeline.run_cycle(now=0.0)
             # Outstanding sibling futures were cancelled/drained: the pool
             # is immediately reusable and the next cycle completes.
-            del victim.export_shard_work
+            del victim.export_columnar
             model.step_day()
             report = pipeline.run_cycle(now=DAY)
             assert report.report.candidates_generated > 0
@@ -477,12 +465,11 @@ class TestWorkerFailureHandling:
             k=5,
             workers="processes",
             max_workers=2,
-            transport="pickle",
         ) as strategy:
             pipeline = strategy.pipeline
             victim = pipeline.shards[0].connector
-            original = victim.export_shard_work
-            victim.export_shard_work = lambda keys, i, traits: (_ for _ in ()).throw(
+            original = victim.export_columnar
+            victim.export_columnar = lambda keys, i, traits: (_ for _ in ()).throw(
                 RuntimeError("export exploded")
             )
             try:
@@ -491,120 +478,4 @@ class TestWorkerFailureHandling:
             except WorkerError as exc:
                 assert isinstance(exc.__cause__, RuntimeError)
             finally:
-                victim.export_shard_work = original
-
-
-class TestAutoWorkerMode:
-    def _pipeline(self, **kwargs):
-        model = FleetModel(FleetConfig(initial_tables=100, seed=2))
-        model.step_day()
-        strategy = ShardedAutoCompStrategy(
-            model, n_shards=2, k=5, workers="auto", max_workers=2, **kwargs
-        )
-        return model, strategy
-
-    def test_warmup_probes_threads_then_processes(self):
-        model, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            assert pipeline._cycle_worker_mode() == "threads"
-            pipeline.run_cycle(now=0.0)
-            assert pipeline._mode_walls["threads"] is not None
-            assert pipeline._cycle_worker_mode() == "processes"
-            model.step_day()
-            pipeline.run_cycle(now=DAY)
-            assert pipeline._mode_walls["processes"] is not None
-
-    def test_hysteresis_prevents_flapping(self):
-        _, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            pipeline._mode_walls.update({"threads": 1.0, "processes": 0.95})
-            # 5% better does not clear the 20% hysteresis bar.
-            assert pipeline._cycle_worker_mode() == "threads"
-            pipeline._mode_walls["processes"] = 0.5
-            assert pipeline._cycle_worker_mode() == "processes"
-            # Once processes is the incumbent, a near-tie keeps it.
-            pipeline._mode_walls["threads"] = 0.45
-            assert pipeline._cycle_worker_mode() == "processes"
-            pipeline._mode_walls["threads"] = 0.1
-            assert pipeline._cycle_worker_mode() == "threads"
-
-    def test_periodic_probe_refreshes_the_loser(self):
-        """The non-incumbent mode's wall sample must be re-measured on a
-        schedule — otherwise a cold-cache probe could latch the wrong mode
-        forever."""
-        _, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            pipeline.auto_probe_interval = 3
-            pipeline._mode_walls.update({"threads": 0.1, "processes": 5.0})
-            modes = [pipeline._cycle_worker_mode() for _ in range(6)]
-            assert modes == [
-                "threads",
-                "threads",
-                "processes",  # probe cycle: refresh the loser's sample
-                "threads",
-                "threads",
-                "processes",
-            ]
-            assert pipeline._auto_mode == "threads"  # incumbent unchanged
-
-    def test_auto_reports_match_thread_reports(self):
-        config = FleetConfig(initial_tables=140, seed=21)
-        model_a, model_b = FleetModel(config), FleetModel(config)
-        model_a.step_day()
-        model_b.step_day()
-        with ShardedAutoCompStrategy(
-            model_a, n_shards=2, k=8, workers="threads"
-        ) as threads, ShardedAutoCompStrategy(
-            model_b, n_shards=2, k=8, workers="auto", max_workers=2
-        ) as auto:
-            for day in range(4):
-                now = float(day) * DAY
-                a = threads.pipeline.run_cycle(now=now)
-                b = auto.pipeline.run_cycle(now=now)
-                assert dataclasses.asdict(a.report) == dataclasses.asdict(b.report)
-                model_a.step_day()
-                model_b.step_day()
-            # The adaptive choice is visible in telemetry.
-            series = auto.pipeline.telemetry.series("autocomp.fleet.worker_mode")
-            assert len(series) == 4
-
-    def test_auto_degrades_to_threads_without_worker_observe(self):
-        from repro.catalog import Catalog
-        from repro.core import (
-            AutoCompPipeline,
-            Connector,
-            LstConnector,
-            LstExecutionBackend,
-            SequentialScheduler,
-            TopKSelector,
-            WeightedSumPolicy,
-            Objective,
-        )
-        from repro.engine import Cluster
-
-        class LiveOnlyConnector(Connector):
-            def list_candidates(self, strategy="table"):
-                return []
-
-            def collect_statistics(self, key):
-                raise NotImplementedError
-
-        lst = LstConnector(Catalog())
-        pipeline = AutoCompPipeline(
-            connector=LiveOnlyConnector(),
-            backend=LstExecutionBackend(lst, Cluster("maint", executors=1)),
-            traits=_registry(),
-            policy=WeightedSumPolicy(
-                [Objective("file_count_reduction", 1.0, maximize=True)]
-            ),
-            selector=TopKSelector(3),
-            scheduler=SequentialScheduler(),
-        )
-        # auto does not hard-fail on unsupported connectors — it stays on
-        # the thread pool (unlike workers="processes", which raises).
-        with ShardedPipeline([pipeline, pipeline], workers="auto", max_workers=2) as sharded:
-            assert sharded._cycle_worker_mode() == "threads"
-            sharded.run_cycle(now=0.0)
+                victim.export_columnar = original

@@ -8,7 +8,7 @@ Two guarantees the scale-out control plane leans on:
   side of a process boundary observation happened on);
 * **contract round-trip** — :class:`~repro.core.workers.ShardWorkSpec`
   and :class:`~repro.core.workers.ShardCycleResult` survive pickling
-  bit-for-bit, whatever the column values.
+  bit-for-bit, whatever the column values (inline columnar blocks).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CandidateKey, CandidateScope, ShardWorkSpec, run_shard_work
+from repro.core.columnar import ColumnarMissBlock
 from repro.core.traits import (
     ComputeCostTrait,
     FileCountReductionTrait,
@@ -247,22 +248,20 @@ class TestLstConnectorModeEquivalence:
                 _lst_daily_writes(catalog_t, day)
                 _lst_daily_writes(catalog_p, day)
 
-    @pytest.mark.parametrize("transport", ["pickle", "columnar"])
-    def test_lst_cycles_byte_identical_across_execution_matrix(self, transport):
+    def test_lst_cycles_byte_identical_across_execution_matrix(self):
         """Inline, thread-pool and process-pool cycles must produce
-        byte-identical cycle reports whichever negotiated transport ships
-        the process-mode work — the pickled report blobs themselves are
-        compared, so even float bit patterns must agree."""
+        byte-identical cycle reports — the pickled report blobs themselves
+        are compared, so even float bit patterns must agree."""
         from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
         from repro.engine import Cluster
 
         variants = [
-            ("threads", 1, None),  # max_workers=1: effectively inline
-            ("threads", 2, None),
-            ("processes", 2, transport),
+            ("threads", 1),  # max_workers=1: effectively inline
+            ("threads", 2),
+            ("processes", 2),
         ]
         catalogs, pipelines = [], []
-        for workers, width, kind in variants:
+        for workers, width in variants:
             catalog = _build_lst_catalog()
             catalogs.append(catalog)
             pipelines.append(
@@ -274,7 +273,6 @@ class TestLstConnectorModeEquivalence:
                     selection="local",
                     workers=workers,
                     worker_decide=True,
-                    transport=kind,
                     max_workers=width,
                     k=6,
                     min_table_age_s=0.0,
@@ -328,16 +326,18 @@ class TestContractRoundTrip:
         self, columns, shard_index, now, observe_cost
     ):
         n = len(columns["file_count"])
+        block = ColumnarMissBlock.from_columns(
+            dict(columns, target_file_size=(512,) * n), n
+        )
+        assert block.backing == "inline"
         spec = ShardWorkSpec(
             shard_index=shard_index,
             keys=tuple(
                 CandidateKey("db", f"table{i:06d}", CandidateScope.TABLE)
                 for i in range(n)
             ),
-            columns=columns,
             slots=tuple(range(n)),
             tokens=tuple(i + 1 for i in range(n)),
-            target_file_size=512,
             now=now,
             traits=TraitRegistry(
                 [
@@ -347,11 +347,12 @@ class TestContractRoundTrip:
                     ),
                 ]
             ),
+            block=block,
             observe_cost=observe_cost,
         )
         thawed = pickle.loads(pickle.dumps(spec))
         assert thawed.keys == spec.keys
-        assert thawed.columns == spec.columns
+        assert thawed.block.statistics_batch() == spec.block.statistics_batch()
         assert (thawed.slots, thawed.tokens, thawed.now) == (
             spec.slots,
             spec.tokens,
@@ -361,14 +362,8 @@ class TestContractRoundTrip:
         # original spec or its pickled twin, and itself round-trips.
         result = run_shard_work(spec)
         twin = run_shard_work(thawed)
-        assert [c.statistics for c in result.candidates] == [
-            c.statistics for c in twin.candidates
-        ]
-        assert [c.traits for c in result.candidates] == [
-            c.traits for c in twin.candidates
-        ]
+        assert result.columnar.trait_names == twin.columnar.trait_names
+        assert result.columnar.matrix.tobytes() == twin.columnar.matrix.tobytes()
         revived = pickle.loads(pickle.dumps(result))
-        assert [c.statistics for c in revived.candidates] == [
-            c.statistics for c in result.candidates
-        ]
+        assert revived.columnar.matrix.tobytes() == result.columnar.matrix.tobytes()
         assert revived.cache_delta == result.cache_delta
