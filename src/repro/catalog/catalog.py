@@ -8,6 +8,7 @@ production deployment feeds into its quota-aware MOOP weight (§7).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -106,9 +107,12 @@ class Catalog:
     def _install_commit_tap(self, table: BaseTable) -> None:
         if any(getattr(hook, "_catalog_tap", False) for hook in table.commit_hooks):
             return
+        # Weak: the table must not keep its catalog alive (no reference cycle).
+        catalog_ref = weakref.ref(self)
 
         def publish_commit(table, operation, added_data, added_deletes, removed_ids):
-            taps = self.taps
+            catalog = catalog_ref()
+            taps = catalog.taps if catalog is not None else None
             if taps is None or not taps.has_subscribers("table_commit"):
                 return
             ident = table.identifier
@@ -157,9 +161,11 @@ class Catalog:
     def _install_lock_hook(self, table: BaseTable) -> None:
         if any(getattr(hook, "_lock_audit", False) for hook in table.commit_hooks):
             return
+        catalog_ref = weakref.ref(self)
 
         def audit_commit(table, operation, added_data, added_deletes, removed_ids):
-            manager = self.lock_manager
+            catalog = catalog_ref()
+            manager = catalog.lock_manager if catalog is not None else None
             if manager is None or operation != "replace":
                 return
             manager.audit_compaction(str(table.identifier), version=table.version)

@@ -326,6 +326,7 @@ class AutoCompDaemon:
         self._started = False
         self._cycle_mutex = threading.Lock()
         self._status_server = None
+        self._history_paused = False
         telemetry = self._telemetry()
         if tracer is not None:
             # Both pipeline flavours accept a tracer; the sharded one
@@ -416,6 +417,10 @@ class AutoCompDaemon:
         self._started = True
         self._attach_catalog_locks()
         self.reclaimed_on_start = self.locks.recover_stale()
+        if self._history_paused:
+            # stop() paused the history ring; resume it before new events.
+            self.service.enable_history()
+            self._history_paused = False
         if self.spill_path is not None and os.path.exists(self.spill_path):
             self.service.restore_history(self.spill_path)
         if self.promoter is not None:
@@ -587,7 +592,7 @@ class AutoCompDaemon:
         return server
 
     def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: stop scheduling, drain, spill, release.
+        """Graceful shutdown: stop scheduling, drain, spill, detach, release.
 
         With ``drain`` (the default), in-flight shard work gets up to
         ``drain_timeout_s`` to finish before worker children are joined
@@ -595,6 +600,15 @@ class AutoCompDaemon:
         drop queued work immediately.  Either way the history ring is
         spilled (when ``spill_path`` is set), the act gates are removed,
         the heartbeat stops, and every held lock is released.
+
+        Stop also detaches everything the running daemon hung on the
+        service and its catalog: the promoter (its ``table_commit`` tap and
+        cycle hook, :meth:`~repro.core.promoter.PolicyPromoter.detach`) and
+        the service's history ring, which stops recording (it stays
+        readable).  With the act gates gone too, nothing reachable from the
+        catalog points back at the daemon, so a stopped daemon is freed by
+        reference counting, without a garbage-collector pass.
+        :meth:`start` re-attaches the promoter and resumes the ring.
         """
         self._stop.set()
         if self._thread is not None:
@@ -610,6 +624,9 @@ class AutoCompDaemon:
             close(timeout=self.drain_timeout_s if drain else 0.001)
         if self.spill_path is not None:
             self.service.spill_history(self.spill_path)
+        if self.promoter is not None and self.promoter.service is self.service:
+            self.promoter.detach()
+        self._history_paused = self.service.disable_history() or self._history_paused
         self._uninstall_gates()
         self.locks.stop_heartbeat()
         self.locks.release_all()

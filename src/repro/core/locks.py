@@ -51,6 +51,9 @@ LOCK_SUFFIX = ".lock"
 
 _SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
+#: Characters of the sanitised key kept in a lock file's name.
+_SLUG_PREFIX = 80
+
 #: Per-process counter so several managers in one process (e.g. two daemon
 #: instances in a soak test) get distinct owner identities.
 _OWNER_COUNTER = threading.Lock(), [0]
@@ -64,7 +67,7 @@ def lock_slug(key: object) -> str:
     """
     text = str(key)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=6).hexdigest()
-    prefix = _SLUG_UNSAFE.sub("_", text)[:80].strip("_") or "key"
+    prefix = _SLUG_UNSAFE.sub("_", text)[:_SLUG_PREFIX].strip("_") or "key"
     return f"{prefix}.{digest}"
 
 
@@ -305,7 +308,22 @@ class LockManager:
         Reads lock files from disk, so it sees locks held by *other*
         daemon instances too — the catalog's compaction-audit hook uses it
         to stamp each rewrite commit with the holder that covered it.
+
+        Fast path: the table-scope lock file is read directly.  When it
+        exists it is also what the directory scan would return first: the
+        same table's partition- and snapshot-scope slugs share its
+        sanitised prefix and continue with ``_`` where the table slug
+        continues with ``.``, which sorts first.  That holds only while the
+        key's bracketed suffix survives the slug's 80-character truncation,
+        so longer names (and an absent table lock) take the scan.
         """
+        if len(_SLUG_UNSAFE.sub("_", qualified_table)) <= _SLUG_PREFIX - 2:
+            info = self._read_lock(self._path_for(qualified_table))
+            if info is not None and qualified_table in (info.table, info.key):
+                return info
+        return self._scan_table(qualified_table)
+
+    def _scan_table(self, qualified_table: str) -> LockInfo | None:
         for info in self.list_locks():
             if info.table == qualified_table or info.key == qualified_table:
                 return info

@@ -761,7 +761,10 @@ class PolicyPromoter:
         if self.service is not None:
             raise ValidationError("promoter is already attached to a service")
         self.service = service
-        service.use_policy_store(self.store)
+        if service.policy_store is not self.store:
+            # A re-attach after detach() keeps the applied policy version,
+            # so the next cycle does not re-apply an unchanged variant.
+            service.use_policy_store(self.store)
         service.enable_history()
         taps = service._history_taps
         if taps is not None:
@@ -770,6 +773,26 @@ class PolicyPromoter:
             service.cycle_hooks.append(self.observe_cycle)
         if self.tracer is None:
             self.tracer = getattr(service.pipeline, "tracer", None)
+        return self
+
+    def detach(self) -> "PolicyPromoter":
+        """Undo :meth:`attach` (idempotent); :meth:`attach` may follow again.
+
+        Unsubscribes the ``table_commit`` tap and removes
+        :meth:`observe_cycle` from the service's ``cycle_hooks``, so the
+        service holds no reference back to the promoter and a stopped
+        deployment is freed by reference counting alone.  The service keeps
+        resolving its policy through the store and keeps its history ring.
+        """
+        service = self.service
+        if service is None:
+            return self
+        taps = service._history_taps
+        if taps is not None:
+            taps.unsubscribe("table_commit", self._on_commit)
+        if self.observe_cycle in service.cycle_hooks:
+            service.cycle_hooks.remove(self.observe_cycle)
+        self.service = None
         return self
 
     def _telemetry(self):

@@ -434,9 +434,11 @@ class AutoCompService:
         service cycle is captured into bounded, checkpoint-delimited trace
         segments (oldest evicted beyond ``max_segments``), from which
         :meth:`evaluate_recent` replays candidate policies offline.
-        Returns the ring (idempotent — a second call returns the same one).
+        Returns the ring (idempotent — a second call returns the same one,
+        resuming it after :meth:`disable_history`).
         """
         if self._history is not None:
+            self._history.reopen()
             return self._history
         from repro.replay.catalog_trace import CatalogHistoryRing
         from repro.simulation.taps import TapBus
@@ -460,6 +462,19 @@ class AutoCompService:
             max_segments=max_segments,
         )
         return self._history
+
+    def disable_history(self) -> bool:
+        """Stop recording into the history ring; it stays readable.
+
+        The ring unsubscribes from the catalog's tap bus, so the bus no
+        longer references it.  :meth:`enable_history` resumes recording
+        into the same ring.  Returns whether a ring was recording.
+        """
+        ring = self._history
+        if ring is None or ring.closed:
+            return False
+        ring.close()
+        return True
 
     def spill_history(self, path, **writer_kwargs):
         """Seal and persist the history ring to chunked trace segments.

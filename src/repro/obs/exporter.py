@@ -19,15 +19,18 @@ so a reader never sees a half-written exposition.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import re
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Callable
 
+from repro.obs.tracing import _atomic_write
 from repro.simulation.telemetry import Histogram, Telemetry
 
 __all__ = [
@@ -96,7 +99,11 @@ def render_prometheus(telemetry: Telemetry) -> str:
     collide with a counter) are skipped with an explanatory comment rather
     than emitting an invalid exposition.
     """
-    snap = telemetry.snapshot()
+    return _render_snapshot(telemetry.snapshot())
+
+
+def _render_snapshot(snap: dict) -> str:
+    """:func:`render_prometheus` over an already-taken ``Telemetry.snapshot()``."""
     lines: list[str] = []
     emitted: set[str] = set()
 
@@ -140,13 +147,6 @@ def render_prometheus(telemetry: Telemetry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(text)
-    os.replace(tmp, path)
-
-
 class MetricsExporter:
     """Periodically snapshot a telemetry sink (and tracer) to files.
 
@@ -155,6 +155,14 @@ class MetricsExporter:
     on-disk state always reflects the shutdown moment.  Also usable
     one-shot (construct, call :meth:`export_once`) without starting the
     thread.
+
+    Each export costs what is new since the last one: one telemetry
+    snapshot is taken and encoded (the ``metrics.jsonl`` ring holds
+    encoded lines), and the tracer encodes only spans finished since its
+    last dump.  Exports are serialised by a lock, so the thread, a direct
+    call and :meth:`stop` never interleave.  A bound-method ``status_fn``
+    is held weakly, so the exporter never keeps its owner (the daemon)
+    alive.
     """
 
     def __init__(
@@ -172,13 +180,23 @@ class MetricsExporter:
         self.out_dir = out_dir
         self.tracer = tracer
         self.interval_s = interval_s
-        self.status_fn = status_fn
+        self._status_fn = (
+            weakref.WeakMethod(status_fn) if inspect.ismethod(status_fn) else status_fn
+        )
         self.exports = 0
         self.export_errors = 0
         self._clock = clock
-        self._snapshots: deque[dict] = deque(maxlen=SNAPSHOT_RING)
+        # Encoded metrics.jsonl lines, oldest first.
+        self._snapshots: deque[str] = deque(maxlen=SNAPSHOT_RING)
+        self._export_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+
+    @property
+    def status_fn(self) -> Callable[[], dict] | None:
+        """The status callable (None once a weakly held owner is gone)."""
+        fn = self._status_fn
+        return fn() if isinstance(fn, weakref.WeakMethod) else fn
 
     # --- paths ----------------------------------------------------------------
 
@@ -206,34 +224,32 @@ class MetricsExporter:
 
     def export_once(self) -> dict[str, str]:
         """Write every export file now; returns ``{kind: path}``."""
+        with self._export_lock:
+            return self._export()
+
+    def _export(self) -> dict[str, str]:
         os.makedirs(self.out_dir, exist_ok=True)
         written: dict[str, str] = {}
 
-        _atomic_write(self.prom_path, render_prometheus(self.telemetry))
+        # One snapshot feeds both the exposition and the ring entry.
+        snap = self.telemetry.snapshot()
+        _atomic_write(self.prom_path, _render_snapshot(snap))
         written["prom"] = self.prom_path
 
-        snap = self.telemetry.snapshot()
-        self._snapshots.append(
-            {
-                "ts": self._clock(),
-                "counters": snap["counters"],
-                "series_last": {
-                    name: (values[-1] if values else None)
-                    for name, (_, values) in snap["series"].items()
-                },
-                "histograms": {
-                    name: hist.summary()
-                    for name, hist in snap["histograms"].items()
-                },
-            }
-        )
-        _atomic_write(
-            self.jsonl_path,
-            "".join(
-                json.dumps(_json_safe(entry), sort_keys=True) + "\n"
-                for entry in self._snapshots
-            ),
-        )
+        entry = {
+            "ts": self._clock(),
+            "counters": snap["counters"],
+            "series_last": {
+                name: (values[-1] if values else None)
+                for name, (_, values) in snap["series"].items()
+            },
+            "histograms": {
+                name: hist.summary()
+                for name, hist in snap["histograms"].items()
+            },
+        }
+        self._snapshots.append(json.dumps(_json_safe(entry), sort_keys=True) + "\n")
+        _atomic_write(self.jsonl_path, "".join(self._snapshots))
         written["jsonl"] = self.jsonl_path
 
         if self.tracer is not None:
@@ -242,8 +258,9 @@ class MetricsExporter:
             written["trace_jsonl"] = self.trace_jsonl_path
             written["trace_chrome"] = self.trace_chrome_path
 
-        if self.status_fn is not None:
-            status = self.status_fn()
+        status_fn = self.status_fn
+        if status_fn is not None:
+            status = status_fn()
             _atomic_write(
                 self.status_path,
                 json.dumps(_json_safe(status), indent=2, sort_keys=True) + "\n",

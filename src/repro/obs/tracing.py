@@ -24,7 +24,10 @@ wall-clock times from each side's own ``time.time()``.
 
 Finished traces dump as JSONL (one span per line) and as Chrome
 ``trace_event`` JSON, which Perfetto (https://ui.perfetto.dev) and
-``chrome://tracing`` open directly.
+``chrome://tracing`` open directly.  A finished span is encoded once per
+format, the first time a dump needs it, so a daemon that dumps after
+every cycle pays for the new spans only (the files are still rewritten
+whole, via tmp + rename).
 """
 
 from __future__ import annotations
@@ -158,6 +161,14 @@ def make_span(
     )
 
 
+def _jsonl_line(span: Span) -> str:
+    return json.dumps(span.to_dict(), sort_keys=True)
+
+
+def _chrome_event(span: Span) -> str:
+    return json.dumps(span.to_chrome_event())
+
+
 def _resolve_parent(parent: "Span | SpanContext | None") -> SpanContext | None:
     if parent is None:
         return None
@@ -176,12 +187,20 @@ class Tracer:
     skips the stack entirely: the span parents where told but never
     becomes an implicit parent itself, which is what asynchronous jobs
     (simulator-driven rewrites) need.
+
+    A span is treated as immutable once it is finished (:meth:`end` or
+    :meth:`adopt`): the dumps encode it the first time they need it and
+    reuse those strings afterwards.
     """
 
     def __init__(self, clock=time.time) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._finished: list[Span] = []
+        # Encoded JSONL lines / Chrome events of the first len(...) finished
+        # spans, extended by the dumps; guarded by _lock like _finished.
+        self._jsonl_lines: list[str] = []
+        self._chrome_events: list[str] = []
         self._local = threading.local()
 
     # --- span lifecycle -------------------------------------------------------
@@ -270,20 +289,31 @@ class Tracer:
         """Drop collected spans (open spans on thread stacks are kept)."""
         with self._lock:
             self._finished.clear()
+            self._jsonl_lines.clear()
+            self._chrome_events.clear()
+
+    def _encode_new(self, encoded: list[str], encode) -> None:
+        # Caller holds _lock; encodes only the spans finished since the last dump.
+        for span in self._finished[len(encoded):]:
+            encoded.append(encode(span))
 
     def dump_jsonl(self, path: str) -> str:
         """Write one span per line as JSON; atomic replace. Returns path."""
-        lines = [json.dumps(span.to_dict(), sort_keys=True) for span in self.finished()]
-        _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+        with self._lock:
+            lines = self._jsonl_lines
+            self._encode_new(lines, _jsonl_line)
+            text = "\n".join(lines) + ("\n" if lines else "")
+        _atomic_write(path, text)
         return path
 
     def dump_chrome(self, path: str) -> str:
         """Write Chrome ``trace_event`` JSON (Perfetto-openable); atomic."""
-        payload = {
-            "displayTimeUnit": "ms",
-            "traceEvents": [span.to_chrome_event() for span in self.finished()],
-        }
-        _atomic_write(path, json.dumps(payload))
+        with self._lock:
+            events = self._chrome_events
+            self._encode_new(events, _chrome_event)
+            # The bytes json.dumps writes for the whole payload object.
+            text = '{"displayTimeUnit": "ms", "traceEvents": [' + ", ".join(events) + "]}"
+        _atomic_write(path, text)
         return path
 
 
@@ -324,7 +354,13 @@ class SpanRecorder:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Write ``text`` to ``path`` via a temp file and ``os.replace``.
+
+    Readers see the old file or the new one, never a torn write.  The temp
+    name carries the process and thread, so two writers of one path never
+    share (and truncate or rename away) each other's temp file.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as stream:
         stream.write(text)
     os.replace(tmp, path)

@@ -311,9 +311,15 @@ class CatalogHistoryRing:
         self._cycles_in_segment = 0
         self.events_recorded = 0
         self._closed = False
+        self._versions_at_close: tuple = ()
         self._begin_segment()
         for kind in CATALOG_EVENT_KINDS:
             taps.subscribe(kind, self._on_event)
+
+    @property
+    def closed(self) -> bool:
+        """Whether the ring is unsubscribed (see :meth:`close`)."""
+        return self._closed
 
     @property
     def n_segments(self) -> int:
@@ -440,10 +446,41 @@ class CatalogHistoryRing:
         )
         return len(self._segments)
 
+    def _catalog_versions(self) -> tuple:
+        catalog = self.catalog
+        return (
+            tuple(catalog.list_databases()),
+            tuple((str(t.identifier), t.version) for t in catalog.all_tables()),
+        )
+
     def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); segments stay readable."""
+        """Unsubscribe from the bus (idempotent); segments stay readable.
+
+        The bus no longer references the ring, so a closed ring (and the
+        catalog it holds) is freed with its last outside reference.
+        :meth:`reopen` resumes recording.
+        """
         if self._closed:
             return
         self._closed = True
+        self._versions_at_close = self._catalog_versions()
         for kind in CATALOG_EVENT_KINDS:
             self._taps.unsubscribe(kind, self._on_event)
+
+    def reopen(self) -> None:
+        """Resubscribe after :meth:`close` (no-op while open).
+
+        Events published while closed were not recorded.  If the catalog
+        changed meanwhile (a database or table appeared, or a table
+        committed), the held segments would no longer replay into the
+        catalog's state, so they are dropped and recording restarts from a
+        fresh checkpoint; otherwise recording continues in the open segment.
+        """
+        if not self._closed:
+            return
+        if self._catalog_versions() != self._versions_at_close:
+            self._segments.clear()
+            self._begin_segment()
+        self._closed = False
+        for kind in CATALOG_EVENT_KINDS:
+            self._taps.subscribe(kind, self._on_event)

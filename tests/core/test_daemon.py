@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -449,3 +451,121 @@ class TestLockGateUnderContention:
         assert report.gated == 1
         telemetry = daemon.service.pipeline.telemetry
         assert telemetry.counter("autocomp.daemon.lock_contended") == 1
+
+
+def build_observed_daemon(catalog, tmp_path, **daemon_kwargs):
+    """A daemon with every operator surface: tracer, exporter, admission, promoter."""
+    from repro.core import PolicyPromoter, PolicyStore
+    from repro.obs.tracing import Tracer
+    from repro.replay import PolicyVariant
+
+    store = PolicyStore(tmp_path / "policy")
+    store.initialize(
+        PolicyVariant(name="k10", k=10),
+        pool=[PolicyVariant(name="k10", k=10), PolicyVariant(name="k2", k=2)],
+    )
+    promoter = PolicyPromoter(store, guard_cycles=1, min_history_cycles=1)
+    daemon = build_daemon(
+        catalog,
+        tmp_path / "locks",
+        admission=AdmissionController(max_per_database=2),
+        promoter=promoter,
+        tracer=Tracer(),
+        obs_dir=tmp_path / "obs",
+        interval_s=3600,
+        promoter_interval_s=3600,
+        export_interval_s=3600,
+    )
+    daemon.service.enable_history(segment_cycles=2, max_segments=2)
+    return daemon, promoter
+
+
+def ingest(catalog):
+    for table in catalog.all_tables():
+        fragment_table(table, partitions=[(0,)], files_per_partition=4)
+    catalog.clock.advance_by(HOUR)
+
+
+class TestTeardown:
+    def test_stopped_daemon_is_freed_without_the_garbage_collector(
+        self, tmp_path, simple_schema, monthly_spec
+    ):
+        from repro.catalog import Catalog
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            catalog = build_catalog(Catalog(), simple_schema, monthly_spec, databases=("a", "b"))
+            daemon, promoter = build_observed_daemon(catalog, tmp_path)
+            daemon.start()
+            for _ in range(3):
+                ingest(catalog)
+                daemon.run_once()
+            daemon.exporter.export_once()
+            daemon.run_promoter_once()
+            assert promoter.shadow_evals == 1
+            daemon.stop()
+            refs = {
+                "catalog": weakref.ref(catalog),
+                "daemon": weakref.ref(daemon),
+                "service": weakref.ref(daemon.service),
+                "promoter": weakref.ref(promoter),
+                "exporter": weakref.ref(daemon.exporter),
+            }
+            del catalog, daemon, promoter
+            assert [name for name, ref in refs.items() if ref() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestRestart:
+    def test_restarted_daemon_feeds_the_ring_and_the_promoter(
+        self, fleet, tmp_path
+    ):
+        daemon, promoter = build_observed_daemon(fleet, tmp_path)
+        service = daemon.service
+        ring = service._history
+        daemon.start()
+        ingest(fleet)
+        daemon.run_once()
+        daemon.stop()
+        assert promoter.service is None
+        assert promoter.observe_cycle not in service.cycle_hooks
+        assert ring.closed
+        recorded, observed = ring.events_recorded, len(promoter._live)
+
+        daemon.start()
+        try:
+            assert promoter.service is service
+            assert not ring.closed
+            ingest(fleet)
+            daemon.run_once()
+            assert ring.events_recorded > recorded
+            assert len(promoter._live) == observed + 1
+            assert promoter.status()["attached"]
+        finally:
+            daemon.stop()
+
+    def test_restart_keeps_history_only_while_the_catalog_is_unchanged(
+        self, fleet, tmp_path
+    ):
+        daemon, _ = build_observed_daemon(fleet, tmp_path)
+        ring = daemon.service._history
+        daemon.start()
+        ingest(fleet)
+        daemon.run_once()
+        daemon.stop()
+        events = ring.trace().events
+        daemon.start()
+        daemon.stop()
+        assert ring.trace().events == events  # nothing missed: history kept
+        ingest(fleet)  # commits the closed ring never saw
+        daemon.start()
+        try:
+            trace = ring.trace()
+            assert [e["kind"] for e in trace.events] == ["checkpoint"]
+            assert trace.events[0]["databases"] != events[0]["databases"]
+        finally:
+            daemon.stop()

@@ -84,6 +84,51 @@ class TestAcquireRelease:
         assert default_owner() != default_owner()
 
 
+class TestInspectTable:
+    """The table-lock fast path must return exactly what the directory scan returns."""
+
+    @pytest.mark.parametrize("qualified_len", [5, 77, 78, 79, 80, 81, 120])
+    def test_table_and_partition_locks_match_the_scan(self, lock_dir, qualified_len):
+        table = "t" + "x" * (qualified_len - 4)
+        qualified = f"db.{table}"
+        assert len(qualified) == qualified_len
+        holders = [LockManager(lock_dir, owner=f"o{i}") for i in range(3)]
+        keys = [
+            CandidateKey("db", table, CandidateScope.PARTITION, partition=(0,)),
+            CandidateKey("db", table, CandidateScope.TABLE),
+            CandidateKey("db", table, CandidateScope.PARTITION, partition=(1,)),
+        ]
+        for holder, key in zip(holders, keys):
+            assert holder.acquire(key)
+        reader = LockManager(lock_dir, owner="reader")
+        assert reader.inspect_table(qualified) == reader._scan_table(qualified)
+        # Without the table-scope lock the scan still finds a partition lock.
+        holders[1].release(keys[1])
+        assert reader.inspect_table(qualified) == reader._scan_table(qualified)
+        assert reader.inspect_table(qualified).owner in ("o0", "o2")
+        for holder in holders:
+            holder.release_all()
+        assert reader.inspect_table(qualified) is None
+
+    def test_reads_one_file_when_the_table_lock_exists(self, lock_dir, monkeypatch):
+        holder = LockManager(lock_dir, owner="holder")
+        for t in range(20):
+            holder.acquire(CandidateKey("db", f"t{t:02d}", CandidateScope.TABLE))
+        holder.acquire(CandidateKey("db", "t07", CandidateScope.PARTITION, partition=(0,)))
+        reader = LockManager(lock_dir, owner="reader")
+        reads = []
+        real_read = reader._read_lock
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(reader, "_read_lock", counting_read)
+        info = reader.inspect_table("db.t07")
+        assert info.owner == "holder" and info.key == "db.t07"
+        assert len(reads) == 1
+
+
 class TestStaleRecovery:
     def test_dead_pid_is_reclaimed(self, lock_dir):
         a = LockManager(lock_dir, owner="crashed")

@@ -1,0 +1,166 @@
+"""Deterministic cost guards for the daemon's exports (counts, not timings).
+
+An export must cost work proportional to what is new since the previous
+one: each span is encoded once per dump format, each export encodes one
+``metrics.jsonl`` entry, and the exposition and the ring entry share one
+telemetry snapshot.  Exports are serialised, so an export racing another
+never shares its temp files.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import threading
+import types
+
+import repro.obs.exporter as exporter_module
+from repro.obs.exporter import MetricsExporter
+from repro.obs.promcheck import check_exposition
+from repro.obs.tracing import Span, Tracer
+from repro.simulation import Telemetry
+
+
+def traced_cycles(tracer: Tracer, n: int) -> None:
+    for i in range(n):
+        with tracer.span("cycle", index=i):
+            with tracer.span("observe"):
+                pass
+
+
+class CallCounter:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestExportCost:
+    def test_an_export_encodes_only_what_is_new(self, tmp_path, monkeypatch):
+        telemetry = Telemetry()
+        tracer = Tracer()
+        exporter = MetricsExporter(telemetry, str(tmp_path), tracer=tracer)
+        for _ in range(3):  # warm-up: 150 spans, three ring entries
+            traced_cycles(tracer, 25)
+            telemetry.increment("autocomp.cycles", 25)
+            exporter.export_once()
+
+        to_dict = CallCounter(Span.to_dict)
+        to_chrome = CallCounter(Span.to_chrome_event)
+        monkeypatch.setattr(Span, "to_dict", lambda self: to_dict(self))
+        monkeypatch.setattr(Span, "to_chrome_event", lambda self: to_chrome(self))
+        dumps = CallCounter(json.dumps)
+        monkeypatch.setattr(exporter_module, "json", types.SimpleNamespace(dumps=dumps))
+        snapshot = CallCounter(telemetry.snapshot)
+        monkeypatch.setattr(telemetry, "snapshot", snapshot)
+
+        traced_cycles(tracer, 2)  # four new spans
+        telemetry.increment("autocomp.cycles")
+        exporter.export_once()
+        assert to_dict.calls == 4
+        assert to_chrome.calls == 4
+        assert dumps.calls == 1  # the one new ring entry
+        assert snapshot.calls == 1
+
+        exporter.export_once()  # nothing new: nothing re-encoded
+        assert (to_dict.calls, to_chrome.calls, dumps.calls, snapshot.calls) == (4, 4, 2, 2)
+        with open(exporter.trace_jsonl_path, encoding="utf-8") as stream:
+            assert sum(1 for _ in stream) == 154
+        with open(exporter.jsonl_path, encoding="utf-8") as stream:
+            assert sum(1 for _ in stream) == 5
+
+
+class TestConcurrentExports:
+    def test_racing_exports_neither_fail_nor_tear(self, tmp_path, monkeypatch):
+        telemetry = Telemetry()
+        telemetry.increment("autocomp.cycles", 3)
+        tracer = Tracer()
+        traced_cycles(tracer, 3)
+        exporter = MetricsExporter(telemetry, str(tmp_path), tracer=tracer)
+        real_replace = os.replace
+        paused = threading.Event()
+        resume = threading.Event()
+
+        def pausing_replace(src, dst):
+            # Pause hook: the first export stops between writing its temp
+            # file and renaming it into place.
+            if dst == exporter.prom_path and not paused.is_set():
+                paused.set()
+                resume.wait(timeout=10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", pausing_replace)
+        errors: list[Exception] = []
+
+        def export() -> None:
+            try:
+                exporter.export_once()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        first = threading.Thread(target=export)
+        first.start()
+        assert paused.wait(timeout=10)
+        second = threading.Thread(target=export)
+        second.start()
+        second.join(timeout=0.3)  # unserialised, it runs to completion here
+        resume.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == []
+        assert exporter.exports == 2
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            assert check_exposition(stream.read()) == []
+        with open(exporter.jsonl_path, encoding="utf-8") as stream:
+            assert [json.loads(line)["counters"] for line in stream] == [
+                {"autocomp.cycles": 3.0},
+                {"autocomp.cycles": 3.0},
+            ]
+        assert not [name for name in os.listdir(tmp_path) if ".tmp." in name]
+
+    def test_stress_many_exporters_and_tracing_threads(self, tmp_path):
+        telemetry = Telemetry()
+        tracer = Tracer()
+        exporter = MetricsExporter(telemetry, str(tmp_path), tracer=tracer)
+        errors: list[Exception] = []
+        threads_n, rounds = 6, 25
+
+        def work() -> None:
+            try:
+                for _ in range(rounds):
+                    traced_cycles(tracer, 1)
+                    telemetry.increment("autocomp.cycles")
+                    exporter.export_once()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        total = threads_n * rounds
+        assert exporter.exports == total
+        exporter.export_once()  # every span finished: the dump holds them all
+        with open(exporter.trace_jsonl_path, encoding="utf-8") as stream:
+            ids = [json.loads(line)["span_id"] for line in stream]
+        assert sorted(ids) == sorted(span.span_id for span in tracer.finished())
+        assert len(ids) == 2 * total
+        with open(exporter.jsonl_path, encoding="utf-8") as stream:
+            counters = [json.loads(line)["counters"]["autocomp.cycles"] for line in stream]
+        assert len(counters) == total + 1
+        assert counters == sorted(counters) and counters[-1] == total
