@@ -359,7 +359,6 @@ def _lst_pipeline(
     n_shards,
     workers,
     max_workers=None,
-    worker_decide=None,
     observe_cost=0,
 ):
     from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
@@ -372,7 +371,6 @@ def _lst_pipeline(
         stats_cache=IndexedCandidateCache(),
         selection="local",
         workers=workers,
-        worker_decide=worker_decide,
         max_workers=max_workers,
         k=TOP_K,
         min_table_age_s=0.0,

@@ -31,8 +31,8 @@ def build_candidate_statistics(
 ):
     """The statistics constructor behind live catalog observation.
 
-    :meth:`LstConnector._collect_statistics
-    <repro.core.connectors.LstConnector>` calls this;
+    :class:`~repro.core.connectors.LstConnector`'s observation paths call
+    this;
     :func:`build_candidate_statistics_batch` is its columnar twin.
     """
     # Imported lazily: this module is reachable from ``repro.catalog``

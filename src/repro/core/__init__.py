@@ -108,7 +108,7 @@ from repro.core.sharding import (
     shard_for_key,
     split_selector,
 )
-from repro.core.statscache import IndexedCandidateCache, StatsCache
+from repro.core.statscache import IndexedCandidateCache
 from repro.core.workers import (
     WORKER_MODES,
     CacheDelta,
@@ -201,7 +201,6 @@ __all__ = [
     "ShardedCycleReport",
     "ShardedPipeline",
     "SmallFileBytesTrait",
-    "StatsCache",
     "ThresholdPolicy",
     "TopKSelector",
     "Trait",

@@ -26,7 +26,7 @@ from repro.core.candidates import (
     CandidateStatistics,
     GENERATION_STRATEGIES,
 )
-from repro.core.statscache import IndexedCandidateCache, StatsCache
+from repro.core.statscache import IndexedCandidateCache
 from repro.errors import ValidationError
 from repro.lst.base import BaseTable
 
@@ -34,7 +34,8 @@ from repro.lst.base import BaseTable
 class Connector(abc.ABC):
     """Platform adapter feeding candidates and statistics to the pipeline.
 
-    Connectors may carry a :class:`~repro.core.statscache.StatsCache` in
+    Connectors may carry an
+    :class:`~repro.core.statscache.IndexedCandidateCache` in
     ``stats_cache``; when present, the observe phase becomes incremental
     (O(dirty tables) instead of O(all tables)) and write events reaching
     :meth:`invalidate` — typically from the
@@ -43,13 +44,16 @@ class Connector(abc.ABC):
     """
 
     #: Optional incremental-observation cache (set by subclasses).
-    stats_cache = None
+    stats_cache: IndexedCandidateCache | None = None
 
-    #: True when :meth:`observe` may return the *same annotated Candidate
-    #: objects* across cycles for unchanged tables (candidate-reusing
-    #: caches).  The pipeline then skips trait recomputation for
-    #: candidates that already carry every registered trait.
-    reuses_candidates = False
+    @property
+    def reuses_candidates(self) -> bool:
+        """Whether :meth:`observe` may return the *same annotated Candidate
+        objects* across cycles for unchanged tables — true exactly when a
+        cache is attached.  The pipeline then skips trait recomputation
+        for candidates that already carry every registered trait.
+        """
+        return self.stats_cache is not None
 
     @abc.abstractmethod
     def list_candidates(self, strategy: str = "table") -> list[CandidateKey]:
@@ -96,28 +100,19 @@ class Connector(abc.ABC):
         Returns ``{"id", "hits", "misses", "expirations"}`` (``id`` is the
         cache object's identity, letting the sharded plane deduplicate
         shards that share one cache), or None when the connector carries
-        no cache.  Prefers the cache's ``counters_snapshot()`` (one locked
+        no cache.  Reads the cache's ``counters_snapshot()`` (one locked
         read of all counters) so a concurrent lookup cannot tear the
-        sample; falls back to attribute reads for caches without it, so
-        new connectors get hit-ratio metrics for free.
+        sample.
         """
         cache = self.stats_cache
         if cache is None:
             return None
-        snapshot = getattr(cache, "counters_snapshot", None)
-        if callable(snapshot):
-            counters = snapshot()
-            return {
-                "id": id(cache),
-                "hits": float(counters.get("hits", 0)),
-                "misses": float(counters.get("misses", 0)),
-                "expirations": float(counters.get("expirations", 0)),
-            }
+        counters = cache.counters_snapshot()
         return {
             "id": id(cache),
-            "hits": float(getattr(cache, "hits", 0)),
-            "misses": float(getattr(cache, "misses", 0)),
-            "expirations": float(getattr(cache, "expirations", 0)),
+            "hits": float(counters["hits"]),
+            "misses": float(counters["misses"]),
+            "expirations": float(counters["expirations"]),
         }
 
     # --- process-mode shard-worker contract ---------------------------------
@@ -144,16 +139,10 @@ class Connector(abc.ABC):
         """Absorb worker observations (rebuilt coordinator-side) into the cache.
 
         ``candidates`` are position-aligned with ``delta`` and already
-        oriented.  Candidate-reusing caches store the candidates
-        themselves, statistics caches their statistics.
+        oriented, so the cache stores them whole.
         """
-        cache = self.stats_cache
-        if cache is None:
-            return
-        if self.reuses_candidates:
-            cache.apply_delta(delta, candidates)
-        else:
-            cache.apply_delta(delta, [c.statistics for c in candidates])
+        if self.stats_cache is not None:
+            self.stats_cache.apply_delta(delta, candidates)
 
 
 class LstConnector(Connector):
@@ -163,30 +152,23 @@ class LstConnector(Connector):
         catalog: the control plane whose tables are compaction targets.
         include_databases: restrict candidate generation to these databases
             (None = all).
-        stats_cache: optional incremental-observation cache.  A
-            :class:`~repro.core.statscache.StatsCache` caches frozen
-            statistics keyed by candidate, trusted until a write event
-            (service notification) invalidates them or their TTL lapses.
-            An :class:`~repro.core.statscache.IndexedCandidateCache`
-            enables the *dense* path the fleet connector uses: candidate
-            keys are interned to dense integer indices, the table's
-            metadata ``version`` (bumped by every commit) serves as the
-            freshness token — so entries self-heal with no event plumbing —
-            and whole annotated candidates are reused across cycles,
-            skipping the statistics build *and* the trait recompute for
-            clean tables.  As with the fleet connector, custom traits that
-            read ``quota_utilization`` should not be combined with a
-            candidate-reusing cache (quota is re-stamped on hits, but
+        stats_cache: optional incremental-observation
+            :class:`~repro.core.statscache.IndexedCandidateCache`.
+            Candidate keys are interned to dense integer indices, the
+            table's metadata ``version`` (bumped by every commit) serves
+            as the freshness token — so entries self-heal with no event
+            plumbing — and whole annotated candidates are reused across
+            cycles, skipping the statistics build *and* the trait
+            recompute for clean tables.  As with the fleet connector,
+            custom traits that read ``quota_utilization`` should not be
+            combined with the cache (quota is re-stamped on hits, but
             traits are not recomputed).
 
-    The bulk :meth:`observe` path passes each table's metadata ``version``
-    as the freshness token for *both* cache kinds, so cached entries
-    self-heal when a table commits even if no write event arrives — and,
-    because :meth:`export_columnar` applies the identical hit rule, a
+    Because :meth:`export_columnar` applies :meth:`observe`'s hit rule, a
     key is shipped to a process worker if and only if the in-process path
     would have re-observed it (the worker modes' byte-identical cycle
     reports depend on exactly that).  The single-key
-    :meth:`collect_statistics` API keeps the event/TTL-only trust model.
+    :meth:`collect_statistics` API always reads live state.
     """
 
     def worker_transport(self):
@@ -198,14 +180,14 @@ class LstConnector(Connector):
         self,
         catalog: Catalog,
         include_databases: list[str] | None = None,
-        stats_cache: StatsCache | IndexedCandidateCache | None = None,
+        stats_cache: IndexedCandidateCache | None = None,
     ) -> None:
         self.catalog = catalog
         self.include_databases = (
             set(include_databases) if include_databases is not None else None
         )
         self.stats_cache = stats_cache
-        #: Dense index interning (dense path): candidate key → slot index.
+        #: Cache slot interning: candidate key → dense slot index.
         self._index_of: dict[CandidateKey, int] = {}
         #: Reverse mapping for table-granular write-event invalidation.
         self._indices_by_table: dict[str, list[int]] = {}
@@ -214,20 +196,6 @@ class LstConnector(Connector):
         # grows two dicts, which must not interleave across threads (two
         # keys racing len() would share a slot).
         self._intern_lock = threading.Lock()
-
-    @property
-    def _dense(self) -> bool:
-        """Whether the dense candidate-reusing cache path is active.
-
-        Derived from the live ``stats_cache`` attribute (not frozen at
-        construction), so assigning a cache after construction — as the
-        service wiring does — selects the right observation path.
-        """
-        return isinstance(self.stats_cache, IndexedCandidateCache)
-
-    @property
-    def reuses_candidates(self) -> bool:  # type: ignore[override]
-        return self._dense
 
     def _dense_index(self, key: CandidateKey) -> int:
         # Double-checked locking: dict reads are atomic under the GIL and
@@ -272,7 +240,6 @@ class LstConnector(Connector):
             (keys, cache slots, freshness tokens, hole positions).
         """
         cache = self.stats_cache
-        dense = self._dense
         placed: list[Candidate | None] = [None] * len(keys)
         miss_keys: list[CandidateKey] = []
         miss_slots: list = []
@@ -283,22 +250,15 @@ class LstConnector(Connector):
             # catalog lookup instead of a full file listing + statistics
             # build for clean tables.
             token = self.table_for(key).version
-            if dense:
-                slot: object = self._dense_index(key)
-                candidate = cache.get(slot, now, token)  # type: ignore[union-attr, arg-type]
+            if cache is None:
+                slot: object = key
+            else:
+                slot = self._dense_index(key)
+                candidate = cache.get(slot, now, token)
                 if candidate is not None:
                     self._restamp_quota(key, candidate.statistics)
                     placed[pos] = candidate
                     continue
-            elif cache is not None:
-                slot = key
-                statistics = cache.get(key, now, token)  # type: ignore[union-attr]
-                if statistics is not None:
-                    self._restamp_quota(key, statistics)
-                    placed[pos] = Candidate(key=key, statistics=statistics)
-                    continue
-            else:
-                slot = key
             miss_keys.append(key)
             miss_slots.append(slot)
             miss_tokens.append(token)
@@ -313,32 +273,31 @@ class LstConnector(Connector):
         if not miss_keys:
             return placed  # type: ignore[return-value] — no holes
         cache = self.stats_cache
-        dense = self._dense
         for key, slot, token, pos in zip(
             miss_keys, miss_slots, miss_tokens, miss_positions
         ):
-            statistics = self._collect_statistics(key)
+            statistics = build_candidate_statistics(*self._observation_row(key))
             candidate = Candidate(key=key, statistics=statistics)
-            if dense:
-                cache.put(slot, candidate, now, token)  # type: ignore[union-attr, arg-type]
-            elif cache is not None:
-                cache.put(key, statistics, now, token)  # type: ignore[union-attr]
+            if cache is not None:
+                cache.put(slot, candidate, now, token)
             placed[pos] = candidate
         return placed  # type: ignore[return-value] — all holes filled
 
     def invalidate(self, key: CandidateKey) -> None:
-        """Write-event hook: evict ``key``'s table from either cache kind."""
+        """Write-event hook: evict every cached scope of ``key``'s table.
+
+        A write to any scope dirties all scopes of the table (a partition
+        append changes the table-scope statistics too), so invalidation is
+        deliberately table-granular.
+        """
         if self.stats_cache is None:
             return
-        if self._dense:
-            # Snapshot the index list under the intern lock so a
-            # concurrent _dense_index() append cannot race the iteration.
-            with self._intern_lock:
-                indices = list(self._indices_by_table.get(key.qualified_table, ()))
-            for index in indices:
-                self.stats_cache.invalidate_index(index)
-        else:
-            self.stats_cache.invalidate(key)
+        # Snapshot the index list under the intern lock so a concurrent
+        # _dense_index() append cannot race the iteration.
+        with self._intern_lock:
+            indices = list(self._indices_by_table.get(key.qualified_table, ()))
+        for index in indices:
+            self.stats_cache.invalidate_index(index)
 
     def _tables(self) -> list[BaseTable]:
         tables = []
@@ -416,27 +375,8 @@ class LstConnector(Connector):
         return table.live_files()
 
     def collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
-        cache = self.stats_cache
-        if self._dense:
-            # The dense cache stores whole candidates per index (see
-            # observe); single-key statistic reads bypass it.
-            cache = None
-        if cache is not None:
-            now = self.catalog.clock.now
-            cached = cache.get(key, now)
-            if cached is not None:
-                # Quota is database-level, so it drifts through *other*
-                # tables' writes while this entry stays valid; re-stamp it
-                # in place so cached observations stay exactly equal to
-                # fresh ones (the invalidation sources are table-granular).
-                quota = self._quota(key)
-                if cached.quota_utilization != quota:
-                    object.__setattr__(cached, "quota_utilization", quota)
-                return cached
-        statistics = self._collect_statistics(key)
-        if cache is not None:
-            cache.put(key, statistics, now)
-        return statistics
+        """Live statistics for one key (the cache serves :meth:`observe`)."""
+        return build_candidate_statistics(*self._observation_row(key))
 
     def _quota(self, key: CandidateKey) -> float:
         try:
@@ -475,9 +415,6 @@ class LstConnector(Connector):
             last_modified,
             self._quota(key),
         )
-
-    def _collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
-        return build_candidate_statistics(*self._observation_row(key))
 
     # --- process-mode shard workers ---------------------------------------------
 

@@ -607,27 +607,13 @@ def apply_variant(pipeline, variant):
     (min-small-files, quiescence) are swapped in place — connectors,
     backends, caches, act gates, taps and feedback hooks are untouched, so
     a promotion never drops daemon gates or recorded history.  On a
-    :class:`~repro.core.sharding.ShardedPipeline` every shard is updated
-    and the coordinator's fleet-level decide state (including local-mode
-    split selectors) is rebuilt to match.
+    :class:`~repro.core.sharding.ShardedPipeline` every shard is updated;
+    the fleet-level decide state is read from the shards, so it follows.
 
     Returns the pipeline, reconfigured.
     """
-    shards = getattr(pipeline, "shards", None)
-    if shards:
-        for shard in shards:
-            _apply_to_pipeline(shard, variant)
-        pipeline.policy = shards[0].policy
-        pipeline.selector = shards[0].selector
-        pipeline.generation = shards[0].generation
-        if getattr(pipeline, "_local_selectors", None) is not None:
-            from repro.core.sharding import split_selector
-
-            pipeline._local_selectors = split_selector(
-                pipeline.selector, len(shards)
-            )
-    else:
-        _apply_to_pipeline(pipeline, variant)
+    for shard in getattr(pipeline, "shards", None) or [pipeline]:
+        _apply_to_pipeline(shard, variant)
     return pipeline
 
 

@@ -147,7 +147,6 @@ def openhouse_sharded_pipeline(
     stats_cache: "object | None" = None,
     selection: str = "global",
     workers: str = "threads",
-    worker_decide: bool | None = None,
     max_workers: int | None = None,
     telemetry=None,
     tracer=None,
@@ -169,10 +168,9 @@ def openhouse_sharded_pipeline(
         catalog: control plane holding the tables.
         compaction_cluster: dedicated cluster for rewrite jobs.
         n_shards: shard count.
-        stats_cache: optional shared incremental-observation cache
-            (:class:`~repro.core.statscache.StatsCache` or
-            :class:`~repro.core.statscache.IndexedCandidateCache`).
-        selection / workers / worker_decide / max_workers: forwarded to
+        stats_cache: optional shared incremental-observation
+            :class:`~repro.core.statscache.IndexedCandidateCache`.
+        selection / workers / max_workers: forwarded to
             :class:`~repro.core.sharding.ShardedPipeline`.
         telemetry: fleet-level metric sink (defaults to the catalog's).
         tracer: optional :class:`~repro.obs.tracing.Tracer` installed on
@@ -216,7 +214,6 @@ def openhouse_sharded_pipeline(
         shards,
         selection=selection,
         workers=workers,
-        worker_decide=worker_decide,
         max_workers=max_workers,
         telemetry=telemetry if telemetry is not None else catalog.telemetry,
         tracer=tracer,

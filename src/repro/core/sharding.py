@@ -13,13 +13,14 @@ per-shard :class:`~repro.core.pipeline.AutoCompPipeline` instances:
   provide a :class:`~repro.core.transport.ColumnarTransport`) on a
   persistent **process pool** that sidesteps the GIL for CPU-bound
   observation — optionally backed by an incremental
-  :class:`~repro.core.statscache.StatsCache`;
+  :class:`~repro.core.statscache.IndexedCandidateCache`;
 * the **decide** phase runs either globally (``selection="global"``:
   per-shard candidates are merged back into generation order and ranked
   once, making the merged cycle *exactly* equivalent to an unsharded one)
   or locally (``selection="local"``: each shard ranks and selects under a
   split budget — :func:`split_selector` — the fully independent
-  multi-worker deployment mode);
+  multi-worker deployment mode, decided inside the worker on process
+  cycles);
 * per-shard :class:`~repro.core.pipeline.CycleReport`\\ s are merged into a
   fleet-level report, and per-shard metrics land in scoped telemetry
   namespaces (``autocomp.shard00.…``).
@@ -139,21 +140,25 @@ class ShardedPipeline:
     """N per-shard pipelines behind one fleet-level OODA cycle.
 
     All shards are expected to view the same world (their connectors list
-    the same candidates) and to share filter/trait configuration; the
-    sharded control plane partitions the *work*, not the data.  Candidate
-    listing therefore happens once, through shard 0's connector.
+    the same candidates) and to share filter/trait/decide configuration;
+    the sharded control plane partitions the *work*, not the data.
+    Candidate listing therefore happens once, through shard 0's connector,
+    and the fleet-level :attr:`policy`, :attr:`selector` and
+    :attr:`generation` are shard 0's — read live every cycle, so
+    reconfiguring the shards (as
+    :func:`~repro.core.promoter.apply_variant` does) reconfigures the
+    fleet.
 
     Args:
         shards: the per-shard pipelines (their connectors typically carry
-            per-shard stats caches for incremental observation).
-        policy: fleet-level ranking policy for global selection
-            (default: shard 0's policy).
-        selector: fleet-level selection budget (default: shard 0's
-            selector); split across shards in local mode.
-        generation: candidate-generation strategy (default: shard 0's).
-        selection: ``"global"`` (merge, then rank/select once — exactly
-            equivalent to the unsharded pipeline) or ``"local"``
-            (per-shard decide under split budgets).
+            stats caches for incremental observation).
+        selection: ``"global"`` (merge, then rank/select once with shard
+            0's policy and selector — exactly equivalent to the unsharded
+            pipeline) or ``"local"`` (per-shard decide, with shard 0's
+            selector split across the shards by :func:`split_selector`).
+            Process cycles with local selection decide inside the
+            workers: the worker answers with counts plus references to
+            the selected candidates instead of every observed miss.
         merge_order: ``"generation"`` (default) rebuilds the unsharded
             candidate order before the global rank — correct for any
             policy; ``"any"`` concatenates per-shard results, which is
@@ -170,14 +175,6 @@ class ShardedPipeline:
             :meth:`~repro.core.connectors.Connector.worker_transport`).
             Both modes produce byte-identical cycle reports for the same
             inputs, so the choice is purely an execution decision.
-        worker_decide: ship the decide phase into process workers for
-            ``selection="local"`` cycles.  ``None`` (default) enables it
-            exactly when a cycle runs on the process pool with local
-            selection; ``True`` requires local selection and forces it on
-            process cycles; ``False`` keeps decide on the coordinator.
-            With worker-side decide the worker answers with counts plus
-            references to the selected candidates.  Reports stay
-            byte-identical either way.
         max_workers: pool width; defaults to
             ``min(len(shards), cpu_count)``; 1 runs shards inline.
         telemetry: fleet-level metric sink (per-shard metrics are recorded
@@ -198,13 +195,9 @@ class ShardedPipeline:
     def __init__(
         self,
         shards: Sequence[AutoCompPipeline],
-        policy: RankingPolicy | None = None,
-        selector: Selector | None = None,
-        generation: str | None = None,
         selection: str = "global",
         merge_order: str = "generation",
         workers: str = "threads",
-        worker_decide: bool | None = None,
         max_workers: int | None = None,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
@@ -223,17 +216,8 @@ class ShardedPipeline:
             raise ValidationError(
                 f"unknown worker mode {workers!r}; expected one of {WORKER_MODES}"
             )
-        if worker_decide and selection != "local":
-            raise ValidationError(
-                "worker_decide=True needs selection='local': global "
-                "selection must see every shard's survivors at once, so "
-                "it always decides on the coordinator"
-            )
         self.merge_order = merge_order
         self.shards = list(shards)
-        self.policy = policy if policy is not None else self.shards[0].policy
-        self.selector = selector if selector is not None else self.shards[0].selector
-        self.generation = generation if generation is not None else self.shards[0].generation
         self.selection = selection
         #: Per-shard worker transports (process mode only; thread and
         #: inline cycles never ship).
@@ -254,7 +238,6 @@ class ShardedPipeline:
                     "Use the thread-pool fallback (workers='threads')."
                 )
         self.workers = workers
-        self.worker_decide = worker_decide
         if max_workers is None:
             max_workers = min(len(self.shards), os.cpu_count() or 1)
         if max_workers <= 0:
@@ -270,11 +253,11 @@ class ShardedPipeline:
         self._shard_telemetry = [
             self.telemetry.scoped(f"autocomp.shard{i:02d}") for i in range(len(self.shards))
         ]
-        self._local_selectors = (
-            split_selector(self.selector, len(self.shards))
-            if selection == "local"
-            else None
-        )
+        #: ``(selector, its split)``: local-mode split selectors, memoised
+        #: on the selector object's identity (see :meth:`_split_selectors`).
+        self._split_memo: tuple[Selector, list[Selector]] | None = None
+        if selection == "local":
+            self._split_selectors()  # an unsplittable selector fails here
         # Consistent hashing is stable per key, so assignments are memoised
         # by object id (connectors intern their keys): an int-keyed dict
         # hit per key per cycle instead of a content hash.  The value pins
@@ -306,6 +289,37 @@ class ShardedPipeline:
     def n_shards(self) -> int:
         """Number of shards."""
         return len(self.shards)
+
+    @property
+    def policy(self) -> RankingPolicy:
+        """Fleet-level ranking policy (shard 0's)."""
+        return self.shards[0].policy
+
+    @property
+    def selector(self) -> Selector:
+        """Fleet-level selection budget (shard 0's)."""
+        return self.shards[0].selector
+
+    @property
+    def generation(self) -> str:
+        """Candidate-generation strategy (shard 0's)."""
+        return self.shards[0].generation
+
+    def _split_selectors(self) -> list[Selector]:
+        """Local mode's per-shard selectors: :attr:`selector`, split.
+
+        Memoised on the selector object's identity — the memo pins the
+        object, so its id cannot be recycled — and rebuilt whenever
+        shard 0 is handed a new selector.
+        """
+        selector = self.selector
+        memo = self._split_memo
+        if memo is None or memo[0] is not selector:
+            memo = self._split_memo = (
+                selector,
+                split_selector(selector, len(self.shards)),
+            )
+        return memo[1]
 
     def close(self, timeout: float | None = None) -> None:
         """Shut the shard worker pool down (idempotent).
@@ -565,19 +579,13 @@ class ShardedPipeline:
             per_shard = [observe(i) for i in indices]
         return per_shard, observe_wall, decisions
 
-    def _worker_decide_active(self) -> bool:
-        """Whether this process-mode cycle ships the decide phase to workers."""
-        if self.selection != "local":
-            return False
-        return self.worker_decide is not False
-
     def _observe_processes(
         self,
         shard_keys: list[list[CandidateKey]],
         shard_reports: list[CycleReport],
         now: float,
     ) -> tuple[list[list[Candidate]], list[float], list[ShardDecision | None]]:
-        """Observe/orient (and optionally decide) on the process pool.
+        """Observe/orient (and, under local selection, decide) on the process pool.
 
         Per shard: the *coordinator* resolves cache hits and packs the
         misses into a shippable :class:`~repro.core.workers.ShardWorkSpec`
@@ -587,17 +595,17 @@ class ShardedPipeline:
         coordinator merges the result — rebuilding the miss candidates
         from its retained arrays and replaying the worker's cache delta
         so invalidation tokens survive the round trip — then runs the
-        (cheap) filter passes locally.  When worker-side decide is active
-        (``selection="local"``), the spec additionally carries the shard's
-        policy, split selector, filter chains and resolved hits; the
-        worker then returns its decision counts and selection references.
+        (cheap) filter passes locally.  Under ``selection="local"`` the
+        spec additionally carries the shard's policy, split selector,
+        filter chains and resolved hits; the worker then returns its
+        decision counts and selection references.
         Every value is produced by the same code paths as thread mode, so
         the modes' cycle reports are byte-identical.
 
         Shards with no misses skip the pool entirely (their wall time is
         the local hit-resolution cost, effectively the thread-mode number
-        for a fully warm cycle); with worker decide on, such shards also
-        decide on the coordinator — there is nothing to ship.
+        for a fully warm cycle); under local selection such shards decide
+        on the coordinator — there is nothing to ship.
 
         A worker failure mid-cycle cancels and drains every outstanding
         shard future before surfacing a :class:`~repro.errors.WorkerError`
@@ -607,7 +615,7 @@ class ShardedPipeline:
         """
         observe_wall = [0.0] * len(self.shards)
         decisions: list[ShardDecision | None] = [None] * len(self.shards)
-        decide_active = self._worker_decide_active()
+        selectors = self._split_selectors() if self.selection == "local" else None
         placed_specs = []
         futures = {}
         per_shard: list[list[Candidate]] = []
@@ -648,13 +656,12 @@ class ShardedPipeline:
                     placed, spec = transport.export(
                         shard_keys[shard_index], shard_index, shard.traits
                     )
-                    if spec is not None and decide_active:
-                        assert self._local_selectors is not None
+                    if spec is not None and selectors is not None:
                         spec = transport.attach_decide(
                             spec,
                             placed,
                             shard.policy,
-                            self._local_selectors[shard_index],
+                            selectors[shard_index],
                             shard.stats_filters,
                             shard.trait_filters,
                         )
@@ -731,7 +738,7 @@ class ShardedPipeline:
             # read them.
             for (_, spec), transport in zip(placed_specs, transports):
                 transport.release(spec)
-        # Returned-candidate accounting: with worker-side decide the
+        # Returned-candidate accounting: under local selection the
         # workers hand back O(selected) candidate references instead of
         # O(shard misses) observed candidates.
         self.telemetry.record("autocomp.fleet.returned_candidates", now, returned)
@@ -822,10 +829,9 @@ class ShardedPipeline:
         — the exact sequence the worker runs, so the two placements are
         value-identical.
         """
-        assert self._local_selectors is not None
         selected: list[list[Candidate]] = []
         for i, (shard, local_selector, candidates, report) in enumerate(
-            zip(self.shards, self._local_selectors, per_shard, shard_reports)
+            zip(self.shards, self._split_selectors(), per_shard, shard_reports)
         ):
             decision = decisions[i] if decisions is not None else None
             if decision is not None:

@@ -34,7 +34,7 @@ class ColumnarTransport:
     :class:`~repro.core.columnar.ColumnarMissBlock` (one shared-memory
     segment per spec) via the connector's ``export_columnar`` hook; the
     worker reads the coordinator's bytes in place and answers with a
-    trait matrix plus — under worker decide — selection references and a
+    trait matrix plus — under local selection — selection references and a
     cache delta covering *every* miss.  The coordinator rebuilds miss
     candidates from its **retained** export arrays, so no candidate
     object crosses the boundary in either direction, and its caches end
@@ -44,8 +44,8 @@ class ColumnarTransport:
     matrix; per-file sizes and custom statistics stay behind (hits
     carrying custom statistics fall back to object pickling).  A custom
     ``stats_filter`` that reads ``file_sizes`` therefore sees empty sizes
-    on worker-side hits — keep such filters on the coordinator
-    (``worker_decide=False``).
+    on worker-side hits — run such filters under ``selection="global"``
+    or on threads, which keep the decide phase on the coordinator.
 
     A transport is bound to one connector and optionally to the
     :class:`~repro.core.workers.WorkerPool` executing its specs

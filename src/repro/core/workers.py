@@ -15,10 +15,9 @@ crosses must become an explicit, versioned, picklable contract:
 * :class:`ShardCycleResult` — what comes back: a trait matrix (one row
   per miss key) plus a :class:`CacheDelta` covering every miss, so the
   coordinator rebuilds the observed candidates from its *own* retained
-  arrays and its :class:`~repro.core.statscache.StatsCache` /
-  :class:`~repro.core.statscache.IndexedCandidateCache` learn the worker's
-  observations (the next cycle stays O(dirty tables) in every worker
-  mode);
+  arrays and its :class:`~repro.core.statscache.IndexedCandidateCache`
+  learns the worker's observations (the next cycle stays O(dirty tables)
+  in every worker mode);
 * :func:`run_shard_work` — the module-level worker entry point (process
   pools can only ship module-level callables).
 
@@ -33,10 +32,11 @@ it always decides on the coordinator; a ``selection="local"`` shard, by
 contrast, ranks and selects under its own split budget, which a worker can
 do entirely in-process when the spec carries a :class:`ShardDecideSpec`
 (picklable policy + selector + filter chains + the coordinator-resolved
-cache hits).  The worker then answers with counts plus *references* to
-the selected candidates, which the coordinator resolves against its own
-candidate lists.  Either way the cycle reports stay byte-identical to
-thread/inline mode (property-tested).
+cache hits) — which every local-selection process cycle does.  The worker
+then answers with counts plus *references* to the selected candidates,
+which the coordinator resolves against its own candidate lists.  Either
+way the cycle reports stay byte-identical to thread/inline mode
+(property-tested).
 
 :class:`WorkerPool` is the persistent executor behind both the sharded
 pipeline and the Policy Lab's what-if sweeps
@@ -141,10 +141,9 @@ class CacheDelta:
 
     Position-aligned with the result's candidates: entry ``i`` says "store
     candidate ``i`` under slot ``slots[i]`` with freshness ``tokens[i]``,
-    observed at ``stored_at``".  Slots are dense integers for
-    :class:`~repro.core.statscache.IndexedCandidateCache` and
-    :class:`~repro.core.candidates.CandidateKey` objects for the key-hashed
-    :class:`~repro.core.statscache.StatsCache`.
+    observed at ``stored_at``".  Slots are the dense integer indices of
+    the connector's :class:`~repro.core.statscache.IndexedCandidateCache`
+    (a connector without a cache drops the delta).
     """
 
     slots: tuple = ()

@@ -64,8 +64,8 @@ class FleetConnector(Connector):
         min_small_files: tables with fewer small files are not even listed
             (a cheap generation-time screen that keeps candidate volume
             manageable at fleet scale).
-        stats_cache: optional incremental-observation cache (the dense
-            :class:`~repro.core.statscache.IndexedCandidateCache`).  When
+        stats_cache: optional incremental-observation
+            :class:`~repro.core.statscache.IndexedCandidateCache`.  When
             set, observation is O(dirty tables): each lookup carries the
             table's ``stats_version`` as a freshness token, so entries
             self-evict exactly when the table wrote or was compacted, and
@@ -95,8 +95,8 @@ class FleetConnector(Connector):
     ) -> None:
         if stats_cache is not None and not isinstance(stats_cache, IndexedCandidateCache):
             raise ValidationError(
-                "FleetConnector takes the index-addressed cache "
-                f"(IndexedCandidateCache), got {type(stats_cache).__name__}"
+                "stats_cache must be an IndexedCandidateCache, "
+                f"got {type(stats_cache).__name__}"
             )
         if observe_cost < 0:
             raise ValidationError(f"observe_cost must be >= 0, got {observe_cost}")
@@ -118,10 +118,6 @@ class FleetConnector(Connector):
         #: observe fast path recognises its own listing by identity and
         #: skips per-key index resolution.
         self._last_listing: tuple[list[CandidateKey], list[int]] | None = None
-
-    @property
-    def reuses_candidates(self) -> bool:  # type: ignore[override]
-        return self.stats_cache is not None
 
     def invalidate(self, key: CandidateKey) -> None:
         """Write-event hook: evict ``key``'s table from the cache."""

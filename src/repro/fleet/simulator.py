@@ -228,9 +228,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             ``"processes"`` (true multi-core observe/orient via columnar
             shard work; see :mod:`repro.core.workers`).  Both produce
             byte-identical cycle reports.
-        worker_decide: ship the decide phase into process workers for
-            local selection (see
-            :class:`~repro.core.sharding.ShardedPipeline`).
         max_workers: worker-pool width (see
             :class:`~repro.core.sharding.ShardedPipeline`).
         observe_cost: per-candidate CPU units emulating real statistics-
@@ -255,7 +252,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         version_slack: int = 0,
         selection: str = "global",
         workers: str = "threads",
-        worker_decide: bool | None = None,
         max_workers: int | None = None,
         observe_cost: int = 0,
         telemetry: Telemetry | None = None,
@@ -294,7 +290,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             # into a key-tie-broken total order, so merge order is free.
             merge_order="any",
             workers=workers,
-            worker_decide=worker_decide,
             max_workers=max_workers,
             telemetry=telemetry,
         )

@@ -1,13 +1,13 @@
 """RL001 — lock discipline: guarded attributes stay under the lock.
 
 **Invariant (PRs 1/4/7).** Classes that protect mutable state with an
-instance lock (:class:`repro.core.statscache.StatsCache`'s ``RLock``
-sweep, :class:`repro.simulation.telemetry.Telemetry`'s sink-wide lock,
-``LockManager._mutex``, the promoter's store mutex) must apply that lock
+instance lock (:class:`repro.core.statscache.IndexedCandidateCache`'s
+counter lock, :class:`repro.simulation.telemetry.Telemetry`'s sink-wide
+lock, ``LockManager._mutex``, the promoter's store mutex) must apply that lock
 *consistently*: an attribute that is ever mutated inside a
 ``with self._lock:`` block is part of the lock's protected state, and
 reading or writing it outside a lock block in the same class is a data
-race — exactly the torn-counter bug class PR 4's ``StatsCache`` sweep
+race — exactly the torn-counter bug class the stats-cache lock sweep
 fixed.
 
 **What the rule does.** Per class, it finds *lock attributes* (``self.X``
@@ -24,7 +24,7 @@ Precision measures:
 * A private helper (leading ``_``) whose every intra-class call site is
   safe — holds the lock, or is itself a safe/exempt method — is treated
   as safe (fixpoint).  This covers both the "called-under-lock" helper
-  convention (``StatsCache._drop``) and constructor-only helpers
+  convention (``Tracer._encode_new``) and constructor-only helpers
   (``ResumableStateMachine._scan``).
 * Code inside nested ``def``s runs later, so it never inherits the
   enclosing block's lock; *lambdas* DO inherit it — they are

@@ -253,7 +253,6 @@ class PolicyVariant:
             if self.ranking == "quota_aware":
                 for shard in pipeline.shards:
                     shard.policy = QuotaAwareWeightedSumPolicy()
-                pipeline.policy = pipeline.shards[0].policy
             return pipeline
         from repro.core.service import openhouse_pipeline
 

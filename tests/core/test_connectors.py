@@ -202,8 +202,8 @@ class TestDenseLstCache:
                 populated_catalog, compaction_cluster, k=0, min_table_age_s=0.0
             )
             if dense:
-                # Post-construction assignment is enough: the dense path
-                # is derived from the live stats_cache attribute.
+                # Post-construction assignment is enough: the connector
+                # reads the live stats_cache attribute.
                 pipeline.connector.stats_cache = IndexedCandidateCache()
             reports = [pipeline.run_cycle(now=0.0) for _ in range(3)]
             return [[str(k) for k in r.selected] + [r.ranked] for r in reports]
@@ -297,32 +297,12 @@ class TestLstWorkerObservation:
         assert spec.tokens == (populated_catalog.load_table("db1.flat").version,)
         spec.block.dispose()
 
-    def test_sparse_observe_self_heals_on_version_bump(self, populated_catalog):
-        from repro.core.statscache import StatsCache
-        from tests.conftest import fragment_table
-
-        cache = StatsCache()
-        connector = LstConnector(populated_catalog, stats_cache=cache)
-        keys = connector.list_candidates("table")
-        first = {str(c.key): c for c in connector.observe(keys)}
-        fragment_table(populated_catalog.load_table("db1.flat"), partitions=[()])
-        second = {str(c.key): c for c in connector.observe(keys)}
-        # No notify event arrived, but the bulk path's version token evicts
-        # the written table's entry on its own...
-        assert (
-            second["db1.flat"].statistics.file_count
-            == first["db1.flat"].statistics.file_count + 10
-        )
-        assert cache.expirations == 1
-        # ...while clean tables keep hitting.
-        assert second["db2.other"].statistics is first["db2.other"].statistics
-
     def test_worker_merge_feeds_either_cache_kind(self, populated_catalog):
         from repro.core import TraitRegistry
-        from repro.core.statscache import StatsCache
+        from repro.core.statscache import IndexedCandidateCache
         from repro.core.workers import run_shard_work
 
-        for cache in (StatsCache(), None):
+        for cache in (IndexedCandidateCache(), None):
             connector = LstConnector(populated_catalog, stats_cache=cache)
             transport = connector.worker_transport()
             keys = connector.list_candidates("table")

@@ -317,6 +317,27 @@ class TestApplyVariant:
             pipeline.close()
 
 
+    def test_sharded_local_pipeline_splits_the_new_budget(
+        self, catalog, simple_schema, monthly_spec
+    ):
+        fleet = build_fleet(catalog, simple_schema, monthly_spec, tables=6)
+        pipeline = openhouse_sharded_pipeline(
+            fleet,
+            Cluster("maint", executors=2),
+            n_shards=2,
+            selection="local",
+            max_workers=1,
+            min_table_age_s=0.0,
+        )
+        try:
+            apply_variant(pipeline, PolicyVariant(name="v", k=1))
+            report = pipeline.run_cycle()
+        finally:
+            pipeline.close()
+        # k=1 splits into per-shard budgets of 1 and 0.
+        assert [len(r.selected) for r in report.shard_reports] == [1, 0]
+
+
 # --- the promoter against a scripted service --------------------------------------
 
 

@@ -109,13 +109,13 @@ class TestNotificationRouting:
         """Regression: run_cycle used to crash with AttributeError because
         ShardedPipeline has no single ``connector`` to invalidate."""
         from repro.core.service import openhouse_sharded_pipeline
-        from repro.core.statscache import StatsCache
+        from repro.core.statscache import IndexedCandidateCache
 
         pipeline = openhouse_sharded_pipeline(
             fleet_catalog,
             Cluster("maint", executors=3),
             n_shards=2,
-            stats_cache=StatsCache(),
+            stats_cache=IndexedCandidateCache(),
             k=5,
         )
         with pipeline:
@@ -129,11 +129,11 @@ class TestNotificationRouting:
     def test_sharded_invalidate_routes_to_owning_shard(self, fleet_catalog):
         """Each key's eviction lands on the shard the consistent hash owns."""
         from repro.core.sharding import ShardedPipeline, shard_for_key
-        from repro.core.statscache import StatsCache
+        from repro.core.statscache import IndexedCandidateCache
 
         def shard():
             pipeline = openhouse_pipeline(fleet_catalog, Cluster("maint", executors=3))
-            pipeline.connector.stats_cache = StatsCache()
+            pipeline.connector.stats_cache = IndexedCandidateCache()
             return pipeline
 
         shards = [shard(), shard()]
@@ -142,14 +142,13 @@ class TestNotificationRouting:
             for i in range(3):
                 key = CandidateKey("db", f"t{i}", CandidateScope.TABLE)
                 owner = shard_for_key(key, 2)
-                statistics = shards[owner].connector.collect_statistics(key)
+                shards[owner].connector.observe([key])
                 before = [s.connector.stats_cache.invalidations for s in shards]
                 pipeline.invalidate(key)
                 after = [s.connector.stats_cache.invalidations for s in shards]
                 # Exactly the owner's cache dropped the (cached) entry.
                 assert after[owner] == before[owner] + 1
                 assert after[1 - owner] == before[1 - owner]
-                assert statistics is not None
 
     def test_inbox_deduped_preserving_first_seen_order(self, fleet_catalog):
         pipeline = openhouse_pipeline(fleet_catalog, Cluster("maint", executors=3))

@@ -201,6 +201,50 @@ def test_local_selection_splits_the_budget():
     assert len(sharded.report.results) == 20
 
 
+class _CountingPolicy:
+    """Delegates ranking to ``inner`` and counts the calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def rank(self, candidates):
+        self.calls += 1
+        return self.inner.rank(candidates)
+
+
+class TestDecideConfigFollowsShards:
+    """The fleet-level decide config is read from the shards every cycle."""
+
+    @pytest.mark.parametrize("workers", ["threads", "processes"])
+    def test_replaced_shard_selectors_drive_local_selection(self, workers):
+        model = FleetModel(FleetConfig(initial_tables=300, seed=8))
+        model.step_day()
+        with ShardedAutoCompStrategy(
+            model, n_shards=2, k=20, selection="local", workers=workers
+        ) as strategy:
+            pipeline = strategy.pipeline
+            assert len(pipeline.run_cycle(now=0.0).report.selected) == 20
+            model.step_day()
+            for shard in pipeline.shards:
+                shard.selector = TopKSelector(4)
+            sharded = pipeline.run_cycle(now=DAY)
+        assert [len(r.selected) for r in sharded.shard_reports] == [2, 2]
+        assert len(sharded.report.selected) == 4
+
+    def test_replaced_shard_policies_drive_global_selection(self):
+        model = FleetModel(FleetConfig(initial_tables=150, seed=3))
+        model.step_day()
+        with ShardedAutoCompStrategy(model, n_shards=2, k=5) as strategy:
+            pipeline = strategy.pipeline
+            counting = _CountingPolicy(pipeline.policy)
+            for shard in pipeline.shards:
+                shard.policy = counting
+            sharded = pipeline.run_cycle(now=0.0)
+        assert counting.calls == 1  # one fleet-level rank, through the new policy
+        assert len(sharded.report.selected) == 5
+
+
 def test_per_shard_telemetry_is_scoped():
     telemetry = Telemetry()
     model = FleetModel(FleetConfig(initial_tables=150, seed=3))
@@ -228,6 +272,18 @@ class TestShardedPipelineValidation:
         strategy = ShardedAutoCompStrategy(model, n_shards=1, k=3)
         with pytest.raises(ValidationError):
             ShardedPipeline(strategy.pipeline.shards, selection="quantum")
+
+    def test_local_selection_rejects_an_unsplittable_selector(self):
+        class Custom(Selector):
+            def select(self, ranked):
+                return ranked
+
+        model = FleetModel(FleetConfig(initial_tables=50, seed=1))
+        strategy = ShardedAutoCompStrategy(model, n_shards=2, k=3)
+        for shard in strategy.pipeline.shards:
+            shard.selector = Custom()
+        with pytest.raises(ValidationError, match="split rule"):
+            ShardedPipeline(strategy.pipeline.shards, selection="local")
 
     def test_rejects_unknown_merge_order(self):
         model = FleetModel(FleetConfig(initial_tables=50, seed=1))

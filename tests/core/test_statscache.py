@@ -1,4 +1,4 @@
-"""Tests for the incremental-observation caches (statscache)."""
+"""Tests for the incremental-observation cache (statscache)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.core import (
     CandidateStatistics,
     IndexedCandidateCache,
     LstConnector,
-    StatsCache,
     openhouse_pipeline,
 )
 from repro.engine import Cluster
@@ -44,74 +43,87 @@ def _partition_key(partition) -> CandidateKey:
     return CandidateKey("db", "events", CandidateScope.PARTITION, partition=partition)
 
 
+def _candidate() -> Candidate:
+    return Candidate(key=_table_key(), statistics=_stats())
+
+
 class TestStatsCache:
+    """Lookup, expiry and invalidation accounting of the connectors'
+    ``stats_cache``."""
+
     def test_put_then_get_hits(self):
-        cache = StatsCache()
-        key, stats = _table_key(), _stats()
-        assert cache.get(key) is None
-        cache.put(key, stats)
-        assert cache.get(key) is stats
+        cache = IndexedCandidateCache()
+        candidate = _candidate()
+        assert cache.get(0) is None
+        cache.put(0, candidate)
+        assert cache.get(0) is candidate
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
-        assert key in cache and len(cache) == 1
+        assert len(cache) == 1
 
     def test_ttl_expiry_evicts(self):
-        cache = StatsCache(ttl_s=10.0)
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, now=100.0)
-        assert cache.get(key, now=109.9) is stats
-        assert cache.get(key, now=110.0) is None  # aged out
+        cache = IndexedCandidateCache(ttl_s=10.0)
+        candidate = _candidate()
+        cache.put(0, candidate, now=100.0)
+        assert cache.get(0, now=109.9) is candidate
+        assert cache.get(0, now=110.0) is None  # aged out
         assert cache.expirations == 1
-        assert key not in cache
+        assert len(cache) == 0
 
     def test_token_mismatch_evicts(self):
-        cache = StatsCache()
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token=3)
-        assert cache.get(key, token=3) is stats
-        assert cache.get(key, token=4) is None
+        cache = IndexedCandidateCache()
+        candidate = _candidate()
+        cache.put(0, candidate, token=3)
+        assert cache.get(0, token=3) is candidate
+        assert cache.get(0, token=4) is None
         assert cache.expirations == 1
+        assert len(cache) == 0
 
-    def test_invalidate_drops_all_scopes_of_the_table(self):
-        cache = StatsCache()
-        cache.put(_table_key(), _stats())
-        cache.put(_partition_key((0,)), _stats())
-        cache.put(_partition_key((1,)), _stats())
-        cache.put(_table_key(table="other"), _stats())
-        dropped = cache.invalidate(_partition_key((0,)))
-        assert dropped == 3
+    def test_invalidate_drops_all_scopes_of_the_table(
+        self, catalog, simple_schema, monthly_spec
+    ):
+        catalog.create_database("db")
+        fragment_table(catalog.create_table("db.events", simple_schema, spec=monthly_spec))
+        fragment_table(catalog.create_table("db.other", simple_schema, spec=monthly_spec))
+        cache = IndexedCandidateCache()
+        connector = LstConnector(catalog, stats_cache=cache)
+        connector.observe(
+            [
+                _table_key(),
+                _partition_key((0,)),
+                _partition_key((1,)),
+                _table_key(table="other"),
+            ]
+        )
+        connector.invalidate(_partition_key((0,)))
         assert cache.invalidations == 3
-        assert len(cache) == 1
-        assert _table_key(table="other") in cache
+        assert len(cache) == 1  # only db.other survives
 
     def test_invalidate_key_is_exact(self):
-        cache = StatsCache()
-        cache.put(_table_key(), _stats())
-        cache.put(_partition_key((0,)), _stats())
-        assert cache.invalidate_key(_partition_key((0,)))
-        assert not cache.invalidate_key(_partition_key((0,)))
-        assert _table_key() in cache
+        cache = IndexedCandidateCache()
+        cache.put(0, _candidate())
+        cache.put(1, _candidate())
+        assert cache.invalidate_index(1)
+        assert not cache.invalidate_index(1)
+        assert cache.get(0) is not None
 
     def test_clear_preserves_counters(self):
-        cache = StatsCache()
-        cache.put(_table_key(), _stats())
-        cache.get(_table_key())
+        cache = IndexedCandidateCache()
+        cache.put(0, _candidate())
+        cache.get(0)
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 1
 
     def test_rejects_nonpositive_ttl(self):
         with pytest.raises(ValidationError):
-            StatsCache(ttl_s=0)
+            IndexedCandidateCache(ttl_s=0)
 
 
 class TestIndexedCandidateCache:
-    def _candidate(self, index: int = 0) -> Candidate:
-        return Candidate(key=_table_key(table=f"table{index:06d}"), statistics=_stats())
-
     def test_put_then_get_hits_with_matching_token(self):
         cache = IndexedCandidateCache()
-        candidate = self._candidate()
+        candidate = _candidate()
         cache.put(3, candidate, now=0.0, token=7)
         assert cache.get(3, token=7) is candidate
         assert cache.get(3, token=8) is None  # version bumped -> stale
@@ -119,14 +131,14 @@ class TestIndexedCandidateCache:
 
     def test_ttl_expiry(self):
         cache = IndexedCandidateCache(ttl_s=5.0)
-        candidate = self._candidate()
+        candidate = _candidate()
         cache.put(0, candidate, now=0.0, token=1)
         assert cache.get(0, now=4.9, token=1) is candidate
         assert cache.get(0, now=5.0, token=1) is None
 
     def test_invalidate_index(self):
         cache = IndexedCandidateCache()
-        cache.put(2, self._candidate(), token=1)
+        cache.put(2, _candidate(), token=1)
         assert cache.invalidate_index(2)
         assert not cache.invalidate_index(2)
         assert not cache.invalidate_index(99)  # out of capacity: no-op
@@ -150,39 +162,40 @@ class TestLstConnectorCaching:
         self, catalog, simple_schema, monthly_spec
     ):
         self._world(catalog, simple_schema, monthly_spec)
-        cache = StatsCache()
+        cache = IndexedCandidateCache()
         connector = LstConnector(catalog, stats_cache=cache)
-        key = connector.list_candidates("table")[0]
-        first = connector.collect_statistics(key)
-        second = connector.collect_statistics(key)
-        assert second is first  # the frozen statistics object itself
+        keys = connector.list_candidates("table")
+        (first,) = connector.observe(keys)
+        (second,) = connector.observe(keys)
+        assert second is first  # the observed candidate object itself
         assert cache.hits == 1
 
     def test_invalidate_forces_reobservation(self, catalog, simple_schema, monthly_spec):
-        table = self._world(catalog, simple_schema, monthly_spec)
-        cache = StatsCache()
+        self._world(catalog, simple_schema, monthly_spec)
+        cache = IndexedCandidateCache()
         connector = LstConnector(catalog, stats_cache=cache)
-        key = connector.list_candidates("table")[0]
-        before = connector.collect_statistics(key)
-        fragment_table(table, partitions=[(2,)], files_per_partition=4)
-        # Trust model: without an event the stale entry is still served...
-        assert connector.collect_statistics(key) is before
-        # ...and the write event evicts it.
-        connector.invalidate(key)
-        after = connector.collect_statistics(key)
-        assert after.file_count == before.file_count + 4
+        keys = connector.list_candidates("table")
+        (before,) = connector.observe(keys)
+        # The table did not change, so only the write event evicts it.
+        connector.invalidate(keys[0])
+        (after,) = connector.observe(keys)
+        assert after is not before
+        assert after.statistics == before.statistics
+        assert (cache.invalidations, cache.hits) == (1, 0)
 
     def test_ttl_fallback_uses_the_catalog_clock(
         self, catalog, simple_schema, monthly_spec
     ):
-        table = self._world(catalog, simple_schema, monthly_spec)
-        cache = StatsCache(ttl_s=60.0)
+        self._world(catalog, simple_schema, monthly_spec)
+        cache = IndexedCandidateCache(ttl_s=60.0)
         connector = LstConnector(catalog, stats_cache=cache)
-        key = connector.list_candidates("table")[0]
-        before = connector.collect_statistics(key)
-        fragment_table(table, partitions=[(2,)], files_per_partition=4)
-        catalog.clock.advance_by(61.0)
-        assert connector.collect_statistics(key).file_count == before.file_count + 4
+        keys = connector.list_candidates("table")
+        (before,) = connector.observe(keys)
+        catalog.clock.advance_by(59.0)
+        assert connector.observe(keys)[0] is before
+        # No write bumped the table version: only the TTL expires the entry.
+        catalog.clock.advance_by(2.0)
+        assert connector.observe(keys)[0] is not before
         assert cache.expirations == 1
 
 
@@ -198,7 +211,7 @@ class TestServiceNotifyInvalidation:
         pipeline = openhouse_pipeline(
             catalog, compaction_cluster, k=0, min_table_age_s=0.0
         )
-        cache = StatsCache()
+        cache = IndexedCandidateCache()
         pipeline.connector.stats_cache = cache
         service = AutoCompService(pipeline)
         service.run_cycle()  # cold: fills the cache for both tables
@@ -250,7 +263,7 @@ class TestCachedCycleDeterminism:
             pipeline = openhouse_pipeline(
                 catalog, Cluster("maint", executors=3), k=1, min_table_age_s=0.0
             )
-            cache = StatsCache() if with_cache else None
+            cache = IndexedCandidateCache() if with_cache else None
             pipeline.connector.stats_cache = cache
             # The act phase self-invalidates compacted tables, so the
             # second cycle re-observes exactly those; untouched tables are
@@ -270,7 +283,14 @@ class TestFleetConnectorCache:
     def test_rejects_dict_cache(self):
         model = FleetModel(FleetConfig(initial_tables=20, seed=2))
         with pytest.raises(ValidationError):
-            FleetConnector(model, stats_cache=StatsCache())
+            FleetConnector(model, stats_cache={})
+
+    def test_reuses_candidates_follows_the_cache(self):
+        model = FleetModel(FleetConfig(initial_tables=20, seed=2))
+        connector = FleetConnector(model)
+        assert not connector.reuses_candidates
+        connector.stats_cache = IndexedCandidateCache()
+        assert connector.reuses_candidates
 
     def test_version_token_invalidation_on_write_and_compact(self):
         model = FleetModel(FleetConfig(initial_tables=40, seed=2))
@@ -372,16 +392,16 @@ class TestReviewRegressions:
         a = catalog.create_table("db.a", simple_schema, spec=monthly_spec)
         b = catalog.create_table("db.b", simple_schema, spec=monthly_spec)
         fragment_table(a)
-        cache = StatsCache()
-        connector = LstConnector(catalog, stats_cache=cache)
+        connector = LstConnector(catalog, stats_cache=IndexedCandidateCache())
         key = CandidateKey("db", "a", CandidateScope.TABLE)
-        before = connector.collect_statistics(key)
+        (before,) = connector.observe([key])
         fragment_table(b, partitions=[(0,)], files_per_partition=50)
-        cached = connector.collect_statistics(key)
+        (cached,) = connector.observe([key])
         assert cached is before  # still a cache hit...
         fresh = LstConnector(catalog).collect_statistics(key)
         assert fresh.quota_utilization > 0.0  # the drift really happened
-        assert cached.quota_utilization == fresh.quota_utilization  # ...with fresh quota
+        # ...with fresh quota
+        assert cached.statistics.quota_utilization == fresh.quota_utilization
 
     def test_compaction_self_invalidates_the_cache(
         self, catalog, simple_schema, monthly_spec, compaction_cluster
@@ -396,7 +416,7 @@ class TestReviewRegressions:
         pipeline = openhouse_pipeline(
             catalog, compaction_cluster, k=1, min_table_age_s=0.0
         )
-        pipeline.connector.stats_cache = StatsCache()
+        pipeline.connector.stats_cache = IndexedCandidateCache()
         first = pipeline.run_cycle(now=0.0)
         assert first.results and first.results[0].success
         compacted = first.results[0].candidate
@@ -411,31 +431,23 @@ class TestVersionSlack:
     """Opt-in approximate staleness tolerance (version_slack, default off)."""
 
     def test_statscache_slack_serves_slightly_stale_entries(self):
-        cache = StatsCache(version_slack=2)
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token=10)
-        assert cache.get(key, token=11) is stats  # 1 version behind: hit
-        assert cache.get(key, token=12) is stats  # 2 behind: still inside slack
-        assert cache.get(key, token=13) is None   # 3 behind: stale
+        cache = IndexedCandidateCache(version_slack=2)
+        candidate = _candidate()
+        cache.put(0, candidate, token=10)
+        assert cache.get(0, token=11) is candidate  # 1 version behind: hit
+        assert cache.get(0, token=12) is candidate  # 2 behind: still inside slack
+        assert cache.get(0, token=13) is None  # 3 behind: stale
         assert cache.expirations == 1
 
     def test_statscache_slack_defaults_to_exact(self):
-        cache = StatsCache()
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token=10)
-        assert cache.get(key, token=11) is None
+        cache = IndexedCandidateCache()
+        cache.put(0, _candidate(), token=10)
+        assert cache.get(0, token=11) is None
 
     def test_statscache_slack_never_accepts_backwards_tokens(self):
-        cache = StatsCache(version_slack=5)
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token=10)
-        assert cache.get(key, token=9) is None  # token regressed: not a hit
-
-    def test_statscache_slack_requires_integer_tokens(self):
-        cache = StatsCache(version_slack=5)
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token="etag-a")
-        assert cache.get(key, token="etag-b") is None
+        cache = IndexedCandidateCache(version_slack=5)
+        cache.put(0, _candidate(), token=10)
+        assert cache.get(0, token=9) is None  # token regressed: not a hit
 
     def test_indexed_cache_slack(self):
         cache = IndexedCandidateCache(version_slack=1)
@@ -445,8 +457,6 @@ class TestVersionSlack:
         assert cache.get(0, token=7) is None
 
     def test_rejects_negative_slack(self):
-        with pytest.raises(ValidationError):
-            StatsCache(version_slack=-1)
         with pytest.raises(ValidationError):
             IndexedCandidateCache(version_slack=-1)
 
@@ -487,35 +497,35 @@ class TestVersionSlack:
     def test_statscache_slack_accepts_numpy_integer_tokens(self):
         import numpy as np
 
-        cache = StatsCache(version_slack=2)
-        key, stats = _table_key(), _stats()
-        cache.put(key, stats, token=np.int64(10))
-        assert cache.get(key, token=np.int64(11)) is stats
-        assert cache.get(key, token=np.int64(13)) is None
+        cache = IndexedCandidateCache(version_slack=2)
+        candidate = _candidate()
+        cache.put(0, candidate, token=np.int64(10))
+        assert cache.get(0, token=np.int64(11)) is candidate
+        assert cache.get(0, token=np.int64(13)) is None
 
 
 class TestStatsCacheThreadSafety:
-    """Shards sharing one key-hashed cache on a thread pool must not race."""
+    """Shards sharing one cache on a thread pool must not race."""
 
     def test_concurrent_disjoint_shards_keep_exact_accounting(self):
         import threading
 
-        cache = StatsCache()
+        cache = IndexedCandidateCache()
         n_threads, n_keys, rounds = 8, 40, 25
         barrier = threading.Barrier(n_threads)
         errors: list[BaseException] = []
 
         def shard(worker: int) -> None:
             try:
-                keys = [
-                    _table_key(db=f"db{worker}", table=f"t{i}") for i in range(n_keys)
-                ]
+                # Disjoint slot slices, growing the shared slot arrays
+                # concurrently on the first round.
+                slots = range(worker * n_keys, (worker + 1) * n_keys)
                 barrier.wait()
                 for _ in range(rounds):
-                    for key in keys:
-                        if cache.get(key, now=0.0) is None:
-                            cache.put(key, _stats(), now=0.0)
-                    cache.invalidate(keys[0])
+                    for slot in slots:
+                        if cache.get(slot, now=0.0) is None:
+                            cache.put(slot, _candidate(), now=0.0)
+                    cache.invalidate_index(slots[0])
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -575,22 +585,9 @@ class TestIndexedCacheThreadSafety:
 
 
 class TestEvictionAccountingParity:
-    """Both cache kinds must report identical accounting for one scenario."""
+    """Every eviction source is accounted once, on every lookup path."""
 
-    def _scenario_sparse(self) -> tuple[int, int, int, int]:
-        cache = StatsCache(ttl_s=100.0)
-        key = _table_key()
-        cache.put(key, _stats(), now=0.0, token=1)
-        assert cache.get(key, now=1.0, token=1) is not None  # hit
-        assert cache.get(key, now=1.0, token=2) is None  # token expiration
-        cache.put(key, _stats(), now=1.0, token=2)
-        assert cache.get(key, now=500.0, token=2) is None  # TTL expiration
-        cache.put(key, _stats(), now=500.0, token=2)
-        cache.invalidate(key)  # write event
-        assert cache.get(key, now=500.0, token=2) is None  # plain miss
-        return (cache.hits, cache.misses, cache.invalidations, cache.expirations)
-
-    def _scenario_dense(self) -> tuple[int, int, int, int]:
+    def _scenario(self) -> tuple[int, int, int, int]:
         cache = IndexedCandidateCache(ttl_s=100.0)
         candidate = Candidate(key=_table_key(), statistics=_stats())
         cache.put(0, candidate, now=0.0, token=1)
@@ -604,8 +601,9 @@ class TestEvictionAccountingParity:
         return (cache.hits, cache.misses, cache.invalidations, cache.expirations)
 
     def test_same_scenario_same_counters(self):
-        assert self._scenario_sparse() == self._scenario_dense()
-        assert self._scenario_sparse() == (1, 3, 1, 2)
+        # One hit; a token and a TTL expiration; one write-event
+        # invalidation followed by a plain miss.
+        assert self._scenario() == (1, 3, 1, 2)
 
     def test_dense_bulk_path_counts_expirations(self):
         """The fleet connector's inline hit pass must account evictions the

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from repro.core import (
-    CacheDelta,
     Candidate,
     CandidateKey,
     CandidateScope,
@@ -19,7 +18,6 @@ from repro.core import (
     ShardCycleResult,
     ShardedPipeline,
     ShardWorkSpec,
-    StatsCache,
     TraitRegistry,
     WorkerPool,
     run_shard_work,
@@ -250,16 +248,22 @@ class TestCacheDeltaMerge:
             assert cache.get(i, now=spec.now, token=spec.tokens[i] + 1) is None
 
     def test_stats_cache_learns_worker_observations(self):
+        """The connector hands worker observations to its stats cache; a
+        connector without a cache drops the delta."""
+        from repro.fleet import FleetConnector
+
         spec = _spec()
-        statistics = [c.statistics for c in _observed(spec)]
-        cache = StatsCache()
-        keyed_delta = CacheDelta(
-            slots=spec.keys, tokens=spec.tokens, stored_at=spec.now
+        result = run_shard_work(spec)
+        observed = _observed(spec, result)
+        model = FleetModel(FleetConfig(initial_tables=10, seed=1))
+        cache = IndexedCandidateCache()
+        FleetConnector(model, stats_cache=cache).store_worker_observations(
+            result.cache_delta, observed
         )
-        assert cache.apply_delta(keyed_delta, statistics) == len(spec.keys)
-        for key, token, stats in zip(spec.keys, spec.tokens, statistics):
-            assert cache.get(key, now=spec.now, token=token) is stats
-        assert cache.get(spec.keys[0], now=spec.now, token=spec.tokens[0] + 1) is None
+        FleetConnector(model).store_worker_observations(result.cache_delta, observed)
+        assert len(cache) == len(spec.keys)
+        for slot, token, candidate in zip(spec.slots, spec.tokens, observed):
+            assert cache.get(slot, now=spec.now, token=token) is candidate
 
     def test_misaligned_delta_is_rejected(self):
         spec = _spec()
@@ -267,11 +271,6 @@ class TestCacheDeltaMerge:
         observed = _observed(spec, result)
         with pytest.raises(ValidationError):
             IndexedCandidateCache().apply_delta(result.cache_delta, observed[:-1])
-        with pytest.raises(ValidationError):
-            StatsCache().apply_delta(
-                CacheDelta(slots=spec.keys, tokens=spec.tokens, stored_at=0.0),
-                [c.statistics for c in observed[:-1]],
-            )
 
 
 class TestShardedPipelineWorkerModes:
@@ -412,13 +411,6 @@ class TestWorkerSideDecide:
         with pytest.raises(ValidationError, match="hole"):
             dataclasses.replace(spec, decide=decide)
 
-    def test_worker_decide_requires_local_selection(self):
-        model = FleetModel(FleetConfig(initial_tables=50, seed=1))
-        strategy = ShardedAutoCompStrategy(model, n_shards=2, k=4)
-        with pytest.raises(ValidationError, match="local"):
-            ShardedPipeline(
-                strategy.pipeline.shards, selection="global", worker_decide=True
-            )
 
 
 class TestWorkerFailureHandling:

@@ -16,15 +16,10 @@ from typing import ClassVar
 
 import pytest
 
-from repro.core.candidates import CandidateKey, CandidateScope
 from repro.core.connectors import Connector
-from repro.core.statscache import IndexedCandidateCache, StatsCache
+from repro.core.statscache import IndexedCandidateCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-
-
-def _key(table="events"):
-    return CandidateKey("db", table, CandidateScope.TABLE)
 
 
 class _NullConnector(Connector):
@@ -39,10 +34,10 @@ class _NullConnector(Connector):
 
 class TestCountersSnapshot:
     def test_statscache_snapshot_matches_attributes(self):
-        cache = StatsCache(ttl_s=100.0)
-        cache.get(_key(), now=1.0)  # miss
-        cache.put(_key(), object(), now=1.0)
-        cache.get(_key(), now=1.0)  # hit
+        cache = IndexedCandidateCache(ttl_s=100.0)
+        cache.get(0, now=1.0)  # miss
+        cache.put(0, object(), now=1.0)
+        cache.get(0, now=1.0)  # hit
         assert cache.counters_snapshot() == {
             "hits": 1,
             "misses": 1,
@@ -64,14 +59,15 @@ class TestCountersSnapshot:
     def test_snapshot_is_never_torn_under_concurrency(self):
         """hits+misses always equals completed lookups at snapshot time.
 
-        StatsCache.get() counts exactly one of hits/misses per call under
-        the lock; a snapshot taken under the same lock can therefore never
-        observe a state where the sum disagrees with the number of
-        completed lookups by more than the calls still in flight.  The
-        old attribute-by-attribute read could tear between the two loads.
+        IndexedCandidateCache.get() counts exactly one of hits/misses per
+        call under the lock; a snapshot taken under the same lock can
+        therefore never observe a state where the sum disagrees with the
+        number of completed lookups by more than the calls still in
+        flight.  The old attribute-by-attribute read could tear between
+        the two loads.
         """
-        cache = StatsCache(ttl_s=1e9)
-        cache.put(_key(), object(), now=0.0)
+        cache = IndexedCandidateCache(ttl_s=1e9)
+        cache.put(0, object(), now=0.0)
         lookups_done = threading.Barrier(3)
         stop = threading.Event()
         per_thread = 2000
@@ -79,7 +75,7 @@ class TestCountersSnapshot:
         def hammer():
             lookups_done.wait()
             for _ in range(per_thread):
-                cache.get(_key(), now=0.0)
+                cache.get(0, now=0.0)
 
         workers = [threading.Thread(target=hammer) for _ in range(2)]
         for worker in workers:
@@ -108,7 +104,7 @@ class TestCountersSnapshot:
         assert final["hits"] == 2 * per_thread
 
     def test_connector_cache_counters_prefers_the_snapshot(self):
-        """cache_counters() routes through counters_snapshot when present."""
+        """cache_counters() reads counters_snapshot, not the attributes."""
 
         class _Probe:
             hits = 999  # must NOT be read attribute-by-attribute
@@ -126,17 +122,6 @@ class TestCountersSnapshot:
         assert counters["misses"] == 2.0
         assert counters["expirations"] == 3.0
 
-    def test_connector_cache_counters_falls_back_to_attributes(self):
-        class _Legacy:
-            hits = 5
-            misses = 7
-
-        connector = _NullConnector()
-        connector.stats_cache = _Legacy()
-        counters = connector.cache_counters()
-        assert counters["hits"] == 5.0
-        assert counters["misses"] == 7.0
-        assert counters["expirations"] == 0.0
 
 
 def _load_check_regression():

@@ -94,14 +94,12 @@ class TestLocalSelectionModeEquivalence:
         self, seed, n_shards, tables
     ):
         """selection="local" must produce identical cycle reports whether the
-        decide phase runs inline, on threads, or inside process workers —
-        with worker-side decide both off and on."""
+        decide phase runs inline, on threads, or inside process workers."""
         config = FleetConfig(initial_tables=tables, seed=seed)
         variants = [
             {"workers": "threads", "max_workers": 1},  # inline
             {"workers": "threads", "max_workers": 2},
-            {"workers": "processes", "max_workers": 2, "worker_decide": False},
-            {"workers": "processes", "max_workers": 2, "worker_decide": True},
+            {"workers": "processes", "max_workers": 2},
         ]
         models, strategies = [], []
         for kwargs in variants:
@@ -127,29 +125,29 @@ class TestLocalSelectionModeEquivalence:
                 strategy.close()
 
     def test_worker_decide_shrinks_the_return_payload(self):
-        """With worker-side decide the shipped-back candidate count is
-        O(selected); without it, O(shard misses)."""
+        """Local selection decides in the worker, so the shipped-back
+        candidate count is O(selected); global selection decides on the
+        coordinator and takes back O(shard misses)."""
         config = FleetConfig(initial_tables=200, seed=5)
         counts = {}
-        for decide in (False, True):
+        for selection in ("global", "local"):
             model = FleetModel(config)
             model.step_day()
             with ShardedAutoCompStrategy(
                 model,
                 n_shards=2,
                 k=6,
-                selection="local",
+                selection=selection,
                 workers="processes",
                 max_workers=2,
-                worker_decide=decide,
             ) as strategy:
                 strategy.pipeline.run_cycle(now=0.0)
                 series = strategy.pipeline.telemetry.series(
                     "autocomp.fleet.returned_candidates"
                 )
-                counts[decide] = series.last()
-        assert counts[True] <= 6  # at most the split top-k selection
-        assert counts[True] < counts[False]
+                counts[selection] = series.last()
+        assert counts["local"] <= 6  # at most the split top-k selection
+        assert counts["local"] < counts["global"]
 
 
 def _build_lst_catalog():
@@ -196,38 +194,21 @@ class TestLstConnectorModeEquivalence:
     """The realistic catalog path through process workers (tentpole)."""
 
     @pytest.mark.parametrize(
-        "cache_kind,selection,worker_decide",
-        [
-            ("none", "global", None),
-            ("sparse", "global", None),
-            ("dense", "global", None),
-            ("dense", "local", False),
-            ("dense", "local", True),
-            ("sparse", "local", True),
-        ],
+        "cached,selection",
+        [(False, "global"), (True, "global"), (True, "local")],
     )
-    def test_thread_and_process_lst_cycles_are_identical(
-        self, cache_kind, selection, worker_decide
-    ):
-        from repro.core import IndexedCandidateCache, StatsCache, openhouse_sharded_pipeline
+    def test_thread_and_process_lst_cycles_are_identical(self, cached, selection):
+        from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
         from repro.engine import Cluster
-
-        def cache():
-            return {
-                "none": lambda: None,
-                "sparse": StatsCache,
-                "dense": IndexedCandidateCache,
-            }[cache_kind]()
 
         def pipeline(catalog, workers):
             return openhouse_sharded_pipeline(
                 catalog,
                 Cluster("maint", executors=2),
                 n_shards=2,
-                stats_cache=cache(),
+                stats_cache=IndexedCandidateCache() if cached else None,
                 selection=selection,
                 workers=workers,
-                worker_decide=worker_decide,
                 max_workers=2,
                 k=6,
                 min_table_age_s=0.0,
@@ -272,7 +253,6 @@ class TestLstConnectorModeEquivalence:
                     stats_cache=IndexedCandidateCache(),
                     selection="local",
                     workers=workers,
-                    worker_decide=True,
                     max_workers=width,
                     k=6,
                     min_table_age_s=0.0,

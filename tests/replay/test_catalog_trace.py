@@ -359,6 +359,15 @@ class TestShardedCatalogReplay:
         assert split.report_bytes() == plain.report_bytes()
         assert split.report_digest() == plain.report_digest()
 
+    def test_sharded_quota_aware_variant_matches_unsharded(self, cab_trace):
+        """The quota-aware policy reaches the fleet-level rank through the
+        shards alone (the coordinator holds no copy of it)."""
+        base = PolicyVariant(name="quota", ranking="quota_aware", k=8)
+        sharded = PolicyVariant(name="quota", ranking="quota_aware", k=8, n_shards=2)
+        plain = CatalogReplayer(cab_trace).replay(base)
+        split = CatalogReplayer(cab_trace).replay(sharded)
+        assert split.report_bytes() == plain.report_bytes()
+
     def test_sharded_replay_is_deterministic(self, cab_trace):
         variant = PolicyVariant(name="probe", k=8, n_shards=3)
         first = CatalogReplayer(cab_trace).replay(variant)
