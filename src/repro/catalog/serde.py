@@ -73,8 +73,8 @@ def parse_spec(fields: list) -> PartitionSpec:
 
 
 def serialize_policy(policy: TablePolicy) -> dict:
-    """A table policy as a plain field dict."""
-    return dataclasses.asdict(policy)
+    """A table policy as a plain field dict (its fields are all scalars)."""
+    return {f.name: getattr(policy, f.name) for f in dataclasses.fields(policy)}
 
 
 def parse_policy(payload: dict) -> TablePolicy:

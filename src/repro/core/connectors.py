@@ -167,11 +167,15 @@ class LstConnector(Connector):
     Because :meth:`export_columnar` applies :meth:`observe`'s hit rule, a
     key is shipped to a process worker if and only if the in-process path
     would have re-observed it (the worker modes' byte-identical cycle
-    reports depend on exactly that).  The single-key
-    :meth:`collect_statistics` API always reads live state.
+    reports depend on exactly that).  :meth:`observe` builds every miss
+    through :meth:`collect_statistics`, which always reads live state; a
+    subclass that overrides it gets no worker transport, because the
+    columnar export cannot carry the override's output.
     """
 
     def worker_transport(self):
+        if type(self).collect_statistics is not LstConnector.collect_statistics:
+            return None
         from repro.core.transport import ColumnarTransport
 
         return ColumnarTransport(self)
@@ -276,8 +280,7 @@ class LstConnector(Connector):
         for key, slot, token, pos in zip(
             miss_keys, miss_slots, miss_tokens, miss_positions
         ):
-            statistics = build_candidate_statistics(*self._observation_row(key))
-            candidate = Candidate(key=key, statistics=statistics)
+            candidate = Candidate(key=key, statistics=self.collect_statistics(key))
             if cache is not None:
                 cache.put(slot, candidate, now, token)
             placed[pos] = candidate

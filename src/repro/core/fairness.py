@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import ValidationError
+from repro.simulation.telemetry import COUNT_BOUNDS
 
 
 class AdmissionController:
@@ -132,22 +133,16 @@ class AdmissionController:
                     self.telemetry.increment(
                         "autocomp.admission.deferred", len(deferred_dbs)
                     )
-                # Per-decision distributions (duck-typed: plain sinks
-                # without histogram support are still accepted here).
-                observe = getattr(self.telemetry, "observe", None)
-                if observe is not None:
-                    from repro.simulation.telemetry import COUNT_BOUNDS
-
-                    observe(
-                        "autocomp.hist.admission_admitted",
-                        len(admitted_idx),
-                        bounds=COUNT_BOUNDS,
-                    )
-                    observe(
-                        "autocomp.hist.admission_deferred",
-                        len(deferred_dbs),
-                        bounds=COUNT_BOUNDS,
-                    )
+                self.telemetry.observe(
+                    "autocomp.hist.admission_admitted",
+                    len(admitted_idx),
+                    bounds=COUNT_BOUNDS,
+                )
+                self.telemetry.observe(
+                    "autocomp.hist.admission_deferred",
+                    len(deferred_dbs),
+                    bounds=COUNT_BOUNDS,
+                )
             admitted_idx.sort()
             return [candidates[i] for i in admitted_idx]
 

@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
+from repro.obs.tracing import timed
 
 #: File name of the shared audit log inside the lock directory.
 AUDIT_LOG = "audit.jsonl"
@@ -210,8 +211,9 @@ class LockManager:
             "acquired_at": self._clock(),
             "context": ctx,
         }
-        wait_start = time.perf_counter()
-        try:
+        # Mutex wait + lock-file creation: what a cycle actually stalls on
+        # when sibling threads/daemons contend.
+        with timed(None, "lock.acquire", "autocomp.hist.lock_wait_s", self.telemetry):
             with self._mutex:
                 if text in self._held:
                     self._audit("contend", key=text, context=ctx)
@@ -226,13 +228,6 @@ class LockManager:
                 self._held[text] = path
                 self._audit("acquire", key=text, context=ctx)
                 return True
-        finally:
-            if self.telemetry is not None:
-                # Mutex wait + lock-file creation: what a cycle actually
-                # stalls on when sibling threads/daemons contend.
-                self.telemetry.observe(
-                    "autocomp.hist.lock_wait_s", time.perf_counter() - wait_start
-                )
 
     def release(self, key: object) -> bool:
         """Release a held lock; returns whether this manager held it."""

@@ -38,7 +38,7 @@ from repro.core.scheduling import (
 from repro.core.selection import Selector
 from repro.core.traits import Trait, TraitRegistry
 from repro.errors import ValidationError
-from repro.obs.tracing import Tracer, make_span
+from repro.obs.tracing import Tracer, make_span, timed
 from repro.simulation.simulator import Simulator
 from repro.simulation.telemetry import BYTES_BOUNDS, Telemetry
 
@@ -176,49 +176,24 @@ class AutoCompPipeline:
             now = simulator.now
         report = self.begin_cycle(now)
         tracer = self.tracer
-        cycle_start = time.perf_counter()
-        cycle_span = (
-            tracer.begin("cycle", cycle_index=report.cycle_index)
-            if tracer is not None
-            else None
-        )
-        try:
+        telemetry = self.telemetry
+        with timed(
+            tracer,
+            "cycle",
+            "autocomp.hist.cycle_wall_s",
+            telemetry,
+            cycle_index=report.cycle_index,
+        ) as cycle:
             keys = self.generate(report)
-            candidates = self._timed_phase(
-                "observe",
-                "autocomp.hist.observe_wall_s",
-                lambda: self.observe_orient(keys, now, report),
-            )
-            selected = self._timed_phase(
-                "decide",
-                "autocomp.hist.decide_wall_s",
-                lambda: self.decide(candidates, report),
-            )
-            self._timed_phase(
-                "act",
-                "autocomp.hist.act_wall_s",
-                lambda: self.act(selected, report, simulator=simulator),
-            )
+            with timed(tracer, "observe", "autocomp.hist.observe_wall_s", telemetry):
+                candidates = self.observe_orient(keys, now, report)
+            with timed(tracer, "decide", "autocomp.hist.decide_wall_s", telemetry):
+                selected = self.decide(candidates, report)
+            with timed(tracer, "act", "autocomp.hist.act_wall_s", telemetry):
+                self.act(selected, report, simulator=simulator)
             self.finish_cycle(report, now)
-        finally:
-            self.telemetry.observe(
-                "autocomp.hist.cycle_wall_s", time.perf_counter() - cycle_start
-            )
-            if cycle_span is not None:
-                tracer.end(cycle_span, selected=len(report.selected))
+            cycle.note(selected=len(report.selected))
         return report
-
-    def _timed_phase(self, name: str, histogram: str, work: Callable):
-        """Run one phase under a span (when tracing) and a wall histogram."""
-        tracer = self.tracer
-        start = time.perf_counter()
-        try:
-            if tracer is not None:
-                with tracer.span(name):
-                    return work()
-            return work()
-        finally:
-            self.telemetry.observe(histogram, time.perf_counter() - start)
 
     # --- phases ----------------------------------------------------------------
     #

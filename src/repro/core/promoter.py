@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from repro.analysis.metrics import reduction_efficiency, write_amplification
 from repro.core.filters import MinSmallFileCountFilter, QuiescenceFilter
 from repro.errors import ValidationError
+from repro.obs.tracing import timed
 from repro.units import DAY
 
 #: Active-policy lifecycle states.
@@ -671,8 +672,9 @@ class PolicyPromoter:
             skews, so promotion decisions anticipate tenant growth.
         learner: optional :class:`~repro.core.weight_learning.WeightLearner`
             absorbing shadow/guard efficiencies as priors.
-        tracer: optional :class:`~repro.obs.tracing.Tracer` for
-            ``promoter.step`` spans (falls back to the pipeline's).
+
+    Each :meth:`step` opens a ``promoter.step`` span on the attached
+    service's pipeline tracer, when it has one.
     """
 
     def __init__(
@@ -687,7 +689,6 @@ class PolicyPromoter:
         eval_workers: int = 1,
         perturb=None,
         learner=None,
-        tracer=None,
     ) -> None:
         if guard_cycles <= 0:
             raise ValidationError("guard_cycles must be positive")
@@ -709,7 +710,6 @@ class PolicyPromoter:
         self.eval_workers = eval_workers
         self.perturb = perturb
         self.learner = learner
-        self.tracer = tracer
         self.service = None
         #: The latest shadow report's winner knobs — feed to
         #: :meth:`~repro.core.autotune.Optimizer.optimize` as ``warm_start``.
@@ -757,8 +757,6 @@ class PolicyPromoter:
             taps.subscribe("table_commit", self._on_commit)
         if self.observe_cycle not in service.cycle_hooks:
             service.cycle_hooks.append(self.observe_cycle)
-        if self.tracer is None:
-            self.tracer = getattr(service.pipeline, "tracer", None)
         return self
 
     def detach(self) -> "PolicyPromoter":
@@ -933,13 +931,9 @@ class PolicyPromoter:
         """
         if self.service is None:
             raise ValidationError("attach() the promoter to a service before step()")
-        tracer = self.tracer
-        span = tracer.begin("promoter.step") if tracer is not None else None
-        try:
+        with timed(self.service.pipeline.tracer, "promoter.step") as step:
             decision = self._step_inner()
-        finally:
-            if span is not None:
-                tracer.end(span, action=(self.last_decision or {}).get("action"))
+            step.note(action=decision["action"])
         return decision
 
     def _step_inner(self) -> dict:
@@ -968,18 +962,16 @@ class PolicyPromoter:
                 "insufficient_history", cycles=self._history_cycles()
             )
         candidates = [active] + challengers
-        start = time.perf_counter()
-        report = self.service.evaluate_recent(
-            candidates,
-            window=self.window,
-            rank_by=self.rank_by,
-            workers=self.eval_workers,
-            perturb=self.perturb,
-        )
-        elapsed = time.perf_counter() - start
-        telemetry = self._telemetry()
-        if telemetry is not None:
-            telemetry.observe("autocomp.hist.promoter_eval_wall_s", elapsed)
+        with timed(
+            None, "promoter.eval", "autocomp.hist.promoter_eval_wall_s", self._telemetry()
+        ):
+            report = self.service.evaluate_recent(
+                candidates,
+                window=self.window,
+                rank_by=self.rank_by,
+                workers=self.eval_workers,
+                perturb=self.perturb,
+            )
         self.shadow_evals += 1
         self._count("shadow_evals")
         self.warm_start = report.to_priors()

@@ -420,9 +420,9 @@ class AutoCompService:
 
     def enable_history(
         self,
-        segment_cycles: int = 8,
-        max_segments: int = 8,
-        seed: int = 0,
+        segment_cycles: int | None = None,
+        max_segments: int | None = None,
+        seed: int | None = None,
     ):
         """Start ring-buffering this deployment's own history for replay.
 
@@ -431,12 +431,25 @@ class AutoCompService:
         service cycle is captured into bounded, checkpoint-delimited trace
         segments (oldest evicted beyond ``max_segments``), from which
         :meth:`evaluate_recent` replays candidate policies offline.
-        Returns the ring (idempotent — a second call returns the same one,
-        resuming it after :meth:`disable_history`).
+
+        Settings left ``None`` keep the live ring's (8 segments of 8
+        cycles, seed 0, for a first ring).  Returns the live ring, resumed
+        after :meth:`disable_history`, unless a setting differs from it;
+        then a fresh ring records under the new settings from a new
+        checkpoint.
         """
-        if self._history is not None:
-            self._history.reopen()
-            return self._history
+        ring = self._history
+        live = (8, 8, 0) if ring is None else (ring.segment_cycles, ring.max_segments, ring.seed)
+        settings = tuple(
+            held if asked is None else asked
+            for asked, held in zip((segment_cycles, max_segments, seed), live)
+        )
+        if ring is not None:
+            if settings == live:
+                ring.reopen()
+                return ring
+            ring.close()
+        segment_cycles, max_segments, seed = settings
         from repro.replay.catalog_trace import CatalogHistoryRing
         from repro.simulation.taps import TapBus
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import time
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -51,7 +50,7 @@ from repro.core.workers import (
     run_shard_work,
 )
 from repro.errors import ValidationError, WorkerError
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, timed
 from repro.simulation.simulator import Simulator
 from repro.simulation.telemetry import RATIO_BOUNDS, Telemetry
 
@@ -395,107 +394,75 @@ class ShardedPipeline:
         """
         if simulator is not None:
             now = simulator.now
-        wall_start = time.perf_counter()
         fleet_report = CycleReport(cycle_index=self._cycle_index, started_at=now)
         self._cycle_index += 1
         tracer = self._tracer
-        cycle_span = (
-            tracer.begin(
-                "cycle", cycle_index=fleet_report.cycle_index, shards=len(self.shards)
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            return self._run_cycle_phases(now, simulator, wall_start, fleet_report)
-        finally:
-            if cycle_span is not None:
-                tracer.end(cycle_span, selected=len(fleet_report.selected))
-
-    def _run_cycle_phases(
-        self,
-        now: float,
-        simulator: Simulator | None,
-        wall_start: float,
-        fleet_report: CycleReport,
-    ) -> ShardedCycleReport:
-        tracer = self._tracer
-
-        # Generate: with order-insensitive merging each shard lists its own
-        # consistent-hash slice directly (vectorised where the connector
-        # supports it); otherwise list once globally and partition, keeping
-        # the generation order for the merge.
-        if self.merge_order == "any":
-            keys: list[CandidateKey] = []
-            shard_keys = [
-                shard.connector.list_candidates_sharded(
-                    self.generation, len(self.shards), shard_index
-                )
-                for shard_index, shard in enumerate(self.shards)
-            ]
-            fleet_report.candidates_generated = sum(len(s) for s in shard_keys)
-        else:
-            keys = self.shards[0].connector.list_candidates(self.generation)
-            fleet_report.candidates_generated = len(keys)
-            shard_keys = self.assign(keys)
-        shard_reports = [shard.begin_cycle(now) for shard in self.shards]
-        for report, subset in zip(shard_reports, shard_keys):
-            report.candidates_generated = len(subset)
-
-        # Observe + orient each shard's slice (concurrently when possible).
-        observe_start = time.perf_counter()
-        observe_span = (
-            tracer.begin("observe", mode=self.workers) if tracer is not None else None
-        )
-        try:
-            per_shard, observe_wall, decisions = self._observe_all(
-                shard_keys, shard_reports, now
-            )
-        finally:
-            if observe_span is not None:
-                tracer.end(observe_span)
-        observe_wall_s = time.perf_counter() - observe_start
-        self.telemetry.record(
-            f"autocomp.fleet.observe_wall.{self.workers}", now, observe_wall_s
-        )
-        self.telemetry.observe("autocomp.hist.observe_wall_s", observe_wall_s)
-
-        decide_start = time.perf_counter()
-        decide_span = tracer.begin("decide") if tracer is not None else None
-        try:
-            if self.selection == "global":
-                selected = self._decide_global(
-                    keys, per_shard, fleet_report, shard_reports
-                )
+        telemetry = self.telemetry
+        with timed(
+            tracer,
+            "cycle",
+            "autocomp.hist.cycle_wall_s",
+            telemetry,
+            cycle_index=fleet_report.cycle_index,
+            shards=len(self.shards),
+        ) as cycle:
+            # Generate: with order-insensitive merging each shard lists its own
+            # consistent-hash slice directly (vectorised where the connector
+            # supports it); otherwise list once globally and partition, keeping
+            # the generation order for the merge.
+            if self.merge_order == "any":
+                keys: list[CandidateKey] = []
+                shard_keys = [
+                    shard.connector.list_candidates_sharded(
+                        self.generation, len(self.shards), shard_index
+                    )
+                    for shard_index, shard in enumerate(self.shards)
+                ]
+                fleet_report.candidates_generated = sum(len(s) for s in shard_keys)
             else:
-                selected = self._decide_local(
-                    per_shard, fleet_report, shard_reports, decisions
+                keys = self.shards[0].connector.list_candidates(self.generation)
+                fleet_report.candidates_generated = len(keys)
+                shard_keys = self.assign(keys)
+            shard_reports = [shard.begin_cycle(now) for shard in self.shards]
+            for report, subset in zip(shard_reports, shard_keys):
+                report.candidates_generated = len(subset)
+
+            # Observe + orient each shard's slice (concurrently when possible).
+            with timed(
+                tracer,
+                "observe",
+                "autocomp.hist.observe_wall_s",
+                telemetry,
+                mode=self.workers,
+            ) as observe:
+                per_shard, observe_wall, decisions = self._observe_all(
+                    shard_keys, shard_reports, now
                 )
-        finally:
-            if decide_span is not None:
-                tracer.end(decide_span)
-        self.telemetry.observe(
-            "autocomp.hist.decide_wall_s", time.perf_counter() - decide_start
-        )
+            telemetry.record(
+                f"autocomp.fleet.observe_wall.{self.workers}", now, observe.wall_s
+            )
 
-        act_start = time.perf_counter()
-        act_span = tracer.begin("act") if tracer is not None else None
-        try:
-            self._act_all(selected, fleet_report, shard_reports, simulator)
-        finally:
-            if act_span is not None:
-                tracer.end(act_span)
-        self.telemetry.observe(
-            "autocomp.hist.act_wall_s", time.perf_counter() - act_start
-        )
+            with timed(tracer, "decide", "autocomp.hist.decide_wall_s", telemetry):
+                if self.selection == "global":
+                    selected = self._decide_global(
+                        keys, per_shard, fleet_report, shard_reports
+                    )
+                else:
+                    selected = self._decide_local(
+                        per_shard, fleet_report, shard_reports, decisions
+                    )
 
-        for shard, report in zip(self.shards, shard_reports):
-            shard.finish_cycle(report, now)
+            with timed(tracer, "act", "autocomp.hist.act_wall_s", telemetry):
+                self._act_all(selected, fleet_report, shard_reports, simulator)
+
+            for shard, report in zip(self.shards, shard_reports):
+                shard.finish_cycle(report, now)
+            cycle.note(selected=len(fleet_report.selected))
         sharded = ShardedCycleReport(
             report=fleet_report,
             shard_reports=shard_reports,
             shard_observe_wall_s=observe_wall,
-            cycle_wall_s=time.perf_counter() - wall_start,
+            cycle_wall_s=cycle.wall_s,
         )
         self._record_cycle(sharded, now)
         return sharded
@@ -552,22 +519,19 @@ class ShardedPipeline:
         parent = tracer.current() if tracer is not None else None
 
         def observe(i: int) -> list[Candidate]:
-            span = (
-                tracer.begin(
-                    "shard", parent=parent, detached=True, shard=i, mode="threads"
-                )
-                if tracer is not None
-                else None
-            )
-            start = time.perf_counter()
-            try:
+            with timed(
+                tracer,
+                "shard",
+                parent=parent,
+                detached=True,
+                shard=i,
+                mode="threads",
+                keys=len(shard_keys[i]),
+            ) as work:
                 candidates = self.shards[i].observe_orient(
                     shard_keys[i], now, shard_reports[i]
                 )
-            finally:
-                observe_wall[i] = time.perf_counter() - start
-                if span is not None:
-                    tracer.end(span, keys=len(shard_keys[i]))
+            observe_wall[i] = work.wall_s
             return candidates
 
         indices = range(len(self.shards))
@@ -644,15 +608,14 @@ class ShardedPipeline:
                         keys=len(shard_keys[shard_index]),
                     )
                 transport = transports[shard_index]
-                pack_span = (
-                    tracer.begin(
-                        "pack", parent=shard_spans[shard_index], detached=True
-                    )
-                    if tracer is not None
-                    else None
-                )
-                start = time.perf_counter()
-                try:
+                with timed(
+                    tracer,
+                    "pack",
+                    "autocomp.hist.pack_wall_s",
+                    self.telemetry,
+                    parent=shard_spans[shard_index],
+                    detached=True,
+                ) as pack:
                     placed, spec = transport.export(
                         shard_keys[shard_index], shard_index, shard.traits
                     )
@@ -665,16 +628,11 @@ class ShardedPipeline:
                             shard.stats_filters,
                             shard.trait_filters,
                         )
-                finally:
-                    pack_wall = time.perf_counter() - start
-                    if pack_span is not None:
-                        tracer.end(pack_span)
-                self.telemetry.observe("autocomp.hist.pack_wall_s", pack_wall)
                 if spec is not None and shard_spans[shard_index] is not None:
                     spec = dataclasses.replace(
                         spec, trace=shard_spans[shard_index].context
                     )
-                observe_wall[shard_index] = pack_wall
+                observe_wall[shard_index] = pack.wall_s
                 placed_specs.append((placed, spec))
                 if spec is not None:
                     # Submit immediately: shard 0's workers compute while
@@ -683,35 +641,35 @@ class ShardedPipeline:
             returned = 0
             for shard_index, shard in enumerate(self.shards):
                 placed, spec = placed_specs[shard_index]
-                transport = transports[shard_index]
                 if spec is None:
                     candidates = [c for c in placed if c is not None]
-                elif spec.decide is not None:
-                    result = futures.pop(shard_index).result()
-                    self._adopt_worker_spans(result)
-                    observe_wall[shard_index] += result.observe_wall_s
-                    unpack_wall, decision = self._timed_unpack(
-                        tracer,
-                        shard_spans[shard_index],
-                        lambda: transport.merge_decision(spec, placed, result),
-                    )
-                    observe_wall[shard_index] += unpack_wall
-                    returned += len(decision.selected)
-                    decisions[shard_index] = decision
-                    per_shard.append([])  # the decision replaces the survivors
-                    self._end_shard_span(shard_spans, shard_index)
-                    continue
                 else:
                     result = futures.pop(shard_index).result()
-                    self._adopt_worker_spans(result)
+                    if tracer is not None:
+                        tracer.adopt(result.spans)
                     observe_wall[shard_index] += result.observe_wall_s
-                    returned += len(spec.keys)
-                    unpack_wall, candidates = self._timed_unpack(
-                        tracer,
-                        shard_spans[shard_index],
-                        lambda: transport.merge(spec, placed, result),
+                    transport = transports[shard_index]
+                    merge = (
+                        transport.merge if spec.decide is None else transport.merge_decision
                     )
-                    observe_wall[shard_index] += unpack_wall
+                    with timed(
+                        tracer,
+                        "unpack",
+                        "autocomp.hist.unpack_wall_s",
+                        self.telemetry,
+                        parent=shard_spans[shard_index],
+                        detached=True,
+                    ) as unpack:
+                        merged = merge(spec, placed, result)
+                    observe_wall[shard_index] += unpack.wall_s
+                    if spec.decide is not None:
+                        returned += len(merged.selected)
+                        decisions[shard_index] = merged
+                        per_shard.append([])  # the decision replaces the survivors
+                        self._end_shard_span(shard_spans, shard_index)
+                        continue
+                    returned += len(spec.keys)
+                    candidates = merged
                 candidates = shard.orient(
                     candidates, now, shard_reports[shard_index], only_missing=True
                 )
@@ -743,28 +701,6 @@ class ShardedPipeline:
         # O(shard misses) observed candidates.
         self.telemetry.record("autocomp.fleet.returned_candidates", now, returned)
         return per_shard, observe_wall, decisions
-
-    def _timed_unpack(self, tracer, shard_span, merge):
-        """Run one transport merge under an "unpack" span + histogram."""
-        span = (
-            tracer.begin("unpack", parent=shard_span, detached=True)
-            if tracer is not None
-            else None
-        )
-        start = time.perf_counter()
-        try:
-            merged = merge()
-        finally:
-            wall = time.perf_counter() - start
-            if span is not None:
-                tracer.end(span)
-        self.telemetry.observe("autocomp.hist.unpack_wall_s", wall)
-        return wall, merged
-
-    def _adopt_worker_spans(self, result) -> None:
-        """Stitch a worker result's spans into the coordinator trace."""
-        if self._tracer is not None and getattr(result, "spans", None):
-            self._tracer.adopt(result.spans)
 
     def _end_shard_span(self, shard_spans: list, index: int, **attrs) -> None:
         """Close (at most once) the coordinator-side span for shard ``index``."""
@@ -858,7 +794,6 @@ class ShardedPipeline:
         self.telemetry.record("autocomp.fleet.candidates", now, report.candidates_generated)
         self.telemetry.record("autocomp.fleet.selected", now, len(report.selected))
         self.telemetry.record("autocomp.fleet.cycle_wall_s", now, sharded.cycle_wall_s)
-        self.telemetry.observe("autocomp.hist.cycle_wall_s", sharded.cycle_wall_s)
         self.telemetry.increment("autocomp.fleet.cycles")
         for scoped, shard_report, wall in zip(
             self._shard_telemetry, sharded.shard_reports, sharded.shard_observe_wall_s

@@ -62,6 +62,7 @@ from repro.core.ranking import RankingPolicy
 from repro.core.selection import Selector
 from repro.core.traits import TraitRegistry
 from repro.errors import ValidationError, WorkerError
+from repro.obs.tracing import SpanRecorder, timed
 
 #: Supported shard-worker execution modes.  ``threads`` is the default —
 #: it needs no picklable connector snapshot and works on every platform;
@@ -404,26 +405,17 @@ def run_shard_work(spec: ShardWorkSpec) -> ShardCycleResult:
             f"{WORK_SPEC_VERSION}; the transport handshake "
             "(WorkerPool.negotiate) must run before specs ship"
         )
-    recorder = None
-    if spec.trace is not None:
-        from repro.obs.tracing import SpanRecorder
-
-        recorder = SpanRecorder(spec.trace)
+    recorder = SpanRecorder(spec.trace) if spec.trace is not None else None
     start = time.perf_counter()
     try:
-        if recorder is not None:
-            with recorder.span("observe", shard=spec.shard_index, keys=len(spec.keys)):
-                names, matrix, observed = _observe(spec)
-        else:
+        with timed(recorder, "observe", shard=spec.shard_index, keys=len(spec.keys)):
             names, matrix, observed = _observe(spec)
         decision = None
         if spec.decide is None:
             payload = ColumnarResultPayload(trait_names=names, matrix=matrix)
-        elif recorder is not None:
-            with recorder.span("decide", shard=spec.shard_index):
-                decision, payload = _decide(spec, names, matrix, observed)
         else:
-            decision, payload = _decide(spec, names, matrix, observed)
+            with timed(recorder, "decide", shard=spec.shard_index):
+                decision, payload = _decide(spec, names, matrix, observed)
         return ShardCycleResult(
             shard_index=spec.shard_index,
             columnar=payload,
@@ -630,9 +622,10 @@ class WorkerPool:
             future.cancel()  # unstarted work never runs
         if pending:
             wait(pending, timeout=timeout)
-        # Snapshot process children before shutdown forgets them, so we
-        # can join (and if necessary kill) stragglers ourselves.
+        # Snapshot the children and the management thread before shutdown
+        # forgets them, so we can join (and if necessary kill) stragglers.
         children = list(getattr(executor, "_processes", {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         executor.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + timeout
         for child in children:
@@ -644,6 +637,10 @@ class WorkerPool:
             if child.is_alive():
                 child.kill()
                 child.join(timeout=1.0)
+        if manager is not None:
+            # The management thread reaps the children too; a child it
+            # reaped first reads as alive here until it records the exit.
+            manager.join(timeout=1.0)
         self._dispose_resources(resources)
 
     @staticmethod

@@ -11,7 +11,8 @@ that misleads dashboards.
 ``repro/obs/__init__.py`` (AST only, no imports), then:
 
 * **forward** — every string literal starting with ``autocomp.`` passed to
-  a telemetry write (``.increment`` / ``.record`` / ``.observe``) in
+  a telemetry write (``.increment`` / ``.record`` / ``.observe``, or the
+  ``histogram`` argument of a :func:`~repro.obs.tracing.timed` block) in
   ``src/`` must be a registry key.  Dynamically built names with a static
   prefix (``f"autocomp.locks.{event}"``) are checked as prefixes: the
   prefix must match at least one registry key.
@@ -57,11 +58,13 @@ def load_registry(path: str | os.PathLike) -> dict[str, int] | None:
     except (OSError, SyntaxError):
         return None
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):  # METRICS: dict[...] = {...}
+            targets = [node.target]
+        else:
             continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "METRICS" for t in node.targets
-        ):
+        if not any(isinstance(t, ast.Name) and t.id == "METRICS" for t in targets):
             continue
         value = node.value
         if isinstance(value, ast.Dict):
@@ -70,6 +73,19 @@ def load_registry(path: str | os.PathLike) -> dict[str, int] | None:
                 if isinstance(key, ast.Constant) and isinstance(key.value, str):
                     out[key.value] = key.lineno
             return out
+    return None
+
+
+def _metric_name_arg(call: ast.Call) -> ast.expr | None:
+    """The metric-name argument of a telemetry write or a ``timed`` block."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
+        return call.args[0] if call.args else None
+    if getattr(func, "id", getattr(func, "attr", None)) == "timed":
+        # timed(tracer, name, histogram=None, telemetry=None, ...)
+        if len(call.args) > 2:
+            return call.args[2]
+        return next((k.value for k in call.keywords if k.arg == "histogram"), None)
     return None
 
 
@@ -114,12 +130,9 @@ class MetricsRegistryRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS):
+            name_node = _metric_name_arg(node)
+            if name_node is None:
                 continue
-            if not node.args:
-                continue
-            name_node = node.args[0]
             if isinstance(name_node, ast.Constant) and isinstance(
                 name_node.value, str
             ):

@@ -22,6 +22,10 @@ inside ``ShardCycleResult.spans``, and the coordinator stitches them into
 the live trace with :meth:`Tracer.adopt` — one trace, correct parentage,
 wall-clock times from each side's own ``time.time()``.
 
+Phase timers are :class:`timed` blocks: one block opens the span, takes
+one ``perf_counter`` pair and feeds the phase's wall histogram with it,
+so the trace and the histograms never time a phase separately.
+
 Finished traces dump as JSONL (one span per line) and as Chrome
 ``trace_event`` JSON, which Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing`` open directly.  A finished span is encoded once per
@@ -37,9 +41,8 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Span",
@@ -47,6 +50,7 @@ __all__ = [
     "SpanRecorder",
     "Tracer",
     "make_span",
+    "timed",
 ]
 
 # itertools.count.__next__ is atomic under the GIL, so ids need no lock.
@@ -255,21 +259,6 @@ class Tracer:
             self._finished.append(span)
         return span
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        parent: Span | SpanContext | None = None,
-        detached: bool = False,
-        **attrs,
-    ) -> Iterator[Span]:
-        """``with tracer.span("observe"): …`` — begin/end with cleanup."""
-        opened = self.begin(name, parent=parent, detached=detached, **attrs)
-        try:
-            yield opened
-        finally:
-            self.end(opened)
-
     def adopt(self, spans: Iterable[Span]) -> None:
         """Stitch remotely recorded spans (e.g. worker-side) into the trace."""
         incoming = [s for s in spans if isinstance(s, Span)]
@@ -333,24 +322,75 @@ class SpanRecorder:
         self.spans: list[Span] = []
         self._clock = clock
 
-    @contextmanager
-    def span(self, name: str, parent: Span | SpanContext | None = None, **attrs) -> Iterator[Span]:
-        ctx = _resolve_parent(parent) or self.context
-        span = Span(
-            name=name,
-            trace_id=ctx.trace_id,
-            span_id=_new_id(),
-            parent_id=ctx.span_id,
-            start_s=self._clock(),
-            attrs=attrs,  # the **kwargs dict is already fresh per call
-            pid=os.getpid(),
-            tid=threading.get_ident() & 0xFFFFFFFF,
-        )
-        try:
-            yield span
-        finally:
-            span.end_s = self._clock()
-            self.spans.append(span)
+    def begin(
+        self,
+        name: str,
+        parent: Span | SpanContext | None = None,
+        detached: bool = False,
+        **attrs,
+    ) -> Span:
+        """Open a span under ``parent`` (default: the recorder's context).
+
+        ``detached`` exists for parity with :meth:`Tracer.begin`; a
+        recorder keeps no implicit-parent stack.
+        """
+        return make_span(name, parent or self.context, self._clock(), 0.0, **attrs)
+
+    def end(self, span: Span) -> None:
+        """Close ``span``, stamp its end time, and keep it in :attr:`spans`."""
+        span.end_s = self._clock()
+        self.spans.append(span)
+
+
+class timed:
+    """One timing block: a span (when tracing) and a wall histogram.
+
+    ``with timed(tracer, "decide", "autocomp.hist.decide_wall_s",
+    telemetry) as t:`` opens a span on ``tracer`` (a :class:`Tracer` or a
+    worker :class:`SpanRecorder`; ``None`` opens none) and takes one
+    ``perf_counter`` pair around the block.  On exit, also when the block
+    raises, it closes the span and feeds ``histogram`` on ``telemetry``
+    with that wall, kept as :attr:`wall_s`.  Spans keep their tracer's
+    clock for ``start_s``/``end_s``.
+    """
+
+    def __init__(
+        self,
+        tracer: "Tracer | SpanRecorder | None",
+        name: str,
+        histogram: str | None = None,
+        telemetry=None,
+        parent: Span | SpanContext | None = None,
+        detached: bool = False,
+        **attrs,
+    ) -> None:
+        self._tracer = tracer
+        self._span_args = (name, parent, detached, attrs)
+        self._histogram = histogram
+        self._telemetry = telemetry
+        #: The block's span; None when not tracing.
+        self.span: Span | None = None
+        #: The block's wall time in seconds, set when the block exits.
+        self.wall_s = 0.0
+
+    def __enter__(self) -> "timed":
+        if self._tracer is not None:
+            name, parent, detached, attrs = self._span_args
+            self.span = self._tracer.begin(name, parent=parent, detached=detached, **attrs)
+        self._start = time.perf_counter()
+        return self
+
+    def note(self, **attrs) -> None:
+        """Add span attributes known only at the end of the block."""
+        if self.span is not None:
+            self.span.attrs.update(attrs)
+
+    def __exit__(self, *exc_info) -> None:
+        self.wall_s = time.perf_counter() - self._start
+        if self.span is not None:
+            self._tracer.end(self.span)
+        if self._histogram is not None and self._telemetry is not None:
+            self._telemetry.observe(self._histogram, self.wall_s)
 
 
 def _atomic_write(path: str, text: str) -> None:

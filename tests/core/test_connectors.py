@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import CandidateKey, CandidateScope, LstConnector
@@ -101,6 +103,31 @@ class TestStatistics:
         key = CandidateKey("db1", "flat", CandidateScope.TABLE)
         stats = connector.collect_statistics(key)
         assert stats.target_file_size == 512 * MiB
+
+    def test_observe_builds_misses_through_collect_statistics(self, populated_catalog):
+        from repro.core import ShardedPipeline
+        from repro.core.service import openhouse_pipeline
+        from repro.engine import Cluster
+
+        class Tagging(LstConnector):
+            def collect_statistics(self, key):
+                stats = super().collect_statistics(key)
+                return dataclasses.replace(stats, custom={"tag": 1.0})
+
+        connector = Tagging(populated_catalog)
+        candidates = connector.observe(connector.list_candidates("table"))
+        assert [c.statistics.custom for c in candidates] == [{"tag": 1.0}] * 3
+        # The columnar export cannot carry the override: no process workers.
+        assert connector.worker_transport() is None
+        assert LstConnector(populated_catalog).worker_transport() is not None
+        shards = [
+            openhouse_pipeline(populated_catalog, Cluster("maint", executors=2))
+            for _ in range(2)
+        ]
+        for shard in shards:
+            shard.connector = connector
+        with pytest.raises(ValidationError, match="Tagging"):
+            ShardedPipeline(shards, workers="processes")
 
 
 class TestDenseLstCache:

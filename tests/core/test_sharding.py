@@ -262,6 +262,34 @@ def test_per_shard_telemetry_is_scoped():
     assert total == telemetry.series("autocomp.fleet.candidates").last()
 
 
+class _RaisingPolicy:
+    def rank(self, candidates):
+        raise RuntimeError("decide blew up")
+
+
+def test_raising_decide_records_the_same_histograms_on_both_planes():
+    """A failed decide still lands one decide and one cycle wall observation."""
+    counts = {}
+    for plane in ("unsharded", "sharded"):
+        model = FleetModel(FleetConfig(initial_tables=60, seed=3))
+        model.step_day()
+        if plane == "unsharded":
+            pipeline = AutoCompStrategy(model, k=5).pipeline
+            pipeline.policy = _RaisingPolicy()
+        else:
+            pipeline = ShardedAutoCompStrategy(model, n_shards=2, k=5).pipeline
+            for shard in pipeline.shards:
+                shard.policy = _RaisingPolicy()
+        with pytest.raises(RuntimeError, match="decide blew up"):
+            pipeline.run_cycle(now=0.0)
+        counts[plane] = {
+            phase: pipeline.telemetry.histogram(f"autocomp.hist.{phase}_wall_s").count
+            for phase in ("observe", "decide", "act", "cycle")
+        }
+    expected = {"observe": 1, "decide": 1, "act": 0, "cycle": 1}
+    assert counts == {"unsharded": expected, "sharded": expected}
+
+
 class TestShardedPipelineValidation:
     def test_needs_at_least_one_shard(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import textwrap
 
 from repro.lint import run_lint
+from repro.lint.rules.rl004_metrics import DEFAULT_REGISTRY, load_registry
 
 
 def lint_source(tmp_path, relpath, source, **kwargs):
@@ -349,6 +350,80 @@ class TestRL004MetricsRegistry:
         )
         # locks.* entries are unreferenced here, but the registry file was
         # not part of the scan, so no dead-entry findings appear.
+        assert findings == []
+
+    def test_annotated_registry_is_loaded(self, tmp_path):
+        # The real registry is declared `METRICS: dict[...] = {...}`.
+        registry = self._registry(tmp_path)
+        registry.write_text(
+            REGISTRY_FIXTURE.replace(
+                "METRICS = {", "METRICS: dict[str, tuple[str, str]] = {"
+            ),
+            encoding="utf-8",
+        )
+        findings = lint_source(
+            tmp_path,
+            "repro/core/mod.py",
+            """
+            def run(telemetry):
+                telemetry.increment("autocomp.bogus")
+            """,
+            select=["RL004"],
+            metrics_registry_path=registry,
+        )
+        assert ids(findings) == ["RL004"]
+        assert "autocomp.bogus" in findings[0].message
+
+    def test_real_registry_is_loaded(self):
+        registry = load_registry(DEFAULT_REGISTRY)
+        assert registry is not None
+        assert "autocomp.hist.cycle_wall_s" in registry
+
+    def test_timed_histogram_is_a_metric_write(self, tmp_path):
+        registry = self._registry(tmp_path)
+        findings = lint_source(
+            tmp_path,
+            "repro/core/mod.py",
+            """
+            from repro.obs.tracing import timed
+
+            def run(tracer, telemetry):
+                with timed(tracer, "cycle", "autocomp.cycles", telemetry):
+                    pass
+                with timed(tracer, "act", "autocomp.act_wall", telemetry):
+                    pass
+                with timed(None, "lock", histogram="autocomp.lock_wait"):
+                    pass
+                with timed(tracer, "observe"):
+                    pass
+            """,
+            select=["RL004"],
+            metrics_registry_path=registry,
+        )
+        assert ids(findings) == ["RL004", "RL004"]
+        messages = " ".join(f.message for f in findings)
+        assert "autocomp.act_wall" in messages
+        assert "autocomp.lock_wait" in messages
+
+    def test_timed_histogram_counts_as_emitted(self, tmp_path):
+        registry = self._registry(tmp_path)
+        emitter = tmp_path / "repro" / "core" / "mod.py"
+        emitter.parent.mkdir(parents=True, exist_ok=True)
+        emitter.write_text(
+            textwrap.dedent(
+                """
+                def run(tracer, telemetry, event):
+                    with timed(tracer, "cycle", "autocomp.cycles", telemetry):
+                        telemetry.increment(f"autocomp.locks.{event}")
+                """
+            ),
+            encoding="utf-8",
+        )
+        findings, _ = run_lint(
+            [emitter, registry],
+            select=["RL004"],
+            metrics_registry_path=registry,
+        )
         assert findings == []
 
 

@@ -18,14 +18,14 @@ import types
 import repro.obs.exporter as exporter_module
 from repro.obs.exporter import MetricsExporter
 from repro.obs.promcheck import check_exposition
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Span, Tracer, timed
 from repro.simulation import Telemetry
 
 
 def traced_cycles(tracer: Tracer, n: int) -> None:
     for i in range(n):
-        with tracer.span("cycle", index=i):
-            with tracer.span("observe"):
+        with timed(tracer, "cycle", index=i):
+            with timed(tracer, "observe"):
                 pass
 
 

@@ -18,7 +18,7 @@ from repro.obs.promcheck import check_exposition
 from repro.obs.promcheck import main as promcheck_main
 from repro.obs.status import format_status, load_status_dir
 from repro.obs.status import main as status_main
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, timed
 from repro.simulation import Telemetry
 
 
@@ -159,7 +159,7 @@ class TestPromcheckNegative:
 class TestMetricsExporter:
     def test_export_once_writes_all_files(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("cycle"):
+        with timed(tracer, "cycle"):
             pass
         exporter = MetricsExporter(
             populated_telemetry(),
@@ -264,7 +264,7 @@ class TestStatusServer:
 class TestStatusCLI:
     def _export_dir(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("cycle"):
+        with timed(tracer, "cycle"):
             pass
         exporter = MetricsExporter(
             populated_telemetry(),

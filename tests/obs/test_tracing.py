@@ -1,4 +1,4 @@
-"""Tests for structured spans: Tracer, SpanRecorder, dumps and ids."""
+"""Tests for structured spans: Tracer, SpanRecorder, timed, dumps and ids."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import os
 import pickle
 import threading
 
-from repro.obs.tracing import Span, SpanContext, SpanRecorder, Tracer, make_span
+import pytest
+
+from repro.obs.tracing import Span, SpanContext, SpanRecorder, Tracer, make_span, timed
 from repro.obs.tracing import _id_salt, _new_id
 
 
@@ -82,34 +84,34 @@ class TestSpan:
 class TestTracer:
     def test_nesting_via_thread_local_stack(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("cycle") as cycle:
-            with tracer.span("observe") as observe:
-                assert tracer.current().span_id == observe.span_id
-            with tracer.span("act") as act:
+        with timed(tracer, "cycle") as cycle:
+            with timed(tracer, "observe") as observe:
+                assert tracer.current().span_id == observe.span.span_id
+            with timed(tracer, "act") as act:
                 pass
         assert tracer.current() is None
         spans = {s.name: s for s in tracer.finished()}
-        assert spans["observe"].parent_id == cycle.span_id
-        assert spans["act"].parent_id == cycle.span_id
+        assert spans["observe"].parent_id == cycle.span.span_id
+        assert spans["act"].parent_id == cycle.span.span_id
         assert spans["cycle"].parent_id is None
         assert len({s.trace_id for s in spans.values()}) == 1
 
     def test_explicit_parent_beats_stack(self):
         tracer = Tracer(clock=FakeClock())
         other = SpanContext(trace_id="T", span_id="S")
-        with tracer.span("cycle"):
-            with tracer.span("child", parent=other) as child:
-                assert child.trace_id == "T"
-                assert child.parent_id == "S"
+        with timed(tracer, "cycle"):
+            with timed(tracer, "child", parent=other) as child:
+                assert child.span.trace_id == "T"
+                assert child.span.parent_id == "S"
 
     def test_detached_span_never_becomes_implicit_parent(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("cycle") as cycle:
+        with timed(tracer, "cycle") as cycle:
             job = tracer.begin("rewrite", detached=True)
-            assert job.parent_id == cycle.span_id
+            assert job.parent_id == cycle.span.span_id
             # The open detached span must not capture siblings.
-            with tracer.span("observe") as observe:
-                assert observe.parent_id == cycle.span_id
+            with timed(tracer, "observe") as observe:
+                assert observe.span.parent_id == cycle.span.span_id
             tracer.end(job)
 
     def test_end_records_attrs_and_duration(self):
@@ -129,10 +131,10 @@ class TestTracer:
         def worker():
             # The coordinator's open span must not leak into this thread.
             seen["parent"] = tracer.current()
-            with tracer.span("pool-work") as span:
-                seen["span"] = span
+            with timed(tracer, "pool-work") as work:
+                seen["span"] = work.span
 
-        with tracer.span("cycle"):
+        with timed(tracer, "cycle"):
             t = threading.Thread(target=worker)
             t.start()
             t.join()
@@ -148,7 +150,7 @@ class TestTracer:
     def test_clear_keeps_open_spans(self):
         tracer = Tracer(clock=FakeClock())
         open_span = tracer.begin("cycle")
-        with tracer.span("observe"):
+        with timed(tracer, "observe"):
             pass
         tracer.clear()
         assert tracer.finished() == []
@@ -157,7 +159,7 @@ class TestTracer:
 
     def test_dump_jsonl_and_chrome(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("cycle", shard=1):
+        with timed(tracer, "cycle", shard=1):
             pass
         jsonl = tracer.dump_jsonl(str(tmp_path / "trace.jsonl"))
         with open(jsonl, encoding="utf-8") as stream:
@@ -204,9 +206,9 @@ class TestSpanRecorder:
         clock = FakeClock()
         ctx = SpanContext(trace_id="T", span_id="SHARD")
         recorder = SpanRecorder(ctx, clock=clock)
-        with recorder.span("observe", files=9):
+        with timed(recorder, "observe", files=9):
             clock.advance(1.0)
-        with recorder.span("decide"):
+        with timed(recorder, "decide"):
             clock.advance(0.5)
         observe, decide = recorder.spans
         assert observe.trace_id == decide.trace_id == "T"
@@ -218,13 +220,13 @@ class TestSpanRecorder:
     def test_explicit_parent_override(self):
         recorder = SpanRecorder(SpanContext(trace_id="T", span_id="S"))
         inner_parent = SpanContext(trace_id="T", span_id="INNER")
-        with recorder.span("sub", parent=inner_parent):
+        with timed(recorder, "sub", parent=inner_parent):
             pass
         assert recorder.spans[0].parent_id == "INNER"
 
     def test_spans_pickle_for_the_result_ride_home(self):
         recorder = SpanRecorder(SpanContext(trace_id="T", span_id="S"))
-        with recorder.span("observe"):
+        with timed(recorder, "observe"):
             pass
         restored = pickle.loads(pickle.dumps(recorder.spans))
         assert restored == recorder.spans
@@ -232,9 +234,66 @@ class TestSpanRecorder:
     def test_exception_still_closes_span(self):
         recorder = SpanRecorder(SpanContext(trace_id="T", span_id="S"))
         try:
-            with recorder.span("observe"):
+            with timed(recorder, "observe"):
                 raise RuntimeError("worker blew up")
         except RuntimeError:
             pass
         assert len(recorder.spans) == 1
         assert recorder.spans[0].end_s >= recorder.spans[0].start_s
+
+
+class RecordingSink:
+    """A telemetry sink that keeps every histogram observation."""
+
+    def __init__(self):
+        self.observed = []
+
+    def observe(self, name, value, bounds=None):
+        self.observed.append((name, value))
+
+
+class TestTimed:
+    def test_span_and_histogram_share_one_block(self):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        sink = RecordingSink()
+        with timed(tracer, "decide", "autocomp.hist.decide_wall_s", sink, k=3) as block:
+            clock.advance(2.0)
+            block.note(selected=1)
+        [span] = tracer.finished()
+        assert span is block.span
+        assert span.name == "decide"
+        assert span.attrs == {"k": 3, "selected": 1}
+        # Spans keep the tracer's clock; the histogram gets the block's
+        # own perf_counter wall, exactly once.
+        assert span.duration_s == 2.0
+        assert sink.observed == [("autocomp.hist.decide_wall_s", block.wall_s)]
+        assert block.wall_s >= 0.0
+
+    def test_without_tracer_only_the_histogram_is_recorded(self):
+        sink = RecordingSink()
+        with timed(None, "act", "autocomp.hist.act_wall_s", sink) as block:
+            block.note(ignored=True)
+        assert block.span is None
+        assert sink.observed == [("autocomp.hist.act_wall_s", block.wall_s)]
+
+    def test_raising_block_still_closes_span_and_feeds_histogram(self):
+        tracer = Tracer(clock=FakeClock())
+        sink = RecordingSink()
+        with pytest.raises(RuntimeError):
+            with timed(tracer, "observe", "autocomp.hist.observe_wall_s", sink):
+                raise RuntimeError("phase blew up")
+        assert [s.name for s in tracer.finished()] == ["observe"]
+        assert tracer.current() is None
+        assert [name for name, _ in sink.observed] == ["autocomp.hist.observe_wall_s"]
+
+    def test_span_recorder_parents_under_its_context_or_the_given_parent(self):
+        recorder = SpanRecorder(SpanContext(trace_id="T", span_id="SHARD"))
+        with timed(recorder, "observe", shard=2) as observe:
+            pass
+        with timed(recorder, "decide", parent=observe.span):
+            pass
+        first, second = recorder.spans
+        assert (first.trace_id, first.parent_id) == ("T", "SHARD")
+        assert first.attrs == {"shard": 2}
+        assert (second.trace_id, second.parent_id) == ("T", first.span_id)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.obs.exporter as exporter_module
 from repro.obs.exporter import MetricsExporter, _json_safe
-from repro.obs.tracing import SpanContext, SpanRecorder, Tracer, make_span
+from repro.obs.tracing import SpanContext, SpanRecorder, Tracer, make_span, timed
 from repro.simulation import Telemetry
 
 RING = 4
@@ -86,20 +86,20 @@ def test_exports_match_full_reencode(tmp_path_factory, ops, values):
     exported = 0
     for step, (op, value) in enumerate(zip(ops, values)):
         if op == "span":
-            with tracer.span("cycle", step=step, value=value):
+            with timed(tracer, "cycle", step=step, value=value):
                 pass
         elif op == "nested":
-            with tracer.span("cycle", step=step):
-                with tracer.span("observe", tables=[step, value]):
+            with timed(tracer, "cycle", step=step):
+                with timed(tracer, "observe", tables=[step, value]):
                     pass
-                with tracer.span("act", nested={"jobs": step}):
+                with timed(tracer, "act", nested={"jobs": step}):
                     pass
         elif op == "detached":
             opened = tracer.begin("rewrite", detached=True, step=step)
             tracer.end(opened, bytes=value)
         elif op == "adopt":
             recorder = SpanRecorder(SpanContext(trace_id="t", span_id="s"))
-            with recorder.span("observe", shard=step):
+            with timed(recorder, "observe", shard=step):
                 pass
             tracer.adopt([*recorder.spans, make_span("decide", None, 1.0, 2.0, k=step)])
         elif op == "clear":

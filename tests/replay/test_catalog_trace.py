@@ -506,6 +506,23 @@ class TestRingEdges:
         report = service.evaluate_recent([PolicyVariant(name="k2", k=2)])
         assert len(report.scores) == 1
 
+    def test_explicit_settings_replace_the_live_ring(self, catalog, simple_schema):
+        catalog.create_database("db")
+        catalog.create_table("db.t0", simple_schema)
+        service = AutoCompService(
+            openhouse_pipeline(catalog, Cluster("maint", executors=2))
+        )
+        first = service.enable_history()
+        assert (first.segment_cycles, first.max_segments, first.seed) == (8, 8, 0)
+        assert service.enable_history() is first
+        ring = service.enable_history(segment_cycles=2, max_segments=2)
+        assert (ring.segment_cycles, ring.max_segments, ring.seed) == (2, 2, 0)
+        assert ring is not first and first.closed and not ring.closed
+        assert ring.n_segments == 1  # recording restarts from a fresh checkpoint
+        # No settings, or settings the live ring already has: the same ring.
+        assert service.enable_history() is ring
+        assert service.enable_history(max_segments=2) is ring
+
     def test_unsealed_trailing_segment_is_included(self):
         service, ring, _ = build_service_run(segment_cycles=8)  # never seals
         assert ring.n_segments == 1
