@@ -70,6 +70,7 @@ from repro.core.locks import LOCK_SUFFIX
 from repro.engine import Cluster
 from repro.lst import Field, MonthTransform, PartitionField, PartitionSpec, Schema
 from repro.obs.promcheck import check_exposition
+from repro.obs.status import log_lines
 from repro.obs.tracing import Tracer
 from repro.replay import PolicyVariant
 from repro.units import HOUR, MiB
@@ -207,11 +208,8 @@ def main(argv=None) -> int:
     if os.path.exists(prom_path):
         with open(prom_path, encoding="utf-8") as stream:
             prom_errors = check_exposition(stream.read())
-    trace_spans = 0
-    trace_path = alpha.exporter.trace_jsonl_path
-    if os.path.exists(trace_path):
-        with open(trace_path, encoding="utf-8") as stream:
-            trace_spans = sum(1 for line in stream if line.strip())
+    # Whole lines of both trace segments (the log rolls at SPAN_RING lines).
+    trace_spans = len(log_lines(alpha.exporter.trace_jsonl_path))
 
     metrics = {
         "duration_s": round(elapsed, 3),

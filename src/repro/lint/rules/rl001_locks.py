@@ -24,7 +24,7 @@ Precision measures:
 * A private helper (leading ``_``) whose every intra-class call site is
   safe — holds the lock, or is itself a safe/exempt method — is treated
   as safe (fixpoint).  This covers both the "called-under-lock" helper
-  convention (``Tracer._encode_new``) and constructor-only helpers
+  convention (``Tracer._collect``) and constructor-only helpers
   (``ResumableStateMachine._scan``).
 * Code inside nested ``def``s runs later, so it never inherits the
   enclosing block's lock; *lambdas* DO inherit it — they are

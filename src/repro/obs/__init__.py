@@ -26,6 +26,8 @@ under each shard's prefix and are intentionally not enumerated here.
 
 from __future__ import annotations
 
+import importlib
+
 from repro.simulation.telemetry import (
     BYTES_BOUNDS,
     COUNT_BOUNDS,
@@ -40,9 +42,22 @@ from repro.simulation.telemetry import (
 
 from repro.obs.exporter import MetricsExporter, prom_name, render_prometheus
 from repro.obs.http import StatusServer
-from repro.obs.promcheck import check_exposition
-from repro.obs.status import format_status, load_status_dir
 from repro.obs.tracing import Span, SpanContext, SpanRecorder, Tracer
+
+#: What the two CLI modules export, imported on first use so that
+#: ``python -m repro.obs.status`` / ``-m repro.obs.promcheck`` do not find
+#: their module already imported (runpy warns then, and ``-W error`` fails).
+_CLI_EXPORTS = {
+    "check_exposition": "repro.obs.promcheck",
+    "format_status": "repro.obs.status",
+    "load_status_dir": "repro.obs.status",
+}
+
+
+def __getattr__(name: str):
+    if name in _CLI_EXPORTS:
+        return getattr(importlib.import_module(_CLI_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Every well-known metric name → (kind, help text for the exporter).
 METRICS: dict[str, tuple[str, str]] = {
@@ -85,6 +100,8 @@ METRICS: dict[str, tuple[str, str]] = {
     "autocomp.fleet.cache_hit_ratio": ("series", "Stats-cache hit ratio per fleet cycle"),
     "autocomp.files_reduced": ("series", "Net file-count reduction per committed job"),
     "autocomp.gbhr": ("series", "GB-hours consumed per committed job"),
+    # --- observability plane --------------------------------------------------
+    "autocomp.obs.spans_dropped": ("counter", "Finished spans the tracer evicted before an export wrote them"),
     # --- histograms (fixed-bucket distributions) ------------------------------
     "autocomp.hist.observe_wall_s": ("histogram", "Observe-phase wall seconds"),
     "autocomp.hist.pack_wall_s": ("histogram", "Worker-transport encode (export/pack) wall seconds per shard"),

@@ -7,14 +7,22 @@ scrape job, dashboard or human can read while the daemon keeps running:
 - ``metrics.prom`` — the whole sink in Prometheus text exposition format
   (counters → ``counter``, series → last-value ``gauge``, histograms →
   ``_bucket``/``_sum``/``_count`` families).
-- ``metrics.jsonl`` — a bounded ring of timestamped snapshots, one JSON
-  object per line (counters, last series values, histogram summaries).
-- ``trace.jsonl`` / ``trace.chrome.json`` — the attached tracer's spans,
-  when a tracer is wired in.
+- ``metrics.jsonl`` — timestamped snapshots, one JSON object per line
+  (counters, last series values, histogram summaries).
+- ``trace.jsonl`` — the attached tracer's spans, one per line, when a
+  tracer is wired in.
 - ``status.json`` — the daemon's ``status()`` report, when wired in.
 
-Every file is written to a temp path and atomically renamed into place,
-so a reader never sees a half-written exposition.
+``metrics.prom`` and ``status.json`` are small: each export writes them
+to a temp path and atomically renames them into place, so a reader never
+sees a half-written exposition.  The two JSONL files grow, so each export
+appends only its new lines to them through an
+:class:`~repro.obs.tracing.AppendLog`, which rolls a file to ``<name>.1``
+at its line cap (:data:`SNAPSHOT_RING` snapshots, the tracer's
+:data:`~repro.obs.tracing.SPAN_RING` spans).  Readers
+(:mod:`repro.obs.status`) read the ``.1`` segment then the live one and
+skip a torn trailing line.  The Chrome trace is rendered on demand:
+``python -m repro.obs.status <dir> --chrome OUT``.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ import re
 import threading
 import time
 import weakref
-from collections import deque
 from typing import Callable
 
-from repro.obs.tracing import _atomic_write
+from repro.obs.tracing import AppendLog, _atomic_write
 from repro.simulation.telemetry import Histogram, Telemetry
 
 __all__ = [
@@ -42,7 +49,8 @@ __all__ = [
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: How many JSONL snapshots ``metrics.jsonl`` retains (oldest dropped).
+#: Lines per ``metrics.jsonl`` segment: one snapshot per export, rolled
+#: to ``metrics.jsonl.1`` when full.
 SNAPSHOT_RING = 4096
 
 
@@ -156,11 +164,13 @@ class MetricsExporter:
     one-shot (construct, call :meth:`export_once`) without starting the
     thread.
 
-    Each export costs what is new since the last one: one telemetry
-    snapshot is taken and encoded (the ``metrics.jsonl`` ring holds
-    encoded lines), and the tracer encodes only spans finished since its
-    last dump.  Exports are serialised by a lock, so the thread, a direct
-    call and :meth:`stop` never interleave.  A bound-method ``status_fn``
+    Each export writes what is new since the last one: one telemetry
+    snapshot is taken, encoded and appended to ``metrics.jsonl``, and the
+    tracer appends only the spans finished since its last dump.  The
+    first export starts both logs fresh.  Spans the tracer evicted before
+    dumping them are published as ``autocomp.obs.spans_dropped``.
+    Exports are serialised by a lock, so the thread, a direct call and
+    :meth:`stop` never interleave.  A bound-method ``status_fn``
     is held weakly, so the exporter never keeps its owner (the daemon)
     alive.
     """
@@ -186,8 +196,8 @@ class MetricsExporter:
         self.exports = 0
         self.export_errors = 0
         self._clock = clock
-        # Encoded metrics.jsonl lines, oldest first.
-        self._snapshots: deque[str] = deque(maxlen=SNAPSHOT_RING)
+        self._snapshot_log = AppendLog(self.jsonl_path, SNAPSHOT_RING)
+        self._dropped_published = 0
         self._export_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -213,10 +223,6 @@ class MetricsExporter:
         return os.path.join(self.out_dir, "trace.jsonl")
 
     @property
-    def trace_chrome_path(self) -> str:
-        return os.path.join(self.out_dir, "trace.chrome.json")
-
-    @property
     def status_path(self) -> str:
         return os.path.join(self.out_dir, "status.json")
 
@@ -231,7 +237,16 @@ class MetricsExporter:
         os.makedirs(self.out_dir, exist_ok=True)
         written: dict[str, str] = {}
 
-        # One snapshot feeds both the exposition and the ring entry.
+        tracer = self.tracer
+        if tracer is not None:
+            dropped = tracer.dropped
+            if dropped > self._dropped_published:
+                self.telemetry.increment(
+                    "autocomp.obs.spans_dropped", dropped - self._dropped_published
+                )
+                self._dropped_published = dropped
+
+        # One snapshot feeds both the exposition and the metrics.jsonl line.
         snap = self.telemetry.snapshot()
         _atomic_write(self.prom_path, _render_snapshot(snap))
         written["prom"] = self.prom_path
@@ -248,15 +263,12 @@ class MetricsExporter:
                 for name, hist in snap["histograms"].items()
             },
         }
-        self._snapshots.append(json.dumps(_json_safe(entry), sort_keys=True) + "\n")
-        _atomic_write(self.jsonl_path, "".join(self._snapshots))
+        self._snapshot_log.write([json.dumps(_json_safe(entry), sort_keys=True) + "\n"])
         written["jsonl"] = self.jsonl_path
 
-        if self.tracer is not None:
-            self.tracer.dump_jsonl(self.trace_jsonl_path)
-            self.tracer.dump_chrome(self.trace_chrome_path)
+        if tracer is not None:
+            tracer.dump_jsonl(self.trace_jsonl_path)
             written["trace_jsonl"] = self.trace_jsonl_path
-            written["trace_chrome"] = self.trace_chrome_path
 
         status_fn = self.status_fn
         if status_fn is not None:

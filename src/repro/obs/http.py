@@ -15,22 +15,13 @@ the bound address from :meth:`StatusServer.start`'s return value).
 from __future__ import annotations
 
 import json
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+from repro.obs.exporter import _json_safe
+
 __all__ = ["StatusServer"]
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 class StatusServer:

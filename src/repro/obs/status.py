@@ -2,12 +2,22 @@
 
 The daemon's :class:`~repro.obs.exporter.MetricsExporter` leaves a
 self-describing directory behind (``status.json``, ``metrics.prom``,
-``metrics.jsonl``, ``trace.jsonl``); this module is the operator's view of
-it — a one-screen summary of what the daemon was doing at its last export,
+``metrics.jsonl``, ``trace.jsonl``, and ``.1`` segments of the two JSONL
+logs once they roll); this module is the operator's view of it — a
+one-screen summary of what the daemon was doing at its last export,
 without attaching to the process.
+
+The JSONL logs are read while the daemon may be appending to them:
+:func:`log_lines` reads the ``.1`` segment, then the live file, and keeps
+only newline-terminated lines, so a torn trailing line is skipped.
 
 Exit code 0 when ``status.json`` is present and parseable, 1 otherwise —
 so the CLI doubles as a liveness probe for the export pipeline itself.
+
+``--chrome OUT`` instead renders the span log as Chrome ``trace_event``
+JSON at ``OUT``, which Perfetto (https://ui.perfetto.dev) and
+``chrome://tracing`` open directly; exit code 1 when the directory holds
+no span log or a span line does not parse.
 """
 
 from __future__ import annotations
@@ -18,7 +28,25 @@ import math
 import os
 import sys
 
-__all__ = ["load_status_dir", "format_status", "main"]
+from repro.obs.tracing import Span, _atomic_write, chrome_document
+
+__all__ = ["load_status_dir", "format_status", "log_lines", "main", "render_chrome"]
+
+
+def log_lines(path: str) -> list[str]:
+    """The whole non-blank lines of ``<path>.1`` then ``path``.
+
+    A missing segment reads as empty; a trailing line without its newline
+    (a write still in flight) is skipped.
+    """
+    lines: list[str] = []
+    for segment in (f"{path}.1", path):
+        try:
+            with open(segment, "r", encoding="utf-8") as stream:
+                lines.extend(line for line in stream if line.endswith("\n") and line.strip())
+        except FileNotFoundError:
+            pass
+    return lines
 
 
 def load_status_dir(path: str) -> dict:
@@ -26,8 +54,9 @@ def load_status_dir(path: str) -> dict:
 
     Returns a dict with ``status`` (parsed ``status.json`` or None),
     ``metrics_prom`` (sample-line count or None), ``snapshots`` (line
-    count of ``metrics.jsonl``), ``last_snapshot`` (parsed last line),
-    ``trace_spans`` (line count of ``trace.jsonl``), and ``errors``.
+    count of ``metrics.jsonl`` and its ``.1`` segment), ``last_snapshot``
+    (the newest parsed line), ``trace_spans`` (line count of
+    ``trace.jsonl`` and its ``.1`` segment), and ``errors``.
     """
     out: dict = {
         "dir": path,
@@ -60,28 +89,41 @@ def load_status_dir(path: str) -> dict:
 
     jsonl_path = os.path.join(path, "metrics.jsonl")
     try:
-        with open(jsonl_path, "r", encoding="utf-8") as stream:
-            last = None
-            for line in stream:
-                if line.strip():
-                    out["snapshots"] += 1
-                    last = line
-            if last is not None:
-                try:
-                    out["last_snapshot"] = json.loads(last)
-                except ValueError:
-                    out["errors"].append(f"corrupt last line in {jsonl_path}")
+        snapshots = log_lines(jsonl_path)
     except OSError:
-        pass
+        snapshots = []
+    out["snapshots"] = len(snapshots)
+    if snapshots:
+        try:
+            out["last_snapshot"] = json.loads(snapshots[-1])
+        except ValueError:
+            out["errors"].append(f"corrupt last line in {jsonl_path}")
 
-    trace_path = os.path.join(path, "trace.jsonl")
     try:
-        with open(trace_path, "r", encoding="utf-8") as stream:
-            out["trace_spans"] = sum(1 for line in stream if line.strip())
+        out["trace_spans"] = len(log_lines(os.path.join(path, "trace.jsonl")))
     except OSError:
         pass
 
     return out
+
+
+def render_chrome(path: str, out: str) -> tuple[int, list[str]]:
+    """Render the span log under ``path`` as Chrome JSON at ``out``.
+
+    Returns ``(events written, errors)``; a span line that does not parse
+    is reported and left out.
+    """
+    trace_path = os.path.join(path, "trace.jsonl")
+    if not any(os.path.exists(p) for p in (trace_path, f"{trace_path}.1")):
+        return 0, [f"missing {trace_path}"]
+    events, errors = [], []
+    for number, line in enumerate(log_lines(trace_path), 1):
+        try:
+            events.append(Span.from_dict(json.loads(line)).to_chrome_event())
+        except (ValueError, TypeError, KeyError) as exc:
+            errors.append(f"corrupt span line {number} in {trace_path}: {exc!r}")
+    _atomic_write(out, chrome_document(events))
+    return len(events), errors
 
 
 def _fmt(value) -> str:
@@ -143,7 +185,18 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit the raw collected dict as JSON"
     )
+    parser.add_argument(
+        "--chrome",
+        metavar="OUT",
+        help="render the span log as Chrome trace_event JSON at OUT (Perfetto-openable)",
+    )
     args = parser.parse_args(argv)
+    if args.chrome:
+        count, errors = render_chrome(args.dir, args.chrome)
+        print(f"wrote {count} trace events to {args.chrome}")
+        for error in errors:
+            print(f"ERROR: {error}")
+        return 1 if errors else 0
     loaded = load_status_dir(args.dir)
     if args.json:
         print(json.dumps(loaded, indent=2, sort_keys=True, default=str))

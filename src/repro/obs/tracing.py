@@ -26,12 +26,16 @@ Phase timers are :class:`timed` blocks: one block opens the span, takes
 one ``perf_counter`` pair and feeds the phase's wall histogram with it,
 so the trace and the histograms never time a phase separately.
 
-Finished traces dump as JSONL (one span per line) and as Chrome
-``trace_event`` JSON, which Perfetto (https://ui.perfetto.dev) and
-``chrome://tracing`` open directly.  A finished span is encoded once per
-format, the first time a dump needs it, so a daemon that dumps after
-every cycle pays for the new spans only (the files are still rewritten
-whole, via tmp + rename).
+A :class:`Tracer` holds the last :data:`SPAN_RING` finished spans.  It
+dumps them as JSONL, one span per line, into an :class:`AppendLog`: each
+dump encodes and appends only the spans finished since the previous
+dump, and the file rolls to ``<name>.1`` every :data:`SPAN_RING` lines,
+so a daemon that dumps after every cycle writes the new spans only.
+Spans evicted from the ring before any dump wrote them are counted in
+:attr:`Tracer.dropped`.  Chrome ``trace_event`` JSON, which Perfetto
+(https://ui.perfetto.dev) and ``chrome://tracing`` open directly, is
+rendered on demand: :meth:`Tracer.dump_chrome` from the held spans, or
+``python -m repro.obs.status <dir> --chrome OUT`` from the JSONL log.
 """
 
 from __future__ import annotations
@@ -41,17 +45,26 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 __all__ = [
+    "SPAN_RING",
+    "AppendLog",
     "Span",
     "SpanContext",
     "SpanRecorder",
     "Tracer",
+    "chrome_document",
     "make_span",
     "timed",
 ]
+
+#: The most finished spans a :class:`Tracer` holds (oldest evicted first),
+#: and the line cap of its JSONL log.  One ``daemon_durable`` benchmark
+#: episode finishes 1,286 spans.
+SPAN_RING = 4096
 
 # itertools.count.__next__ is atomic under the GIL, so ids need no lock.
 _id_counter = itertools.count(1)
@@ -119,6 +132,11 @@ class Span:
             "tid": self.tid,
         }
 
+    @classmethod
+    def from_dict(cls, record: dict) -> "Span":
+        """The span a :meth:`to_dict` record describes."""
+        return cls(**{f.name: record[f.name] for f in fields(cls)})
+
     def to_chrome_event(self) -> dict:
         """A Chrome ``trace_event`` complete event (``ph: "X"``, µs)."""
         return {
@@ -169,8 +187,9 @@ def _jsonl_line(span: Span) -> str:
     return json.dumps(span.to_dict(), sort_keys=True)
 
 
-def _chrome_event(span: Span) -> str:
-    return json.dumps(span.to_chrome_event())
+def chrome_document(events: Iterable[dict]) -> str:
+    """A Chrome ``trace_event`` JSON document holding ``events``."""
+    return json.dumps({"displayTimeUnit": "ms", "traceEvents": list(events)})
 
 
 def _resolve_parent(parent: "Span | SpanContext | None") -> SpanContext | None:
@@ -192,19 +211,25 @@ class Tracer:
     becomes an implicit parent itself, which is what asynchronous jobs
     (simulator-driven rewrites) need.
 
-    A span is treated as immutable once it is finished (:meth:`end` or
-    :meth:`adopt`): the dumps encode it the first time they need it and
-    reuse those strings afterwards.
+    The tracer holds the last :data:`SPAN_RING` finished spans.  A span is
+    treated as immutable once it is finished (:meth:`end` or
+    :meth:`adopt`), so :meth:`dump_jsonl` encodes each one once, when it
+    appends it, and keeps no encoded text.
     """
 
     def __init__(self, clock=time.time) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._finished: list[Span] = []
-        # Encoded JSONL lines / Chrome events of the first len(...) finished
-        # spans, extended by the dumps; guarded by _lock like _finished.
-        self._jsonl_lines: list[str] = []
-        self._chrome_events: list[str] = []
+        self._finished: deque[Span] = deque(maxlen=SPAN_RING)
+        # Spans ever finished; the held ones are the last len(_finished).
+        self._total = 0
+        # The JSONL log of the last dump (None: the next dump starts one)
+        # and how many of the _total spans precede its next append.
+        self._log: AppendLog | None = None
+        self._dumped = 0
+        self._dropped = 0
+        # Serialises dumps and clear(); taken before _lock, never after.
+        self._dump_lock = threading.Lock()
         self._local = threading.local()
 
     # --- span lifecycle -------------------------------------------------------
@@ -256,7 +281,7 @@ class Tracer:
                 del stack[i]
                 break
         with self._lock:
-            self._finished.append(span)
+            self._collect((span,))
         return span
 
     def adopt(self, spans: Iterable[Span]) -> None:
@@ -265,44 +290,65 @@ class Tracer:
         if not incoming:
             return
         with self._lock:
-            self._finished.extend(incoming)
+            self._collect(incoming)
+
+    def _collect(self, spans: Iterable[Span]) -> None:
+        # Caller holds _lock.  A full ring evicts its oldest span, which
+        # counts as dropped unless a dump already wrote it.
+        finished = self._finished
+        for span in spans:
+            if len(finished) == finished.maxlen and self._total - len(finished) >= self._dumped:
+                self._dropped += 1
+            finished.append(span)
+            self._total += 1
 
     # --- reading / dumping ----------------------------------------------------
 
     def finished(self) -> list[Span]:
-        """All collected spans, oldest first (a copy)."""
+        """The held spans, oldest first (a copy)."""
         with self._lock:
             return list(self._finished)
 
-    def clear(self) -> None:
-        """Drop collected spans (open spans on thread stacks are kept)."""
+    @property
+    def dropped(self) -> int:
+        """Spans evicted from the ring before any dump wrote them."""
         with self._lock:
-            self._finished.clear()
-            self._jsonl_lines.clear()
-            self._chrome_events.clear()
+            return self._dropped
 
-    def _encode_new(self, encoded: list[str], encode) -> None:
-        # Caller holds _lock; encodes only the spans finished since the last dump.
-        for span in self._finished[len(encoded):]:
-            encoded.append(encode(span))
+    def clear(self) -> None:
+        """Drop collected spans (open spans on thread stacks are kept).
+
+        The next :meth:`dump_jsonl` starts its file fresh.
+        """
+        with self._dump_lock, self._lock:
+            self._finished.clear()
+            self._log = None
 
     def dump_jsonl(self, path: str) -> str:
-        """Write one span per line as JSON; atomic replace. Returns path."""
-        with self._lock:
-            lines = self._jsonl_lines
-            self._encode_new(lines, _jsonl_line)
-            text = "\n".join(lines) + ("\n" if lines else "")
-        _atomic_write(path, text)
+        """Append the spans finished since the last dump, one per line.
+
+        The first dump to ``path`` (a different path than the last dump's,
+        or the first after :meth:`clear`) starts the file fresh with an
+        atomic replace holding every held span.  Returns ``path``.
+        """
+        with self._dump_lock:
+            with self._lock:
+                log, start = self._log, self._dumped
+                if log is None or log.path != path:
+                    log, start = AppendLog(path, SPAN_RING), 0
+                held = len(self._finished)
+                skip = max(0, start - (self._total - held))
+                new = list(itertools.islice(self._finished, skip, held))
+                total = self._total
+            log.write([_jsonl_line(span) + "\n" for span in new])
+            with self._lock:
+                self._log, self._dumped = log, total
         return path
 
     def dump_chrome(self, path: str) -> str:
-        """Write Chrome ``trace_event`` JSON (Perfetto-openable); atomic."""
-        with self._lock:
-            events = self._chrome_events
-            self._encode_new(events, _chrome_event)
-            # The bytes json.dumps writes for the whole payload object.
-            text = '{"displayTimeUnit": "ms", "traceEvents": [' + ", ".join(events) + "]}"
-        _atomic_write(path, text)
+        """Write the held spans as Chrome ``trace_event`` JSON; atomic."""
+        spans = self.finished()
+        _atomic_write(path, chrome_document(span.to_chrome_event() for span in spans))
         return path
 
 
@@ -404,3 +450,48 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as stream:
         stream.write(text)
     os.replace(tmp, path)
+
+
+class AppendLog:
+    """A file of whole lines that only grows, rolled to ``<path>.1`` at a cap.
+
+    The first :meth:`write` starts the file fresh: it removes the old
+    ``<path>.1`` and replaces ``path`` atomically.  Later writes hand
+    whole newline-terminated lines to one ``os.write`` on an ``O_APPEND``
+    descriptor, so a reader racing a write sees at most one torn trailing
+    line.  A write that finds ``path`` holding ``cap`` lines first renames
+    it to ``<path>.1``, so every rolled segment holds exactly ``cap``
+    lines and ``path`` never holds more.  Callers serialise their writes.
+    """
+
+    def __init__(self, path: str, cap: int) -> None:
+        self.path = path
+        self.rolled_path = f"{path}.1"
+        self.cap = cap
+        self._lines: int | None = None  # lines in path; None before the first write
+
+    def write(self, lines: list[str]) -> None:
+        """Append ``lines``, each ending in a newline."""
+        fresh = self._lines is None  # stays so until the fresh file is written
+        if fresh:
+            try:
+                os.remove(self.rolled_path)
+            except FileNotFoundError:
+                pass
+        done = 0
+        while fresh or done < len(lines):
+            if self._lines == self.cap:
+                os.replace(self.path, self.rolled_path)
+                self._lines = 0
+            chunk = lines[done:done + self.cap - (self._lines or 0)]
+            if fresh:
+                _atomic_write(self.path, "".join(chunk))
+                fresh, self._lines = False, 0
+            else:
+                fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+                try:
+                    os.write(fd, "".join(chunk).encode("utf-8"))
+                finally:
+                    os.close(fd)
+            done += len(chunk)
+            self._lines += len(chunk)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import textwrap
 
 from repro.lint import run_lint
-from repro.lint.rules.rl004_metrics import DEFAULT_REGISTRY, load_registry
+from repro.lint.rules.rl004_metrics import DEFAULT_REGISTRY, MetricsRegistryRule, load_registry
 
 
 def lint_source(tmp_path, relpath, source, **kwargs):
@@ -378,6 +378,13 @@ class TestRL004MetricsRegistry:
         registry = load_registry(DEFAULT_REGISTRY)
         assert registry is not None
         assert "autocomp.hist.cycle_wall_s" in registry
+
+    def test_spans_dropped_is_registered_and_emitted(self):
+        rule = MetricsRegistryRule()
+        findings, _ = run_lint([DEFAULT_REGISTRY.parents[2]], rules=[rule])  # all of src
+        assert findings == [], [f.render() for f in findings]
+        assert "autocomp.obs.spans_dropped" in load_registry(DEFAULT_REGISTRY)
+        assert "autocomp.obs.spans_dropped" in rule._used_literals
 
     def test_timed_histogram_is_a_metric_write(self, tmp_path):
         registry = self._registry(tmp_path)

@@ -1,10 +1,11 @@
 """Deterministic cost guards for the daemon's exports (counts, not timings).
 
 An export must cost work proportional to what is new since the previous
-one: each span is encoded once per dump format, each export encodes one
-``metrics.jsonl`` entry, and the exposition and the ring entry share one
-telemetry snapshot.  Exports are serialised, so an export racing another
-never shares its temp files.
+one: each span is encoded once, when it is appended to ``trace.jsonl``,
+each export encodes and appends one ``metrics.jsonl`` line, the
+exposition and that line share one telemetry snapshot, and the bytes an
+export writes do not grow with the run.  Exports are serialised, so an
+export racing another never shares its temp files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import threading
 import types
 
 import repro.obs.exporter as exporter_module
+import repro.obs.tracing as tracing_module
 from repro.obs.exporter import MetricsExporter
 from repro.obs.promcheck import check_exposition
 from repro.obs.tracing import Span, Tracer, timed
@@ -25,6 +27,14 @@ from repro.simulation import Telemetry
 def traced_cycles(tracer: Tracer, n: int) -> None:
     for i in range(n):
         with timed(tracer, "cycle", index=i):
+            with timed(tracer, "observe"):
+                pass
+
+
+def traced_cycles_plain(tracer: Tracer, n: int) -> None:
+    """Like :func:`traced_cycles`, without attrs that grow with ``n``."""
+    for _ in range(n):
+        with timed(tracer, "cycle"):
             with timed(tracer, "observe"):
                 pass
 
@@ -62,16 +72,58 @@ class TestExportCost:
         telemetry.increment("autocomp.cycles")
         exporter.export_once()
         assert to_dict.calls == 4
-        assert to_chrome.calls == 4
-        assert dumps.calls == 1  # the one new ring entry
+        assert to_chrome.calls == 0  # the Chrome trace is rendered on demand
+        assert dumps.calls == 1  # the one new metrics.jsonl line
         assert snapshot.calls == 1
 
         exporter.export_once()  # nothing new: nothing re-encoded
-        assert (to_dict.calls, to_chrome.calls, dumps.calls, snapshot.calls) == (4, 4, 2, 2)
+        assert (to_dict.calls, to_chrome.calls, dumps.calls, snapshot.calls) == (4, 0, 2, 2)
         with open(exporter.trace_jsonl_path, encoding="utf-8") as stream:
             assert sum(1 for _ in stream) == 154
         with open(exporter.jsonl_path, encoding="utf-8") as stream:
             assert sum(1 for _ in stream) == 5
+
+
+class TestExportBytes:
+    def export_bytes(self, tmp_path, monkeypatch, history: int, new: int) -> int:
+        """Bytes one export writes after ``history`` exported spans and ``new`` more."""
+        telemetry = Telemetry()
+        telemetry.increment("autocomp.cycles", 7)
+        tracer = Tracer(clock=lambda: 1.0)  # every span encodes to the same length
+        exporter = MetricsExporter(
+            telemetry,
+            str(tmp_path / f"obs{history}"),
+            tracer=tracer,
+            status_fn=lambda: {"running": True},
+            clock=lambda: 2.0,
+        )
+        traced_cycles_plain(tracer, history // 2)
+        exporter.export_once()
+        written = []
+        real_write = os.write
+        real_atomic = tracing_module._atomic_write
+
+        def counting_write(fd, data):
+            written.append(len(data))
+            return real_write(fd, data)
+
+        def counting_atomic(path, text):
+            written.append(len(text.encode("utf-8")))
+            real_atomic(path, text)
+
+        monkeypatch.setattr(os, "write", counting_write)
+        monkeypatch.setattr(tracing_module, "_atomic_write", counting_atomic)
+        monkeypatch.setattr(exporter_module, "_atomic_write", counting_atomic)
+        traced_cycles_plain(tracer, new // 2)
+        exporter.export_once()
+        monkeypatch.undo()
+        return sum(written)
+
+    def test_per_export_bytes_stay_flat_in_run_length(self, tmp_path, monkeypatch):
+        short = self.export_bytes(tmp_path, monkeypatch, history=100, new=4)
+        long = self.export_bytes(tmp_path, monkeypatch, history=1_000, new=4)
+        assert short == long
+        assert short < self.export_bytes(tmp_path, monkeypatch, history=100, new=40)
 
 
 class TestConcurrentExports:

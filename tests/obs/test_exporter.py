@@ -6,20 +6,27 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro.obs.exporter as exporter_module
+import repro.obs.tracing as tracing_module
 from repro.obs import METRICS
 from repro.obs.exporter import MetricsExporter, prom_name, render_prometheus
 from repro.obs.http import StatusServer
 from repro.obs.promcheck import check_exposition
 from repro.obs.promcheck import main as promcheck_main
-from repro.obs.status import format_status, load_status_dir
+from repro.obs.status import format_status, load_status_dir, log_lines
 from repro.obs.status import main as status_main
 from repro.obs.tracing import Tracer, timed
 from repro.simulation import Telemetry
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def populated_telemetry() -> Telemetry:
@@ -168,7 +175,7 @@ class TestMetricsExporter:
             status_fn=lambda: {"running": True, "nan": math.nan},
         )
         written = exporter.export_once()
-        assert set(written) == {"prom", "jsonl", "trace_jsonl", "trace_chrome", "status"}
+        assert set(written) == {"prom", "jsonl", "trace_jsonl", "status"}
         for path in written.values():
             assert os.path.exists(path)
         with open(exporter.prom_path, encoding="utf-8") as stream:
@@ -196,6 +203,37 @@ class TestMetricsExporter:
         assert entries[0]["ts"] < entries[1]["ts"]
         assert entries[-1]["counters"]["autocomp.cycles"] == 3.0
         assert entries[-1]["histograms"]["autocomp.hist.cycle_wall_s"]["count"] == 2.0
+
+    def test_metrics_jsonl_rolls_at_the_snapshot_ring(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exporter_module, "SNAPSHOT_RING", 3)
+        clock = iter(range(100)).__next__
+        exporter = MetricsExporter(
+            populated_telemetry(), str(tmp_path), clock=lambda: float(clock())
+        )
+        for _ in range(4):
+            exporter.export_once()
+
+        def stamps(path):
+            with open(path, encoding="utf-8") as stream:
+                return [json.loads(line)["ts"] for line in stream]
+
+        assert stamps(exporter.jsonl_path + ".1") == [0.0, 1.0, 2.0]
+        assert stamps(exporter.jsonl_path) == [3.0]
+
+    def test_spans_dropped_is_published(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracing_module, "SPAN_RING", 2)
+        telemetry, tracer = Telemetry(), Tracer()
+        exporter = MetricsExporter(telemetry, str(tmp_path), tracer=tracer)
+        exporter.export_once()
+        assert "autocomp.obs.spans_dropped" not in telemetry.snapshot()["counters"]
+        for _ in range(5):  # five undumped spans, three evicted
+            with timed(tracer, "cycle"):
+                pass
+        exporter.export_once()
+        exporter.export_once()  # published once, not again
+        assert telemetry.counter("autocomp.obs.spans_dropped") == 3
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            assert "autocomp_obs_spans_dropped 3" in stream.read()
 
     def test_no_leftover_temp_files(self, tmp_path):
         exporter = MetricsExporter(populated_telemetry(), str(tmp_path))
@@ -311,3 +349,94 @@ class TestStatusCLI:
     def test_missing_dir_exits_nonzero(self, tmp_path, capsys):
         assert status_main([str(tmp_path / "nope")]) == 1
         capsys.readouterr()
+
+    def test_clis_run_clean_with_warnings_as_errors(self, tmp_path):
+        obs_dir = self._export_dir(tmp_path)
+        for argv in (
+            ["repro.obs.status", obs_dir],
+            ["repro.obs.status", obs_dir, "--chrome", str(tmp_path / "trace.chrome.json")],
+            ["repro.obs.promcheck", os.path.join(obs_dir, "metrics.prom")],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", *argv],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv
+
+    def append(self, path, text):
+        with open(path, "a", encoding="utf-8") as stream:
+            stream.write(text)
+
+    def test_torn_trailing_lines_are_skipped_silently(self, tmp_path):
+        obs_dir = self._export_dir(tmp_path)
+        before = load_status_dir(obs_dir)
+        self.append(os.path.join(obs_dir, "metrics.jsonl"), '{"ts": 9')
+        self.append(os.path.join(obs_dir, "trace.jsonl"), '{"name": "cyc')
+        loaded = load_status_dir(obs_dir)
+        assert loaded["snapshots"] == 1
+        assert loaded["last_snapshot"] == before["last_snapshot"]
+        assert loaded["trace_spans"] == 1
+        assert loaded["errors"] == []
+
+    def test_a_whole_corrupt_line_is_reported(self, tmp_path):
+        obs_dir = self._export_dir(tmp_path)
+        self.append(os.path.join(obs_dir, "metrics.jsonl"), '{"ts": 9\n')
+        loaded = load_status_dir(obs_dir)
+        assert loaded["snapshots"] == 2
+        assert loaded["last_snapshot"] is None
+        assert len(loaded["errors"]) == 1
+        assert "corrupt last line" in loaded["errors"][0]
+
+    def test_rolled_segments_are_counted(self, tmp_path):
+        obs_dir = self._export_dir(tmp_path)
+        for name in ("metrics.jsonl", "trace.jsonl"):
+            path = os.path.join(obs_dir, name)
+            with open(path, encoding="utf-8") as stream:
+                line = stream.read()
+            self.append(path + ".1", line * 3)
+        loaded = load_status_dir(obs_dir)
+        assert (loaded["snapshots"], loaded["trace_spans"]) == (4, 4)
+        assert log_lines(os.path.join(obs_dir, "trace.jsonl")) == [line] * 4
+
+    def test_last_snapshot_falls_back_to_the_rolled_segment(self, tmp_path):
+        obs_dir = self._export_dir(tmp_path)
+        path = os.path.join(obs_dir, "metrics.jsonl")
+        os.replace(path, path + ".1")  # just after a roll, before the append
+        loaded = load_status_dir(obs_dir)
+        assert loaded["snapshots"] == 1
+        assert loaded["last_snapshot"]["counters"]["autocomp.cycles"] == 3.0
+        assert loaded["errors"] == []
+        open(path, "w", encoding="utf-8").close()
+        assert load_status_dir(obs_dir)["last_snapshot"] == loaded["last_snapshot"]
+
+    def test_chrome_render_holds_one_event_per_span_line(self, tmp_path, capsys):
+        tracer = Tracer()
+        exporter = MetricsExporter(Telemetry(), str(tmp_path / "obs"), tracer=tracer)
+        for i in range(3):
+            with timed(tracer, "cycle", index=i):
+                with timed(tracer, "observe"):
+                    pass
+            exporter.export_once()
+        out = str(tmp_path / "trace.chrome.json")
+        assert status_main([exporter.out_dir, "--chrome", out]) == 0
+        assert "wrote 6 trace events" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as stream:
+            payload = json.load(stream)
+        assert payload["displayTimeUnit"] == "ms"
+        assert payload["traceEvents"] == [s.to_chrome_event() for s in tracer.finished()]
+        # Tracer.dump_chrome renders the same document from the held spans.
+        with open(tracer.dump_chrome(str(tmp_path / "held.json")), encoding="utf-8") as stream:
+            assert json.load(stream) == payload
+
+    def test_chrome_render_exit_codes(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert status_main([str(empty), "--chrome", str(tmp_path / "a.json")]) == 1
+        obs_dir = self._export_dir(tmp_path)
+        self.append(os.path.join(obs_dir, "trace.jsonl"), "not json\n")
+        assert status_main([obs_dir, "--chrome", str(tmp_path / "b.json")]) == 1
+        assert "corrupt span line 2" in capsys.readouterr().out
+        with open(tmp_path / "b.json", encoding="utf-8") as stream:
+            assert len(json.load(stream)["traceEvents"]) == 1

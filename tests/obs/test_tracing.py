@@ -9,8 +9,9 @@ import threading
 
 import pytest
 
-from repro.obs.tracing import Span, SpanContext, SpanRecorder, Tracer, make_span, timed
-from repro.obs.tracing import _id_salt, _new_id
+import repro.obs.tracing as tracing_module
+from repro.obs.tracing import SPAN_RING, AppendLog, Span, SpanContext, SpanRecorder, Tracer
+from repro.obs.tracing import _id_salt, _new_id, make_span, timed
 
 
 class FakeClock:
@@ -177,6 +178,144 @@ class TestTracer:
         path = Tracer().dump_jsonl(str(tmp_path / "empty.jsonl"))
         with open(path, encoding="utf-8") as stream:
             assert stream.read() == ""
+
+
+class TestDumpJsonl:
+    def read(self, path):
+        with open(path, encoding="utf-8") as stream:
+            return stream.read()
+
+    def test_each_dump_appends_only_the_new_spans(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        path = str(tmp_path / "trace.jsonl")
+        with timed(tracer, "cycle", index=0):
+            pass
+        tracer.dump_jsonl(path)
+        first = self.read(path)
+        with timed(tracer, "cycle", index=1):
+            pass
+        tracer.dump_jsonl(path)
+        tracer.dump_jsonl(path)  # nothing new: nothing appended
+        text = self.read(path)
+        assert text.startswith(first)
+        assert [json.loads(line)["attrs"]["index"] for line in text.splitlines()] == [0, 1]
+        # The appended file holds the bytes a whole-file dump writes.
+        twin = Tracer()
+        twin.adopt(tracer.finished())
+        assert self.read(twin.dump_jsonl(str(tmp_path / "whole.jsonl"))) == text
+
+    def test_first_dump_after_clear_starts_fresh(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        path = str(tmp_path / "trace.jsonl")
+        with timed(tracer, "old"):
+            pass
+        tracer.dump_jsonl(path)
+        tracer.clear()
+        with timed(tracer, "new"):
+            pass
+        tracer.dump_jsonl(path)
+        assert [json.loads(line)["name"] for line in self.read(path).splitlines()] == ["new"]
+
+    def test_a_dump_to_another_path_writes_every_held_span(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        for name in ("a", "b"):
+            with timed(tracer, name):
+                pass
+            tracer.dump_jsonl(str(tmp_path / "one.jsonl"))
+        tracer.dump_jsonl(str(tmp_path / "two.jsonl"))
+        assert self.read(str(tmp_path / "two.jsonl")) == self.read(str(tmp_path / "one.jsonl"))
+
+    def test_span_round_trips_through_its_jsonl_record(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        with timed(tracer, "cycle", shard=1):
+            pass
+        path = tracer.dump_jsonl(str(tmp_path / "trace.jsonl"))
+        record = json.loads(self.read(path))
+        [span] = tracer.finished()
+        assert Span.from_dict(record) == span
+        assert Span.from_dict(record).to_chrome_event() == span.to_chrome_event()
+
+
+class TestSpanRing:
+    def test_ring_covers_one_benchmark_episode(self):
+        assert SPAN_RING >= 1_286
+
+    def test_tracer_holds_at_most_the_ring_and_counts_the_overflow(self):
+        tracer = Tracer(clock=FakeClock())
+        for i in range(SPAN_RING + 10):
+            with timed(tracer, "cycle", index=i):
+                pass
+        held = tracer.finished()
+        assert len(held) == SPAN_RING
+        assert held[0].attrs["index"] == 10  # the oldest were evicted
+        assert tracer.dropped == 10
+        tracer.adopt([make_span("decide", None, 1.0, 2.0)])
+        assert len(tracer.finished()) == SPAN_RING
+        assert tracer.dropped == 11
+
+    def test_spans_evicted_after_a_dump_are_not_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracing_module, "SPAN_RING", 4)
+        tracer = Tracer(clock=FakeClock())
+        path = str(tmp_path / "trace.jsonl")
+        for i in range(10):
+            with timed(tracer, "cycle", index=i):
+                pass
+            tracer.dump_jsonl(path)
+        assert len(tracer.finished()) == 4
+        assert tracer.dropped == 0
+        for i in range(10, 16):  # six undumped spans: two of them evicted
+            with timed(tracer, "cycle", index=i):
+                pass
+        assert tracer.dropped == 2
+        tracer.dump_jsonl(path)  # the log skips what was dropped
+        with open(path + ".1", encoding="utf-8") as stream:
+            rolled = [json.loads(line)["attrs"]["index"] for line in stream]
+        with open(path, encoding="utf-8") as stream:
+            live = [json.loads(line)["attrs"]["index"] for line in stream]
+        assert (rolled, live) == ([8, 9, 12, 13], [14, 15])
+
+
+class TestAppendLog:
+    def read(self, path):
+        try:
+            with open(path, encoding="utf-8") as stream:
+                return stream.read()
+        except FileNotFoundError:
+            return None
+
+    def test_rolls_exactly_at_its_cap(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        log = AppendLog(path, cap=3)
+        log.write(["1\n", "2\n"])
+        log.write(["3\n"])
+        assert (self.read(path + ".1"), self.read(path)) == (None, "1\n2\n3\n")
+        log.write(["4\n"])
+        assert (self.read(path + ".1"), self.read(path)) == ("1\n2\n3\n", "4\n")
+        log.write([f"{i}\n" for i in range(5, 12)])  # rolls twice in one write
+        assert (self.read(path + ".1"), self.read(path)) == ("7\n8\n9\n", "10\n11\n")
+
+    def test_first_write_starts_fresh(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        for name, text in ((path, "old\n"), (path + ".1", "older\n")):
+            with open(name, "w", encoding="utf-8") as stream:
+                stream.write(text)
+        AppendLog(path, cap=3).write([])
+        assert (self.read(path + ".1"), self.read(path)) == (None, "")
+
+    def test_each_append_is_one_write_of_whole_lines(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "log.jsonl")
+        log = AppendLog(path, cap=100)
+        log.write(["a\n"])
+        writes = []
+        real_write = os.write
+
+        def recording_write(fd, data):
+            writes.append(data)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", recording_write)
+        log.write(["b\n", "c\n"])
+        assert writes == [b"b\nc\n"]
 
 
 class TestMakeSpan:

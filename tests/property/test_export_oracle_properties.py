@@ -1,13 +1,17 @@
-"""Oracle test: encode-once exports write the bytes a full re-encode writes.
+"""Oracle test: append-only exports write the bytes a simple model predicts.
 
-The tracer keeps each finished span's JSONL line and Chrome event string,
-and the exporter keeps its ``metrics.jsonl`` ring as encoded lines, so an
-export encodes only what is new.  This module keeps the simpler model those
-replaced — every export re-encodes every span (twice) and every ring entry
-— and runs it over random histories of spans (nested, detached, adopted
+The tracer appends each span's JSONL line once, when a dump first sees it,
+and the exporter appends one ``metrics.jsonl`` line per export; both logs
+roll to ``<name>.1`` at their line cap.  This module keeps the simpler
+model those replaced — every line re-encoded from scratch, the whole log
+kept in a list and cut into the live and rolled segments by arithmetic —
+and runs it over random histories of spans (nested, detached, adopted
 from a worker), ``clear``, telemetry updates (non-finite values included)
-and exports.  After every export the three files must be byte-identical
-to the reference.
+and exports.  The ring and both caps are tiny, so eviction and rolling
+happen often.  After every export the four log files must be
+byte-identical to the model, and the Chrome document the status CLI
+renders from the trace log must equal, as parsed JSON, the one the model
+encodes.
 """
 
 from __future__ import annotations
@@ -15,36 +19,41 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.exporter as exporter_module
+import repro.obs.tracing as tracing_module
 from repro.obs.exporter import MetricsExporter, _json_safe
+from repro.obs.status import main as status_main
 from repro.obs.tracing import SpanContext, SpanRecorder, Tracer, make_span, timed
 from repro.simulation import Telemetry
 
-RING = 4
+RING = 3
+SPANS = 4
 
 OPS = st.lists(
-    st.sampled_from(["span", "nested", "detached", "adopt", "clear", "metric", "export"]),
-    min_size=1,
+    st.sampled_from(
+        ["span", "nested", "detached", "adopt", "clear", "metric", "export", "export"]
+    ),
+    min_size=8,
     max_size=40,
 )
 VALUES = st.sampled_from([0.0, 1.5, -2.25, 1e-9, 3e12, math.nan, math.inf, -math.inf])
 
 
-def reference_trace_jsonl(tracer: Tracer) -> str:
-    lines = [json.dumps(span.to_dict(), sort_keys=True) for span in tracer.finished()]
+def reference_trace_jsonl(spans) -> str:
+    lines = [json.dumps(span.to_dict(), sort_keys=True) for span in spans]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def reference_trace_chrome(tracer: Tracer) -> str:
+def reference_trace_chrome(spans) -> str:
     return json.dumps(
         {
             "displayTimeUnit": "ms",
-            "traceEvents": [span.to_chrome_event() for span in tracer.finished()],
+            "traceEvents": [span.to_chrome_event() for span in spans],
         }
     )
 
@@ -62,60 +71,104 @@ def reference_entry(telemetry: Telemetry, ts: float) -> dict:
     }
 
 
-def read(path: str) -> str:
-    with open(path, encoding="utf-8") as stream:
-        return stream.read()
+def reference_metrics_jsonl(entries) -> str:
+    return "".join(json.dumps(_json_safe(entry), sort_keys=True) + "\n" for entry in entries)
+
+
+def segments(log: list, cap: int) -> tuple[list | None, list]:
+    """(rolled, live) parts of a log whose file rolls when it would pass ``cap`` lines."""
+    live_from = max(0, len(log) - 1) // cap * cap
+    rolled = log[live_from - cap:live_from] if live_from else None
+    return rolled, log[live_from:]
+
+
+def read(path: str) -> str | None:
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return stream.read()
+    except FileNotFoundError:
+        return None
+
+
+def parsed(text: str):
+    return json.loads(text, parse_constant=str)  # NaN == NaN as a string
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=OPS, values=st.lists(VALUES, min_size=40, max_size=40))
 def test_exports_match_full_reencode(tmp_path_factory, ops, values):
     out_dir = str(tmp_path_factory.mktemp("obs"))
-    telemetry = Telemetry()
-    tracer = Tracer(clock=itertools.count(1_000.0, 0.125).__next__)
-    ticks = itertools.count(0.5)
-    original_ring = exporter_module.SNAPSHOT_RING
-    exporter_module.SNAPSHOT_RING = RING  # exercise ring eviction
+    chrome_path = os.path.join(out_dir, "render.chrome.json")
+    original = exporter_module.SNAPSHOT_RING, tracing_module.SPAN_RING
+    exporter_module.SNAPSHOT_RING, tracing_module.SPAN_RING = RING, SPANS
     try:
+        telemetry = Telemetry()
+        tracer = Tracer(clock=itertools.count(1_000.0, 0.125).__next__)
+        ticks = itertools.count(0.5)
         exporter = MetricsExporter(
             telemetry, out_dir, tracer=tracer, clock=ticks.__next__
         )
+        reference_entries: list[dict] = []
+        trace_log: list = []  # every span the trace log got since it started fresh
+        dumped: set[str] = set()
+        for step, (op, value) in enumerate(zip(ops, values)):
+            if op == "span":
+                with timed(tracer, "cycle", step=step, value=value):
+                    pass
+            elif op == "nested":
+                with timed(tracer, "cycle", step=step):
+                    with timed(tracer, "observe", tables=[step, value]):
+                        pass
+                    with timed(tracer, "act", nested={"jobs": step}):
+                        pass
+            elif op == "detached":
+                opened = tracer.begin("rewrite", detached=True, step=step)
+                tracer.end(opened, bytes=value)
+            elif op == "adopt":
+                recorder = SpanRecorder(SpanContext(trace_id="t", span_id="s"))
+                with timed(recorder, "observe", shard=step):
+                    pass
+                tracer.adopt([*recorder.spans, make_span("decide", None, 1.0, 2.0, k=step)])
+            elif op == "clear":
+                tracer.clear()
+                trace_log, dumped = [], set()
+            elif op == "metric":
+                telemetry.increment(f"autocomp.c{step % 3}", 1 + step)
+                telemetry.record(f"autocomp.s{step % 2}", float(step), value)
+                if math.isfinite(value):
+                    telemetry.observe("autocomp.hist.cycle_wall_s", abs(value))
+            else:
+                exporter.export_once()
+                reference_entries.append(
+                    reference_entry(telemetry, 0.5 + len(reference_entries))
+                )
+                # A dump appends the held spans it has not written yet.
+                for span in tracer.finished():
+                    if span.span_id not in dumped:
+                        dumped.add(span.span_id)
+                        trace_log.append(span)
+
+                rolled, live = segments(trace_log, SPANS)
+                assert read(exporter.trace_jsonl_path) == reference_trace_jsonl(live)
+                assert read(exporter.trace_jsonl_path + ".1") == (
+                    None if rolled is None else reference_trace_jsonl(rolled)
+                )
+                on_disk = (rolled or []) + live
+                if len(trace_log) == len(tracer.finished()):  # nothing evicted
+                    # The segments hold what one whole-file dump writes.
+                    twin = Tracer()
+                    twin.adopt(tracer.finished())
+                    whole = twin.dump_jsonl(os.path.join(out_dir, "whole.jsonl"))
+                    assert (read(exporter.trace_jsonl_path + ".1") or "") + read(
+                        exporter.trace_jsonl_path
+                    ) == read(whole)
+                assert status_main([out_dir, "--chrome", chrome_path]) == 0
+                assert parsed(read(chrome_path)) == parsed(reference_trace_chrome(on_disk))
+
+                rolled, live = segments(reference_entries, RING)
+                assert read(exporter.jsonl_path) == reference_metrics_jsonl(live)
+                assert read(exporter.jsonl_path + ".1") == (
+                    None if rolled is None else reference_metrics_jsonl(rolled)
+                )
     finally:
-        exporter_module.SNAPSHOT_RING = original_ring
-    reference_ring: deque[dict] = deque(maxlen=RING)
-    exported = 0
-    for step, (op, value) in enumerate(zip(ops, values)):
-        if op == "span":
-            with timed(tracer, "cycle", step=step, value=value):
-                pass
-        elif op == "nested":
-            with timed(tracer, "cycle", step=step):
-                with timed(tracer, "observe", tables=[step, value]):
-                    pass
-                with timed(tracer, "act", nested={"jobs": step}):
-                    pass
-        elif op == "detached":
-            opened = tracer.begin("rewrite", detached=True, step=step)
-            tracer.end(opened, bytes=value)
-        elif op == "adopt":
-            recorder = SpanRecorder(SpanContext(trace_id="t", span_id="s"))
-            with timed(recorder, "observe", shard=step):
-                pass
-            tracer.adopt([*recorder.spans, make_span("decide", None, 1.0, 2.0, k=step)])
-        elif op == "clear":
-            tracer.clear()
-        elif op == "metric":
-            telemetry.increment(f"autocomp.c{step % 3}", 1 + step)
-            telemetry.record(f"autocomp.s{step % 2}", float(step), value)
-            if math.isfinite(value):
-                telemetry.observe("autocomp.hist.cycle_wall_s", abs(value))
-        else:
-            exporter.export_once()
-            reference_ring.append(reference_entry(telemetry, 0.5 + exported))
-            exported += 1
-            assert read(exporter.trace_jsonl_path) == reference_trace_jsonl(tracer)
-            assert read(exporter.trace_chrome_path) == reference_trace_chrome(tracer)
-            assert read(exporter.jsonl_path) == "".join(
-                json.dumps(_json_safe(entry), sort_keys=True) + "\n"
-                for entry in reference_ring
-            )
+        exporter_module.SNAPSHOT_RING, tracing_module.SPAN_RING = original
