@@ -42,6 +42,14 @@ TABLE_FORMATS: dict[str, type[BaseTable]] = {
 }
 
 
+def _policy_properties(policy: TablePolicy) -> dict[str, object]:
+    """The table properties a maintenance policy sets."""
+    return {
+        "write.target-file-size-bytes": policy.target_file_size,
+        "snapshot.retention-s": policy.snapshot_retention_s,
+    }
+
+
 @dataclass
 class Database:
     """A tenant's logical group of tables."""
@@ -266,10 +274,7 @@ class Catalog:
                 f"{sorted(TABLE_FORMATS)}"
             )
         policy = policy if policy is not None else TablePolicy()
-        merged_properties = {
-            "write.target-file-size-bytes": policy.target_file_size,
-            "snapshot.retention-s": policy.snapshot_retention_s,
-        }
+        merged_properties = _policy_properties(policy)
         merged_properties.update(properties or {})
         table = table_cls(
             identifier=identifier,
@@ -373,6 +378,11 @@ class Catalog:
     def set_policy(self, identifier: TableIdentifier | str, policy: TablePolicy) -> None:
         """Replace a table's maintenance policy.
 
+        The table's properties take the policy's target file size and
+        snapshot retention, as at :meth:`create_table`, so observation
+        (which reads the policy) and rewrite planning (which reads the
+        table) use one target.
+
         Raises:
             NoSuchTableError: if the table is not registered.
         """
@@ -382,3 +392,4 @@ class Catalog:
         if key not in self._policies:
             raise NoSuchTableError(key)
         self._policies[key] = policy
+        self.load_table(identifier).properties.update(_policy_properties(policy))

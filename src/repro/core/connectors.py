@@ -369,9 +369,8 @@ class LstConnector(Connector):
     def files_for(self, key: CandidateKey):
         """Live data files in a candidate's scope."""
         table = self.table_for(key)
-        snap = table.current_snapshot()
         if key.scope is CandidateScope.PARTITION:
-            return snap.files_in_partition(key.partition) if snap else []
+            return table.files_in_partitions([key.partition])
         if key.scope is CandidateScope.SNAPSHOT:
             base_ids = table.snapshot(key.snapshot_id).files.keys()
             return [f for f in table.live_files() if f.file_id not in base_ids]

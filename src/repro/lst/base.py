@@ -18,19 +18,37 @@ The Iceberg-v1.2.0 profile reproduces the counterintuitive behaviour the
 paper reports in §4.4: two concurrent rewrites conflict *even when they
 target distinct partitions*, which is why AutoComp's hybrid scheduler runs
 partition-level compactions sequentially per table.
+
+Each table keeps one partition index for its head snapshot, read by
+candidate generation (:meth:`BaseTable.partitions`), partition-scope
+observation and rewrite planning (:meth:`BaseTable.files_in_partitions`).
+Commits never touch it.  A read that finds it behind the head replays
+the deltas of the snapshots committed since the indexed one, so a cycle
+pays for what changed rather than for every live file; when that chain
+is broken (first use, expiry of an unread snapshot, ``restore_state``)
+or longer than the head's live set, the read rebuilds it from the head's
+files instead.  Each update is published copy-on-write as one
+``(snapshot_id, index)`` tuple, so concurrent readers never see a
+half-applied delta and a group once handed out never changes.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from repro.errors import CommitConflictError, ValidationError
 from repro.lst.files import DataFile, DeleteFile, FileContent
 from repro.lst.partitioning import PartitionSpec
 from repro.lst.schema import Schema
-from repro.lst.snapshot import Snapshot
+from repro.lst.snapshot import (
+    PartitionIndex,
+    Snapshot,
+    group_by_partition,
+    select_partitions,
+)
 from repro.simulation.clock import SimClock
 from repro.simulation.telemetry import Telemetry
 from repro.storage.filesystem import SimulatedFileSystem
@@ -159,6 +177,38 @@ class _CommitRecord:
     removed_file_ids: frozenset
     is_rewrite: bool
     timestamp: float
+
+
+def _replay(index: PartitionIndex, chain: list[Snapshot]) -> PartitionIndex:
+    """``index`` advanced through ``chain``'s commits, oldest first.
+
+    Returns a new index that shares every untouched group with ``index``;
+    ``index`` itself is left as it was.
+    """
+    gone: dict[int, tuple] = {}
+    added: list[DataFile] = []
+    for snap in chain:
+        summary = snap.summary
+        for f in snap.removed[: summary["removed-data-files"]]:
+            gone[f.file_id] = f.partition
+        # New ids exceed every live id, so a commit's additions are the
+        # last entries of its id-ordered map.
+        fresh = list(islice(reversed(snap.files.values()), summary["added-data-files"]))
+        fresh.reverse()
+        added.extend(fresh)
+    groups = group_by_partition(f for f in added if f.file_id not in gone)
+    shrunk = set(gone.values())
+    index = dict(index)
+    for partition in shrunk.union(groups):
+        files = index.get(partition, ())
+        if partition in shrunk:
+            files = tuple(f for f in files if f.file_id not in gone)
+        files += groups.get(partition, ())
+        if files:
+            index[partition] = files
+        else:
+            index.pop(partition, None)
+    return index
 
 
 def _not_live(live: dict[int, DataFile], files: list[DataFile]) -> list[DataFile]:
@@ -402,6 +452,9 @@ class BaseTable(abc.ABC):
         self._next_file_id = 1
         self._next_snapshot_id = 1
         self._partition_last_modified: dict[tuple, float] = {}
+        #: ``(snapshot_id, index)``: the head partition index as of the
+        #: snapshot it was last brought up to date at (None: never built).
+        self._head_index: tuple[int | None, PartitionIndex] = (None, {})
         #: Observers invoked after every successful commit with
         #: ``(table, operation, added_data, added_deletes, removed_ids)``.
         #: The catalog installs one to publish ``table_commit`` trace events;
@@ -504,9 +557,53 @@ class BaseTable(abc.ABC):
         return list(snap.ordered_files) if snap else []
 
     def partitions(self) -> list[tuple]:
-        """Distinct partitions with live files."""
-        snap = self.current_snapshot()
-        return snap.partitions() if snap else []
+        """Distinct partitions with live files, sorted."""
+        return sorted(self._partition_index())
+
+    def files_in_partitions(self, partitions) -> list[DataFile]:
+        """Live data files belonging to any of ``partitions``, in id order."""
+        return select_partitions(self._partition_index(), partitions)
+
+    def _partition_index(self) -> PartitionIndex:
+        """The head snapshot's live data files by partition, up to date."""
+        head = self.current_snapshot()
+        if head is None:
+            return {}
+        indexed_id, index = self._head_index
+        if indexed_id == head.snapshot_id:
+            return index
+        chain = self._chain_after(indexed_id, head)
+        index = (
+            group_by_partition(head.files.values()) if chain is None else _replay(index, chain)
+        )
+        # One tuple store: a concurrent reader sees the old pair or the
+        # new one, and either is a correct index for its snapshot id.
+        self._head_index = (head.snapshot_id, index)
+        return index
+
+    def _chain_after(self, indexed_id: int | None, head: Snapshot) -> list[Snapshot] | None:
+        """The retained snapshots after ``indexed_id`` up to ``head``, oldest first.
+
+        None when the chain is broken (no index yet, or a link expired)
+        or replaying it would touch more files than rebuilding from the
+        head's live set.
+        """
+        if indexed_id is None:
+            return None
+        chain: list[Snapshot] = []
+        work = 0
+        snap: Snapshot | None = head
+        while snap is not None:
+            chain.append(snap)
+            summary = snap.summary
+            work += summary.get("added-data-files", 0) + summary.get("removed-data-files", 0)
+            if work > len(head.files):
+                return None
+            if snap.parent_id == indexed_id:
+                chain.reverse()
+                return chain
+            snap = self._snapshots.get(snap.parent_id)
+        return None
 
     def small_file_count(self, threshold: int = SMALL_FILE_THRESHOLD) -> int:
         """Live data files below ``threshold`` bytes."""
@@ -560,7 +657,7 @@ class BaseTable(abc.ABC):
         if partitions is None:
             files = snap.ordered_files
         else:
-            files = tuple(snap.files_in_partitions(partitions))
+            files = tuple(self.files_in_partitions(partitions))
         file_ids = {f.file_id for f in files}
         deletes = tuple(
             sorted(

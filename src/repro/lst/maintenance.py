@@ -161,10 +161,14 @@ def plan_table_rewrite(
     min_input_files: int = 2,
     target_file_size: int | None = None,
 ) -> RewritePlan:
-    """Plan a rewrite for a live table (convenience wrapper)."""
+    """Plan a rewrite for a live table (convenience wrapper).
+
+    A partition-scope plan reads only those partitions' files, from the
+    table's head partition index.
+    """
     target = target_file_size if target_file_size is not None else table.target_file_size
     return plan_rewrite(
-        table.live_files(),
+        table.live_files() if partitions is None else table.files_in_partitions(partitions),
         target_file_size=target,
         table=str(table.identifier),
         partitions=partitions,

@@ -13,14 +13,53 @@ O(Δ) in Python work rather than O(live files).  Each snapshot also records
 the files its commit removed (data files plus the delete files it
 dropped); history is linear, so snapshot expiration can find every
 unreachable file from those deltas alone, without walking any live set.
+
+Two partition indexes group live files by partition, both built by
+:func:`group_by_partition`:
+
+* the *head* index, one per table
+  (:meth:`~repro.lst.base.BaseTable.files_in_partitions`), serves every
+  read of the current version — generate, observe, rewrite planning,
+  scans.  It is not maintained on commit: a read brings it up to date by
+  replaying the deltas of the snapshots committed since the last read
+  (the first ``summary["removed-data-files"]`` entries of
+  :attr:`Snapshot.removed`, and the last ``summary["added-data-files"]``
+  entries of :attr:`Snapshot.files`), and rebuilds it from the head's
+  files when that chain is broken;
+* the *per-snapshot* index (:attr:`Snapshot.files_by_partition`), built
+  from scratch on first use, serves reads of any other version (time
+  travel, planning at an older snapshot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from repro.lst.files import DataFile, DeleteFile
+
+
+#: Live data files grouped by partition, each group in id order.
+PartitionIndex = dict[tuple, tuple[DataFile, ...]]
+
+
+def group_by_partition(files: Iterable[DataFile]) -> PartitionIndex:
+    """Group ``files`` by partition, each group in the order given."""
+    groups: dict[tuple, list[DataFile]] = {}
+    for f in files:
+        groups.setdefault(f.partition, []).append(f)
+    return {partition: tuple(group) for partition, group in groups.items()}
+
+
+def select_partitions(index: PartitionIndex, partitions: Iterable[tuple]) -> list[DataFile]:
+    """The files of ``index`` in any of ``partitions``, in id order."""
+    wanted = set(partitions)
+    if len(wanted) == 1:
+        return list(index.get(wanted.pop(), ()))
+    return sorted(
+        (f for p in wanted for f in index.get(p, ())), key=lambda f: f.file_id
+    )
 
 
 @dataclass(frozen=True)
@@ -81,16 +120,14 @@ class Snapshot:
         return tuple(self.files.values())
 
     @cached_property
-    def files_by_partition(self) -> dict[tuple, tuple[DataFile, ...]]:
+    def files_by_partition(self) -> PartitionIndex:
         """Live data files grouped by partition, each group in id order.
 
-        Built once per observed version, so partition-scope reads cost
-        O(files in the partition) instead of a scan of the whole table.
+        Built from scratch once per version it is read at.  Reads of a
+        table's current version go through the table's head index
+        instead, which is brought up to date by delta.
         """
-        groups: dict[tuple, list[DataFile]] = {}
-        for f in self.files.values():
-            groups.setdefault(f.partition, []).append(f)
-        return {partition: tuple(group) for partition, group in groups.items()}
+        return group_by_partition(self.files.values())
 
     @property
     def data_file_count(self) -> int:
@@ -113,11 +150,7 @@ class Snapshot:
 
     def files_in_partitions(self, partitions) -> list[DataFile]:
         """Live data files belonging to any of ``partitions``, in id order."""
-        by_partition = self.files_by_partition
-        return sorted(
-            (f for p in set(partitions) for f in by_partition.get(p, ())),
-            key=lambda f: f.file_id,
-        )
+        return select_partitions(self.files_by_partition, partitions)
 
     def partitions(self) -> list[tuple]:
         """Distinct partitions holding live files, sorted."""

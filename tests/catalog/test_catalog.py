@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog import Catalog, TablePolicy
+from repro.core.candidates import CandidateKey, CandidateScope
+from repro.core.connectors import LstConnector
 from repro.errors import (
     NoSuchTableError,
     TableAlreadyExistsError,
     ValidationError,
 )
 from repro.lst import DeltaTable, IcebergTable, TableIdentifier
+from repro.lst.maintenance import plan_table_rewrite
 from repro.units import GiB, MiB
 
 from tests.conftest import fragment_table
@@ -139,6 +142,30 @@ class TestPolicies:
         catalog.create_table("db.t", simple_schema)
         catalog.set_policy("db.t", TablePolicy(target_file_size=1 * GiB))
         assert catalog.policy("db.t").target_file_size == 1 * GiB
+
+    def test_set_policy_updates_table_properties(self, catalog, simple_schema):
+        catalog.create_database("db")
+        table = catalog.create_table("db.t", simple_schema)
+        catalog.set_policy(
+            "db.t", TablePolicy(target_file_size=256 * MiB, snapshot_retention_s=60.0)
+        )
+        assert table.target_file_size == 256 * MiB
+        assert table.snapshot_retention_s == 60.0
+
+    def test_observe_and_rewrite_plan_agree_after_set_policy(self, catalog, simple_schema):
+        catalog.create_database("db")
+        table = catalog.create_table("db.t", simple_schema)
+        txn = table.new_append()
+        for size in (100, 100, 300, 300):
+            txn.add_file(size * MiB)
+        txn.commit()
+        catalog.set_policy("db.t", TablePolicy(target_file_size=256 * MiB))
+        key = CandidateKey(database="db", table="t", scope=CandidateScope.TABLE)
+        (candidate,) = LstConnector(catalog).observe([key])
+        plan = plan_table_rewrite(table)
+        assert candidate.statistics.small_file_count == 2
+        assert plan.input_file_count == 2
+        assert plan.output_file_count == 1
 
     def test_policy_for_missing_table(self, catalog):
         catalog.create_database("db")

@@ -1,7 +1,8 @@
 """Deterministic cost guards for the storage substrate (counts, not timings).
 
-A commit, a snapshot expiration and a file create must each cost work
-proportional to what changed (Δ), not to the size of the table.  These
+A commit, a snapshot expiration, a file create and a read of a few
+partitions of the head snapshot must each cost work proportional to what
+changed (Δ) or to what was read, not to the size of the table.  These
 tests count the calls that used to scale with the live file count.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.lst.maintenance as maintenance
 import repro.storage.namenode as namenode_module
 from repro.lst import DataFile, IcebergTable, TableIdentifier
 from repro.storage import NameNode
@@ -85,6 +87,50 @@ class TestExpiryCost:
         )
         big_table.expire_snapshots(retain_last=1)
         assert len(calls) == 2  # the expired snapshot's exclusive metadata
+
+
+class TestPartitionReadCost:
+    def test_append_then_partition_read_touches_only_delta_and_partition(
+        self, big_table, monkeypatch
+    ):
+        big_table.partitions()  # warm the head partition index
+        txn = big_table.new_append()
+        for i in range(12):
+            txn.add_file(1 * MiB, partition=(i % 3,))
+        touched: set[int] = set()
+        getattribute = object.__getattribute__
+
+        def counting(self, name):
+            touched.add(id(self))
+            return getattribute(self, name)
+
+        monkeypatch.setattr(DataFile, "__getattribute__", counting)
+        snapshot = txn.commit()
+        partitions = big_table.partitions()
+        files = big_table.scan([(7,)]).files
+        monkeypatch.undo()
+        delta = {id(f) for f in snapshot.ordered_files[-12:]}
+        assert touched <= delta | {id(f) for f in files}
+        assert len(partitions) == PARTITIONS
+        assert len(files) == BIG // PARTITIONS
+
+    def test_partition_rewrite_plans_only_that_partitions_files(
+        self, big_table, monkeypatch
+    ):
+        big_table.partitions()  # warm the head partition index
+        handed: list[list[DataFile]] = []
+        plan_rewrite = maintenance.plan_rewrite
+
+        def recording(files, *args, **kwargs):
+            handed.append(list(files))
+            return plan_rewrite(files, *args, **kwargs)
+
+        monkeypatch.setattr(maintenance, "plan_rewrite", recording)
+        plan = maintenance.plan_table_rewrite(big_table, partitions=[(7,)])
+        (files,) = handed
+        assert {f.partition for f in files} == {(7,)}
+        assert len(files) == BIG // PARTITIONS
+        assert plan.input_file_count == BIG // PARTITIONS
 
 
 class TestCreateCost:
