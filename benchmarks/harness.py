@@ -49,8 +49,8 @@ def cab_scheduler(generation: str) -> ConcurrentScheduler:
     table conflict there):
 
     * ``hybrid`` — all table chains launch concurrently, partitions of one
-      table stay sequential: exactly the hybrid-strategy behaviour
-      previously expressed with ``PartitionSerialScheduler``;
+      table stay sequential: exactly the paper's hybrid-strategy
+      behaviour (and ``openhouse_pipeline(generation="hybrid")``'s default);
     * ``table`` — chains launch one at a time (``max_parallelism=1``),
       matching the shared-cluster sequential ordering previously expressed
       with ``SequentialScheduler``.

@@ -79,8 +79,9 @@ def main() -> None:
     catalog2, iceberg2, delta2 = build_catalog()
     demo_conflict_semantics(catalog2, iceberg2, "Iceberg v1.2.0 profile")
     demo_conflict_semantics(catalog2, delta2, "Delta v2.4.0 profile")
-    print("\nAutoComp's PartitionSerialScheduler exists precisely because of "
-          "the Iceberg behaviour above.")
+    print("\nAutoComp's hybrid scheduler, ConcurrentScheduler(table_serial=True), "
+          "chains each table's partitions precisely because of the Iceberg "
+          "behaviour above.")
 
 
 if __name__ == "__main__":

@@ -17,15 +17,9 @@ from repro.catalog.catalog import Catalog, Database
 from repro.catalog.data_services import DataServices
 from repro.catalog.policies import TablePolicy
 
-# Imported last: the snapshot module reaches into ``repro.core``, which in
-# turn imports ``repro.catalog.catalog`` — by this line that submodule is
-# fully initialised, so the cycle cannot bite.
-from repro.catalog.snapshot import build_candidate_statistics
-
 __all__ = [
     "Catalog",
     "Database",
     "DataServices",
     "TablePolicy",
-    "build_candidate_statistics",
 ]

@@ -92,7 +92,6 @@ from repro.core.scheduling import (
     LstExecutionBackend,
     OffPeakScheduler,
     ParallelScheduler,
-    PartitionSerialScheduler,
     Scheduler,
     SequentialScheduler,
 )
@@ -180,7 +179,6 @@ __all__ = [
     "Parameter",
     "ParetoFrontPolicy",
     "ParetoObjective",
-    "PartitionSerialScheduler",
     "PeriodicTrigger",
     "PolicyPromoter",
     "PolicyStore",

@@ -372,21 +372,12 @@ class ColumnarMissBlock:
         a precomputed trait matrix, so it never reads them; the
         coordinator-side rebuild keeps them for cache fidelity.
         """
-        # Lazily imported: catalog modules import lazily from core, and
-        # keeping this edge off the module graph preserves that ordering.
-        from repro.catalog.snapshot import build_candidate_statistics_batch
-
         arrays = self._block.arrays()
-        columns = {
-            name: arrays[name].tolist()
-            for name in STAT_INT_COLUMNS + STAT_FLOAT_COLUMNS
-        }
-        flat = None
-        bounds = None
         if self._has_sizes and include_sizes:
-            flat = arrays["sizes"].tolist()
-            bounds = arrays["size_offsets"].tolist()
-        return build_candidate_statistics_batch(columns, sizes=flat, size_offsets=bounds)
+            return _statistics_rows(
+                arrays, arrays["sizes"].tolist(), arrays["size_offsets"].tolist()
+            )
+        return _statistics_rows(arrays)
 
     def close(self) -> None:
         """Reader-side detach (worker processes call this after rebuild)."""
@@ -399,6 +390,33 @@ class ColumnarMissBlock:
         self._sizes_f64 = None
         self._rep_targets = None
         self._block.dispose()
+
+
+def _statistics_rows(
+    arrays: dict, sizes: list | None = None, size_offsets: list | None = None
+) -> list[CandidateStatistics]:
+    """One statistics object per row of a block's scalar stat columns.
+
+    Scalars come out exact via ``tolist()`` and the aggregates were summed
+    exactly, so the trusted ``build_unchecked`` constructor gives each row
+    the value :meth:`CandidateStatistics.from_file_sizes` would.  Row
+    ``i``'s file sizes are ``sizes[size_offsets[i]:size_offsets[i + 1]]``;
+    without ``sizes`` rows carry empty ``file_sizes``.
+    """
+    build = CandidateStatistics.build_unchecked
+    columns = [arrays[name].tolist() for name in STAT_INT_COLUMNS + STAT_FLOAT_COLUMNS]
+    out = []
+    for i, row in enumerate(zip(*columns)):
+        # Column order: STAT_INT_COLUMNS, then STAT_FLOAT_COLUMNS.
+        count, total, small, small_bytes, target, parts, deletes, created, modified, quota = row
+        file_sizes = () if sizes is None else tuple(sizes[size_offsets[i] : size_offsets[i + 1]])
+        out.append(
+            build(
+                count, total, small, small_bytes, target, parts, created, modified, quota,
+                file_sizes=file_sizes, delete_file_count=deletes,
+            )
+        )
+    return out
 
 
 @dataclass
@@ -469,29 +487,16 @@ class ColumnarHitPayload:
     def build(self) -> list:
         """Worker-side rebuild: the generation-order list with miss holes."""
         arrays = self.block.arrays()
-        columns = {
-            name: arrays[name].tolist()
-            for name in STAT_INT_COLUMNS + STAT_FLOAT_COLUMNS
-        }
-        rows = arrays["trait_matrix"].tolist()
-        build = CandidateStatistics.build_unchecked
         placed: list = [None] * self.total
         names = self.trait_names
-        for j, (key, position) in enumerate(zip(self.keys, self.positions)):
-            stats = build(
-                file_count=columns["file_count"][j],
-                total_bytes=columns["total_bytes"][j],
-                small_file_count=columns["small_file_count"][j],
-                small_file_bytes=columns["small_file_bytes"][j],
-                target_file_size=columns["target_file_size"][j],
-                partition_count=columns["partition_count"][j],
-                created_at=columns["created_at"][j],
-                last_modified_at=columns["last_modified_at"][j],
-                quota_utilization=columns["quota_utilization"][j],
-                delete_file_count=columns["delete_file_count"][j],
-            )
+        for key, position, stats, row in zip(
+            self.keys,
+            self.positions,
+            _statistics_rows(arrays),
+            arrays["trait_matrix"].tolist(),
+        ):
             placed[position] = Candidate(
-                key=key, statistics=stats, traits=dict(zip(names, rows[j]))
+                key=key, statistics=stats, traits=dict(zip(names, row))
             )
         return placed
 

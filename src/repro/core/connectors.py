@@ -18,7 +18,6 @@ import abc
 import threading
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.snapshot import build_candidate_statistics
 from repro.core.candidates import (
     Candidate,
     CandidateKey,
@@ -378,7 +377,16 @@ class LstConnector(Connector):
 
     def collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
         """Live statistics for one key (the cache serves :meth:`observe`)."""
-        return build_candidate_statistics(*self._observation_row(key))
+        sizes, target, partitions, deletes, created, modified, quota = self._observation_row(key)
+        return CandidateStatistics.from_file_sizes(
+            list(sizes),
+            target,
+            partition_count=partitions,
+            delete_file_count=deletes,
+            created_at=created,
+            last_modified_at=modified,
+            quota_utilization=quota,
+        )
 
     def _quota(self, key: CandidateKey) -> float:
         try:
@@ -391,10 +399,11 @@ class LstConnector(Connector):
 
         ``(file_sizes, target_file_size, partition_count,
         delete_file_count, created_at, last_modified_at,
-        quota_utilization)`` — exactly the arguments of
-        :func:`~repro.catalog.snapshot.build_candidate_statistics`.  Both
-        the live statistics build and the worker-bound columnar export
-        come from this method, so the two observation paths cannot drift.
+        quota_utilization)`` — the inputs of
+        :meth:`~repro.core.candidates.CandidateStatistics.from_file_sizes`.
+        Both the live statistics build (:meth:`collect_statistics`) and
+        the worker-bound columnar export come from this method, so the two
+        observation paths cannot drift.
         """
         table = self.table_for(key)
         policy = self.catalog.policy(key.qualified_table)

@@ -52,6 +52,7 @@ import os
 import threading
 import time
 
+from repro import durable
 from repro.core.candidates import Candidate
 from repro.core.cron import as_schedule
 from repro.core.fairness import AdmissionController
@@ -84,6 +85,7 @@ class ResumableStateMachine:
     def __init__(self, state_dir: str | os.PathLike, clock=time.time) -> None:
         self.state_dir = os.fspath(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
+        durable.sweep_temp_files(self.state_dir)
         self._clock = clock
         self._mutex = threading.Lock()
         self._states: dict[str, dict] = {}
@@ -106,11 +108,7 @@ class ResumableStateMachine:
                 self._states[unit] = record
 
     def _write(self, record: dict) -> None:
-        path = self._path_for(record["unit"])
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(record, stream)
-        os.replace(tmp, path)  # atomic: readers see old or new, never torn
+        durable.atomic_write(self._path_for(record["unit"]), json.dumps(record))
 
     def register(self, units) -> int:
         """Ensure a state file exists for every unit (new ones start INIT).

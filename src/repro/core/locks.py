@@ -41,6 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import durable
 from repro.errors import ValidationError
 from repro.obs.tracing import timed
 
@@ -459,23 +460,17 @@ class LockManager:
         self.close()
 
 
+def _audit_log(lock_dir: str | os.PathLike) -> tuple[list[dict], list[str]]:
+    """The records of a lock directory's audit log and its corrupt lines."""
+    return durable.read_jsonl(os.path.join(os.fspath(lock_dir), AUDIT_LOG))
+
+
 def read_audit(lock_dir: str | os.PathLike) -> list[dict]:
-    """Parse the audit log of a lock directory (missing log = empty)."""
-    path = os.path.join(os.fspath(lock_dir), AUDIT_LOG)
-    records = []
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    except FileNotFoundError:
-        return []
-    return records
+    """Parse the audit log of a lock directory (missing log = empty).
+
+    Lines that do not parse are left out; :func:`verify_audit` reports them.
+    """
+    return _audit_log(lock_dir)[0]
 
 
 def verify_audit(lock_dir: str | os.PathLike) -> AuditSummary:
@@ -492,12 +487,16 @@ def verify_audit(lock_dir: str | os.PathLike) -> AuditSummary:
       outside any lock);
     * the same ``(key, context)`` compacted more than once — the
       "never twice for the same trigger" rule (commits with no context
-      are exempt: they predate lock-hook coverage).
+      are exempt: they predate lock-hook coverage);
+    * a line that does not parse (a lost record) anywhere but at the
+      tail, where an append may still be in flight.
     """
     summary = AuditSummary()
     holder: dict[str, str] = {}
     compacted: dict[tuple, int] = {}
-    for record in read_audit(lock_dir):
+    records, corrupt = _audit_log(lock_dir)
+    summary.violations.extend(f"{AUDIT_LOG} {error}" for error in corrupt)
+    for record in records:
         summary.events += 1
         event = record.get("event")
         key = record.get("key", "")

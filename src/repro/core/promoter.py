@@ -59,6 +59,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro import durable
 from repro.analysis.metrics import reduction_efficiency, write_amplification
 from repro.core.filters import MinSmallFileCountFilter, QuiescenceFilter
 from repro.errors import ValidationError
@@ -134,6 +135,7 @@ class PolicyStore:
     def __init__(self, store_dir: str | os.PathLike, clock=time.time) -> None:
         self.store_dir = os.fspath(store_dir)
         os.makedirs(self.store_dir, exist_ok=True)
+        durable.sweep_temp_files(self.store_dir)
         self._clock = clock
         self.promote_hook = None
         self._mutex = threading.RLock()
@@ -167,10 +169,7 @@ class PolicyStore:
 
     @staticmethod
     def _write_json(path: str, payload: dict) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
-        os.replace(tmp, path)  # atomic: readers see old or new, never torn
+        durable.atomic_write(path, json.dumps(payload, sort_keys=True))
 
     def _audit(self, event: str, **payload: object) -> None:
         record = {"event": event, "pid": os.getpid(), "ts": self._clock(), **payload}
@@ -453,23 +452,18 @@ class PromotionSummary:
     violations: list = field(default_factory=list)
 
 
+def _promotion_log(store_dir: str | os.PathLike) -> tuple[list[dict], list[str]]:
+    """The events of a store's promotion audit log and its corrupt lines."""
+    return durable.read_jsonl(os.path.join(os.fspath(store_dir), PROMOTION_AUDIT_LOG))
+
+
 def read_promotions(store_dir: str | os.PathLike) -> list[dict]:
-    """Parse a store's promotion audit log (missing log = empty)."""
-    path = os.path.join(os.fspath(store_dir), PROMOTION_AUDIT_LOG)
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    except FileNotFoundError:
-        return []
-    return records
+    """Parse a store's promotion audit log (missing log = empty).
+
+    Lines that do not parse are left out; :func:`replay_promotions`
+    reports them.
+    """
+    return _promotion_log(store_dir)[0]
 
 
 def replay_promotions(store_dir: str | os.PathLike) -> PromotionSummary:
@@ -479,13 +473,17 @@ def replay_promotions(store_dir: str | os.PathLike) -> PromotionSummary:
     one per commit, promotes only leave ``STABLE``, rollbacks and guard
     passes only leave ``GUARD``, every commit has a matching intent, and
     no intent is left dangling (recovery resolves those on store open).
+    A line that does not parse, anywhere but at the tail where an append
+    may still be in flight, is a lost record and a violation too.
     """
     summary = PromotionSummary()
     version: int | None = None
     state: str | None = None
     variant: str | None = None
     pending: dict | None = None
-    for event in read_promotions(store_dir):
+    events, corrupt = _promotion_log(store_dir)
+    summary.violations.extend(f"{PROMOTION_AUDIT_LOG} {error}" for error in corrupt)
+    for event in events:
         summary.events += 1
         name = event.get("event", "")
         if name == "init":

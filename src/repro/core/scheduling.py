@@ -9,19 +9,20 @@ AutoComp separates *what* to compact (decide) from *how/when* to run it
 * a :class:`Scheduler` decides ordering and concurrency.  The paper found
   that with Iceberg v1.2.0 even compactions of *distinct partitions*
   conflict, so its deployment compacts tables in parallel but partitions
-  of one table sequentially — :class:`PartitionSerialScheduler` encodes
-  exactly that, while :class:`ParallelScheduler` exists to demonstrate the
-  conflict storm you get without it (Table 1's cluster-side column).
-  :class:`ConcurrentScheduler` is the scale-out generalisation: independent
-  chains run concurrently under an explicit parallelism cap while ordered
+  of one table sequentially — ``ConcurrentScheduler(table_serial=True)``
+  encodes exactly that, while :class:`ParallelScheduler` exists to
+  demonstrate the conflict storm you get without it (Table 1's
+  cluster-side column).  :class:`ConcurrentScheduler` runs independent
+  chains concurrently, optionally under a parallelism cap, while ordered
   work stays ordered — per table with ``table_serial=True`` (safe on the
   Iceberg v1.2.0 profile), or per partition by default (Delta-profile
   granularity).
 
-Schedulers run in two modes: synchronous (no simulator — jobs execute
-back-to-back with no simulated time passing, for examples and fleet steps)
-and event-driven (a simulator is provided — jobs occupy simulated time and
-can race concurrent user writes).
+Schedulers run in two modes: synchronous (no simulator — every scheduler
+runs the jobs back-to-back in priority order with no simulated time
+passing, for examples and fleet steps) and event-driven (a simulator is
+provided — jobs occupy simulated time and can race concurrent user
+writes; each scheduler's :meth:`Scheduler._launch` decides the overlap).
 """
 
 from __future__ import annotations
@@ -205,7 +206,6 @@ class LstExecutionBackend(ExecutionBackend):
 class Scheduler(abc.ABC):
     """Orders and (optionally) parallelises act-phase jobs."""
 
-    @abc.abstractmethod
     def schedule(
         self,
         tasks: list[CompactionTask],
@@ -221,27 +221,35 @@ class Scheduler(abc.ABC):
             simulator: when given, jobs are scheduled as simulated events
                 and the return value is empty — results flow through
                 ``on_result`` as the events complete.  When None, jobs run
-                synchronously and results are returned.
+                synchronously in priority order and results are returned.
             on_result: optional callback invoked with each
                 :class:`ExecutionResult`.
         """
+        if simulator is None:
+            results = []
+            for task in tasks:
+                job = backend.prepare(task)
+                if job is None:
+                    result = ExecutionResult.skipped_result(task, 0.0)
+                else:
+                    job.start()
+                    result = job.finish()
+                results.append(result)
+                if on_result is not None:
+                    on_result(result)
+            return results
+        self._launch(tasks, backend, simulator, on_result)
+        return []
 
-    @staticmethod
-    def _run_sync(
-        tasks: list[CompactionTask], backend: ExecutionBackend, now: float, on_result
-    ) -> list[ExecutionResult]:
-        results = []
-        for task in tasks:
-            job = backend.prepare(task)
-            if job is None:
-                result = ExecutionResult.skipped_result(task, now)
-            else:
-                job.start()
-                result = job.finish()
-            results.append(result)
-            if on_result is not None:
-                on_result(result)
-        return results
+    @abc.abstractmethod
+    def _launch(
+        self,
+        tasks: list[CompactionTask],
+        backend: ExecutionBackend,
+        simulator: Simulator,
+        on_result,
+    ) -> None:
+        """Enqueue the tasks as simulated events (the scheduler's overlap)."""
 
     @staticmethod
     def _run_chain(
@@ -291,11 +299,8 @@ class SequentialScheduler(Scheduler):
     sequentially to mitigate resource contention", §4.4).
     """
 
-    def schedule(self, tasks, backend, simulator=None, on_result=None):
-        if simulator is None:
-            return self._run_sync(tasks, backend, 0.0, on_result)
+    def _launch(self, tasks, backend, simulator, on_result):
         self._run_chain(tasks, backend, simulator, on_result)
-        return []
 
 
 class ParallelScheduler(Scheduler):
@@ -306,75 +311,41 @@ class ParallelScheduler(Scheduler):
     granularity validation) it is safe for disjoint candidates.
     """
 
-    def schedule(self, tasks, backend, simulator=None, on_result=None):
-        if simulator is None:
-            # Without a simulator there is no concurrency; degrade to sync.
-            return self._run_sync(tasks, backend, 0.0, on_result)
+    def _launch(self, tasks, backend, simulator, on_result):
         for task in tasks:
             self._run_chain([task], backend, simulator, on_result)
-        return []
-
-
-class PartitionSerialScheduler(Scheduler):
-    """Tables in parallel, partitions of one table sequentially (§6).
-
-    This is the paper's hybrid-strategy scheduler: partition-scope tasks
-    belonging to the same table are chained (avoiding the v1.2.0 rewrite-
-    vs-rewrite conflict), while different tables proceed concurrently.
-    """
-
-    def schedule(self, tasks, backend, simulator=None, on_result=None):
-        if simulator is None:
-            return self._run_sync(tasks, backend, 0.0, on_result)
-        by_table: dict[str, list[CompactionTask]] = {}
-        for task in tasks:
-            by_table.setdefault(task.candidate.key.qualified_table, []).append(task)
-        for chain in by_table.values():
-            self._run_chain(chain, backend, simulator, on_result)
-        return []
 
 
 class ConcurrentScheduler(Scheduler):
-    """Independent chains in parallel under a concurrency cap (scale-out act).
+    """Independent chains in parallel, optionally under a concurrency cap.
 
     Tasks are grouped into *chains* of work that must stay ordered:
 
     * by ``(table, partition)`` by default — two tasks touching the same
       partition never overlap, but distinct partitions of one table *do*
-      run concurrently.  That is finer-grained than
-      :class:`PartitionSerialScheduler` (which chains all of a table's
-      partitions) and is only conflict-free on formats with
+      run concurrently.  That is only conflict-free on formats with
       file-granularity commit validation (the Delta profile);
-    * by table when ``table_serial=True`` — the grouping matching
-      :class:`PartitionSerialScheduler`'s guarantee, required for formats
-      where even distinct-partition rewrites of one table conflict (the
-      Iceberg v1.2.0 profile of Table 1, this repo's default table
-      profile).
+    * by table when ``table_serial=True`` — tables in parallel, the
+      partitions of one table sequentially (§6): the paper's
+      hybrid-strategy scheduler, required for formats where even
+      distinct-partition rewrites of one table conflict (the Iceberg
+      v1.2.0 profile of Table 1, this repo's default table profile).
 
     Args:
         max_parallelism: simulator mode: at most this many chains run
             concurrently; the next chain launches as one finishes.  None
             means all chains start immediately.
-        workers: sync mode: thread-pool width for running chains of a
-            thread-safe backend concurrently; None or <=1 degrades to
-            sequential execution.  Results (and ``on_result`` calls) are
-            always delivered in deterministic chain order regardless of
-            completion order.
         table_serial: chain by table instead of by partition.
     """
 
     def __init__(
         self,
         max_parallelism: int | None = None,
-        workers: int | None = None,
         table_serial: bool = False,
     ) -> None:
         if max_parallelism is not None and max_parallelism <= 0:
             raise ValidationError("max_parallelism must be positive")
-        if workers is not None and workers <= 0:
-            raise ValidationError("workers must be positive")
         self.max_parallelism = max_parallelism
-        self.workers = workers
         self.table_serial = table_serial
 
     def _chains(self, tasks: list[CompactionTask]) -> list[list[CompactionTask]]:
@@ -403,14 +374,12 @@ class ConcurrentScheduler(Scheduler):
             chains.setdefault((table, partition), []).append(task)
         return list(chains.values())
 
-    def schedule(self, tasks, backend, simulator=None, on_result=None):
+    def _launch(self, tasks, backend, simulator, on_result):
         chains = self._chains(tasks)
-        if simulator is None:
-            return self._run_sync_chains(chains, backend, on_result)
         if self.max_parallelism is None:
             for chain in chains:
                 self._run_chain(chain, backend, simulator, on_result)
-            return []
+            return
         pending = list(chains)
         # Trampoline: a chain whose jobs all skip completes synchronously
         # and re-enters launch_next from its on_done — loop on a wake
@@ -436,31 +405,6 @@ class ConcurrentScheduler(Scheduler):
 
         for _ in range(min(self.max_parallelism, len(pending))):
             launch_next()
-        return []
-
-    def _run_sync_chains(self, chains, backend, on_result) -> list[ExecutionResult]:
-        if not chains:
-            return []
-        if self.workers is None or self.workers <= 1 or len(chains) == 1:
-            results: list[ExecutionResult] = []
-            for chain in chains:
-                results.extend(self._run_sync(chain, backend, 0.0, on_result))
-            return results
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(chains))) as pool:
-            futures = [
-                pool.submit(self._run_sync, chain, backend, 0.0, None)
-                for chain in chains
-            ]
-            per_chain = [future.result() for future in futures]
-        results = []
-        for chain_results in per_chain:
-            results.extend(chain_results)
-            if on_result is not None:
-                for result in chain_results:
-                    on_result(result)
-        return results
 
 
 class OffPeakScheduler(Scheduler):
@@ -500,12 +444,15 @@ class OffPeakScheduler(Scheduler):
     def schedule(self, tasks, backend, simulator=None, on_result=None):
         if simulator is None:
             raise SchedulingError("OffPeakScheduler requires a simulator")
+        return super().schedule(tasks, backend, simulator, on_result)
+
+    def _launch(self, tasks, backend, simulator, on_result):
         delay = self.seconds_until_window(simulator.now)
         if delay == 0:
-            return self.inner.schedule(tasks, backend, simulator, on_result)
+            self.inner.schedule(tasks, backend, simulator, on_result)
+            return
         simulator.after(
             delay,
             lambda: self.inner.schedule(tasks, backend, simulator, on_result),
             name="offpeak-window",
         )
-        return []

@@ -27,8 +27,8 @@ from repro.core.filters import (
 from repro.core.pipeline import AutoCompPipeline, CycleReport
 from repro.core.ranking import Objective, WeightedSumPolicy
 from repro.core.scheduling import (
+    ConcurrentScheduler,
     LstExecutionBackend,
-    PartitionSerialScheduler,
     Scheduler,
     SequentialScheduler,
 )
@@ -82,7 +82,10 @@ def openhouse_pipeline(
             write-activity filter; for hybrid generation the window applies
             per *partition*, letting AutoComp dodge hot partitions and the
             conflicts they cause).  0 disables the filter.
-        scheduler: override the default partition-serial scheduler.
+        scheduler: override the default scheduler: for ``hybrid``
+            generation ``ConcurrentScheduler(table_serial=True)`` (tables
+            in parallel, partitions of one table in sequence), otherwise
+            :class:`SequentialScheduler`.
 
     Returns:
         A fully wired :class:`AutoCompPipeline`.
@@ -119,7 +122,9 @@ def openhouse_pipeline(
         selector = TopKSelector(k if k is not None else 10)
     if scheduler is None:
         scheduler = (
-            PartitionSerialScheduler() if generation == "hybrid" else SequentialScheduler()
+            ConcurrentScheduler(table_serial=True)
+            if generation == "hybrid"
+            else SequentialScheduler()
         )
     stats_filters: list = [
         MinTableAgeFilter(min_table_age_s),

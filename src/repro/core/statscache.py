@@ -60,15 +60,6 @@ class IndexedCandidateCache:
 
     Args:
         ttl_s: maximum entry age in seconds (``math.inf`` disables).
-        version_slack: opt-in approximate staleness tolerance: entries
-            whose stored integer token lags the lookup token by at most
-            this many versions still hit (0, the default, requires exact
-            freshness).  A table that trickled a handful of commits since
-            its last observation has nearly unchanged statistics, so
-            deployments can trade a bounded observation error for
-            skipping the re-collection entirely.  Connectors running the
-            validity check inline over the bulk accessors read this
-            attribute and apply the same rule.
 
     Attributes:
         hits: lookups served from the cache.
@@ -77,13 +68,10 @@ class IndexedCandidateCache:
         expirations: entries dropped by TTL or token mismatch.
     """
 
-    def __init__(self, ttl_s: float = math.inf, version_slack: int = 0) -> None:
+    def __init__(self, ttl_s: float = math.inf) -> None:
         if ttl_s <= 0:
             raise ValidationError(f"ttl_s must be positive, got {ttl_s}")
-        if version_slack < 0:
-            raise ValidationError(f"version_slack must be >= 0, got {version_slack}")
         self.ttl_s = ttl_s
-        self.version_slack = version_slack
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -148,9 +136,8 @@ class IndexedCandidateCache:
     def get(self, index: int, now: float = 0.0, token: int = 0) -> Candidate | None:
         """The cached candidate at ``index``, or None on a miss.
 
-        An entry is valid iff ``0 <= token - stored_token <= version_slack``
-        (exact equality when slack is 0, the default) and it is younger
-        than the TTL; stale entries are evicted.
+        An entry is valid iff its stored token equals ``token`` and it is
+        younger than the TTL; stale entries are evicted.
 
         Thread-sharded connectors call this concurrently for disjoint
         indices (e.g. the catalog connector's per-key lookups), so the
@@ -167,7 +154,7 @@ class IndexedCandidateCache:
         candidate = self._candidates[index]  # repro-lint: disable=RL001 -- shards own disjoint slices
         if (
             candidate is None
-            or not 0 <= token - self._tokens[index] <= self.version_slack  # repro-lint: disable=RL001 -- shards own disjoint slices
+            or self._tokens[index] != token  # repro-lint: disable=RL001 -- shards own disjoint slices
             or now - self._stored_at[index] >= self.ttl_s  # repro-lint: disable=RL001 -- shards own disjoint slices
         ):
             expired = candidate is not None

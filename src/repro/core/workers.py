@@ -54,7 +54,7 @@ import time
 import weakref
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.candidates import Candidate, CandidateKey
 from repro.core.filters import CandidateFilter, apply_filters
@@ -564,16 +564,6 @@ class WorkerPool:
         if len(self._futures) >= 64:
             self._futures = [f for f in self._futures if not f.done()]
         self._futures.append(future)
-
-    def map_ordered(self, fn: Callable, items: Iterable) -> list:
-        """Run ``fn`` over ``items``, results in submission order.
-
-        Results are assembled in input order regardless of completion
-        order, so callers' outputs stay deterministic whatever the pool
-        width.
-        """
-        futures = [self.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
     def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
         """Run zero-argument callables, results in submission order.

@@ -211,14 +211,13 @@ class FleetConnector(Connector):
     ) -> tuple[list[Candidate | None], list[CandidateKey], list[int]]:
         """The single source of the cache hit-validity rule.
 
-        A key is served from cache iff its slot's freshness token is
-        within ``version_slack`` of the live version *and* the entry is
-        younger than the TTL; hits get their database-level quota
-        re-stamped in place (it drifts while the table stays clean), so
-        cached observations stay exactly equal to fresh ones.  The
-        shipped traits read only per-table file statistics — custom
-        traits that read quota_utilization should not be combined with a
-        stats cache.
+        A key is served from cache iff its slot's freshness token equals
+        the live version *and* the entry is younger than the TTL; hits get
+        their database-level quota re-stamped in place (it drifts while the
+        table stays clean), so cached observations stay exactly equal to
+        fresh ones.  The shipped traits read only per-table file
+        statistics — custom traits that read quota_utilization should not
+        be combined with a stats cache.
 
         Shared by the in-process observe path and the process-worker
         export, so the two can never disagree about which keys need
@@ -247,7 +246,6 @@ class FleetConnector(Connector):
         tokens = cache.tokens
         stored_ats = cache.stored_ats
         ttl = cache.ttl_s
-        slack = cache.version_slack
         versions, quota = view.versions, view.quota
         hits = 0
         expirations = 0
@@ -257,7 +255,7 @@ class FleetConnector(Connector):
             candidate = slots[index]
             if (
                 candidate is not None
-                and 0 <= versions[index] - tokens[index] <= slack
+                and tokens[index] == versions[index]
                 and now - stored_ats[index] < ttl
             ):
                 hits += 1

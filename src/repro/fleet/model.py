@@ -489,11 +489,6 @@ class FleetModel:
         n = self.count
         return self.tiny_files[:n] + self.mid_files[:n]
 
-    def small_bytes_per_table(self) -> np.ndarray:
-        """Bytes below target per table (the GBHr estimator input)."""
-        n = self.count
-        return self.tiny_bytes[:n] + self.mid_bytes[:n]
-
     def files_per_table(self) -> np.ndarray:
         """Total live files per table."""
         n = self.count

@@ -217,11 +217,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         n_shards: number of per-shard pipelines.
         k / budget_gbhr / quota_aware: as for :class:`AutoCompStrategy`.
         stats_cache_ttl_s: TTL fallback for cached statistics.
-        version_slack: opt-in approximate staleness tolerance (default 0 =
-            exact): cached observations of tables whose ``stats_version``
-            advanced by at most this many versions are served without
-            re-observation, trading a bounded statistics error for cache
-            hits on trickle-writing tables.
         selection: ``"global"`` (exactly the unsharded decisions) or
             ``"local"`` (split budgets, fully independent shards).
         workers: shard execution mode — ``"threads"`` (default) or
@@ -249,7 +244,6 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         budget_gbhr: float | None = None,
         quota_aware: bool = True,
         stats_cache_ttl_s: float = 7 * DAY,
-        version_slack: int = 0,
         selection: str = "global",
         workers: str = "threads",
         max_workers: int | None = None,
@@ -264,7 +258,7 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         # One cache shared by every shard: consistent hashing partitions
         # the table-index space disjointly, so shards never contend for a
         # slot, and a single slot table keeps the working set compact.
-        cache = IndexedCandidateCache(ttl_s=stats_cache_ttl_s, version_slack=version_slack)
+        cache = IndexedCandidateCache(ttl_s=stats_cache_ttl_s)
         self.caches = [cache]
         shards = [
             AutoCompPipeline(

@@ -105,13 +105,6 @@ def string_constants(node: ast.AST) -> Iterator[str]:
             yield sub.value
 
 
-def iter_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    """All class definitions in ``tree`` (nested ones included)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
 def literal_prefix(node: ast.AST) -> str | None:
     """The constant prefix of a dynamically-built string, if detectable.
 

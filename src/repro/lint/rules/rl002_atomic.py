@@ -7,7 +7,8 @@ written with a bare ``open(path, "w")`` / ``Path.write_text``: a crash
 mid-write leaves a torn file that ``_recover()`` / ``verify_audit`` then
 misreads.  The two blessed idioms are:
 
-* **tmp + rename** — write ``path + ".tmp"`` completely, then
+* **tmp + rename** — :func:`repro.durable.atomic_write` writes a temp
+  file named for the writing process and thread completely, then
   ``os.replace(tmp, path)`` (readers see old or new, never torn);
 * **O_APPEND record append** — ``os.open(path, O_CREAT|O_WRONLY|O_APPEND)``
   with one ``os.write`` per record (atomic under ``PIPE_BUF`` on POSIX).
@@ -151,8 +152,8 @@ class AtomicWriteRule(Rule):
     title = "atomic-write discipline: durable state written non-atomically"
     severity = "error"
     hint = (
-        "Write durable state via tmp + os.replace (write `path + '.tmp'` "
-        "fully, then `os.replace(tmp, path)`) or append records through "
+        "Write durable state via `repro.durable.atomic_write(path, text)` "
+        "(a per-writer temp file, then `os.replace`) or append records through "
         "`os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND)` with one "
         "os.write per record."
     )

@@ -39,6 +39,7 @@ import os
 from pathlib import Path
 from typing import Iterable
 
+from repro import durable
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule
 
@@ -132,12 +133,7 @@ def manifest_payload(extracted: dict) -> dict:
 def write_manifest(extracted: dict, path: str | os.PathLike) -> None:
     """Atomically write the manifest (tmp + os.replace, of course)."""
     payload = manifest_payload(extracted)
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    os.replace(tmp, path)
+    durable.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | os.PathLike) -> dict | None:

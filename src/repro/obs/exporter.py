@@ -37,7 +37,8 @@ import time
 import weakref
 from typing import Callable
 
-from repro.obs.tracing import AppendLog, _atomic_write
+from repro import durable
+from repro.obs.tracing import AppendLog
 from repro.simulation.telemetry import Histogram, Telemetry
 
 __all__ = [
@@ -248,7 +249,7 @@ class MetricsExporter:
 
         # One snapshot feeds both the exposition and the metrics.jsonl line.
         snap = self.telemetry.snapshot()
-        _atomic_write(self.prom_path, _render_snapshot(snap))
+        durable.atomic_write(self.prom_path, _render_snapshot(snap))
         written["prom"] = self.prom_path
 
         entry = {
@@ -273,7 +274,7 @@ class MetricsExporter:
         status_fn = self.status_fn
         if status_fn is not None:
             status = status_fn()
-            _atomic_write(
+            durable.atomic_write(
                 self.status_path,
                 json.dumps(_json_safe(status), indent=2, sort_keys=True) + "\n",
             )

@@ -28,7 +28,8 @@ import math
 import os
 import sys
 
-from repro.obs.tracing import Span, _atomic_write, chrome_document
+from repro import durable
+from repro.obs.tracing import Span, chrome_document
 
 __all__ = ["load_status_dir", "format_status", "log_lines", "main", "render_chrome"]
 
@@ -122,7 +123,7 @@ def render_chrome(path: str, out: str) -> tuple[int, list[str]]:
             events.append(Span.from_dict(json.loads(line)).to_chrome_event())
         except (ValueError, TypeError, KeyError) as exc:
             errors.append(f"corrupt span line {number} in {trace_path}: {exc!r}")
-    _atomic_write(out, chrome_document(events))
+    durable.atomic_write(out, chrome_document(events))
     return len(events), errors
 
 

@@ -49,6 +49,8 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
+from repro import durable
+
 __all__ = [
     "SPAN_RING",
     "AppendLog",
@@ -348,7 +350,7 @@ class Tracer:
     def dump_chrome(self, path: str) -> str:
         """Write the held spans as Chrome ``trace_event`` JSON; atomic."""
         spans = self.finished()
-        _atomic_write(path, chrome_document(span.to_chrome_event() for span in spans))
+        durable.atomic_write(path, chrome_document(span.to_chrome_event() for span in spans))
         return path
 
 
@@ -439,19 +441,6 @@ class timed:
             self._telemetry.observe(self._histogram, self.wall_s)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and ``os.replace``.
-
-    Readers see the old file or the new one, never a torn write.  The temp
-    name carries the process and thread, so two writers of one path never
-    share (and truncate or rename away) each other's temp file.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(text)
-    os.replace(tmp, path)
-
-
 class AppendLog:
     """A file of whole lines that only grows, rolled to ``<path>.1`` at a cap.
 
@@ -485,7 +474,7 @@ class AppendLog:
                 self._lines = 0
             chunk = lines[done:done + self.cap - (self._lines or 0)]
             if fresh:
-                _atomic_write(self.path, "".join(chunk))
+                durable.atomic_write(self.path, "".join(chunk))
                 fresh, self._lines = False, 0
             else:
                 fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)

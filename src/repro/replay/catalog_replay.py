@@ -60,11 +60,6 @@ class CatalogReplayer:
             serialized in the trace header (falling back to a stock
             3-executor cluster when the header carries none).
         cost_model: engine cost-model override (None = defaults).
-        cycle_interval_s: synthetic cycle cadence for traces recorded
-            *without* AutoComp running (no ``cycle`` markers): what-if
-            replay then runs a cycle each time the recorded clock crosses
-            a multiple of this interval.  Ignored when the trace has
-            markers.
     """
 
     def __init__(
@@ -72,7 +67,6 @@ class CatalogReplayer:
         trace: Trace | str | os.PathLike | IO[str],
         cluster: Cluster | None = None,
         cost_model=None,
-        cycle_interval_s: float | None = None,
     ) -> None:
         if not isinstance(trace, Trace):
             trace = TraceReader(trace).read()
@@ -81,13 +75,9 @@ class CatalogReplayer:
                 f"CatalogReplayer needs a catalog trace, got {trace.trace_type!r} "
                 "(use TraceReplayer for fleet traces)"
             )
-        if cycle_interval_s is not None and cycle_interval_s <= 0:
-            raise ValidationError("cycle_interval_s must be positive")
         self.trace = trace
         self._cluster_override = cluster
         self.cost_model = cost_model
-        self.cycle_interval_s = cycle_interval_s
-        self._has_markers = any(e["kind"] == "cycle" for e in trace.events)
 
     # --- construction helpers ---------------------------------------------------
 
@@ -233,10 +223,9 @@ class CatalogReplayer:
         """Re-drive the recorded workload under ``variant``'s policy.
 
         Recorded ``replace`` commits and cycle reports are ignored; at
-        every ``variant.trigger_interval_days``-th recorded cycle marker
-        (or synthetic ``cycle_interval_s`` boundary for marker-less
-        traces), one synchronous OODA cycle runs against the reconstructed
-        catalog through ``variant.build_catalog_pipeline``.
+        every ``variant.trigger_interval_days``-th recorded cycle marker,
+        one synchronous OODA cycle runs against the reconstructed catalog
+        through ``variant.build_catalog_pipeline``.
 
         Returns:
             The :class:`~repro.replay.replayer.ReplayResult`, whose
@@ -276,8 +265,6 @@ class CatalogReplayer:
         result = ReplayResult(variant=variant)
         markers = 0
         files_initial_pending = True
-        use_synthetic = not self._has_markers and self.cycle_interval_s is not None
-        next_synthetic = self.cycle_interval_s if use_synthetic else None
 
         def total_files() -> int:
             return sum(table.data_file_count for table in catalog.all_tables())
@@ -292,19 +279,7 @@ class CatalogReplayer:
 
         for index, event in enumerate(self.trace.events):
             kind = event["kind"]
-            t = float(event["t"])
-            if use_synthetic and run_cycles:
-                while next_synthetic is not None and t >= next_synthetic:
-                    if files_initial_pending:
-                        result.files_initial = total_files()
-                        files_initial_pending = False
-                    self._advance(catalog, next_synthetic)
-                    markers += 1
-                    result.days = markers
-                    if markers % variant.trigger_interval_days == 0:
-                        run_cycle(catalog.clock.now)
-                    next_synthetic += self.cycle_interval_s
-            self._advance(catalog, t)
+            self._advance(catalog, float(event["t"]))
             if kind == "db_create":
                 catalog.create_database(event["name"], quota_objects=event["quota_objects"])
             elif kind == "table_create":

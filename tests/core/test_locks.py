@@ -261,6 +261,19 @@ class TestAudit:
     def test_read_audit_missing_log(self, tmp_path):
         assert read_audit(tmp_path / "nope") == []
 
+    def test_verify_reports_a_record_lost_mid_log(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        a.acquire("db.t0")
+        # A torn record with the next one glued on: the glued record is a
+        # lock violation the log no longer shows.
+        with open(os.path.join(lock_dir, AUDIT_LOG), "a", encoding="utf-8") as stream:
+            stream.write('{"event": "acq{"event":"compact_commit","held":false,"key":"db.t"}\n')
+        a.release("db.t0")
+        summary = verify_audit(lock_dir)
+        assert not summary.ok
+        assert [v.split(":")[0] for v in summary.violations] == [f"{AUDIT_LOG} line 2"]
+        assert [r["event"] for r in read_audit(lock_dir)] == ["acquire", "release"]
+
     def test_audit_lines_are_json(self, lock_dir):
         a = LockManager(lock_dir, owner="a")
         a.acquire("db.t0")

@@ -262,6 +262,16 @@ class TestPromotionReplay:
         assert [e["event"] for e in read_promotions(tmp_path)] == ["init"]
         assert verify_promotions(tmp_path).violations == []
 
+    def test_verify_reports_a_record_lost_mid_log(self, tmp_path):
+        store = PolicyStore(tmp_path)
+        store.initialize(ACTIVE)
+        with open(store.audit_path, "a", encoding="utf-8") as stream:
+            stream.write('{"event": "prom{"event":"shadow"}\n')  # torn, then glued
+        store.record_shadow({"variant": "eager"})
+        violations = verify_promotions(tmp_path).violations
+        assert [v.split(":")[0] for v in violations] == ["audit.jsonl line 2"]
+        assert [e["event"] for e in read_promotions(tmp_path)] == ["init", "shadow"]
+
 
 # --- applying variants to live pipelines ------------------------------------------
 

@@ -14,7 +14,6 @@ from repro.core import (
     LstExecutionBackend,
     OffPeakScheduler,
     ParallelScheduler,
-    PartitionSerialScheduler,
     SequentialScheduler,
 )
 from repro.engine import Cluster
@@ -100,6 +99,38 @@ class TestSequentialSyncMode:
         assert len(seen) == 1
 
 
+class TestSyncModeOrder:
+    """Without a simulator every scheduler runs one path: priority order."""
+
+    @pytest.mark.parametrize(
+        "scheduler",
+        [
+            SequentialScheduler(),
+            ParallelScheduler(),
+            ConcurrentScheduler(),
+            ConcurrentScheduler(table_serial=True),
+        ],
+        ids=["sequential", "parallel", "concurrent", "concurrent-table-serial"],
+    )
+    def test_results_and_callbacks_follow_priority_order(self, world, scheduler):
+        _, _, backend, *_ = world
+        # Two tables and two partitions interleaved: grouping by table or
+        # by partition would each reorder these.
+        tasks = [
+            _partition_task("db", "a", (0,)),
+            _partition_task("db", "b", (0,)),
+            _partition_task("db", "a", (1,)),
+            _partition_task("db", "b", (0,)),
+        ]
+        seen = []
+        results = scheduler.schedule(tasks, backend, on_result=seen.append)
+        expected = [task.candidate.key for task in tasks]
+        assert [r.candidate for r in results] == expected
+        assert [r.candidate for r in seen] == expected
+        # The repeated partition has nothing left to rewrite.
+        assert [r.skipped for r in results] == [False, False, False, True]
+
+
 class TestSimulatorMode:
     def test_sequential_chains_jobs(self, world):
         catalog, _, backend, *_ = world
@@ -157,7 +188,7 @@ class TestSimulatorMode:
         catalog, _, backend, table_a, _ = world
         simulator = Simulator(catalog.clock)
         results = []
-        PartitionSerialScheduler().schedule(
+        ConcurrentScheduler(table_serial=True).schedule(
             [_partition_task("db", "a", (0,)), _partition_task("db", "a", (1,))],
             backend,
             simulator=simulator,
@@ -171,7 +202,7 @@ class TestSimulatorMode:
         catalog, _, backend, *_ = world
         simulator = Simulator(catalog.clock)
         results = []
-        PartitionSerialScheduler().schedule(
+        ConcurrentScheduler(table_serial=True).schedule(
             [_partition_task("db", "a", (0,)), _table_task("db", "b")],
             backend,
             simulator=simulator,
@@ -258,18 +289,6 @@ class TestConcurrentScheduler:
         assert [str(r.candidate) for r in results] == ["db.a", "db.b"]
         assert all(r.success for r in results)
 
-    def test_sync_mode_with_workers_keeps_chain_order(self, world):
-        _, _, backend, *_ = world
-        tasks = [_table_task("db", "a"), _table_task("db", "b")]
-        seen = []
-        results = ConcurrentScheduler(workers=2).schedule(
-            tasks, backend, on_result=seen.append
-        )
-        # Results (and callbacks) are delivered in deterministic chain
-        # order regardless of thread completion order.
-        assert [str(r.candidate) for r in results] == ["db.a", "db.b"]
-        assert [str(r.candidate) for r in seen] == ["db.a", "db.b"]
-
     def test_independent_chains_overlap_in_time(self, world):
         catalog, _, backend, *_ = world
         simulator = Simulator(catalog.clock)
@@ -344,8 +363,6 @@ class TestConcurrentScheduler:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ConcurrentScheduler(max_parallelism=0)
-        with pytest.raises(ValidationError):
-            ConcurrentScheduler(workers=0)
 
 
     def test_table_scope_task_serialises_with_partition_tasks(self):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import AutoCompService, BudgetSelector, TopKSelector, openhouse_pipeline
 from repro.core.candidates import CandidateKey, CandidateScope
-from repro.core.scheduling import PartitionSerialScheduler, SequentialScheduler
+from repro.core.scheduling import ConcurrentScheduler, SequentialScheduler
 from repro.engine import Cluster
 from repro.errors import ValidationError
 from repro.simulation import Simulator
@@ -50,7 +50,9 @@ class TestOpenhousePipeline:
         pipeline = openhouse_pipeline(
             fleet_catalog, Cluster("maint", executors=3), generation="hybrid"
         )
-        assert isinstance(pipeline.scheduler, PartitionSerialScheduler)
+        assert isinstance(pipeline.scheduler, ConcurrentScheduler)
+        assert pipeline.scheduler.table_serial
+        assert pipeline.scheduler.max_parallelism is None
 
     def test_budget_mode(self, fleet_catalog):
         pipeline = openhouse_pipeline(

@@ -23,7 +23,6 @@ from repro.fleet import (
     FleetConfig,
     FleetConnector,
     FleetModel,
-    ShardedAutoCompStrategy,
 )
 from repro.units import DAY, MiB
 
@@ -428,16 +427,7 @@ class TestReviewRegressions:
 
 
 class TestVersionSlack:
-    """Opt-in approximate staleness tolerance (version_slack, default off)."""
-
-    def test_statscache_slack_serves_slightly_stale_entries(self):
-        cache = IndexedCandidateCache(version_slack=2)
-        candidate = _candidate()
-        cache.put(0, candidate, token=10)
-        assert cache.get(0, token=11) is candidate  # 1 version behind: hit
-        assert cache.get(0, token=12) is candidate  # 2 behind: still inside slack
-        assert cache.get(0, token=13) is None  # 3 behind: stale
-        assert cache.expirations == 1
+    """Version tokens are compared exactly: no drift is tolerated."""
 
     def test_statscache_slack_defaults_to_exact(self):
         cache = IndexedCandidateCache()
@@ -445,63 +435,33 @@ class TestVersionSlack:
         assert cache.get(0, token=11) is None
 
     def test_statscache_slack_never_accepts_backwards_tokens(self):
-        cache = IndexedCandidateCache(version_slack=5)
+        cache = IndexedCandidateCache()
         cache.put(0, _candidate(), token=10)
         assert cache.get(0, token=9) is None  # token regressed: not a hit
-
-    def test_indexed_cache_slack(self):
-        cache = IndexedCandidateCache(version_slack=1)
-        candidate = Candidate(key=_table_key(), statistics=_stats())
-        cache.put(0, candidate, token=5)
-        assert cache.get(0, token=6) is candidate
-        assert cache.get(0, token=7) is None
-
-    def test_rejects_negative_slack(self):
-        with pytest.raises(ValidationError):
-            IndexedCandidateCache(version_slack=-1)
-
-    def test_fleet_connector_honours_slack(self):
-        model = FleetModel(FleetConfig(initial_tables=40, seed=2))
-        model.step_day()
-        cache = IndexedCandidateCache(version_slack=1)
-        connector = FleetConnector(model, min_small_files=1, stats_cache=cache)
-        keys = connector.list_candidates()
-        first = connector.observe(keys)
-        stats_before = first[0].statistics
-        index = int(keys[0].table[len("table"):])
-        # One version of drift stays within slack: the cached statistics
-        # are served even though the table compacted.
-        model.compact(index)
-        second = connector.observe(keys)
-        assert second[0].statistics is stats_before
-        # A second version bump exceeds the slack: re-observed.
-        model.compact(index)
-        third = connector.observe(keys)
-        assert third[0].statistics is not stats_before
-
-    def test_sharded_strategy_slack_increases_hit_rate(self):
-        def hit_rate(slack: int) -> float:
-            model = FleetModel(FleetConfig(initial_tables=150, seed=9))
-            model.step_day()
-            strategy = ShardedAutoCompStrategy(
-                model, n_shards=2, k=3, version_slack=slack
-            )
-            for _ in range(5):
-                strategy.run_day(model, model.day)
-                model.step_day()
-            (cache,) = strategy.caches
-            return cache.hit_rate
-
-        assert hit_rate(3) > hit_rate(0)
 
     def test_statscache_slack_accepts_numpy_integer_tokens(self):
         import numpy as np
 
-        cache = IndexedCandidateCache(version_slack=2)
+        cache = IndexedCandidateCache()
         candidate = _candidate()
         cache.put(0, candidate, token=np.int64(10))
-        assert cache.get(0, token=np.int64(11)) is candidate
-        assert cache.get(0, token=np.int64(13)) is None
+        assert cache.get(0, token=np.int64(10)) is candidate
+        assert cache.get(0, token=10) is candidate
+        assert cache.get(0, token=np.int64(11)) is None
+        assert cache.expirations == 1
+
+    def test_fleet_connector_reobserves_after_one_version(self):
+        model = FleetModel(FleetConfig(initial_tables=40, seed=2))
+        model.step_day()
+        cache = IndexedCandidateCache()
+        connector = FleetConnector(model, min_small_files=1, stats_cache=cache)
+        keys = connector.list_candidates()
+        first = connector.observe(keys)
+        stats_before = first[0].statistics
+        assert connector.observe(keys)[0].statistics is stats_before
+        # A single version bump already invalidates the inline hit rule.
+        model.compact(int(keys[0].table[len("table"):]))
+        assert connector.observe(keys)[0].statistics is not stats_before
 
 
 class TestStatsCacheThreadSafety:

@@ -16,8 +16,8 @@ import sys
 import threading
 import types
 
+import repro.durable as durable_module
 import repro.obs.exporter as exporter_module
-import repro.obs.tracing as tracing_module
 from repro.obs.exporter import MetricsExporter
 from repro.obs.promcheck import check_exposition
 from repro.obs.tracing import Span, Tracer, timed
@@ -101,7 +101,7 @@ class TestExportBytes:
         exporter.export_once()
         written = []
         real_write = os.write
-        real_atomic = tracing_module._atomic_write
+        real_atomic = durable_module.atomic_write
 
         def counting_write(fd, data):
             written.append(len(data))
@@ -112,8 +112,7 @@ class TestExportBytes:
             real_atomic(path, text)
 
         monkeypatch.setattr(os, "write", counting_write)
-        monkeypatch.setattr(tracing_module, "_atomic_write", counting_atomic)
-        monkeypatch.setattr(exporter_module, "_atomic_write", counting_atomic)
+        monkeypatch.setattr(durable_module, "atomic_write", counting_atomic)
         traced_cycles_plain(tracer, new // 2)
         exporter.export_once()
         monkeypatch.undo()
