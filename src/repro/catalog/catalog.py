@@ -334,8 +334,7 @@ class Catalog:
         if database is None or identifier.name not in database.tables:
             raise NoSuchTableError(str(identifier))
         table = database.tables.pop(identifier.name)
-        for info in self.fs.namenode.files_under(table.location):
-            self.fs.delete_file(info.path)
+        self.fs.delete_files([info.path for info in self.fs.namenode.files_under(table.location)])
         self._policies.pop(str(identifier), None)
         self.telemetry.increment("catalog.tables.dropped")
 

@@ -39,9 +39,9 @@ _FIELDS = (
     ("day-of-week", 0, 7),
 )
 
-#: Search horizon: a spec with no matching time within this many minutes
-#: (4 years — covers Feb 29) is rejected as unsatisfiable.
-_MAX_SEARCH_MINUTES = 4 * 366 * 24 * 60
+#: Search horizon in seconds: a spec with no matching time within 4 years
+#: (which covers Feb 29) is rejected as unsatisfiable.
+_SEARCH_HORIZON_S = 4 * 366 * 24 * 60 * 60
 
 
 def _parse_field(text: str, name: str, lo: int, hi: int) -> tuple[frozenset[int], bool]:
@@ -183,31 +183,29 @@ class CronSchedule:
         like "Feb 29" resolve in a few hundred steps rather than
         minute-by-minute.
         """
-        # Start at the next whole minute boundary after ts.
+        # Start at the next whole minute boundary after ts.  The horizon
+        # bounds the calendar time searched, not the steps: one step can
+        # skip a whole month.
         t = (int(ts) // 60 + 1) * 60
-        searched = 0
-        while searched < _MAX_SEARCH_MINUTES:
+        horizon = t + _SEARCH_HORIZON_S
+        while t < horizon:
             lt = time.localtime(t)
             if lt.tm_mon not in self.months:
                 # First minute of the next month.
                 t = time.mktime((lt.tm_year, lt.tm_mon + 1, 1, 0, 0, 0, 0, 0, -1))
-                searched += 1
                 continue
             if not self._day_matches(lt):
                 t = time.mktime(
                     (lt.tm_year, lt.tm_mon, lt.tm_mday + 1, 0, 0, 0, 0, 0, -1)
                 )
-                searched += 1
                 continue
             if lt.tm_hour not in self.hours:
                 t = time.mktime(
                     (lt.tm_year, lt.tm_mon, lt.tm_mday, lt.tm_hour + 1, 0, 0, 0, 0, -1)
                 )
-                searched += 1
                 continue
             if lt.tm_min not in self.minutes:
                 t += 60
-                searched += 1
                 continue
             return float(t)
         raise ValidationError(

@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from itertools import islice
-from typing import NamedTuple
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import CommitConflictError, ValidationError
 from repro.lst.files import DataFile, DeleteFile, FileContent
@@ -791,38 +792,41 @@ class BaseTable(abc.ABC):
         """
         if self._version != 0 or self._snapshots:
             raise ValidationError("restore_state requires a freshly created table")
+        # One storage batch per run of consecutive same-partition files.
         data_files: list[DataFile] = []
-        for file_id, partition, size_bytes in files:
-            partition = tuple(partition)
-            partition_dir = self.spec.partition_path(partition)
-            subdir = f"data/{partition_dir}" if partition_dir else "data"
-            path = f"{self.location}/{subdir}/part-{file_id:08d}.parquet"
-            self.fs.create_file(path, size_bytes)
-            data_files.append(
+        for partition, run in groupby(files, key=lambda f: tuple(f[1])):
+            directory = self._partition_directory(partition)
+            run = list(run)
+            self.fs.create_files(
+                directory, [(f"part-{file_id:08d}.parquet", size) for file_id, _, size in run]
+            )
+            data_files.extend(
                 DataFile(
                     file_id=int(file_id),
-                    path=path,
+                    path=f"{directory}/part-{file_id:08d}.parquet",
                     size_bytes=int(size_bytes),
                     record_count=max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
                     partition=partition,
                 )
+                for file_id, _, size_bytes in run
             )
         delete_files: list[DeleteFile] = []
-        for file_id, partition, size_bytes, references in deletes:
-            partition = tuple(partition)
-            partition_dir = self.spec.partition_path(partition)
-            subdir = f"data/{partition_dir}" if partition_dir else "data"
-            path = f"{self.location}/{subdir}/delete-{file_id:08d}.parquet"
-            self.fs.create_file(path, size_bytes)
-            delete_files.append(
+        for partition, run in groupby(deletes, key=lambda d: tuple(d[1])):
+            directory = self._partition_directory(partition)
+            run = list(run)
+            self.fs.create_files(
+                directory, [(f"delete-{file_id:08d}.parquet", size) for file_id, _, size, _ in run]
+            )
+            delete_files.extend(
                 DeleteFile(
                     file_id=int(file_id),
-                    path=path,
+                    path=f"{directory}/delete-{file_id:08d}.parquet",
                     size_bytes=int(size_bytes),
                     record_count=max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
                     partition=partition,
                     references=frozenset(int(r) for r in references),
                 )
+                for file_id, _, size_bytes, references in run
             )
         self._version = int(version)
         self._next_file_id = int(next_file_id)
@@ -942,46 +946,63 @@ class BaseTable(abc.ABC):
     def _count_conflict(self, txn: Transaction) -> None:
         self.telemetry.increment(f"lst.conflicts.{txn.conflict_side}")
 
+    def _partition_directory(self, partition: tuple) -> str:
+        """Storage directory holding a partition's data and delete files."""
+        partition_dir = self.spec.partition_path(partition)
+        return f"{self.location}/data/{partition_dir}" if partition_dir else f"{self.location}/data"
+
     def _materialize(
         self, pending: list[_PendingFile]
     ) -> tuple[list[DataFile], list[DeleteFile]]:
         data: list[DataFile] = []
         deletes: list[DeleteFile] = []
-        directories: dict[tuple, str] = {}  # a commit usually hits one partition
-        for spec in pending:
+        # One storage batch per run of consecutive same-partition files, in
+        # staging order: the file ids (and so ``Snapshot.files``) stay in
+        # the order the files were added.
+        for partition, run in groupby(pending, key=attrgetter("partition")):
+            directory = self._partition_directory(partition)
+            self.fs.create_files(directory, self._allocate(directory, run, data, deletes))
+        return data, deletes
+
+    def _allocate(
+        self,
+        directory: str,
+        run: Iterable[_PendingFile],
+        data: list[DataFile],
+        deletes: list[DeleteFile],
+    ) -> Iterator[tuple[str, int]]:
+        """Yield ``(name, size_bytes)`` per pending file of ``run``.
+
+        Each file's id is allocated as the storage batch reaches it, so a
+        batch that fails part-way leaves the ids a per-file loop would.
+        """
+        for spec in run:
             file_id = self._next_file_id
             self._next_file_id += 1
-            directory = directories.get(spec.partition)
-            if directory is None:
-                partition_dir = self.spec.partition_path(spec.partition)
-                subdir = f"data/{partition_dir}" if partition_dir else "data"
-                directory = directories[spec.partition] = f"{self.location}/{subdir}"
             if spec.content is FileContent.DATA:
-                path = f"{directory}/part-{file_id:08d}.parquet"
-                self.fs.create_file(path, spec.size_bytes)
+                name = f"part-{file_id:08d}.parquet"
                 data.append(
                     DataFile(
                         file_id=file_id,
-                        path=path,
+                        path=f"{directory}/{name}",
                         size_bytes=spec.size_bytes,
                         record_count=spec.record_count,
                         partition=spec.partition,
                     )
                 )
             else:
-                path = f"{directory}/delete-{file_id:08d}.parquet"
-                self.fs.create_file(path, spec.size_bytes)
+                name = f"delete-{file_id:08d}.parquet"
                 deletes.append(
                     DeleteFile(
                         file_id=file_id,
-                        path=path,
+                        path=f"{directory}/{name}",
                         size_bytes=spec.size_bytes,
                         record_count=spec.record_count,
                         partition=spec.partition,
                         references=spec.references,
                     )
                 )
-        return data, deletes
+            yield name, spec.size_bytes
 
     # --- snapshot expiration -----------------------------------------------------------
 
@@ -1016,29 +1037,22 @@ class BaseTable(abc.ABC):
             return 0
         expired = ordered[:first]
 
-        deleted = 0
-
-        def remove(path: str) -> None:
-            nonlocal deleted
-            if self.fs.namenode.exists(path):
-                self.fs.delete_file(path)
-                deleted += 1
-
         # History is linear and a removed file never returns, so a file is
         # unreachable from every retained snapshot exactly when a commit up
         # to the oldest retained one removed it.  The oldest surviving
         # snapshot's own removals were collected when its parent expired.
         # Manifests follow the same rule: once a commit drops one from its
         # reachable list, no later snapshot references it again.
+        unreachable: dict[str, None] = {}  # ordered, without duplicates
         for parent, child in zip(expired, ordered[1 : first + 1]):
-            for f in child.removed:
-                remove(f.path)
-            for path in parent.exclusive_metadata_paths:
-                remove(path)
+            unreachable.update(dict.fromkeys(f.path for f in child.removed))
+            unreachable.update(dict.fromkeys(parent.exclusive_metadata_paths))
             kept = set(child.manifest_paths)
-            for path in parent.manifest_paths:
-                if path not in kept:
-                    remove(path)
+            unreachable.update(
+                dict.fromkeys(path for path in parent.manifest_paths if path not in kept)
+            )
+        exists = self.fs.namenode.exists
+        deleted = len(self.fs.delete_files([path for path in unreachable if exists(path)]))
         for snap in expired:
             del self._snapshots[snap.snapshot_id]
         self.telemetry.increment("lst.expired_files", deleted)

@@ -52,11 +52,11 @@ class IcebergTable(BaseTable):
         operation: str,
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         metadata_dir = f"{self.location}/metadata"
+        manifest = f"manifest-{version:06d}.avro"
+        manifest_list = f"snap-{snapshot_id:06d}.avro"
+        metadata_json = f"v{version:06d}.metadata.json"
 
-        manifest_path = f"{metadata_dir}/manifest-{version:06d}.avro"
-        manifest_size = MANIFEST_BASE + MANIFEST_PER_ENTRY * (added + removed)
-        self.fs.create_file(manifest_path, manifest_size)
-
+        manifest_path = f"{metadata_dir}/{manifest}"
         if operation == "replace":
             # A rewrite rewrites the manifest graph down to one manifest.
             manifest_paths: tuple[str, ...] = (manifest_path,)
@@ -64,15 +64,12 @@ class IcebergTable(BaseTable):
             previous = parent.manifest_paths if parent else ()
             manifest_paths = previous + (manifest_path,)
 
-        manifest_list_path = f"{metadata_dir}/snap-{snapshot_id:06d}.avro"
-        self.fs.create_file(
-            manifest_list_path,
-            MANIFEST_LIST_BASE + MANIFEST_LIST_PER_MANIFEST * len(manifest_paths),
+        manifest_size = MANIFEST_BASE + MANIFEST_PER_ENTRY * (added + removed)
+        list_size = MANIFEST_LIST_BASE + MANIFEST_LIST_PER_MANIFEST * len(manifest_paths)
+        json_size = METADATA_JSON_BASE + METADATA_JSON_PER_SNAPSHOT * (len(self._snapshots) + 1)
+        self.fs.create_files(
+            metadata_dir,
+            [(manifest, manifest_size), (manifest_list, list_size), (metadata_json, json_size)],
         )
-
-        metadata_json_path = f"{metadata_dir}/v{version:06d}.metadata.json"
-        self.fs.create_file(
-            metadata_json_path,
-            METADATA_JSON_BASE + METADATA_JSON_PER_SNAPSHOT * (len(self._snapshots) + 1),
-        )
-        return manifest_paths, (manifest_list_path, metadata_json_path)
+        exclusive = (f"{metadata_dir}/{manifest_list}", f"{metadata_dir}/{metadata_json}")
+        return manifest_paths, exclusive

@@ -10,6 +10,17 @@ files inflate RPC traffic, and per-tenant namespace quotas get breached
 * :class:`~repro.storage.filesystem.SimulatedFileSystem` — the client façade
   that records create/open/delete/list RPC traffic into telemetry.
 
+Files are created and deleted in batches: ``NameNode.create_many`` takes a
+directory and its ``(name, size)`` entries, ``NameNode.delete_many`` a list
+of paths, and ``SimulatedFileSystem.create_files`` / ``delete_files`` sit
+above them.  A batch normalises its directory, settles new ancestors and
+looks up and charges the enclosing quotas once (deletes: once per parent
+directory); only the existence check and the ``FileInfo`` are per file.
+``create`` and ``delete`` are the one-file case.  The RPC counters still
+grow by one per file, so Figure 11b's counts do not depend on batching,
+and a batch that fails part-way leaves exactly what the same single calls
+would have left.
+
 No actual bytes are stored; file sizes are bookkeeping attributes.
 """
 

@@ -42,6 +42,18 @@ class SimulatedFileSystem:
         self.telemetry.increment("storage.rpc.create")
         return self.namenode.create(path, size_bytes, created_at=self.clock.now)
 
+    def create_files(
+        self, directory: str, entries: Iterable[tuple[str, int]]
+    ) -> list[FileInfo]:
+        """Create the ``(name, size_bytes)`` files in ``directory`` as one batch.
+
+        See :meth:`NameNode.create_many` for what a batch does once; the
+        create RPC count is what the same :meth:`create_file` calls make.
+        """
+        return self._counted(
+            "storage.rpc.create", self.namenode.create_many, directory, entries, self.clock.now
+        )
+
     def open_file(self, path: str) -> FileInfo:
         """Open (read) a file (counts an open RPC)."""
         self.telemetry.increment("storage.rpc.open")
@@ -61,6 +73,29 @@ class SimulatedFileSystem:
         """Delete a file (counts a delete RPC)."""
         self.telemetry.increment("storage.rpc.delete")
         return self.namenode.delete(path)
+
+    def delete_files(self, paths: Iterable[str]) -> list[FileInfo]:
+        """Delete the files at ``paths`` as one batch (see
+        :meth:`NameNode.delete_many`); the delete RPC count is what the same
+        :meth:`delete_file` calls make."""
+        return self._counted("storage.rpc.delete", self.namenode.delete_many, paths)
+
+    def _counted(self, counter: str, batch, *args) -> list[FileInfo]:
+        """``batch(*args)``, counting one ``counter`` RPC per item it reaches.
+
+        A batch stops at its first failing item, which counts as its single
+        call would; the items before it are the files the batch added or
+        removed.
+        """
+        before = self.namenode.file_count
+        try:
+            done = batch(*args)
+        except Exception:
+            self.telemetry.increment(counter, abs(self.namenode.file_count - before) + 1)
+            raise
+        if done:
+            self.telemetry.increment(counter, len(done))
+        return done
 
     def list_files(self, prefix: str = "/") -> list[FileInfo]:
         """List all files under a directory (counts a list RPC)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import (
     FileExistsInStorageError,
@@ -120,44 +121,78 @@ class NameNode:
     def create(self, path: str, size_bytes: int, created_at: float) -> FileInfo:
         """Create a file, implicitly creating (and quota-charging) parents.
 
+        The one-file case of :meth:`create_many`.
+
         Raises:
             FileExistsInStorageError: if the path already exists.
             QuotaExceededError: if any enclosing quota would overflow; the
                 namespace is left unchanged in that case.
         """
-        path = normalize_path(path)
-        if size_bytes < 0:
-            raise ValidationError(f"file size must be >= 0, got {size_bytes}")
-        if path in self._files or path in self._dirs:
-            raise FileExistsInStorageError(path)
-        parent = path.rpartition("/")[0]
-        if parent in self._dirs:
-            # The directory set is closed under ancestors and no directory
-            # ever sits below a file, so a known parent means no new
-            # directories and no file-valued ancestor.
-            new_dirs: list[str] = []
-        else:
-            ancestors = parent_directories(path)
-            for ancestor in ancestors:
-                if ancestor in self._files:
-                    raise FileExistsInStorageError(
-                        f"{path}: ancestor {ancestor!r} is a file"
-                    )
-            new_dirs = [d for d in ancestors if d not in self._dirs]
-        self._check_quotas(path, new_dirs)
-        for directory in new_dirs:
-            self._dirs.add(directory)
-            self._charge_quotas(directory, +1)
-        info = FileInfo(
-            path=path,
-            size_bytes=int(size_bytes),
-            created_at=float(created_at),
-            block_size=self.block_size,
-        )
-        self._files[path] = info
-        self._charge_quotas(path, +1)
-        self._total_bytes += info.size_bytes
-        return info
+        directory, _, name = normalize_path(path).rpartition("/")
+        return self.create_many(directory or "/", ((name, size_bytes),), created_at)[0]
+
+    def create_many(
+        self,
+        directory: str,
+        entries: Iterable[tuple[str, int]],
+        created_at: float,
+    ) -> list[FileInfo]:
+        """Create the ``(name, size_bytes)`` files in ``directory``, in order.
+
+        The directory is normalised, its new ancestors settled and its
+        enclosing quotas looked up once per call; only the existence check
+        and the :class:`FileInfo` are per file.  ``entries`` is consumed one
+        entry at a time, so a caller may allocate per-file state (such as a
+        file id) as each entry is reached.
+
+        A failure part-way leaves exactly what the same sequence of
+        :meth:`create` calls leaves: the files before the failing entry
+        exist and are charged, and no later entry is read.
+
+        Raises:
+            ValidationError: for a negative size or a name that is empty or
+                holds a ``/``.
+            FileExistsInStorageError: if a path (or an ancestor, as a file)
+                already exists.
+            QuotaExceededError: if an enclosing quota would overflow.
+        """
+        directory = normalize_path(directory)
+        prefix = "" if directory == "/" else directory
+        files = self._files
+        dirs = self._dirs
+        block_size = self.block_size
+        created_at = float(created_at)
+        created: list[FileInfo] = []
+        quotas: tuple[tuple[str, _Quota], ...] = ()
+        room = -1  # files the enclosing quotas still take; -1 until settled
+        charged = 0
+        added_bytes = 0
+        try:
+            for name, size_bytes in entries:
+                if not name or "/" in name:
+                    raise ValidationError(f"file names must be one path segment, got {name!r}")
+                path = f"{prefix}/{name}"
+                if size_bytes < 0:
+                    raise ValidationError(f"file size must be >= 0, got {size_bytes}")
+                if path in files or path in dirs:
+                    raise FileExistsInStorageError(path)
+                if room < 0:
+                    quotas = self._settle_directory(path, prefix)
+                    room = min((quota.limit - quota.used for _, quota in quotas), default=math.inf)
+                elif len(created) >= room:
+                    # An enclosing quota is full: charge what this call has
+                    # created so far, then fail exactly as a single create.
+                    _charge(quotas, len(created) - charged)
+                    charged = len(created)
+                    self._check_quotas(prefix, [])
+                info = FileInfo(path, int(size_bytes), created_at, block_size)
+                files[path] = info
+                added_bytes += info.size_bytes
+                created.append(info)
+        finally:
+            _charge(quotas, len(created) - charged)
+            self._total_bytes += added_bytes
+        return created
 
     def lookup(self, path: str) -> FileInfo:
         """Return the file at ``path``.
@@ -179,16 +214,42 @@ class NameNode:
     def delete(self, path: str) -> FileInfo:
         """Delete a file (directories are never garbage-collected).
 
+        The one-file case of :meth:`delete_many`.
+
         Raises:
             FileNotFoundInStorageError: if absent.
         """
-        path = normalize_path(path)
-        info = self._files.pop(path, None)
-        if info is None:
-            raise FileNotFoundInStorageError(path)
-        self._charge_quotas(path, -1)
-        self._total_bytes -= info.size_bytes
-        return info
+        return self.delete_many((path,))[0]
+
+    def delete_many(self, paths: Iterable[str]) -> list[FileInfo]:
+        """Delete the files at ``paths``, in order.
+
+        Quotas are charged once per parent directory rather than per file.
+        A failure part-way leaves exactly what the same sequence of
+        :meth:`delete` calls leaves: the files before the failing path are
+        gone and uncharged, and no later path is read.
+
+        Raises:
+            FileNotFoundInStorageError: if a path names no file (including
+                one this call already deleted).
+        """
+        files = self._files
+        deleted: list[FileInfo] = []
+        per_parent: dict[str, int] = {}
+        try:
+            for path in paths:
+                path = normalize_path(path)
+                info = files.pop(path, None)
+                if info is None:
+                    raise FileNotFoundInStorageError(path)
+                parent = path.rpartition("/")[0]
+                per_parent[parent] = per_parent.get(parent, 0) + 1
+                deleted.append(info)
+        finally:
+            for parent, count in per_parent.items():
+                _charge(self._enclosing_quotas(parent), -count)
+            self._total_bytes -= sum(info.size_bytes for info in deleted)
+        return deleted
 
     def files_under(self, prefix: str = "/") -> list[FileInfo]:
         """All files whose path lies under directory ``prefix``."""
@@ -252,9 +313,8 @@ class NameNode:
         """Directories that carry a quota, sorted."""
         return sorted(self._quotas)
 
-    def _enclosing_quotas(self, path: str) -> tuple[tuple[str, _Quota], ...]:
-        """Quotas charged for an entry at ``path``: those on its ancestors."""
-        parent = path.rpartition("/")[0]
+    def _enclosing_quotas(self, parent: str) -> tuple[tuple[str, _Quota], ...]:
+        """Quotas charged for an entry of directory ``parent`` (``""``: root)."""
         enclosing = self._dir_quotas.get(parent)
         if enclosing is None:
             inside = parent + "/"
@@ -266,16 +326,50 @@ class NameNode:
             self._dir_quotas[parent] = enclosing
         return enclosing
 
-    def _check_quotas(self, path: str, new_dirs: list[str]) -> None:
-        # Count how many new objects each quota root would absorb.  Every new
-        # directory is an ancestor of ``path``, so only the quotas enclosing
-        # ``path`` can absorb any.
-        for directory, quota in self._enclosing_quotas(path):
+    def _settle_directory(self, path: str, parent: str) -> tuple[tuple[str, _Quota], ...]:
+        """Make ``parent`` ready to take ``path``: check and add its missing
+        ancestors, charging them; return the quotas enclosing ``parent``.
+
+        Raises:
+            FileExistsInStorageError: if an ancestor of ``path`` is a file.
+            QuotaExceededError: if the new directories plus ``path`` would
+                overflow a quota; nothing is changed then.
+        """
+        if parent in self._dirs:
+            # The directory set is closed under ancestors and no directory
+            # ever sits below a file, so a known parent means no new
+            # directories and no file-valued ancestor.
+            return self._check_quotas(parent, [])
+        ancestors = parent_directories(path)
+        for ancestor in ancestors:
+            if ancestor in self._files:
+                raise FileExistsInStorageError(f"{path}: ancestor {ancestor!r} is a file")
+        new_dirs = [d for d in ancestors if d not in self._dirs]
+        quotas = self._check_quotas(parent, new_dirs)
+        for directory in new_dirs:
+            self._dirs.add(directory)
+            _charge(self._enclosing_quotas(directory.rpartition("/")[0]), 1)
+        return quotas
+
+    def _check_quotas(
+        self, parent: str, new_dirs: list[str]
+    ) -> tuple[tuple[str, _Quota], ...]:
+        """Raise unless every quota enclosing ``parent`` takes one new entry
+        plus ``new_dirs``; return those quotas.
+
+        Every new directory is an ancestor of the entry, so only the quotas
+        enclosing ``parent`` can absorb any.
+        """
+        quotas = self._enclosing_quotas(parent)
+        for directory, quota in quotas:
             needle = "/" if directory == "/" else directory + "/"
             added = 1 + sum(1 for d in new_dirs if d.startswith(needle))
             if quota.used + added > quota.limit:
                 raise QuotaExceededError(directory, quota.used, quota.limit)
+        return quotas
 
-    def _charge_quotas(self, path: str, delta: int) -> None:
-        for _, quota in self._enclosing_quotas(path):
+
+def _charge(quotas: tuple[tuple[str, _Quota], ...], delta: int) -> None:
+    if delta:
+        for _, quota in quotas:
             quota.used += delta

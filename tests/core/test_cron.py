@@ -70,6 +70,22 @@ class TestParsing:
         with pytest.raises(ValidationError):
             CronSchedule.parse(spec)
 
+    def test_unsatisfiable_spec_gives_up_after_four_calendar_years(self, monkeypatch):
+        # Feb 31 never comes: the search skips ~40 months and days a year,
+        # so four years of calendar take a few hundred steps, not millennia.
+        calls = 0
+        mktime = time.mktime
+
+        def counting_mktime(fields):
+            nonlocal calls
+            calls += 1
+            assert calls <= 1_000, "cron search walked past its 4-year horizon"
+            return mktime(fields)
+
+        monkeypatch.setattr(time, "mktime", counting_mktime)
+        with pytest.raises(ValidationError, match="within 4 years"):
+            CronSchedule.parse("0 0 31 2 *")
+
 
 class TestMatching:
     def test_minute_granularity(self):

@@ -3,10 +3,13 @@
 A commit, a snapshot expiration, a file create and a read of a few
 partitions of the head snapshot must each cost work proportional to what
 changed (Δ) or to what was read, not to the size of the table.  These
-tests count the calls that used to scale with the live file count.
+tests count the calls that used to scale with the live file count, and
+the per-directory storage work that used to scale with a commit's files.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -171,3 +174,39 @@ class TestCreateCost:
         namenode.set_quota("/q/a", 5)
         namenode.create("/q/a/f2", 1, created_at=0.0)
         assert namenode.quota_usage("/q/a") == (3, 5)
+
+
+class TestBatchCost:
+    @staticmethod
+    def _storage_calls(table, monkeypatch, files: int) -> Counter:
+        calls: Counter = Counter()
+        enclosing = NameNode._enclosing_quotas
+        normalize = namenode_module.normalize_path
+
+        def counting_enclosing(self, parent):
+            calls["_enclosing_quotas"] += 1
+            return enclosing(self, parent)
+
+        def counting_normalize(path):
+            calls["normalize_path"] += 1
+            return normalize(path)
+
+        monkeypatch.setattr(NameNode, "_enclosing_quotas", counting_enclosing)
+        monkeypatch.setattr(namenode_module, "normalize_path", counting_normalize)
+        txn = table.new_append()
+        for _ in range(files):
+            txn.add_file(1 * MiB, partition=(0,))
+        txn.commit()
+        monkeypatch.undo()
+        return calls
+
+    def test_single_partition_append_does_directory_work_once_per_batch(
+        self, big_table, monkeypatch
+    ):
+        one = self._storage_calls(big_table, monkeypatch, files=1)
+        twelve = self._storage_calls(big_table, monkeypatch, files=12)
+        assert twelve == one
+        # One storage batch for the data files, one for the commit metadata.
+        assert twelve["_enclosing_quotas"] <= 2
+        assert twelve["normalize_path"] <= 2
+        assert big_table.data_file_count == BIG + 13
