@@ -533,14 +533,8 @@ class AutoCompDaemon:
         count/sum/min/max/p50/p95/p99).
         """
         telemetry = self._telemetry()
-        histograms: dict[str, dict] = {}
-        snapshot = getattr(telemetry, "snapshot", None)
-        if snapshot is not None:
-            histograms = {
-                name: hist.summary()
-                for name, hist in snapshot()["histograms"].items()
-                if name.startswith("autocomp.hist.")
-            }
+        summaries = getattr(telemetry, "histogram_summaries", None)
+        histograms = summaries("autocomp.hist.") if summaries is not None else {}
         status = {
             "owner": self.locks.owner,
             "running": self._started,

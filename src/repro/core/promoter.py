@@ -139,6 +139,7 @@ class PolicyStore:
         self._clock = clock
         self.promote_hook = None
         self._mutex = threading.RLock()
+        self._pool_memo: tuple[tuple[int, int, int], tuple] | None = None
         self._active: dict | None = self._read_json(self._active_path)
         self.recovered_action: str | None = self._recover()
 
@@ -291,11 +292,30 @@ class PolicyStore:
             }
 
     def pool(self) -> list:
-        """The candidate-pool variants (possibly empty)."""
-        data = self._read_json(self._pool_path)
-        if not data:
+        """The candidate-pool variants (possibly empty).
+
+        ``pool.json`` is parsed again only when its ``(inode, mtime,
+        size)`` changes.  Every rewrite is an ``atomic_write``, which
+        renames a new inode into place, so a sibling store's
+        :meth:`set_pool` is seen.  (Two sibling rewrites within one
+        filesystem timestamp tick could restore the inode number and size
+        this store last read; only first initialisation and operators
+        rewrite the pool.)
+        """
+        try:
+            stat = os.stat(self._pool_path)
+        except FileNotFoundError:
             return []
-        return [_variant_from_dict(entry) for entry in data.get("variants", [])]
+        key = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        with self._mutex:
+            memo = self._pool_memo
+            if memo is None or memo[0] != key:
+                data = self._read_json(self._pool_path) or {}
+                variants = tuple(
+                    _variant_from_dict(entry) for entry in data.get("variants", [])
+                )
+                memo = self._pool_memo = (key, variants)
+            return list(memo[1])
 
     # --- write side -------------------------------------------------------------
 

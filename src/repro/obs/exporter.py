@@ -11,11 +11,18 @@ scrape job, dashboard or human can read while the daemon keeps running:
   (counters, last series values, histogram summaries).
 - ``trace.jsonl`` — the attached tracer's spans, one per line, when a
   tracer is wired in.
-- ``status.json`` — the daemon's ``status()`` report, when wired in.
+- ``status.json`` — the daemon's ``status()`` report as compact JSON,
+  when wired in.
 
-``metrics.prom`` and ``status.json`` are small: each export writes them
-to a temp path and atomically renames them into place, so a reader never
-sees a half-written exposition.  The two JSONL files grow, so each export
+An export costs O(metrics), not O(history): :meth:`Telemetry.snapshot`
+copies only each series' last point, the text that depends only on
+metric names (``HELP``/``TYPE`` lines, bucket labels) is cached for the
+exporter's life, and JSON goes through the C encoder (:func:`encode_json`).
+``metrics.prom`` and ``status.json`` are small: an export writes one to
+a temp path and atomically renames it into place, so a reader never
+sees a half-written exposition, and skips the write when the text is
+what this exporter last wrote there and the file is still present.
+The two JSONL files grow, so each export
 appends only its new lines to them through an
 :class:`~repro.obs.tracing.AppendLog`, which rolls a file to ``<name>.1``
 at its line cap (:data:`SNAPSHOT_RING` snapshots, the tracer's
@@ -30,19 +37,22 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import operator
 import os
 import re
 import threading
 import time
 import weakref
+from itertools import accumulate
 from typing import Callable
 
 from repro import durable
 from repro.obs.tracing import AppendLog
-from repro.simulation.telemetry import Histogram, Telemetry
+from repro.simulation.telemetry import Telemetry
 
 __all__ = [
     "MetricsExporter",
+    "encode_json",
     "prom_name",
     "render_prometheus",
 ]
@@ -63,13 +73,15 @@ def prom_name(name: str) -> str:
     return candidate
 
 
+#: Prometheus spellings of the non-finite values ``repr`` writes.
+_NON_FINITE = {"nan": "NaN", "inf": "+Inf", "-inf": "-Inf"}
+
+
 def _format_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
     formatted = repr(float(value))
-    return formatted[:-2] if formatted.endswith(".0") else formatted
+    if formatted.endswith(".0"):
+        return formatted[:-2]
+    return _NON_FINITE.get(formatted, formatted)
 
 
 def _escape_help(text: str) -> str:
@@ -85,19 +97,6 @@ def _help_for(name: str) -> str:
     return f"autocomp metric {name}"
 
 
-def _render_histogram(lines: list[str], base: str, hist: Histogram) -> None:
-    cumulative = 0
-    for bound, count in zip(hist.bounds, hist.counts):
-        cumulative += count
-        lines.append(
-            f'{base}_bucket{{le="{_format_value(bound)}"}} {cumulative}'
-        )
-    cumulative += hist.counts[-1]
-    lines.append(f'{base}_bucket{{le="+Inf"}} {cumulative}')
-    lines.append(f"{base}_sum {_format_value(hist.total)}")
-    lines.append(f"{base}_count {hist.count}")
-
-
 def render_prometheus(telemetry: Telemetry) -> str:
     """Render the whole sink as Prometheus text exposition format.
 
@@ -108,52 +107,98 @@ def render_prometheus(telemetry: Telemetry) -> str:
     collide with a counter) are skipped with an explanatory comment rather
     than emitting an invalid exposition.
     """
-    return _render_snapshot(telemetry.snapshot())
+    return _PromRenderer().render(telemetry.snapshot())
 
 
-def _render_snapshot(snap: dict) -> str:
-    """:func:`render_prometheus` over an already-taken ``Telemetry.snapshot()``."""
-    lines: list[str] = []
-    emitted: set[str] = set()
+class _PromRenderer:
+    """Renders telemetry snapshots, caching the text that depends only on names.
 
-    def claim(*names: str) -> bool:
-        if any(n in emitted for n in names):
+    Per metric name it keeps the Prometheus name, the ``HELP``/``TYPE``
+    lines and, for counters and gauges, the value line's prefix; per
+    ``(base, bounds)`` the bucket, sum and count line prefixes, ``le="…"``
+    labels included.  Both caches hold one entry per metric the sink has
+    held, so an exporter that owns a renderer keeps it as long as the sink
+    it renders.
+    """
+
+    def __init__(self) -> None:
+        self._heads: dict[tuple[str, str], tuple[str, str]] = {}
+        self._buckets: dict[tuple[str, tuple[float, ...]], tuple[tuple[str, ...], str, str]] = {}
+
+    def _head(self, name: str, kind: str) -> tuple[str, str]:
+        """``(base, text)``: the HELP and TYPE lines, then a counter's or
+        gauge's value-line prefix (``base`` and a space)."""
+        key = (name, kind)
+        head = self._heads.get(key)
+        if head is None:
+            base = prom_name(name)
+            value_prefix = "" if kind == "histogram" else f"\n{base} "
+            head = self._heads[key] = (
+                base,
+                f"# HELP {base} {_escape_help(_help_for(name))}\n"
+                f"# TYPE {base} {kind}{value_prefix}",
+            )
+        return head
+
+    def _bucket_prefixes(
+        self, base: str, bounds: tuple[float, ...]
+    ) -> tuple[tuple[str, ...], str, str]:
+        """``(bucket_prefixes, sum_prefix, count_prefix)``; the last bucket is ``+Inf``."""
+        key = (base, bounds)
+        prefixes = self._buckets.get(key)
+        if prefixes is None:
+            labels = [_format_value(bound) for bound in bounds] + ["+Inf"]
+            prefixes = self._buckets[key] = (
+                tuple(f'{base}_bucket{{le="{label}"}} ' for label in labels),
+                f"{base}_sum ",
+                f"{base}_count ",
+            )
+        return prefixes
+
+    def render(self, snap: dict) -> str:
+        lines: list[str] = []
+        emitted: set[str] = set()
+
+        def claim(*names: str) -> bool:
+            if emitted.isdisjoint(names):
+                emitted.update(names)
+                return True
             return False
-        emitted.update(names)
-        return True
 
-    for name in sorted(snap["counters"]):
-        base = prom_name(name)
-        if not claim(base):
+        def skipped(base: str, name: str) -> None:
             lines.append(f"# skipped duplicate metric name {base} (from {name})")
-            continue
-        lines.append(f"# HELP {base} {_escape_help(_help_for(name))}")
-        lines.append(f"# TYPE {base} counter")
-        lines.append(f"{base} {_format_value(snap['counters'][name])}")
 
-    for name in sorted(snap["series"]):
-        times, values = snap["series"][name]
-        base = prom_name(name)
-        if not claim(base):
-            lines.append(f"# skipped duplicate metric name {base} (from {name})")
-            continue
-        lines.append(f"# HELP {base} {_escape_help(_help_for(name))}")
-        lines.append(f"# TYPE {base} gauge")
-        last = values[-1] if values else math.nan
-        lines.append(f"{base} {_format_value(last)}")
+        counters = snap["counters"]
+        for name in sorted(counters):
+            base, head = self._head(name, "counter")
+            if claim(base):
+                lines.append(head + _format_value(counters[name]))
+            else:
+                skipped(base, name)
 
-    for name in sorted(snap["histograms"]):
-        hist = snap["histograms"][name]
-        base = prom_name(name)
-        family = (base, f"{base}_bucket", f"{base}_sum", f"{base}_count")
-        if not claim(*family):
-            lines.append(f"# skipped duplicate metric name {base} (from {name})")
-            continue
-        lines.append(f"# HELP {base} {_escape_help(_help_for(name))}")
-        lines.append(f"# TYPE {base} histogram")
-        _render_histogram(lines, base, hist)
+        series = snap["series"]
+        for name in sorted(series):
+            base, head = self._head(name, "gauge")
+            if claim(base):
+                values = series[name][1]
+                lines.append(head + _format_value(values[-1] if values else math.nan))
+            else:
+                skipped(base, name)
 
-    return "\n".join(lines) + "\n"
+        histograms = snap["histograms"]
+        for name in sorted(histograms):
+            hist = histograms[name]
+            base, head = self._head(name, "histogram")
+            if not claim(base, f"{base}_bucket", f"{base}_sum", f"{base}_count"):
+                skipped(base, name)
+                continue
+            buckets, sum_prefix, count_prefix = self._bucket_prefixes(base, hist.bounds)
+            lines.append(head)
+            lines.extend(map(operator.add, buckets, map(str, accumulate(hist.counts))))
+            lines.append(sum_prefix + _format_value(hist.total))
+            lines.append(f"{count_prefix}{hist.count}")
+
+        return "\n".join(lines) + "\n"
 
 
 class MetricsExporter:
@@ -199,6 +244,8 @@ class MetricsExporter:
         self._clock = clock
         self._snapshot_log = AppendLog(self.jsonl_path, SNAPSHOT_RING)
         self._dropped_published = 0
+        self._renderer = _PromRenderer()
+        self._last_written: dict[str, str] = {}
         self._export_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -249,7 +296,7 @@ class MetricsExporter:
 
         # One snapshot feeds both the exposition and the metrics.jsonl line.
         snap = self.telemetry.snapshot()
-        durable.atomic_write(self.prom_path, _render_snapshot(snap))
+        self._write_if_changed(self.prom_path, self._renderer.render(snap))
         written["prom"] = self.prom_path
 
         entry = {
@@ -264,7 +311,7 @@ class MetricsExporter:
                 for name, hist in snap["histograms"].items()
             },
         }
-        self._snapshot_log.write([json.dumps(_json_safe(entry), sort_keys=True) + "\n"])
+        self._snapshot_log.write([encode_json(entry) + "\n"])
         written["jsonl"] = self.jsonl_path
 
         if tracer is not None:
@@ -273,15 +320,19 @@ class MetricsExporter:
 
         status_fn = self.status_fn
         if status_fn is not None:
-            status = status_fn()
-            durable.atomic_write(
-                self.status_path,
-                json.dumps(_json_safe(status), indent=2, sort_keys=True) + "\n",
-            )
+            self._write_if_changed(self.status_path, encode_json(status_fn()) + "\n")
             written["status"] = self.status_path
 
         self.exports += 1
         return written
+
+    def _write_if_changed(self, path: str, text: str) -> None:
+        """Atomically replace ``path`` with ``text``, unless this exporter
+        last wrote exactly ``text`` there and the file is still present."""
+        if self._last_written.get(path) == text and os.path.exists(path):
+            return
+        durable.atomic_write(path, text)
+        self._last_written[path] = text
 
     # --- lifecycle ------------------------------------------------------------
 
@@ -321,6 +372,18 @@ class MetricsExporter:
             except OSError:
                 # Disk hiccups must not kill the export cadence.
                 self.export_errors += 1
+
+
+def encode_json(value) -> str:
+    """Compact, key-sorted JSON text; non-finite floats become ``null``.
+
+    The C encoder does the work; only a value holding a NaN or an infinity
+    is walked by :func:`_json_safe` and encoded again.
+    """
+    try:
+        return json.dumps(value, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return json.dumps(_json_safe(value), sort_keys=True)
 
 
 def _json_safe(value):

@@ -14,12 +14,11 @@ the bound address from :meth:`StatusServer.start`'s return value).
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-from repro.obs.exporter import _json_safe
+from repro.obs.exporter import encode_json
 
 __all__ = ["StatusServer"]
 
@@ -67,10 +66,8 @@ class StatusServer:
                     if path == "/healthz":
                         self._send(200, "text/plain; charset=utf-8", "ok\n")
                     elif path == "/status":
-                        body = json.dumps(
-                            _json_safe(outer.status_fn()), indent=2, sort_keys=True
-                        )
-                        self._send(200, "application/json", body + "\n")
+                        body = encode_json(outer.status_fn()) + "\n"
+                        self._send(200, "application/json", body)
                     elif path == "/metrics" and outer.metrics_fn is not None:
                         self._send(
                             200,

@@ -268,17 +268,15 @@ class Histogram:
         return self.max
 
     def copy(self) -> "Histogram":
-        """An independent deep copy (for consistent exporter snapshots)."""
-        return Histogram(
-            name=self.name,
-            bounds=self.bounds,
-            counts=list(self.counts),
-            count=self.count,
-            total=self.total,
-            min=self.min,
-            max=self.max,
-            dropped=self.dropped,
-        )
+        """An independent deep copy (for consistent exporter snapshots).
+
+        Skips ``__post_init__``: the bounds were validated when this
+        histogram was created, and only ``counts`` is mutable.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.counts = list(self.counts)
+        return clone
 
     def summary(self) -> dict[str, float]:
         """``{count, sum, min, max, p50, p95, p99}`` — the status-report view."""
@@ -414,20 +412,36 @@ class Telemetry:
         with self._lock:
             return sorted(name for name in self._histograms if name.startswith(prefix))
 
+    def histogram_summaries(self, prefix: str = "") -> dict[str, dict[str, float]]:
+        """:meth:`Histogram.summary` of every histogram starting with ``prefix``.
+
+        Summarised under the sink's lock, so each summary is consistent,
+        without copying any histogram.
+        """
+        with self._lock:
+            return {
+                name: hist.summary()
+                for name, hist in self._histograms.items()
+                if name.startswith(prefix)
+            }
+
     # --- snapshots ------------------------------------------------------------
 
     def snapshot(self) -> dict[str, dict]:
-        """A consistent deep copy of every metric, for exporters.
+        """A consistent copy of every metric's current state, for exporters.
 
         Returns ``{"counters": {name: value}, "series": {name: (times,
         values)}, "histograms": {name: Histogram}}`` — all copies, safe to
         render or serialise while writers keep mutating the live sink.
+        Each series carries only its last point (``times`` and ``values``
+        hold at most one element), so a snapshot costs O(metrics), not
+        O(history); read :meth:`series` for the whole history.
         """
         with self._lock:
             return {
                 "counters": dict(self._counters),
                 "series": {
-                    name: (list(s.times), list(s.values))
+                    name: (s.times[-1:], s.values[-1:])
                     for name, s in self._series.items()
                 },
                 "histograms": {

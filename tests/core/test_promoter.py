@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -105,6 +107,43 @@ class TestPolicyStore:
         assert snapshot["active"] == "eager"
         assert snapshot["previous"] == "boot"
         assert snapshot["pool"] == ["eager", "lazy"]
+
+    def test_pool_reads_see_every_sibling_rewrite_whole(self, tmp_path):
+        # pool() re-parses pool.json only when its (inode, mtime, size)
+        # changes; readers racing a sibling store's rewrites must see one
+        # whole written pool each time, and the last one once they settle.
+        reader = PolicyStore(tmp_path)
+        reader.initialize(ACTIVE, pool=[ACTIVE])
+        writer = PolicyStore(tmp_path)
+        pools = [[ACTIVE], [CHALLENGER], [CHALLENGER, THIRD], [THIRD, ACTIVE]]
+        seen, errors = [], []
+
+        def read() -> None:
+            try:
+                for _ in range(300):
+                    seen.append([v.name for v in reader.pool()])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for i in range(40):
+                writer.set_pool(pools[i % len(pools)])
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert {tuple(names) for names in seen} <= {
+            tuple(v.name for v in pool) for pool in pools
+        }
+        assert reader.pool() == pools[39 % len(pools)]
 
     def test_state_survives_reopen_mid_guard(self, tmp_path):
         first = PolicyStore(tmp_path)

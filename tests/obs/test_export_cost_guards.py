@@ -3,13 +3,18 @@
 An export must cost work proportional to what is new since the previous
 one: each span is encoded once, when it is appended to ``trace.jsonl``,
 each export encodes and appends one ``metrics.jsonl`` line, the
-exposition and that line share one telemetry snapshot, and the bytes an
-export writes do not grow with the run.  Exports are serialised, so an
-export racing another never shares its temp files.
+exposition and that line share one telemetry snapshot (the daemon's
+status report takes none), the snapshot copies one point of a long
+series, an unchanged ``pool.json`` is not parsed again, an unchanged
+whole file is not rewritten, and the bytes an export writes do not grow
+with the run.
+Exports are serialised, so an export racing another never shares its
+temp files.
 """
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import sys
@@ -18,10 +23,25 @@ import types
 
 import repro.durable as durable_module
 import repro.obs.exporter as exporter_module
+from repro.catalog import Catalog
+from repro.core import (
+    AutoCompDaemon,
+    AutoCompService,
+    PolicyPromoter,
+    PolicyStore,
+    openhouse_pipeline,
+)
+from repro.core.locks import LockManager
+from repro.engine import Cluster
+from repro.lst import Field, Schema
 from repro.obs.exporter import MetricsExporter
 from repro.obs.promcheck import check_exposition
 from repro.obs.tracing import Span, Tracer, timed
+from repro.replay import PolicyVariant
 from repro.simulation import Telemetry
+from repro.units import HOUR
+
+from tests.conftest import fragment_table
 
 
 def traced_cycles(tracer: Tracer, n: int) -> None:
@@ -82,6 +102,147 @@ class TestExportCost:
             assert sum(1 for _ in stream) == 154
         with open(exporter.jsonl_path, encoding="utf-8") as stream:
             assert sum(1 for _ in stream) == 5
+
+
+class CountingList(list):
+    """A list that counts the elements copied out of it by iteration or slicing."""
+
+    copied = 0
+
+    def __iter__(self):
+        CountingList.copied += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            CountingList.copied += len(item)
+        return item
+
+
+def observed_daemon(tmp_path):
+    """A daemon with a tracer, an exporter and a promoter over two tables."""
+    catalog = Catalog()
+    catalog.create_database("db", quota_objects=100_000)
+    schema = Schema.of(Field("id", "long"), Field("event_date", "date"))
+    for i in range(2):
+        fragment_table(catalog.create_table(f"db.t{i}", schema), [()], files_per_partition=6)
+    catalog.clock.advance_by(2 * HOUR)
+    store = PolicyStore(tmp_path / "policy")
+    store.initialize(
+        PolicyVariant(name="k10", k=10),
+        pool=[PolicyVariant(name="k10", k=10), PolicyVariant(name="k2", k=2)],
+    )
+    daemon = AutoCompDaemon(
+        AutoCompService(openhouse_pipeline(catalog, Cluster("maint", executors=3))),
+        LockManager(tmp_path / "locks", owner="d"),
+        tracer=Tracer(),
+        obs_dir=tmp_path / "obs",
+        promoter=PolicyPromoter(store),
+    )
+    daemon.run_once()
+    return daemon, store
+
+
+class TestExportReads:
+    def test_a_long_series_is_copied_in_constant_work(self, tmp_path):
+        telemetry = Telemetry()
+        series = telemetry.series("autocomp.fleet.files")
+        series.times = CountingList(float(t) for t in range(100_000))
+        series.values = CountingList(float(v % 7) for v in range(100_000))
+        exporter = MetricsExporter(telemetry, str(tmp_path))
+        CountingList.copied = 0
+        exporter.export_once()
+        assert CountingList.copied <= 2  # one time and one value
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            assert "autocomp_fleet_files 4\n" in stream.read()  # 99,999 % 7
+
+    def test_a_daemon_export_takes_one_snapshot(self, tmp_path, monkeypatch):
+        daemon, _ = observed_daemon(tmp_path)
+        try:
+            telemetry = daemon.service.pipeline.telemetry
+            snapshot = CallCounter(telemetry.snapshot)
+            monkeypatch.setattr(telemetry, "snapshot", snapshot)
+            daemon.exporter.export_once()
+            assert snapshot.calls == 1
+            with open(daemon.exporter.status_path, encoding="utf-8") as stream:
+                status = json.load(stream)
+            assert status["histograms"]["autocomp.hist.cycle_wall_s"]["count"] == 1.0
+        finally:
+            monkeypatch.undo()
+            daemon.stop()
+
+    def test_an_unchanged_pool_is_not_read_again(self, tmp_path, monkeypatch):
+        daemon, store = observed_daemon(tmp_path)
+        try:
+            daemon.exporter.export_once()
+            reads = []
+            real_open = builtins.open
+
+            def counting_open(file, *args, **kwargs):
+                if os.fspath(file) == os.path.join(store.store_dir, "pool.json"):
+                    reads.append(file)
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(builtins, "open", counting_open)
+            daemon.exporter.export_once()
+            daemon.exporter.export_once()
+            assert reads == []
+
+            PolicyStore(store.store_dir).set_pool([PolicyVariant(name="k4", k=4)])
+            daemon.exporter.export_once()
+            daemon.exporter.export_once()
+            assert len(reads) == 1
+            with open(daemon.exporter.status_path, encoding="utf-8") as stream:
+                assert json.load(stream)["promoter"]["store"]["pool"] == ["k4"]
+        finally:
+            monkeypatch.undo()
+            daemon.stop()
+
+
+class TestUnchangedWrites:
+    def exporter(self, tmp_path, status: dict) -> MetricsExporter:
+        telemetry = Telemetry()
+        telemetry.increment("autocomp.cycles", 2)
+        return MetricsExporter(
+            telemetry, str(tmp_path), tracer=Tracer(), status_fn=lambda: dict(status)
+        )
+
+    def test_an_idle_export_rewrites_no_whole_file(self, tmp_path, monkeypatch):
+        status = {"cycles_run": 1}
+        exporter = self.exporter(tmp_path, status)
+        exporter.export_once()
+        atomic_write = CallCounter(durable_module.atomic_write)
+        monkeypatch.setattr(durable_module, "atomic_write", atomic_write)
+        exporter.export_once()
+        assert atomic_write.calls == 0
+        with open(exporter.jsonl_path, encoding="utf-8") as stream:
+            assert sum(1 for _ in stream) == 2  # the snapshot log still appends
+
+        status["cycles_run"] = 2  # only status.json changes
+        exporter.export_once()
+        assert atomic_write.calls == 1
+        exporter.telemetry.increment("autocomp.cycles")
+        exporter.export_once()
+        assert atomic_write.calls == 2
+        with open(exporter.status_path, encoding="utf-8") as stream:
+            assert json.load(stream) == {"cycles_run": 2}
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            assert "autocomp_cycles 3\n" in stream.read()
+
+    def test_a_deleted_file_is_written_again(self, tmp_path, monkeypatch):
+        exporter = self.exporter(tmp_path, {"cycles_run": 1})
+        exporter.export_once()
+        os.remove(exporter.status_path)
+        os.remove(exporter.prom_path)
+        atomic_write = CallCounter(durable_module.atomic_write)
+        monkeypatch.setattr(durable_module, "atomic_write", atomic_write)
+        exporter.export_once()
+        assert atomic_write.calls == 2
+        with open(exporter.status_path, encoding="utf-8") as stream:
+            assert json.load(stream) == {"cycles_run": 1}
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            assert check_exposition(stream.read()) == []
 
 
 class TestExportBytes:

@@ -25,6 +25,7 @@ from repro.obs.status import format_status, load_status_dir, log_lines
 from repro.obs.status import main as status_main
 from repro.obs.tracing import Tracer, timed
 from repro.simulation import Telemetry
+from repro.simulation.telemetry import COUNT_BOUNDS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -234,6 +235,22 @@ class TestMetricsExporter:
         assert telemetry.counter("autocomp.obs.spans_dropped") == 3
         with open(exporter.prom_path, encoding="utf-8") as stream:
             assert "autocomp_obs_spans_dropped 3" in stream.read()
+
+    def test_a_collision_whose_winner_changes_renders_the_winners_buckets(self, tmp_path):
+        # The exporter caches bucket labels across exports: when a later
+        # histogram takes a colliding name, its own layout must render.
+        telemetry = Telemetry()
+        telemetry.observe("autocomp.a.b", 0.01)
+        exporter = MetricsExporter(telemetry, str(tmp_path))
+        exporter.export_once()
+        telemetry.observe("autocomp.a-b", 3.0, COUNT_BOUNDS)  # sorts first: wins a_b
+        exporter.export_once()
+        with open(exporter.prom_path, encoding="utf-8") as stream:
+            text = stream.read()
+        assert text == render_prometheus(telemetry)
+        assert 'autocomp_a_b_bucket{le="1024"} 1' in text
+        assert 'le="0.0005"' not in text
+        assert "skipped duplicate metric name autocomp_a_b (from autocomp.a.b)" in text
 
     def test_no_leftover_temp_files(self, tmp_path):
         exporter = MetricsExporter(populated_telemetry(), str(tmp_path))

@@ -337,6 +337,27 @@ class TestTelemetryHistograms:
         assert snap["series"]["s"] == ([1.0], [10.0])
         assert snap["histograms"]["h"].count == 1
 
+    def test_snapshot_series_carry_only_their_last_point(self):
+        telemetry = Telemetry()
+        for t in range(5):
+            telemetry.record("s", float(t), 10.0 * t)
+        telemetry.record("s", 1.5, -1.0)  # out of order: not the last point
+        telemetry.series("empty")
+        snap = telemetry.snapshot()
+        assert snap["series"] == {"s": ([4.0], [40.0]), "empty": ([], [])}
+        assert len(telemetry.series("s")) == 6  # the live history is untouched
+
+    def test_histogram_summaries_match_each_histogram(self):
+        telemetry = Telemetry()
+        telemetry.observe("a.x", 0.5)
+        telemetry.observe("a.x", 2.0)
+        telemetry.observe("a.y", 1.0)
+        telemetry.observe("b.z", 1.0)
+        summaries = telemetry.histogram_summaries("a.")
+        assert list(summaries) == ["a.x", "a.y"]
+        assert summaries["a.x"] == telemetry.histogram("a.x").summary()
+        assert set(telemetry.histogram_summaries()) == {"a.x", "a.y", "b.z"}
+
 
 class TestThreadSafety:
     def test_eight_thread_hammer(self):
