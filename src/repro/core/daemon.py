@@ -591,7 +591,8 @@ class AutoCompDaemon:
         and, if necessary, terminated; without it, pools are told to
         drop queued work immediately.  Either way the history ring is
         spilled (when ``spill_path`` is set), the act gates are removed,
-        the heartbeat stops, and every held lock is released.
+        and the lock manager is closed: the heartbeat stops, every held
+        lock is released and the holder files are removed.
 
         Stop also detaches everything the running daemon hung on the
         service and its catalog: the promoter (its ``table_commit`` tap and
@@ -620,8 +621,7 @@ class AutoCompDaemon:
             self.promoter.detach()
         self._history_paused = self.service.disable_history() or self._history_paused
         self._uninstall_gates()
-        self.locks.stop_heartbeat()
-        self.locks.release_all()
+        self.locks.close()  # heartbeat, every held lock, the holder files
         self._started = False
         if self._status_server is not None:
             self._status_server.stop()

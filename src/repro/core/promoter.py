@@ -56,6 +56,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -140,6 +141,8 @@ class PolicyStore:
         self.promote_hook = None
         self._mutex = threading.RLock()
         self._pool_memo: tuple[tuple[int, int, int], tuple] | None = None
+        self._audit_file = durable.Appender(self.audit_path)
+        weakref.finalize(self, self._audit_file.close)
         self._active: dict | None = self._read_json(self._active_path)
         self.recovered_action: str | None = self._recover()
 
@@ -175,13 +178,9 @@ class PolicyStore:
     def _audit(self, event: str, **payload: object) -> None:
         record = {"event": event, "pid": os.getpid(), "ts": self._clock(), **payload}
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        # Same discipline as LockManager._audit: one O_APPEND write per
-        # line, atomic on POSIX under PIPE_BUF, safe across processes.
-        fd = os.open(self.audit_path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        # One O_APPEND write per line, atomic on POSIX under PIPE_BUF, safe
+        # across processes (the lock audit writes through an Appender too).
+        self._audit_file.write(line.encode("utf-8"))
 
     # --- recovery ---------------------------------------------------------------
 

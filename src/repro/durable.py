@@ -1,4 +1,4 @@
-"""Durable files: the one atomic writer and the one JSONL log reader.
+"""Durable files: the one atomic writer, the one appender and the one JSONL log reader.
 
 :func:`atomic_write` replaces a whole file (``active.json``, daemon unit
 state, ``contracts.json``, observability exports) through a temp file and
@@ -8,6 +8,11 @@ of one path (two daemons sharing a store directory) never truncate or
 rename away each other's temp file.  A write that fails removes its temp
 file; a writer killed between the write and the rename leaves one behind,
 and :func:`sweep_temp_files` removes those once their process is gone.
+
+:class:`Appender` is the one writer of append-only logs (the lock and
+promotion audits, the rolled trace and metrics logs): it holds one
+``O_APPEND`` file and hands each record to a single ``write``, so records
+from several writers, processes included, never interleave.
 
 :func:`read_jsonl` reads an append-only log (the lock and promotion
 audits).  A final line without its newline is an append still in flight
@@ -19,6 +24,7 @@ it.  Standard library only: every layer may import this module.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import re
@@ -42,23 +48,67 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def process_gone(pid: int) -> bool:
+    """Whether ``pid`` names no running process on this host.
+
+    A process of another user counts as running, and this process never
+    counts as gone.
+    """
+    if pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # it runs under another user
+    return False
+
+
 def sweep_temp_files(directory: str | os.PathLike) -> None:
     """Remove the temp files of writers that were killed mid-write.
 
-    A temp file goes when the process named in it no longer runs on this
-    host; those of live writers, this process's included, stay.
+    A temp file goes when :func:`process_gone` says so of the process
+    named in it; those of live writers, this process's included, stay.
     """
     for name in os.listdir(directory):
         match = _TEMP_NAME.search(name)
-        if match is None or int(match.group(1)) == os.getpid():
-            continue
-        try:
-            os.kill(int(match.group(1)), 0)
-        except ProcessLookupError:  # the writer is gone
+        if match is not None and process_gone(int(match.group(1))):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(os.path.join(directory, name))
-        except OSError:
-            pass  # it runs under another user
+
+
+class Appender:
+    """One append-only file, written a whole record at a time.
+
+    The file is opened on the first :meth:`write` and held: an
+    unbuffered binary ``O_APPEND`` file, so each record is one ``write``
+    call, which POSIX appends whole at the file's end whoever else
+    appends to it.  Writes are serialised by the appender's own lock.
+    :meth:`close` releases the descriptor; a later write opens the file
+    again, so an owner that renames the file away (a roll) closes first.
+    An appender dropped open warns (``ResourceWarning``); owners close
+    it, or register :meth:`close` with :func:`weakref.finalize`.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = os.fspath(path)
+        self._lock = threading.Lock()
+        self._file: io.FileIO | None = None
+
+    def write(self, record: bytes) -> None:
+        """Append ``record`` with one ``write`` call."""
+        with self._lock:
+            if self._file is None:
+                self._file = io.FileIO(self.path, "a")
+            os.write(self._file.fileno(), record)
+
+    def close(self) -> None:
+        """Close the file (idempotent); a later write reopens it."""
+        with self._lock:
+            stream, self._file = self._file, None
+        if stream is not None:
+            stream.close()
 
 
 def read_jsonl(path: str | os.PathLike) -> tuple[list[dict], list[str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import os
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.lint.findings import Finding
@@ -73,6 +74,16 @@ class Rule:
 
 
 # --- shared AST helpers -------------------------------------------------------
+
+
+def in_product(norm: str) -> bool:
+    """True for product sources under ``repro/`` (not tests or benchmarks)."""
+    posix = norm.replace(os.sep, "/")
+    if "/tests/" in posix or posix.startswith("tests/"):
+        return False
+    if "/benchmarks/" in posix or posix.startswith("benchmarks/"):
+        return False
+    return "repro/" in posix
 
 
 def dotted_name(node: ast.AST) -> str | None:

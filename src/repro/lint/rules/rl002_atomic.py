@@ -10,8 +10,9 @@ misreads.  The two blessed idioms are:
 * **tmp + rename** — :func:`repro.durable.atomic_write` writes a temp
   file named for the writing process and thread completely, then
   ``os.replace(tmp, path)`` (readers see old or new, never torn);
-* **O_APPEND record append** — ``os.open(path, O_CREAT|O_WRONLY|O_APPEND)``
-  with one ``os.write`` per record (atomic under ``PIPE_BUF`` on POSIX).
+* **O_APPEND record append** — :class:`repro.durable.Appender`, one
+  ``write`` per record on a held ``O_APPEND`` file (atomic under
+  ``PIPE_BUF`` on POSIX).
 
 **What the rule does.** Flags ``open(x, "w"/"a"/...)`` calls and
 ``.write_text(...)`` calls whose target is *statically linked to a durable
@@ -20,6 +21,11 @@ expression, in literals assigned to the path variable earlier in the same
 function, or in the enclosing function's name (``write_baseline``).  The
 call is exempt when the same function performs the tmp-dance (any
 ``os.replace`` call) or opens via ``os.open`` with ``O_APPEND``.
+
+In product code (``repro/``, not tests or benchmarks) the rule also
+flags every append-mode open — ``os.open`` with ``O_APPEND``, or
+``open``/``io.open``/``io.FileIO`` with an ``"a"`` mode — outside
+``repro/durable.py``: the appender is the one ``O_APPEND`` writer.
 
 The token list is deliberately small and high-signal; new durable files
 should be added to :data:`DURABLE_TOKENS` as they are introduced.
@@ -31,7 +37,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.rules.base import Rule, dotted_name, string_constants
+from repro.lint.rules.base import Rule, dotted_name, in_product, string_constants
 
 #: Substrings identifying durable-state files and tooling.
 DURABLE_TOKENS = (
@@ -46,6 +52,9 @@ DURABLE_TOKENS = (
 
 #: Write modes that replace or mutate file contents.
 _WRITE_MODES = ("w", "a", "x", "+")
+
+#: The one module of product code allowed to open a file for appending.
+_APPENDER_MODULE = "repro/durable.py"
 
 
 def _mode_of(call: ast.Call) -> str | None:
@@ -94,6 +103,7 @@ class _FunctionScan:
         self.write_calls: list[tuple[ast.Call, str, ast.AST]] = []
         self.has_replace = False
         self.has_o_append = False
+        self.append_opens: list[ast.Call] = []
         self._walk(func)
 
     def _walk(self, func: ast.AST) -> None:
@@ -129,12 +139,18 @@ class _FunctionScan:
                     }
                     if any(str(f).endswith("O_APPEND") for f in flag_names):
                         self.has_o_append = True
+                        self.append_opens.append(node)
+                elif name in {"io.FileIO", "FileIO"}:
+                    if "a" in (_mode_of(node) or ""):
+                        self.append_opens.append(node)
                 elif name in {"open", "io.open"} or name.endswith(".write_text"):
                     if name.endswith(".write_text"):
                         target = node.func.value  # type: ignore[union-attr]
                         self.write_calls.append((node, "write_text", target))
                     else:
                         mode = _mode_of(node)
+                        if mode is not None and "a" in mode:
+                            self.append_opens.append(node)
                         if mode is None or any(m in mode for m in _WRITE_MODES):
                             target = node.args[0] if node.args else node
                             self.write_calls.append((node, mode or "?", target))
@@ -154,8 +170,7 @@ class AtomicWriteRule(Rule):
     hint = (
         "Write durable state via `repro.durable.atomic_write(path, text)` "
         "(a per-writer temp file, then `os.replace`) or append records through "
-        "`os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND)` with one "
-        "os.write per record."
+        "`repro.durable.Appender(path).write(record)`, one write per record."
     )
 
     def check_file(self, ctx, project) -> Iterable[Finding]:
@@ -165,10 +180,17 @@ class AtomicWriteRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append((node, node.name))
+        appends_allowed = not in_product(ctx.norm) or ctx.norm.endswith(_APPENDER_MODULE)
         for func, name in scopes:
             scan = _FunctionScan(func, name)
-            if not scan.write_calls:
-                continue
+            if not appends_allowed:
+                for call in scan.append_opens:
+                    yield self.finding(
+                        ctx,
+                        call,
+                        f"file opened for appending in {name}() outside "
+                        "repro.durable; repro.durable.Appender is the one O_APPEND writer",
+                    )
             for call, mode, target in scan.write_calls:
                 literals = scan.path_literals(target)
                 if any(".tmp" in text for text in literals):

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.rules.base import Rule, literal_prefix
+from repro.lint.rules.base import Rule, in_product, literal_prefix
 
 #: Telemetry write methods whose first argument is a metric name.
 _WRITE_METHODS = frozenset({"increment", "record", "observe"})
@@ -89,16 +89,6 @@ def _metric_name_arg(call: ast.Call) -> ast.expr | None:
     return None
 
 
-def _in_src(norm: str) -> bool:
-    """True for product sources (registry governance excludes tests/benches)."""
-    posix = norm.replace(os.sep, "/")
-    if "/tests/" in posix or posix.startswith("tests/"):
-        return False
-    if "/benchmarks/" in posix or posix.startswith("benchmarks/"):
-        return False
-    return "repro/" in posix
-
-
 class MetricsRegistryRule(Rule):
     rule_id = "RL004"
     title = "metrics registry: emitted names not registered / dead registry entries"
@@ -115,7 +105,7 @@ class MetricsRegistryRule(Rule):
         self._registry_scanned = False
 
     def applies_to(self, ctx) -> bool:
-        return _in_src(ctx.norm)
+        return in_product(ctx.norm)  # registry governance excludes tests/benches
 
     def check_file(self, ctx, project) -> Iterable[Finding]:
         if ctx.tree is None:

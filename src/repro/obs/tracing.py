@@ -45,6 +45,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Iterable
@@ -446,11 +447,13 @@ class AppendLog:
 
     The first :meth:`write` starts the file fresh: it removes the old
     ``<path>.1`` and replaces ``path`` atomically.  Later writes hand
-    whole newline-terminated lines to one ``os.write`` on an ``O_APPEND``
-    descriptor, so a reader racing a write sees at most one torn trailing
-    line.  A write that finds ``path`` holding ``cap`` lines first renames
-    it to ``<path>.1``, so every rolled segment holds exactly ``cap``
-    lines and ``path`` never holds more.  Callers serialise their writes.
+    whole newline-terminated lines to one ``write`` on a held
+    :class:`repro.durable.Appender`, so a reader racing a write sees at
+    most one torn trailing line.  A write that finds ``path`` holding
+    ``cap`` lines first closes the appender and renames the file to
+    ``<path>.1``, so every rolled segment holds exactly ``cap`` lines and
+    ``path`` never holds more.  Callers serialise their writes; the
+    appender is closed when the log is collected.
     """
 
     def __init__(self, path: str, cap: int) -> None:
@@ -458,6 +461,8 @@ class AppendLog:
         self.rolled_path = f"{path}.1"
         self.cap = cap
         self._lines: int | None = None  # lines in path; None before the first write
+        self._appender = durable.Appender(path)
+        weakref.finalize(self, self._appender.close)
 
     def write(self, lines: list[str]) -> None:
         """Append ``lines``, each ending in a newline."""
@@ -470,6 +475,7 @@ class AppendLog:
         done = 0
         while fresh or done < len(lines):
             if self._lines == self.cap:
+                self._appender.close()  # the next append opens the new file
                 os.replace(self.path, self.rolled_path)
                 self._lines = 0
             chunk = lines[done:done + self.cap - (self._lines or 0)]
@@ -477,10 +483,6 @@ class AppendLog:
                 durable.atomic_write(self.path, "".join(chunk))
                 fresh, self._lines = False, 0
             else:
-                fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-                try:
-                    os.write(fd, "".join(chunk).encode("utf-8"))
-                finally:
-                    os.close(fd)
+                self._appender.write("".join(chunk).encode("utf-8"))
             done += len(chunk)
             self._lines += len(chunk)

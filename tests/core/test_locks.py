@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
+import shutil
+import socket
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateKey, CandidateScope
 from repro.core.locks import (
     AUDIT_LOG,
+    HOLDERS_DIR,
+    LOCK_SUFFIX,
     LockManager,
     default_owner,
     lock_slug,
@@ -22,6 +31,48 @@ from repro.errors import ValidationError
 @pytest.fixture
 def lock_dir(tmp_path):
     return str(tmp_path / "locks")
+
+
+@pytest.fixture
+def file_opens(monkeypatch):
+    """Every ``os.open``, ``io.FileIO`` and ``open`` call, as ``(path, creates)``.
+
+    ``creates`` is whether the open may create the file: ``O_CREAT`` for
+    ``os.open``, a ``w``/``a``/``x`` mode otherwise.
+    """
+    opened: list[tuple[str, bool]] = []
+    real_os_open, real_file_io, real_open = os.open, io.FileIO, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), bool(flags & os.O_CREAT)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def creates(mode):
+        return any(letter in mode for letter in "wax")
+
+    class FileIO(real_file_io):
+        def __init__(self, file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append((os.fspath(file), creates(mode)))
+            super().__init__(file, mode, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((os.fspath(file), creates(mode)))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(io, "FileIO", FileIO)
+    monkeypatch.setattr(builtins, "open", open_)
+    return opened
+
+
+def lock_names(lock_dir) -> list[str]:
+    return sorted(name for name in os.listdir(lock_dir) if name.endswith(LOCK_SUFFIX))
+
+
+def last_audit(lock_dir) -> dict:
+    return read_audit(lock_dir)[-1]
 
 
 class TestSlug:
@@ -136,7 +187,8 @@ class TestStaleRecovery:
         # Forge a dead owner: rewrite the lock file with an impossible pid,
         # then forget it locally (simulating the crashed process).
         path = a._path_for("db.t0")
-        payload = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as stream:
+            payload = json.load(stream)
         payload["pid"] = 2**22 + 12345  # beyond default pid_max
         with open(path, "w") as stream:
             json.dump(payload, stream)
@@ -245,7 +297,8 @@ class TestAudit:
         a = LockManager(lock_dir, owner="crashed")
         assert a.acquire("db.t0")
         path = a._path_for("db.t0")
-        payload = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as stream:
+            payload = json.load(stream)
         payload["pid"] = 2**22 + 99
         with open(path, "w") as stream:
             json.dump(payload, stream)
@@ -282,3 +335,223 @@ class TestAudit:
             for line in stream:
                 record = json.loads(line)
                 assert record["owner"] == "a"
+
+
+class TestHolderReuse:
+    """Locks are hard links to reused holder files: no file made or freed per lock."""
+
+    KEYS = [f"db.t{i}" for i in range(8)]
+
+    def test_rounds_after_warm_up_create_no_file(self, lock_dir, file_opens):
+        with LockManager(lock_dir, owner="a") as a:
+            for key in self.KEYS:  # warm-up: one holder per lock held at once
+                assert a.acquire(key)
+            a.release_all()
+            file_opens.clear()
+            for _ in range(100):
+                for key in self.KEYS:
+                    assert a.acquire(key)
+                for key in self.KEYS:
+                    assert a.release(key)
+            created = [path for path, creates in file_opens if creates]
+            assert [path for path in created if path.startswith(lock_dir)] == []
+        assert verify_audit(lock_dir).acquires == 808
+
+    def test_a_thousand_audit_lines_take_one_open(self, lock_dir, file_opens):
+        with LockManager(lock_dir, owner="a") as a:
+            for version in range(1000):
+                a.audit_compaction("db.t0", version=version)
+            assert [path for path, _ in file_opens if path == a.audit_path] == [a.audit_path]
+        assert [r["version"] for r in read_audit(lock_dir)] == list(range(1000))
+
+    def test_an_exception_before_the_link_leaves_no_lock_name(self, lock_dir, monkeypatch):
+        a = LockManager(lock_dir, owner="a")
+
+        def killed_link(src, dst):
+            raise RuntimeError("killed between the payload write and the link")
+
+        monkeypatch.setattr(os, "link", killed_link)
+        with pytest.raises(RuntimeError):
+            a.acquire("db.t0")
+        monkeypatch.undo()
+        assert lock_names(lock_dir) == []
+        assert not a.holds("db.t0")
+        b = LockManager(lock_dir, owner="b")
+        assert b.acquire("db.t0")
+        b.release("db.t0")
+        assert a.acquire("db.t0")  # the holder went back to the free list
+        assert a.inspect_table("db.t0").owner == "a"
+        a.close()
+
+    def test_a_vanished_holder_is_replaced(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        assert a.acquire("db.t0")
+        assert a.release("db.t0")
+        shutil.rmtree(os.path.join(lock_dir, HOLDERS_DIR))
+        assert a.acquire("db.t0", context="cycle:1")
+        reader = LockManager(lock_dir, owner="reader")
+        info = reader.inspect_table("db.t0")
+        assert (info.owner, info.context) == ("a", "cycle:1")
+        a.close()
+        assert lock_names(lock_dir) == []
+
+    def test_close_removes_the_holder_directory_and_stays_usable(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        assert a.acquire("db.t0")
+        a.close()
+        assert os.listdir(os.path.join(lock_dir, HOLDERS_DIR)) == []
+        assert a.acquire("db.t1")
+        a.close()
+        assert lock_names(lock_dir) == []
+        assert os.listdir(os.path.join(lock_dir, HOLDERS_DIR)) == []
+        assert verify_audit(lock_dir).ok
+
+    def test_opening_sweeps_holder_directories_of_dead_processes(self, lock_dir):
+        root = os.path.join(lock_dir, HOLDERS_DIR)
+        host = socket.gethostname()
+        dead_pid = 2**22 + 4321  # beyond default pid_max
+        dead = os.path.join(root, f"{host}.{dead_pid}.0")
+        live = os.path.join(root, f"{host}.{os.getpid()}.9999")
+        elsewhere = os.path.join(root, f"elsewhere.{dead_pid}.0")
+        for directory in (dead, live, elsewhere):
+            os.makedirs(directory)
+            open(os.path.join(directory, "h0"), "wb").close()
+        LockManager(lock_dir, owner="a").close()
+        assert sorted(os.listdir(root)) == sorted(
+            os.path.basename(d) for d in (live, elsewhere)
+        )
+
+
+class TestCommitStamp:
+    def test_commit_under_own_table_lock_reads_no_lock_file(self, lock_dir, monkeypatch):
+        a = LockManager(lock_dir, owner="a")
+        assert a.acquire(CandidateKey("db", "t0", CandidateScope.TABLE), context="cycle:3")
+        reads = []
+        real_read = a._read_lock
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(a, "_read_lock", counting_read)
+        a.audit_compaction("db.t0", version=2)
+        assert reads == []
+        record = last_audit(lock_dir)
+        assert (record["held"], record["holder"], record["context"]) == (True, "a", "cycle:3")
+
+    def test_stamp_names_a_sibling_that_reclaimed_and_retook_the_lock(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        b = LockManager(lock_dir, owner="b")
+        assert a.acquire("db.t0", context="cycle:1")
+        os.utime(a._path_for("db.t0"), (0, 0))  # a's heartbeat stopped long ago
+        assert b.recover_stale() == ["db.t0"]
+        assert b.acquire("db.t0", context="cycle:2")
+        assert a.holds("db.t0")  # a has not noticed
+        a.audit_compaction("db.t0", version=5)
+        record = last_audit(lock_dir)
+        assert (record["held"], record["holder"], record["context"]) == (True, "b", "cycle:2")
+
+
+def write_lock_file(path, content: bytes, ancient: bool) -> None:
+    with open(path, "wb") as stream:
+        stream.write(content)
+    if ancient:
+        os.utime(path, (0, 0))
+
+
+UNREADABLE = {
+    "empty": b"",
+    "torn": b'{"key": "db.t0", "own',
+    "not-an-object": b"[1, 2]",
+    "other-key": json.dumps({"key": "db.t9", "owner": "x", "pid": 1}).encode(),
+}
+
+
+class TestTornLockFiles:
+    """A lock file that does not parse, or names another key, cannot wedge its table."""
+
+    @pytest.mark.parametrize("content", sorted(UNREADABLE))
+    def test_a_stale_unreadable_lock_file_is_reclaimed(self, lock_dir, content):
+        a = LockManager(lock_dir, owner="a")
+        path = a._path_for("db.t0")
+        write_lock_file(path, UNREADABLE[content], ancient=True)
+        assert a.inspect_table("db.t0") is None
+        assert not a.acquire("db.t0")
+        assert a.recover_stale() == []  # no key to report
+        assert lock_names(lock_dir) == []
+        reclaim = [r for r in read_audit(lock_dir) if r["event"] == "reclaim"]
+        assert [r["file"] for r in reclaim] == [os.path.basename(path)]
+        assert a.acquire("db.t0")
+        a.release("db.t0")
+        assert verify_audit(lock_dir).ok
+
+    @pytest.mark.parametrize("content", sorted(UNREADABLE))
+    def test_a_fresh_unreadable_lock_file_stays(self, lock_dir, content):
+        a = LockManager(lock_dir, owner="a")
+        path = a._path_for("db.t0")
+        write_lock_file(path, UNREADABLE[content], ancient=False)
+        assert a.recover_stale() == []
+        assert lock_names(lock_dir) == [os.path.basename(path)]
+        assert [r for r in read_audit(lock_dir) if r["event"] == "reclaim"] == []
+
+    def test_a_payload_of_another_key_is_not_read_as_the_lock(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        write_lock_file(a._path_for("db.t0"), UNREADABLE["other-key"], ancient=False)
+        assert a.list_locks() == []
+        assert a.inspect_table("db.t9") is None
+
+
+#: Keys the oracle test locks: two table locks and a partition lock of one.
+ORACLE_KEYS = [
+    CandidateKey("db", "t0", CandidateScope.TABLE),
+    CandidateKey("db", "t0", CandidateScope.PARTITION, partition=(1,)),
+    CandidateKey("db", "t1", CandidateScope.TABLE),
+]
+ORACLE_STEPS = st.tuples(
+    st.sampled_from(["acquire", "release", "recover", "commit"]),
+    st.integers(0, 1),
+    st.integers(0, len(ORACLE_KEYS) - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ORACLE_STEPS, max_size=30))
+def test_commit_stamps_equal_a_disk_reading_oracle(steps):
+    """Every ``compact_commit`` line is the one a lock-file read would give.
+
+    Two managers acquire, release, reclaim each other's locks (forced
+    stale) and commit; an oracle manager that holds nothing, and so
+    always reads the lock files, says what each commit must be stamped
+    with.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        lock_dir = os.path.join(root, "locks")
+        managers = [LockManager(lock_dir, owner=f"m{i}") for i in range(2)]
+        oracle = LockManager(lock_dir, owner="oracle")
+        expected = []
+        try:
+            for step, (op, who, which) in enumerate(steps):
+                manager, key = managers[who], ORACLE_KEYS[which]
+                if op == "acquire":
+                    manager.acquire(key, context=f"step:{step}")
+                elif op == "release":
+                    manager.release(key)
+                elif op == "recover":
+                    for name in lock_names(lock_dir):
+                        os.utime(os.path.join(lock_dir, name), (0, 0))
+                    manager.recover_stale()
+                else:
+                    table = key.qualified_table
+                    info = oracle.inspect_table(table)
+                    stamp = (info.owner, info.context) if info else (None, None)
+                    expected.append((table, info is not None, *stamp))
+                    manager.audit_compaction(table, version=step)
+            commits = [
+                (r["key"], r["held"], r["holder"], r["context"])
+                for r in read_audit(lock_dir)
+                if r["event"] == "compact_commit"
+            ]
+            assert commits == expected
+        finally:
+            for manager in (*managers, oracle):
+                manager.close()

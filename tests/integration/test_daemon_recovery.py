@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.core.daemon import ResumableStateMachine
-from repro.core.locks import LOCK_SUFFIX, verify_audit
+from repro.core.locks import HOLDERS_DIR, LOCK_SUFFIX, verify_audit
 
 HARNESS = os.path.join(os.path.dirname(__file__), "daemon_harness.py")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -171,6 +171,21 @@ class TestKillDashNine:
         assert summary.reclaims == len(leftover_locks)
         assert summary.double_compactions == {}
         assert summary.compact_commits >= self.TABLES
+
+    def test_killed_daemons_holder_directory_is_swept(self, tmp_path):
+        _, leftover_locks, _ = self.kill_mid_backfill(tmp_path)
+        holders = tmp_path / "locks" / HOLDERS_DIR
+        killed = os.listdir(holders)
+        # The kill landed while a lock was held: its name links a holder
+        # file in the killed daemon's holder directory.
+        assert leftover_locks and killed
+        run_to_completion(tmp_path, tables=self.TABLES)
+        assert lock_files(tmp_path) == []  # the killed daemon's lock was reclaimed
+        # The restart swept the dead daemon's directory; its own went at exit.
+        assert os.listdir(holders) == []
+        summary = verify_audit(tmp_path / "locks")
+        assert summary.ok, summary.violations
+        assert summary.reclaims == len(leftover_locks)
 
 
 class TestKillMidPromotion:

@@ -232,6 +232,39 @@ class TestRL002AtomicWrites:
         )
         assert findings == []
 
+    APPEND_OPENS = """
+        import io
+        import os
+
+        def append_record(record, path):
+            fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+            try:
+                os.write(fd, record)
+            finally:
+                os.close(fd)
+
+        def append_text(record, path):
+            with open(path, "a") as stream:
+                stream.write(record)
+
+        def append_file(path):
+            return io.FileIO(path, "a")
+        """
+
+    def test_append_open_in_product_code_fires(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "repro/core/mod.py", self.APPEND_OPENS, select=["RL002"]
+        )
+        assert ids(findings) == ["RL002"] * 3
+        assert all("outside repro.durable" in f.message for f in findings)
+        assert [f.line for f in findings] == [6, 13, 17]
+
+    def test_append_open_inside_repro_durable_is_clean(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "repro/durable.py", self.APPEND_OPENS, select=["RL002"]
+        )
+        assert findings == []
+
     def test_non_durable_writes_are_ignored(self, tmp_path):
         findings = lint_source(
             tmp_path,

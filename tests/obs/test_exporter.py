@@ -297,6 +297,7 @@ class TestStatusServer:
             assert check_exposition(body) == []
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(address, "/nope")
+            excinfo.value.close()  # the error holds the response's socket
             assert excinfo.value.code == 404
         assert server.address is None
 
@@ -304,6 +305,7 @@ class TestStatusServer:
         with StatusServer(status_fn=dict) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(server.address, "/metrics")
+            excinfo.value.close()  # the error holds the response's socket
             assert excinfo.value.code == 404
 
     def test_status_fn_exception_returns_500(self):
@@ -313,6 +315,7 @@ class TestStatusServer:
         with StatusServer(status_fn=broken) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(server.address, "/status")
+            excinfo.value.close()  # the error holds the response's socket
             assert excinfo.value.code == 500
 
 

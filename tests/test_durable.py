@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import threading
 import pytest
 
 from repro.core import PolicyStore, ResumableStateMachine
-from repro.durable import atomic_write, read_jsonl, sweep_temp_files
+from repro.durable import Appender, atomic_write, read_jsonl, sweep_temp_files
 from repro.replay import PolicyVariant
 
 
@@ -112,6 +114,62 @@ class TestReadJsonl:
         records, errors = read_jsonl(path)
         assert records == [{"a": 1}, {"a": 5}]
         assert [error.split(":")[0] for error in errors] == ["line 2", "line 3"]
+
+
+class TestAppender:
+    def test_records_from_racing_threads_stay_whole_on_one_open(self, tmp_path, monkeypatch):
+        opens = []
+        real_file_io = io.FileIO
+
+        class CountingFileIO(real_file_io):
+            def __init__(self, *args, **kwargs):
+                opens.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(io, "FileIO", CountingFileIO)
+        path = tmp_path / "log.jsonl"
+        appender = Appender(path)
+
+        def writer(n: int) -> None:
+            for i in range(200):
+                appender.write(f'{{"writer": {n}, "i": {i}, "pad": "{"x" * 200}"}}\n'.encode())
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        appender.close()
+        assert len(opens) == 1
+        records, errors = read_jsonl(path)
+        assert errors == []
+        for n in range(4):
+            assert [r["i"] for r in records if r["writer"] == n] == list(range(200))
+
+    def test_a_write_after_close_reopens_and_appends(self, tmp_path):
+        path = tmp_path / "log"
+        appender = Appender(path)
+        appender.write(b"a\n")
+        appender.close()
+        appender.close()  # idempotent
+        os.replace(path, tmp_path / "log.1")  # what a roll does after closing
+        appender.write(b"b\n")
+        appender.close()
+        assert path.read_bytes() == b"b\n"
+        assert (tmp_path / "log.1").read_bytes() == b"a\n"
+
+    def test_a_dropped_open_appender_warns(self, tmp_path):
+        appender = Appender(tmp_path / "log")
+        appender.write(b"a\n")
+        with pytest.warns(ResourceWarning):
+            del appender
+            gc.collect()
 
 
 def _dead_pid() -> int:
