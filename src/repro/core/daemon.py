@@ -11,7 +11,7 @@ service; :class:`AutoCompDaemon` is that run-forever layer over
   (:class:`~repro.core.cron.CronSchedule`, ``schedule="30 3 * * *"``);
 * **self-driving policy** — an optional
   :class:`~repro.core.promoter.PolicyPromoter` ticks on its own cadence
-  thread (``promoter_interval_s`` / ``promoter_schedule``),
+  thread (every ``promoter_interval_s`` seconds),
   shadow-evaluating the candidate pool and promoting winners behind the
   guard window, with its state surfaced under ``status()["promoter"]``;
 * **concurrency safety** — before any selected candidate executes, the
@@ -245,11 +245,8 @@ class AutoCompDaemon:
             guard hooks) and drives :meth:`~repro.core.promoter.PolicyPromoter.step`
             on its own cadence thread.
         promoter_interval_s: fixed seconds between promoter steps
-            (defaults to ``interval_s`` when no ``promoter_schedule``) —
-            shadow evaluation is usually much rarer than compaction, so
-            set this longer in production.
-        promoter_schedule: cron-style cadence for promoter steps, same
-            forms as ``schedule``; overrides ``promoter_interval_s``.
+            (defaults to ``interval_s``) — shadow evaluation is usually
+            much rarer than compaction, so set this longer in production.
         spill_path: when set, :meth:`stop` spills the service's history
             ring here (and :meth:`start` restores it when the file
             exists), so ``evaluate_recent`` sees the same history across
@@ -283,7 +280,6 @@ class AutoCompDaemon:
         schedule=None,
         promoter=None,
         promoter_interval_s: float | None = None,
-        promoter_schedule=None,
         spill_path: str | os.PathLike | None = None,
         drain_timeout_s: float = 30.0,
         tracer=None,
@@ -307,7 +303,6 @@ class AutoCompDaemon:
         self.promoter_interval_s = (
             promoter_interval_s if promoter_interval_s is not None else interval_s
         )
-        self.promoter_schedule = as_schedule(promoter_schedule)
         self.spill_path = os.fspath(spill_path) if spill_path is not None else None
         self.drain_timeout_s = drain_timeout_s
         self.tracer = tracer
@@ -458,10 +453,7 @@ class AutoCompDaemon:
             self.run_once()
 
     def _promoter_loop(self) -> None:
-        delay = lambda: self._next_delay(  # noqa: E731
-            self.promoter_schedule, self.promoter_interval_s
-        )
-        while not self._stop.wait(delay()):
+        while not self._stop.wait(self.promoter_interval_s):
             self.run_promoter_once()
 
     def run_promoter_once(self) -> dict | None:
@@ -554,11 +546,6 @@ class AutoCompDaemon:
                 "steps_run": self.promoter_steps,
                 "step_errors": self.promoter_errors,
                 "interval_s": self.promoter_interval_s,
-                "schedule": (
-                    str(self.promoter_schedule)
-                    if self.promoter_schedule is not None
-                    else None
-                ),
             }
         return status
 

@@ -36,6 +36,8 @@ whenever a rewrite commits.  A commit under a lock this manager holds is
 stamped from memory when one ``stat`` shows that the lock's name still
 links this manager's holder; otherwise the lock file is read from disk,
 so a sibling that reclaimed and re-took the lock is named.
+:meth:`~LockManager.release` makes the same ``stat`` check and leaves such a
+sibling's lock file in place.
 :func:`verify_audit` replays the log and proves the invariant after the
 fact: every compaction committed under a held lock, no key was ever held
 by two owners at once, and no (key, context) pair was compacted twice —
@@ -385,20 +387,30 @@ class LockManager:
         return holder
 
     def release(self, key: object) -> bool:
-        """Release a held lock; returns whether this manager held it."""
+        """Release a held lock; returns whether this manager still held it.
+
+        A lock whose name no longer links this manager's holder was
+        reclaimed and taken again by a sibling: its file is left alone and
+        no ``release`` is audited, and the result is ``False``.
+        """
         text = str(key)
         with self._mutex:
             entry = self._held.pop(text, None)
             if entry is None:
                 return False
             holder, info = entry
+            try:
+                stat = os.stat(info.path)
+            except FileNotFoundError:
+                stat = None
+            if stat is not None and (stat.st_dev, stat.st_ino) != holder.inode:
+                self._free.append(holder)
+                return False
             # Audit *before* unlinking: the next acquirer's audit line can
             # then only land after ours (see module docstring).
             self._audit("release", key=text)
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(info.path)
-            except FileNotFoundError:
-                pass
             self._free.append(holder)
             return True
 

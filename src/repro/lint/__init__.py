@@ -25,7 +25,7 @@ RL007   unused suppression — a ``disable=`` directive matched no finding
 
 Usage::
 
-    PYTHONPATH=src python -m repro.lint src tests benchmarks
+    PYTHONPATH=src python -m repro.lint src tests benchmarks examples
     PYTHONPATH=src python -m repro.lint --format json --fix-hints src
     PYTHONPATH=src python -m repro.lint --emit-contracts   # RL003 manifest
 

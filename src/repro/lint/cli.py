@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.lint.findings import Finding
@@ -100,8 +101,6 @@ def _emit_contracts(paths: list[str], manifest_path) -> int:
     files = discover_files(paths)
     trees = []
     for ctx in files:
-        import os
-
         if os.path.basename(ctx.norm) not in CONTRACT_BASENAMES:
             continue
         ctx.load()

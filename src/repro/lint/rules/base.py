@@ -1,9 +1,10 @@
-"""Rule base class and shared AST helpers for ``repro.lint`` rules."""
+"""Rule base class, the per-file index and shared AST helpers for ``repro.lint``."""
 
 from __future__ import annotations
 
 import ast
 import os
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.lint.findings import Finding
@@ -71,6 +72,96 @@ class Rule:
             message=message,
             hint=self.hint if hint is None else hint,
         )
+
+
+# --- the per-file index -------------------------------------------------------
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Nodes that a scope stops at: they and everything inside them are not
+#: part of the enclosing scope (a def body is a scope of its own).
+_BOUNDARIES = frozenset({ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda})
+
+
+class Scope:
+    """The module or one function body: its own nodes, by type.
+
+    Nested defs, classes and lambdas, with everything inside them, are
+    left out, and so are a function's decorators, defaults and
+    annotations: code in a class body or a lambda is in no scope.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.by_type: dict[type, list[ast.AST]] = defaultdict(list)
+
+    def nodes(self, kind: type) -> list[ast.AST]:
+        """This scope's nodes of exactly ``kind``, in ``ast.walk`` order."""
+        return self.by_type.get(kind, [])
+
+
+class FileIndex:
+    """One breadth-first walk of a module, shared by every rule.
+
+    ``ast.walk`` order throughout: :meth:`nodes` lists every node of a
+    type, ``parents`` maps each node to its parent, and ``scopes`` holds
+    the module scope followed by one :class:`Scope` per function.
+    Expression contexts (``Load``/``Store``/``Del``) are left out.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.parents: dict[ast.AST, ast.AST] = {}
+        self.by_type: dict[type, list[ast.AST]] = defaultdict(list)
+        module = Scope("<module>")
+        self.scopes = [module]
+        parents, by_type, scopes = self.parents, self.by_type, self.scopes
+        queue: deque = deque([(tree, None)])
+        pop, push = queue.popleft, queue.append
+        while queue:
+            node, scope = pop()
+            kind = type(node)
+            by_type[kind].append(node)
+            if scope is not None:
+                scope.by_type[kind].append(node)
+            # The scope of this node's children.  Of a def's children only
+            # its body statements are in its scope; a class or a lambda
+            # opens none.
+            inner, body = scope, None
+            if kind is ast.Module:
+                inner = module
+            elif kind in _FUNCTIONS:
+                inner = Scope(node.name)
+                scopes.append(inner)
+                body = {id(stmt) for stmt in node.body}
+            elif kind in _BOUNDARIES:
+                inner = None
+            for field in kind._fields:
+                if field == "ctx":
+                    continue  # Load/Store/Del markers: no rule reads them
+                value = getattr(node, field, None)
+                for child in value if type(value) is list else (value,):
+                    if not isinstance(child, ast.AST):
+                        continue
+                    parents[child] = node
+                    if type(child) in _BOUNDARIES or (
+                        body is not None and id(child) not in body
+                    ):
+                        push((child, None))
+                    else:
+                        push((child, inner))
+
+    def nodes(self, kind: type) -> list[ast.AST]:
+        """Every node of exactly ``kind`` in the file, in ``ast.walk`` order."""
+        return self.by_type.get(kind, [])
+
+    def method_owners(self, node: ast.AST) -> Iterator[tuple[ast.ClassDef, ast.AST]]:
+        """``(class, method)`` for every method containing ``node``, innermost first."""
+        parent = self.parents.get(node)
+        while parent is not None:
+            grand = self.parents.get(parent)
+            if isinstance(parent, _FUNCTIONS) and isinstance(grand, ast.ClassDef):
+                yield grand, parent
+            parent = grand
 
 
 # --- shared AST helpers -------------------------------------------------------

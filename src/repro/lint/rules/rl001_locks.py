@@ -112,8 +112,8 @@ class _MethodVisitor(ast.NodeVisitor):
         takes_lock = False
         for item in node.items:
             expr = item.context_expr
-            attr = self_attr(expr)
-            if attr is not None and _LOCK_NAME_RE.search(attr):
+            attr = _lock_attr(expr)
+            if attr is not None:
                 self.scan.lock_attrs.add(attr)
                 takes_lock = True
             else:
@@ -226,6 +226,12 @@ class _MethodVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _lock_attr(node: ast.AST) -> str | None:
+    """``X`` when ``node`` is ``self.X`` and ``X`` names a lock, else None."""
+    attr = self_attr(node)
+    return attr if attr is not None and _LOCK_NAME_RE.search(attr) else None
+
+
 def _is_lock_factory(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -247,26 +253,31 @@ class LockDisciplineRule(Rule):
     def check_file(self, ctx, project) -> Iterable[Finding]:
         if ctx.tree is None:
             return
-        for cls in [n for n in ast.walk(ctx.tree) if isinstance(n, ast.ClassDef)]:
-            yield from self._check_class(ctx, cls)
-
-    def _check_class(self, ctx, cls: ast.ClassDef) -> Iterable[Finding]:
-        scan = _ClassScan()
-        methods = [
-            stmt
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        # Pre-seed lock attrs from constructor assignments so `self._mutex`
+        index = ctx.index
+        # Lock attrs pre-seeded from constructor assignments, so `self._mutex`
         # accesses are classified even before the first `with` is seen.
-        for method in methods:
-            for node in ast.walk(method):
-                if isinstance(node, ast.Assign) and _is_lock_factory(node.value):
-                    for target in node.targets:
-                        attr = self_attr(target)
-                        if attr is not None:
-                            scan.lock_attrs.add(attr)
-        for method in methods:
+        seeded: dict[ast.ClassDef, set[str]] = {}
+        for node in index.nodes(ast.Assign):
+            if not _is_lock_factory(node.value):
+                continue
+            attrs = {self_attr(target) for target in node.targets} - {None}
+            for cls, _ in index.method_owners(node) if attrs else ():
+                seeded.setdefault(cls, set()).update(attrs)
+        # Only a class with a seeded lock, or a `with self.<lock>:` in one of
+        # its methods, can have guarded state: the others are not visited.
+        locking = set(seeded)
+        for node in index.nodes(ast.With) + index.nodes(ast.AsyncWith):
+            if any(_lock_attr(item.context_expr) for item in node.items):
+                locking.update(cls for cls, _ in index.method_owners(node))
+        for cls in index.nodes(ast.ClassDef):
+            if cls in locking:
+                yield from self._check_class(ctx, cls, seeded.get(cls, set()))
+
+    def _check_class(self, ctx, cls: ast.ClassDef, seeded: set[str]) -> Iterable[Finding]:
+        scan = _ClassScan(lock_attrs=set(seeded))
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
             scan.methods.add(method.name)
             visitor = _MethodVisitor(scan, method.name)
             for stmt in method.body:

@@ -37,7 +37,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.rules.base import Rule, dotted_name, in_product, string_constants
+from repro.lint.rules.base import Rule, Scope, dotted_name, in_product, string_constants
 
 #: Substrings identifying durable-state files and tooling.
 DURABLE_TOKENS = (
@@ -80,87 +80,61 @@ def _durable_token_in(literals: Iterable[str]) -> str | None:
     return None
 
 
-def _walk_scope(node: ast.AST):
-    """``ast.walk`` that stops at nested function/class boundaries."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
+class _ScopeScan:
+    """Write-calls, opens and renames of one scope (see :class:`Scope`)."""
 
-
-class _FunctionScan:
-    """Write-calls and name→literals bindings of one function scope."""
-
-    def __init__(self, func: ast.AST, name: str) -> None:
-        self.name = name
-        self.assigned_literals: dict[str, set[str]] = {}
+    def __init__(self, scope: Scope) -> None:
         self.write_calls: list[tuple[ast.Call, str, ast.AST]] = []
         self.has_replace = False
         self.has_o_append = False
         self.append_opens: list[ast.Call] = []
-        self._walk(func)
+        for node in scope.nodes(ast.Call):
+            name = dotted_name(node.func) or ""
+            if name == "os.replace":
+                self.has_replace = True
+            elif name == "os.open":
+                flag_names = {
+                    dotted_name(n) or getattr(n, "id", "")
+                    for arg in node.args
+                    for n in ast.walk(arg)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                if any(str(f).endswith("O_APPEND") for f in flag_names):
+                    self.has_o_append = True
+                    self.append_opens.append(node)
+            elif name in {"io.FileIO", "FileIO"}:
+                if "a" in (_mode_of(node) or ""):
+                    self.append_opens.append(node)
+            elif name.endswith(".write_text"):
+                target = node.func.value  # type: ignore[union-attr]
+                self.write_calls.append((node, "write_text", target))
+            elif name in {"open", "io.open"}:
+                mode = _mode_of(node)
+                if mode is not None and "a" in mode:
+                    self.append_opens.append(node)
+                if mode is None or any(m in mode for m in _WRITE_MODES):
+                    target = node.args[0] if node.args else node
+                    self.write_calls.append((node, mode or "?", target))
 
-    def _walk(self, func: ast.AST) -> None:
-        body = func.body if isinstance(func.body, list) else [func.body]
-        for stmt in body:
-            # A nested def/class is its own scope (it gets its own scan);
-            # without this, the module scope would re-own every function
-            # body and report each write twice.
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            for node in _walk_scope(stmt):
-                if isinstance(node, ast.Assign):
-                    literals = set(string_constants(node.value))
-                    if literals:
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                self.assigned_literals.setdefault(
-                                    target.id, set()
-                                ).update(literals)
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func) or ""
-                if name == "os.replace":
-                    self.has_replace = True
-                elif name == "os.open":
-                    flag_names = {
-                        dotted_name(n) or getattr(n, "id", "")
-                        for arg in node.args
-                        for n in ast.walk(arg)
-                        if isinstance(n, (ast.Name, ast.Attribute))
-                    }
-                    if any(str(f).endswith("O_APPEND") for f in flag_names):
-                        self.has_o_append = True
-                        self.append_opens.append(node)
-                elif name in {"io.FileIO", "FileIO"}:
-                    if "a" in (_mode_of(node) or ""):
-                        self.append_opens.append(node)
-                elif name in {"open", "io.open"} or name.endswith(".write_text"):
-                    if name.endswith(".write_text"):
-                        target = node.func.value  # type: ignore[union-attr]
-                        self.write_calls.append((node, "write_text", target))
-                    else:
-                        mode = _mode_of(node)
-                        if mode is not None and "a" in mode:
-                            self.append_opens.append(node)
-                        if mode is None or any(m in mode for m in _WRITE_MODES):
-                            target = node.args[0] if node.args else node
-                            self.write_calls.append((node, mode or "?", target))
 
-    def path_literals(self, target: ast.AST) -> set[str]:
-        literals = set(string_constants(target))
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                literals.update(self.assigned_literals.get(node.id, ()))
-        return literals
+def _assigned_literals(scope: Scope) -> dict[str, set[str]]:
+    """Name → the string literals assigned to it anywhere in ``scope``."""
+    assigned: dict[str, set[str]] = {}
+    for node in scope.nodes(ast.Assign):
+        literals = set(string_constants(node.value))
+        if literals:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, set()).update(literals)
+    return assigned
+
+
+def _path_literals(target: ast.AST, assigned: dict[str, set[str]]) -> set[str]:
+    literals = set(string_constants(target))
+    for node in ast.walk(target):
+        if isinstance(node, ast.Name):
+            literals.update(assigned.get(node.id, ()))
+    return literals
 
 
 class AtomicWriteRule(Rule):
@@ -176,13 +150,10 @@ class AtomicWriteRule(Rule):
     def check_file(self, ctx, project) -> Iterable[Finding]:
         if ctx.tree is None:
             return
-        scopes: list[tuple[ast.AST, str]] = [(ctx.tree, "<module>")]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node, node.name))
         appends_allowed = not in_product(ctx.norm) or ctx.norm.endswith(_APPENDER_MODULE)
-        for func, name in scopes:
-            scan = _FunctionScan(func, name)
+        for scope in ctx.index.scopes:
+            name = scope.name
+            scan = _ScopeScan(scope)
             if not appends_allowed:
                 for call in scan.append_opens:
                     yield self.finding(
@@ -191,21 +162,16 @@ class AtomicWriteRule(Rule):
                         f"file opened for appending in {name}() outside "
                         "repro.durable; repro.durable.Appender is the one O_APPEND writer",
                     )
+            if not scan.write_calls:
+                continue
+            assigned = _assigned_literals(scope)
             for call, mode, target in scan.write_calls:
-                literals = scan.path_literals(target)
+                literals = _path_literals(target, assigned)
                 if any(".tmp" in text for text in literals):
                     continue  # the tmp half of the tmp+replace dance
-                token = _durable_token_in(literals)
-                if token is None:
-                    lowered = name.lower()
-                    token = next(
-                        (
-                            t
-                            for t in ("baseline", "audit", "active")
-                            if t in lowered
-                        ),
-                        None,
-                    )
+                token = _durable_token_in(literals) or next(
+                    (t for t in ("baseline", "audit", "active") if t in name.lower()), None
+                )
                 if token is None:
                     continue
                 if scan.has_replace or (mode == "a" and scan.has_o_append):

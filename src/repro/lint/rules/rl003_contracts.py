@@ -165,8 +165,8 @@ class ContractDriftRule(Rule):
         if ctx.tree is None:
             return ()
         self._sources.append((ctx.norm, ctx.tree))
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) and any(
+        for node in ctx.index.nodes(ast.Assign):
+            if any(
                 isinstance(t, ast.Name) and t.id == VERSION_CONSTANT
                 for t in node.targets
             ):

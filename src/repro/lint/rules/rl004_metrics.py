@@ -117,9 +117,7 @@ class MetricsRegistryRule(Rule):
                 self._registry_scanned = True
         except OSError:  # pragma: no cover - unresolvable paths
             pass
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.index.nodes(ast.Call):
             name_node = _metric_name_arg(node)
             if name_node is None:
                 continue

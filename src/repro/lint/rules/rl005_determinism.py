@@ -94,48 +94,40 @@ class ReplayDeterminismRule(Rule):
     def check_file(self, ctx, project) -> Iterable[Finding]:
         if ctx.tree is None:
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                reason = _BANNED_CALLS.get(name)
-                if reason is None and name.startswith("secrets."):
-                    reason = "ambient randomness"
-                if reason is None:
-                    parts = name.split(".")
-                    if (
-                        len(parts) == 2
-                        and parts[0] == "random"
-                        and parts[1] in _RANDOM_MODULE_FUNCS
-                    ):
-                        reason = "ambient randomness (module-level random)"
-                    elif name in {"random.Random", "Random"} and not (
-                        node.args or node.keywords
-                    ):
-                        reason = "unseeded random.Random()"
-                if reason is not None:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{name}() on a replay-critical path ({reason}); "
-                        "replay must be byte-identical",
-                    )
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                if _set_expr(node.iter):
-                    yield self.finding(
-                        ctx,
-                        node.iter,
-                        "iterating a set on a replay-critical path: set order "
-                        "is insertion/hash dependent; wrap in sorted(...)",
-                    )
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                for gen in node.generators:
-                    if _set_expr(gen.iter):
-                        yield self.finding(
-                            ctx,
-                            gen.iter,
-                            "comprehension over a set on a replay-critical "
-                            "path: set order is insertion/hash dependent; "
-                            "wrap in sorted(...)",
-                        )
+        index = ctx.index
+        for node in index.nodes(ast.Call):
+            name = dotted_name(node.func)
+            if name is None:
+                continue
+            reason = _BANNED_CALLS.get(name)
+            if reason is None and name.startswith("secrets."):
+                reason = "ambient randomness"
+            if reason is None:
+                parts = name.split(".")
+                if (
+                    len(parts) == 2
+                    and parts[0] == "random"
+                    and parts[1] in _RANDOM_MODULE_FUNCS
+                ):
+                    reason = "ambient randomness (module-level random)"
+                elif name in {"random.Random", "Random"} and not (
+                    node.args or node.keywords
+                ):
+                    reason = "unseeded random.Random()"
+            if reason is not None:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{name}() on a replay-critical path ({reason}); "
+                    "replay must be byte-identical",
+                )
+        loops = index.nodes(ast.For) + index.nodes(ast.AsyncFor)
+        for node in loops + index.nodes(ast.comprehension):
+            if _set_expr(node.iter):
+                what = "comprehension over" if type(node) is ast.comprehension else "iterating"
+                yield self.finding(
+                    ctx,
+                    node.iter,
+                    f"{what} a set on a replay-critical path: set order is "
+                    "insertion/hash dependent; wrap in sorted(...)",
+                )

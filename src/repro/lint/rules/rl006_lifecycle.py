@@ -28,7 +28,7 @@ import ast
 from typing import Iterable
 
 from repro.lint.findings import Finding
-from repro.lint.rules.base import Rule, dotted_name, self_attr
+from repro.lint.rules.base import FileIndex, Rule, Scope, dotted_name, self_attr
 
 #: Constructors whose results own an OS-backed resource.
 RESOURCE_CONSTRUCTORS = frozenset(
@@ -69,36 +69,6 @@ def _ctor_name(call: ast.Call) -> str | None:
     return last if last in RESOURCE_CONSTRUCTORS else None
 
 
-class _Scope:
-    """One function (or module) body, nested scopes excluded."""
-
-    def __init__(self, node: ast.AST, name: str) -> None:
-        self.node = node
-        self.name = name
-        self.statements = node.body if isinstance(node.body, list) else [node.body]
-
-    def walk(self):
-        # Top-level statements that are themselves defs/classes belong to
-        # their own scope — expanding them here would double-report.
-        stack = [
-            stmt
-            for stmt in self.statements
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-        ]
-        while stack:
-            current = stack.pop()
-            yield current
-            for child in ast.iter_child_nodes(current):
-                if isinstance(
-                    child,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-                ):
-                    continue
-                stack.append(child)
-
-
 class ResourceLifecycleRule(Rule):
     rule_id = "RL006"
     title = "resource lifecycle: OS-backed resource created without a release path"
@@ -113,140 +83,96 @@ class ResourceLifecycleRule(Rule):
     def check_file(self, ctx, project) -> Iterable[Finding]:
         if ctx.tree is None:
             return
+        index = ctx.index
         # (a) classes owning resources must define a teardown method.
-        for cls in [n for n in ast.walk(ctx.tree) if isinstance(n, ast.ClassDef)]:
-            yield from self._check_class(ctx, cls)
+        yield from self._check_classes(ctx, index)
         # (b) call-site ownership in every function/module scope.
-        scopes = [_Scope(ctx.tree, "<module>")]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(_Scope(node, node.name))
-        for scope in scopes:
-            yield from self._check_scope(ctx, scope)
+        for scope in index.scopes:
+            calls = [call for call in scope.nodes(ast.Call) if _ctor_name(call)]
+            if calls:
+                yield from self._check_scope(ctx, index, scope, calls)
 
-    def _check_class(self, ctx, cls: ast.ClassDef) -> Iterable[Finding]:
-        method_names = {
-            stmt.name
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if method_names & _TEARDOWN_METHODS:
-            return
-        for stmt in cls.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def _check_classes(self, ctx, index: FileIndex) -> Iterable[Finding]:
+        # Per class, the first `self.X = <resource>()` of its first method
+        # that has one (``ast.walk`` order within the method).
+        first: dict[ast.ClassDef, tuple[int, ast.Assign]] = {}
+        for node in index.nodes(ast.Assign):
+            if not (isinstance(node.value, ast.Call) and _ctor_name(node.value)):
                 continue
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and _ctor_name(node.value)
-                ):
-                    for target in node.targets:
-                        if self_attr(target):
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"{cls.name} stores a "
-                                f"{_ctor_name(node.value)} on self but defines "
-                                "no close()/stop()/shutdown()/__exit__ teardown",
-                            )
-                            return
+            if not any(self_attr(target) for target in node.targets):
+                continue
+            for cls, method in index.method_owners(node):
+                position = cls.body.index(method)
+                if cls not in first or position < first[cls][0]:
+                    first[cls] = (position, node)
+        for cls in index.nodes(ast.ClassDef):
+            if cls not in first or any(
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name in _TEARDOWN_METHODS
+                for stmt in cls.body
+            ):
+                continue
+            node = first[cls][1]
+            yield self.finding(
+                ctx,
+                node,
+                f"{cls.name} stores a {_ctor_name(node.value)} on self but defines "
+                "no close()/stop()/shutdown()/__exit__ teardown",
+            )
 
-    def _check_scope(self, ctx, scope: _Scope) -> Iterable[Finding]:
-        creations: list[tuple[ast.Call, str, str | None]] = []  # call, ctor, bound name
-        in_with: set[int] = set()
-        released: set[str] = set()
-        transferred: set[str] = set()
-        for node in scope.walk():
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    expr = item.context_expr
-                    for sub in ast.walk(expr):
-                        if isinstance(sub, ast.Call) and _ctor_name(sub):
-                            in_with.add(id(sub))
-                    if item.optional_vars is None and isinstance(expr, ast.Name):
-                        released.add(expr.id)  # `with pool:` on an existing name
-                    if isinstance(expr, ast.Call):
-                        # closing(pool), ExitStack().enter_context(pool), with pool:
-                        for arg in expr.args:
-                            if isinstance(arg, ast.Name):
-                                transferred.add(arg.id)
-                    if isinstance(expr, ast.Name):
-                        released.add(expr.id)
-            elif isinstance(node, ast.Call):
-                callee = dotted_name(node.func) or ""
-                last = callee.split(".")[-1]
-                if isinstance(node.func, ast.Attribute):
-                    owner = node.func.value
-                    if isinstance(owner, ast.Name) and last in _RELEASING_CALLS:
-                        released.add(owner.id)
-                if last in _TRACKING_CALLEES:
-                    for arg in node.args:
-                        for sub in ast.walk(arg):
-                            if isinstance(sub, ast.Name):
-                                transferred.add(sub.id)
-                            elif isinstance(sub, ast.Call) and _ctor_name(sub):
-                                in_with.add(id(sub))  # lifetime handed over
-            elif isinstance(node, (ast.Return, ast.Expr)):
-                value = node.value
-                if isinstance(value, (ast.Yield, ast.YieldFrom)):
-                    value = value.value
-                if isinstance(value, ast.Name):
-                    transferred.add(value.id)
-                elif isinstance(value, ast.Tuple):
-                    for element in value.elts:
-                        if isinstance(element, ast.Name):
-                            transferred.add(element.id)
+    def _check_scope(
+        self, ctx, index: FileIndex, scope: Scope, calls: list[ast.Call]
+    ) -> Iterable[Finding]:
+        handled: set[int] = set()  # creations managed by a with or handed over
+        let_go: set[str] = set()  # names released, handed over or returned
+        for node in scope.nodes(ast.With) + scope.nodes(ast.AsyncWith):
+            for item in node.items:
+                expr = item.context_expr
+                for sub in ast.walk(expr):
+                    if isinstance(sub, ast.Call) and _ctor_name(sub):
+                        handled.add(id(sub))
+                if isinstance(expr, ast.Name):
+                    let_go.add(expr.id)  # `with pool:` on an existing name
+                elif isinstance(expr, ast.Call):
+                    # closing(pool), ExitStack().enter_context(pool)
+                    let_go.update(a.id for a in expr.args if isinstance(a, ast.Name))
+        for node in scope.nodes(ast.Call):
+            func = node.func
+            last = (dotted_name(func) or "").split(".")[-1]
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if last in _RELEASING_CALLS:
+                    let_go.add(func.value.id)
+            if last in _TRACKING_CALLEES:
+                for arg in node.args:
+                    for sub in ast.walk(arg):
+                        if isinstance(sub, ast.Name):
+                            let_go.add(sub.id)
+                        elif isinstance(sub, ast.Call) and _ctor_name(sub):
+                            handled.add(id(sub))  # lifetime handed over
+        for node in scope.nodes(ast.Return) + scope.nodes(ast.Expr):
+            value = node.value
+            if isinstance(value, (ast.Yield, ast.YieldFrom)):
+                value = value.value
+            elements = value.elts if isinstance(value, ast.Tuple) else [value]
+            let_go.update(e.id for e in elements if isinstance(e, ast.Name))
 
-        for node in scope.walk():
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                ctor = _ctor_name(node.value)
-                if not ctor:
-                    continue
-                bound = None
-                to_self = False
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound = target.id
-                    elif self_attr(target) or isinstance(target, ast.Attribute):
-                        to_self = True
-                if to_self:
+        for call in calls:
+            if id(call) in handled:
+                continue
+            parent = index.parents[call]
+            if isinstance(parent, ast.Assign) and parent.value is call:
+                if any(isinstance(t, ast.Attribute) for t in parent.targets):
                     continue  # class ownership: the class-level check governs
-                creations.append((node.value, ctor, bound))
-            elif isinstance(node, ast.Call) and _ctor_name(node):
-                parent_handled = id(node) in in_with
-                if not parent_handled and not self._is_assigned(node, scope):
-                    creations.append((node, _ctor_name(node), None))
-
-        seen: set[int] = set()
-        for call, ctor, bound in creations:
-            if id(call) in seen:
-                continue
-            seen.add(id(call))
-            if id(call) in in_with:
-                continue
-            if bound is not None and (bound in released or bound in transferred):
-                continue
-            if bound is None and self._is_argument(call, scope):
+                names = [t.id for t in parent.targets if isinstance(t, ast.Name)]
+                if names and names[-1] in let_go:
+                    continue
+            elif isinstance(parent, ast.keyword) or (
+                isinstance(parent, ast.Call) and call in parent.args
+            ):
                 continue  # ownership passed to the callee
             yield self.finding(
                 ctx,
                 call,
-                f"{ctor} created in {scope.name}() with no release path "
+                f"{_ctor_name(call)} created in {scope.name}() with no release path "
                 "(no with/close/track_resource/finalize, not returned)",
             )
-
-    def _is_assigned(self, call: ast.Call, scope: _Scope) -> bool:
-        for node in scope.walk():
-            if isinstance(node, ast.Assign) and node.value is call:
-                return True
-        return False
-
-    def _is_argument(self, call: ast.Call, scope: _Scope) -> bool:
-        for node in scope.walk():
-            if isinstance(node, ast.Call) and (
-                call in node.args
-                or any(kw.value is call for kw in node.keywords)
-            ):
-                return True
-        return False

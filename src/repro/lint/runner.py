@@ -1,7 +1,8 @@
 """File discovery and rule orchestration for ``repro.lint``.
 
-The runner walks the requested paths, parses each ``*.py`` once, runs
-every registered rule over every file it applies to, gives cross-file
+The runner walks the requested paths, parses each ``*.py`` once and
+indexes its tree in one walk (:class:`~repro.lint.rules.base.FileIndex`),
+runs every registered rule over every file it applies to, gives cross-file
 rules a ``finalize`` pass over the whole scanned set, then filters
 findings through the inline suppression directives — reporting directives
 that suppressed nothing as ``RL007`` warnings so accepted exceptions
@@ -17,6 +18,7 @@ from typing import Iterable
 
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.rules import all_rules
+from repro.lint.rules.base import FileIndex
 from repro.lint.rules.rl003_contracts import DEFAULT_MANIFEST
 from repro.lint.rules.rl004_metrics import DEFAULT_REGISTRY, load_registry
 from repro.lint.suppressions import (
@@ -30,13 +32,14 @@ PARSE_ERROR_ID = "RL000"
 
 
 class FileContext:
-    """One parsed source file handed to the rules."""
+    """One parsed source file handed to the rules, with its :class:`FileIndex`."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.norm = str(path).replace(os.sep, "/")
         self.source: str = ""
         self.tree: ast.AST | None = None
+        self.index: FileIndex | None = None
         self.parse_error: SyntaxError | None = None
         self.suppressions: FileSuppressions = FileSuppressions()
 
@@ -47,6 +50,8 @@ class FileContext:
             self.tree = ast.parse(self.source, filename=str(self.path))
         except SyntaxError as exc:
             self.parse_error = exc
+            return
+        self.index = FileIndex(self.tree)
 
 
 class ProjectContext:

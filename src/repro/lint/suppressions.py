@@ -73,6 +73,8 @@ class FileSuppressions:
 def parse_suppressions(source: str) -> FileSuppressions:
     """Extract suppression directives from ``source``'s comment tokens."""
     suppressions = FileSuppressions()
+    if "repro-lint:" not in source:
+        return suppressions  # no directive can match: skip the tokenizer
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):

@@ -232,6 +232,27 @@ class TestStaleRecovery:
         # by checking from the sibling's perspective).
         assert b.recover_stale() == []
 
+    def test_stale_release_leaves_the_lock_a_sibling_retook(self, lock_dir):
+        a = LockManager(lock_dir, owner="a")
+        b = LockManager(lock_dir, owner="b")
+        assert a.acquire("db.t0")
+        path = a._path_for("db.t0")
+        os.utime(path, (0, 0))  # a's heartbeat stopped long ago
+        assert b.recover_stale() == ["db.t0"]
+        assert b.acquire("db.t0")
+        assert not a.release("db.t0")  # the name links b's holder now
+        assert not a.holds("db.t0")
+        stat = os.stat(path)
+        assert (stat.st_dev, stat.st_ino) == b._held["db.t0"][0].inode
+        c = LockManager(lock_dir, owner="c")
+        assert not c.acquire("db.t0")
+        summary = verify_audit(lock_dir)
+        assert summary.ok, summary.violations
+        assert summary.releases == 0
+        assert a.acquire("db.t1")  # a's holder went back to its free list
+        for manager in (a, b, c):
+            manager.close()
+
     def test_heartbeat_thread_start_stop_idempotent(self, lock_dir):
         a = LockManager(lock_dir, owner="a", heartbeat_interval_s=0.01)
         a.start_heartbeat()

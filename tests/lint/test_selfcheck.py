@@ -1,7 +1,7 @@
 """Self-check: the analyzer holds over its own repository.
 
 The acceptance gate for the lint plane: ``python -m repro.lint src`` (and
-the full src+tests+benchmarks sweep CI runs) reports zero unsuppressed
+the full src+tests+benchmarks+examples sweep CI runs) reports zero unsuppressed
 findings, the CLI plumbs exit codes and JSON correctly, and the rule
 registry stays complete.
 """
@@ -40,9 +40,9 @@ def test_registry_has_the_six_invariant_rules():
 
 @pytest.fixture(scope="module")
 def full_sweep():
-    """The findings of one src+tests+benchmarks sweep, shared by the clean checks."""
+    """The findings of one src+tests+benchmarks+examples sweep, shared by the clean checks."""
     findings, _ = run_lint(
-        [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
+        [REPO_ROOT / tree for tree in ("src", "tests", "benchmarks", "examples")]
     )
     return findings
 
