@@ -57,9 +57,8 @@ from repro.replay import (
     serialize_cycle_report,
     trace_size_bytes,
     variant_grid,
+    verify_deterministic,
 )
-from repro.replay.catalog_replay import verify_catalog_deterministic
-from repro.replay.replayer import verify_deterministic
 from repro.simulation import Simulator, TapBus
 from repro.units import DAY, HOUR, MiB
 
@@ -236,7 +235,7 @@ def catalog_main(args) -> int:
             failures.append("record->replay did not reproduce the recorded reports")
 
         print("determinism: same trace + same variant replayed twice ...", end=" ")
-        deterministic = verify_catalog_deterministic(
+        deterministic = verify_deterministic(
             trace, PolicyVariant(name="determinism-probe", k=10)
         )
         print("byte-identical" if deterministic else "DIVERGED")

@@ -65,6 +65,10 @@ from repro.obs.exporter import MetricsExporter, render_prometheus
 #: Resumable-unit lifecycle states, in order.
 UNIT_STATES = ("INIT", "LOCKED", "RUNNING", "COMPLETE")
 
+#: Seconds :meth:`AutoCompDaemon.stop` lets in-flight work finish (the
+#: scheduler threads, and the worker pools' draining close).
+DRAIN_TIMEOUT_S = 30.0
+
 
 class ResumableStateMachine:
     """File-backed per-unit progress: ``INIT → LOCKED → RUNNING → COMPLETE``.
@@ -251,8 +255,6 @@ class AutoCompDaemon:
             ring here (and :meth:`start` restores it when the file
             exists), so ``evaluate_recent`` sees the same history across
             restarts.
-        drain_timeout_s: bound on finishing in-flight shard work at
-            shutdown (forwarded to the worker pools' draining close).
         tracer: optional :class:`~repro.obs.tracing.Tracer`; when given it
             is installed on the service pipeline (propagating to every
             shard) so cycles emit ``cycle → shard → observe/decide/act``
@@ -281,7 +283,6 @@ class AutoCompDaemon:
         promoter=None,
         promoter_interval_s: float | None = None,
         spill_path: str | os.PathLike | None = None,
-        drain_timeout_s: float = 30.0,
         tracer=None,
         obs_dir: str | os.PathLike | None = None,
         export_interval_s: float = 5.0,
@@ -290,8 +291,6 @@ class AutoCompDaemon:
             raise ValidationError("interval_s must be positive")
         if promoter_interval_s is not None and promoter_interval_s <= 0:
             raise ValidationError("promoter_interval_s must be positive")
-        if drain_timeout_s <= 0:
-            raise ValidationError("drain_timeout_s must be positive")
         if export_interval_s <= 0:
             raise ValidationError("export_interval_s must be positive")
         self.service = service
@@ -304,7 +303,6 @@ class AutoCompDaemon:
             promoter_interval_s if promoter_interval_s is not None else interval_s
         )
         self.spill_path = os.fspath(spill_path) if spill_path is not None else None
-        self.drain_timeout_s = drain_timeout_s
         self.tracer = tracer
         self.obs_dir = os.fspath(obs_dir) if obs_dir is not None else None
         self.export_interval_s = export_interval_s
@@ -574,7 +572,7 @@ class AutoCompDaemon:
         """Graceful shutdown: stop scheduling, drain, spill, detach, release.
 
         With ``drain`` (the default), in-flight shard work gets up to
-        ``drain_timeout_s`` to finish before worker children are joined
+        :data:`DRAIN_TIMEOUT_S` to finish before worker children are joined
         and, if necessary, terminated; without it, pools are told to
         drop queued work immediately.  Either way the history ring is
         spilled (when ``spill_path`` is set), the act gates are removed,
@@ -592,16 +590,16 @@ class AutoCompDaemon:
         """
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout=self.interval_s + self.drain_timeout_s)
+            self._thread.join(timeout=self.interval_s + DRAIN_TIMEOUT_S)
             self._thread = None
         if self._promoter_thread is not None:
             # The wait() wakes on the stop event; only an in-flight shadow
             # evaluation keeps the thread alive, bounded by the drain.
-            self._promoter_thread.join(timeout=self.drain_timeout_s)
+            self._promoter_thread.join(timeout=DRAIN_TIMEOUT_S)
             self._promoter_thread = None
         close = getattr(self.service.pipeline, "close", None)
         if close is not None:
-            close(timeout=self.drain_timeout_s if drain else 0.001)
+            close(timeout=DRAIN_TIMEOUT_S if drain else 0.001)
         if self.spill_path is not None:
             self.service.spill_history(self.spill_path)
         if self.promoter is not None and self.promoter.service is self.service:

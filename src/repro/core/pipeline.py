@@ -98,17 +98,19 @@ class AutoCompPipeline:
         stats_filters: filters applied after observe.
         trait_filters: filters applied after orient.
         telemetry: metric sink for cycle statistics.
-        tracer: optional :class:`repro.obs.tracing.Tracer`; when set, each
-            ``run_cycle`` produces a ``cycle → observe/decide/act →
-            rewrite`` span tree and per-phase wall-clock histograms.  Also
-            assignable after construction (``pipeline.tracer = Tracer()``).
         feedback_hooks: callables invoked with each finished
             :class:`CycleReport` (the optional act→observe loop).
-        taps: optional event bus; when set, every finished cycle publishes
-            a ``cycle`` event carrying the fully serialized report — the
-            Policy Lab's catalog-trace cadence marker.  Assignable after
-            construction too (``pipeline.taps = bus``).  Leave unset on
-            the per-shard pipelines of a sharded plane (the coordinator
+
+    Attributes:
+        tracer: a :class:`repro.obs.tracing.Tracer`, or None (the
+            default); once assigned (``pipeline.tracer = Tracer()``), each
+            ``run_cycle`` produces a ``cycle → observe/decide/act →
+            rewrite`` span tree and per-phase wall-clock histograms.
+        taps: an event bus, or None (the default); once assigned
+            (``pipeline.taps = bus``), every finished cycle publishes a
+            ``cycle`` event carrying the fully serialized report — the
+            Policy Lab's catalog-trace cadence marker.  Leave unset on the
+            per-shard pipelines of a sharded plane (the coordinator
             publishes the merged report instead).
     """
 
@@ -124,9 +126,7 @@ class AutoCompPipeline:
         stats_filters: Sequence[CandidateFilter] = (),
         trait_filters: Sequence[CandidateFilter] = (),
         telemetry: Telemetry | None = None,
-        tracer: Tracer | None = None,
         feedback_hooks: Sequence[Callable[[CycleReport], None]] = (),
-        taps=None,
     ) -> None:
         self.connector = connector
         self.backend = backend
@@ -140,9 +140,9 @@ class AutoCompPipeline:
         self.stats_filters = list(stats_filters)
         self.trait_filters = list(trait_filters)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.tracer = tracer
+        self.tracer: Tracer | None = None
         self.feedback_hooks = list(feedback_hooks)
-        self.taps = taps
+        self.taps = None
         #: Act gates: callables ``gate(selected) -> selected`` applied in
         #: order between decide and act.  The daemonized control plane
         #: installs admission quotas and per-table lock acquisition here,

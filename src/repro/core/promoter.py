@@ -35,9 +35,7 @@ gap.  Two pieces close it:
     auto-rolls back on degradation.  While the guard window is open the
     promoter never promotes again — no churn.  Outcomes feed forward:
     :attr:`PolicyPromoter.warm_start` carries the winner's knobs for
-    :meth:`~repro.core.autotune.Optimizer.optimize` and realised/shadow
-    efficiencies stream into
-    :meth:`~repro.core.weight_learning.WeightLearner.absorb_priors`.
+    :meth:`~repro.core.autotune.Optimizer.optimize`.
 
 Live pipelines pick the active policy up through
 :func:`apply_variant` — :meth:`~repro.core.service.AutoCompService.run_cycle`
@@ -81,6 +79,14 @@ PROMOTION_AUDIT_LOG = "audit.jsonl"
 
 #: Audit events that commit a version bump.
 _COMMIT_EVENTS = ("promote", "rollback")
+
+#: Fractional lead over the active variant's shadow efficiency a
+#: challenger needs before it is promoted (0.05 = 5% better).
+PROMOTE_MARGIN = 0.05
+
+#: Fractional degradation of a guarded metric the guard window allows
+#: before it rolls a promotion back.
+GUARD_TOLERANCE = 0.25
 
 
 def _variant_to_dict(variant) -> dict:
@@ -652,43 +658,27 @@ class PolicyPromoter:
 
     :meth:`step` is the scheduled entry point (the daemon drives it on its
     own cadence): while ``STABLE`` it replays the candidate pool over the
-    service's history ring and promotes only a *clear* winner — one that
-    beats the active variant's own shadow score by ``promote_margin``.  No
-    clear winner means a ``hold``: the active policy is never churned on
-    noise.  While ``GUARD`` it promotes nothing; instead
-    :meth:`observe_cycle` (registered on the service's ``cycle_hooks``)
-    accumulates live-cycle metrics until ``guard_cycles`` of them exist,
-    then compares their means against the pre-promotion baseline captured
-    at promotion time: efficiency may not drop, write amplification and
-    GBHr may not rise, each beyond ``guard_tolerance`` — one degraded
-    metric triggers :meth:`PolicyStore.rollback`, otherwise
-    :meth:`PolicyStore.confirm` closes the window.
+    service's whole history ring and promotes only a *clear* winner — one
+    whose shadow efficiency beats the active variant's own by
+    :data:`PROMOTE_MARGIN` (5%).  No clear winner means a ``hold``: the
+    active policy is never churned on noise.  While ``GUARD`` it promotes
+    nothing; instead :meth:`observe_cycle` (registered on the service's
+    ``cycle_hooks``) accumulates live-cycle metrics until ``guard_cycles``
+    of them exist, then compares their means against the pre-promotion
+    baseline captured at promotion time: efficiency may not drop, write
+    amplification and GBHr may not rise, each beyond
+    :data:`GUARD_TOLERANCE` (25%) — one degraded metric triggers
+    :meth:`PolicyStore.rollback`, otherwise :meth:`PolicyStore.confirm`
+    closes the window.
 
     Feedback: every shadow report refreshes :attr:`warm_start` (for
-    :meth:`~repro.core.autotune.Optimizer.optimize`) and streams its
-    ranked efficiencies into the optional ``learner``
-    (:meth:`~repro.core.weight_learning.WeightLearner.absorb_priors`);
-    a guard pass additionally feeds the *realised* guarded efficiency.
+    :meth:`~repro.core.autotune.Optimizer.optimize`).
 
     Args:
         store: the policy plane's durable state (shared with the service).
-        window: history-ring segments to replay per shadow eval (None =
-            the whole ring).
-        rank_by: shadow-report ranking key (``efficiency`` /
-            ``files_reduced`` / ``gbhr``).
         guard_cycles: live cycles watched after a promotion.
-        promote_margin: fractional lead over the active variant's shadow
-            score a challenger needs (0.05 = 5% better).
-        guard_tolerance: fractional degradation the guard window allows
-            before rolling back.
         min_history_cycles: recorded cycle markers required before any
             shadow evaluation (too-short history ranks on noise).
-        eval_workers: replays in flight per shadow evaluation.
-        perturb: optional :class:`~repro.replay.perturb.Perturbation`
-            applied to every shadow replay — e.g. per-database growth
-            skews, so promotion decisions anticipate tenant growth.
-        learner: optional :class:`~repro.core.weight_learning.WeightLearner`
-            absorbing shadow/guard efficiencies as priors.
 
     Each :meth:`step` opens a ``promoter.step`` span on the attached
     service's pipeline tracer, when it has one.
@@ -697,36 +687,16 @@ class PolicyPromoter:
     def __init__(
         self,
         store: PolicyStore,
-        window: int | None = None,
-        rank_by: str = "efficiency",
         guard_cycles: int = 3,
-        promote_margin: float = 0.05,
-        guard_tolerance: float = 0.25,
         min_history_cycles: int = 2,
-        eval_workers: int = 1,
-        perturb=None,
-        learner=None,
     ) -> None:
         if guard_cycles <= 0:
             raise ValidationError("guard_cycles must be positive")
-        if promote_margin < 0:
-            raise ValidationError("promote_margin must be >= 0")
-        if guard_tolerance <= 0:
-            raise ValidationError("guard_tolerance must be positive")
         if min_history_cycles < 1:
             raise ValidationError("min_history_cycles must be >= 1")
-        if eval_workers <= 0:
-            raise ValidationError("eval_workers must be positive")
         self.store = store
-        self.window = window
-        self.rank_by = rank_by
         self.guard_cycles = guard_cycles
-        self.promote_margin = promote_margin
-        self.guard_tolerance = guard_tolerance
         self.min_history_cycles = min_history_cycles
-        self.eval_workers = eval_workers
-        self.perturb = perturb
-        self.learner = learner
         self.service = None
         #: The latest shadow report's winner knobs — feed to
         #: :meth:`~repro.core.autotune.Optimizer.optimize` as ``warm_start``.
@@ -870,7 +840,7 @@ class PolicyPromoter:
         self._guard_window = []
         degraded: list[str] = []
         if baseline:
-            tol = self.guard_tolerance
+            tol = GUARD_TOLERANCE
             base_eff = baseline.get("efficiency", 0.0)
             if base_eff > 0 and means["efficiency"] < base_eff * (1 - tol):
                 degraded.append(
@@ -902,8 +872,6 @@ class PolicyPromoter:
             self.store.confirm(metrics=means)
             self.guard_passes += 1
             self._count("guard_passes")
-            if self.learner is not None and means["efficiency"] > 0:
-                self.learner.absorb_priors([means["efficiency"]])
             self.last_decision = {
                 "action": "guard_pass",
                 "version": self.store.version,
@@ -913,20 +881,14 @@ class PolicyPromoter:
     # --- the scheduled step -----------------------------------------------------
 
     def _history_cycles(self) -> int:
-        trace = self.service._history.trace(self.window)
+        trace = self.service._history.trace()
         return sum(1 for event in trace.events if event["kind"] == "cycle")
 
-    def _clear_winner(self, best, active_score) -> bool:
-        margin = self.promote_margin
-        if self.rank_by == "gbhr":
-            # Lower is better; a zero-cost incumbent cannot be beaten.
-            return active_score.gbhr > 0 and best.gbhr < active_score.gbhr * (1 - margin)
-        attribute = "files_reduced" if self.rank_by == "files_reduced" else "efficiency"
-        best_value = getattr(best, attribute)
-        active_value = getattr(active_score, attribute)
-        if active_value <= 0:
-            return best_value > 0
-        return best_value > active_value * (1 + margin)
+    @staticmethod
+    def _clear_winner(best, active_score) -> bool:
+        if active_score.efficiency <= 0:
+            return best.efficiency > 0
+        return best.efficiency > active_score.efficiency * (1 + PROMOTE_MARGIN)
 
     def _hold(self, reason: str, **extra) -> dict:
         self.holds += 1
@@ -982,27 +944,17 @@ class PolicyPromoter:
         with timed(
             None, "promoter.eval", "autocomp.hist.promoter_eval_wall_s", self._telemetry()
         ):
-            report = self.service.evaluate_recent(
-                candidates,
-                window=self.window,
-                rank_by=self.rank_by,
-                workers=self.eval_workers,
-                perturb=self.perturb,
-            )
+            report = self.service.evaluate_recent(candidates)
         self.shadow_evals += 1
         self._count("shadow_evals")
         self.warm_start = report.to_priors()
-        if self.learner is not None:
-            priors = [e for e in report.prior_efficiencies() if e > 0]
-            if priors:
-                self.learner.absorb_priors(priors)
         ranked = report.ranked()
         best = ranked[0]
         active_score = next(
             score for score in report.scores if score.variant.name == active.name
         )
         scores_summary = {
-            score.variant.name: round(getattr(score, "efficiency"), 6)
+            score.variant.name: round(score.efficiency, 6)
             for score in ranked
         }
         if best.variant.name == active.name or not self._clear_winner(

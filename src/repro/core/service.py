@@ -234,12 +234,6 @@ class AutoCompService:
             :class:`~repro.core.sharding.ShardedPipeline` (notifications
             are routed to the owning shard's connector either way).
         interval_s: periodic cycle spacing.
-        policy_store: optional
-            :class:`~repro.core.promoter.PolicyStore`; when set, every
-            cycle first syncs the pipeline to the store's *active* variant
-            (see :meth:`use_policy_store`), so the live policy is resolved
-            through the policy plane instead of staying frozen at
-            construction.
 
     Attributes:
         reports: accumulated cycle reports.
@@ -247,6 +241,10 @@ class AutoCompService:
             optimize-after-write hooks since the last cycle; exposed so
             deployments can prioritise or short-circuit observation for
             recently written tables.
+        policy_store: the :class:`~repro.core.promoter.PolicyStore` the
+            live policy is resolved through, or None (the default);
+            :meth:`use_policy_store` sets it, after which every cycle first
+            syncs the pipeline to the store's *active* variant.
         cycle_hooks: callables invoked with each finished cycle's report
             (the merged fleet report for sharded pipelines is passed
             as-is, wrapped in its
@@ -262,7 +260,6 @@ class AutoCompService:
         self,
         pipeline: AutoCompPipeline,
         interval_s: float = 24 * HOUR,
-        policy_store=None,
     ) -> None:
         self.pipeline = pipeline
         self.interval_s = interval_s
@@ -279,8 +276,6 @@ class AutoCompService:
         self._trigger: PeriodicTrigger | None = None
         self._history = None
         self._history_taps = None
-        if policy_store is not None:
-            self.use_policy_store(policy_store)
 
     def use_policy_store(self, store) -> "AutoCompService":
         """Resolve the live policy through ``store`` from the next cycle on.
@@ -491,7 +486,7 @@ class AutoCompService:
         ring.close()
         return True
 
-    def spill_history(self, path, **writer_kwargs):
+    def spill_history(self, path):
         """Seal and persist the history ring to chunked trace segments.
 
         The daemon calls this on graceful drain so :meth:`evaluate_recent`
@@ -501,7 +496,7 @@ class AutoCompService:
         """
         if self._history is None:
             return None
-        return self._history.spill(path, **writer_kwargs)
+        return self._history.spill(path)
 
     def restore_history(self, path, **ring_kwargs):
         """Reload a spilled history ring (enabling history if needed)."""

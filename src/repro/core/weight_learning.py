@@ -104,21 +104,6 @@ class WeightLearner:
             Objective(self.cost_trait, 1.0 - weight, maximize=False),
         ]
 
-    def absorb_priors(self, efficiencies: "Sequence[float]") -> None:
-        """Fold additional offline efficiency observations into the expectation.
-
-        The running counterpart of the constructor's ``prior_efficiencies``:
-        the :class:`~repro.core.promoter.PolicyPromoter` streams each
-        shadow report's ranked efficiencies (and each guard window's
-        realised efficiency) in here, so the learner's expectation tracks
-        what the policy plane has actually measured.  Absorbed priors
-        count toward the warmup, like constructor priors.
-        """
-        efficiencies = list(efficiencies)
-        if any(e < 0 for e in efficiencies):
-            raise ValidationError("prior efficiencies must be >= 0")
-        self._efficiencies.extend(efficiencies)
-
     def observe(self, report: CycleReport) -> None:
         """Feedback hook: fold one finished cycle into the weights.
 

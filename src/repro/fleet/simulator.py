@@ -203,20 +203,26 @@ class AutoCompStrategy(CompactionStrategy):
         return _outcome_from_results(day, report.results)
 
 
+#: TTL fallback for the statistics :class:`ShardedAutoCompStrategy` caches:
+#: bounds how stale a quiet table's quota-dependent score can get.
+STATS_CACHE_TTL_S = 7 * DAY
+
+
 class ShardedAutoCompStrategy(CompactionStrategy):
     """AutoComp behind the scale-out control plane.
 
-    The same decision components as :class:`AutoCompStrategy`, but candidate
-    keys are consistent-hashed across ``n_shards`` per-shard pipelines whose
+    The same decision components as :class:`AutoCompStrategy` with its
+    defaults (quota-aware weights, fixed top-k), but candidate keys are
+    consistent-hashed across ``n_shards`` per-shard pipelines whose
     connectors carry incremental-observation caches — daily cycles observe
     only the tables that wrote or were compacted since the last cycle
-    (version-token invalidation), with a TTL bounding quota staleness.
+    (version-token invalidation), with :data:`STATS_CACHE_TTL_S` bounding
+    quota staleness.
 
     Args:
         model: fleet state.
         n_shards: number of per-shard pipelines.
-        k / budget_gbhr / quota_aware: as for :class:`AutoCompStrategy`.
-        stats_cache_ttl_s: TTL fallback for cached statistics.
+        k: fixed top-k selection, as for :class:`AutoCompStrategy`.
         selection: ``"global"`` (exactly the unsharded decisions) or
             ``"local"`` (split budgets, fully independent shards).
         workers: shard execution mode — ``"threads"`` (default) or
@@ -240,10 +246,7 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         self,
         model: FleetModel,
         n_shards: int = 4,
-        k: int | None = 10,
-        budget_gbhr: float | None = None,
-        quota_aware: bool = True,
-        stats_cache_ttl_s: float = 7 * DAY,
+        k: int = 10,
         selection: str = "global",
         workers: str = "threads",
         max_workers: int | None = None,
@@ -253,12 +256,12 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         if n_shards <= 0:
             raise ValidationError("n_shards must be positive")
         traits, policy, selector = _fleet_decision_components(
-            model, k, budget_gbhr, quota_aware
+            model, k, budget_gbhr=None, quota_aware=True
         )
         # One cache shared by every shard: consistent hashing partitions
         # the table-index space disjointly, so shards never contend for a
         # slot, and a single slot table keeps the working set compact.
-        cache = IndexedCandidateCache(ttl_s=stats_cache_ttl_s)
+        cache = IndexedCandidateCache(ttl_s=STATS_CACHE_TTL_S)
         self.caches = [cache]
         shards = [
             AutoCompPipeline(

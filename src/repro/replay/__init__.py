@@ -10,18 +10,21 @@ plane — into a reusable corpus for policy experiments, in three layers:
   :class:`~repro.replay.catalog_trace.CatalogTraceRecorder` (catalog)
   subscribe to simulation events through a
   :class:`~repro.simulation.taps.TapBus` and serialize them to a
-  versioned, seed-stamped JSONL trace (:mod:`repro.replay.trace`) —
-  optionally *chunked* into gzip-compressed segment files for month-scale
-  runs, with checkpoint-delimited segments so any suffix replays
-  standalone (the :class:`~repro.replay.catalog_trace.CatalogHistoryRing`
-  behind ``AutoCompService.evaluate_recent``);
+  versioned, seed-stamped JSONL trace (:mod:`repro.replay.trace`); a
+  catalog recording can be *chunked* into gzip-compressed segment files
+  for month-scale runs, with checkpoint-delimited segments so any suffix
+  replays standalone (the
+  :class:`~repro.replay.catalog_trace.CatalogHistoryRing` behind
+  ``AutoCompService.evaluate_recent`` holds such segments in memory);
 * **replay** — :class:`~repro.replay.replayer.TraceReplayer` /
   :class:`~repro.replay.catalog_replay.CatalogReplayer` reconstruct state
   from a trace and re-drive AutoComp cycles under a caller-supplied
   :class:`~repro.replay.variants.PolicyVariant`, with the guarantee that
-  the same trace + the same variant yields byte-identical cycle reports;
-  a :class:`~repro.replay.perturb.Perturbation` deterministically rescales
-  the recorded workload first for counterfactual what-ifs;
+  the same trace + the same variant yields byte-identical cycle reports
+  (:func:`~repro.replay.whatif.verify_deterministic` checks it for either
+  trace type); a :class:`~repro.replay.perturb.Perturbation`
+  deterministically rescales the recorded workload first for
+  counterfactual what-ifs;
 * **search** — :class:`~repro.replay.whatif.WhatIfRunner` fans a grid or
   random sample of variants out over a worker pool (dispatching on the
   trace's type), scores each against the recorded workload, and emits a
@@ -29,7 +32,7 @@ plane — into a reusable corpus for policy experiments, in three layers:
   :mod:`repro.core.weight_learning` as offline priors.
 """
 
-from repro.replay.catalog_replay import CatalogReplayer, verify_catalog_deterministic
+from repro.replay.catalog_replay import CatalogReplayer
 from repro.replay.catalog_trace import (
     CatalogHistoryRing,
     CatalogTraceRecorder,
@@ -51,7 +54,13 @@ from repro.replay.trace import (
     trace_size_bytes,
 )
 from repro.replay.variants import PolicyVariant, sample_variants, variant_grid
-from repro.replay.whatif import VariantScore, WhatIfReport, WhatIfRunner, build_replayer
+from repro.replay.whatif import (
+    VariantScore,
+    WhatIfReport,
+    WhatIfRunner,
+    build_replayer,
+    verify_deterministic,
+)
 
 __all__ = [
     "CATALOG_TRACE_EVENT_KINDS",
@@ -79,4 +88,5 @@ __all__ = [
     "serialize_cycle_report",
     "trace_size_bytes",
     "variant_grid",
+    "verify_deterministic",
 ]

@@ -56,18 +56,13 @@ class CatalogReplayer:
             ``catalog``, or anything :class:`~repro.replay.trace.TraceReader`
             accepts (a path or a text stream), which is read and validated
             here.
-        cluster: compaction-cluster override; defaults to the cluster
-            serialized in the trace header (falling back to a stock
-            3-executor cluster when the header carries none).
-        cost_model: engine cost-model override (None = defaults).
+
+    Each replay compacts on a fresh copy of the cluster serialized in the
+    trace header (a stock 3-executor cluster when the header carries
+    none), under the engine's default cost model.
     """
 
-    def __init__(
-        self,
-        trace: Trace | str | os.PathLike | IO[str],
-        cluster: Cluster | None = None,
-        cost_model=None,
-    ) -> None:
+    def __init__(self, trace: Trace | str | os.PathLike | IO[str]) -> None:
         if not isinstance(trace, Trace):
             trace = TraceReader(trace).read()
         if trace.trace_type != "catalog":
@@ -76,23 +71,11 @@ class CatalogReplayer:
                 "(use TraceReplayer for fleet traces)"
             )
         self.trace = trace
-        self._cluster_override = cluster
-        self.cost_model = cost_model
 
     # --- construction helpers ---------------------------------------------------
 
     def _make_cluster(self) -> Cluster:
         """A fresh (contention-free) compaction cluster for one replay."""
-        source = self._cluster_override
-        if source is not None:
-            return Cluster(
-                name=source.name,
-                executors=source.executors,
-                executor_memory_gb=source.executor_memory_gb,
-                cores_per_executor=source.cores_per_executor,
-                query_slots=source.query_slots,
-                contention_coeff=source.contention_coeff,
-            )
         info = self.trace.header.get("catalog", {}).get("cluster")
         if info:
             return parse_cluster(info)
@@ -244,9 +227,7 @@ class CatalogReplayer:
     ) -> ReplayResult:
         catalog = self._fresh_catalog()
         pipeline = (
-            variant.build_catalog_pipeline(
-                catalog, self._make_cluster(), cost_model=self.cost_model
-            )
+            variant.build_catalog_pipeline(catalog, self._make_cluster())
             if run_cycles
             else None
         )
@@ -309,11 +290,3 @@ class CatalogReplayer:
         )
         return result
 
-
-def verify_catalog_deterministic(
-    trace: Trace | str | os.PathLike, variant: PolicyVariant
-) -> bool:
-    """Replay ``trace`` under ``variant`` twice; True iff byte-identical."""
-    first = CatalogReplayer(trace).replay(variant)
-    second = CatalogReplayer(trace).replay(variant)
-    return first.report_bytes() == second.report_bytes()

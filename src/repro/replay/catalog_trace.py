@@ -11,8 +11,8 @@ replayable traces:
 * :class:`CatalogTraceRecorder` — the catalog analogue of
   :class:`~repro.replay.recorder.TraceRecorder`: subscribes to the
   catalog-scoped event kinds on a :class:`~repro.simulation.taps.TapBus`
-  and streams them to a (optionally chunked/compressed) trace, rotating on
-  checkpoint boundaries for month-scale runs;
+  and streams them to a (optionally compressed, chunked) trace, rotating
+  on checkpoint boundaries for month-scale runs;
 * :class:`CatalogHistoryRing` — a bounded in-memory ring of trace
   segments, each opening with a checkpoint, that lets a running
   :class:`~repro.core.service.AutoCompService` hand its own recent history
@@ -40,12 +40,7 @@ from repro.replay.trace import TRACE_SCHEMA_VERSION, Trace, TraceWriter
 from repro.simulation.taps import CATALOG_EVENT_KINDS, TapBus
 
 
-def catalog_header(
-    seed: int,
-    warehouse: str = "/data",
-    cluster=None,
-    workload: dict | None = None,
-) -> dict:
+def catalog_header(seed: int, warehouse: str = "/data", cluster=None) -> dict:
     """The schema-v2 header record for a catalog trace.
 
     ``cluster`` (the compaction cluster the recorded deployment ran
@@ -55,8 +50,6 @@ def catalog_header(
     catalog_info: dict = {"warehouse": warehouse}
     if cluster is not None:
         catalog_info["cluster"] = serialize_cluster(cluster)
-    if workload:
-        catalog_info["workload"] = dict(workload)
     return {
         "kind": "header",
         "schema": TRACE_SCHEMA_VERSION,
@@ -184,9 +177,9 @@ class CatalogTraceRecorder:
             checkpointed rotation.
         cluster: the compaction cluster serialized into the header so
             replays rebuild the same cost surface.
-        workload: free-form JSON-safe workload metadata for the header.
-        segment_records / compress: forwarded to
-            :class:`~repro.replay.trace.TraceWriter` (chunked traces).
+        compress: write gzip-compressed segment files (see
+            :class:`~repro.replay.trace.TraceWriter`; needs a path sink).
+            A segment seals only at :meth:`rotate`.
     """
 
     def __init__(
@@ -196,18 +189,14 @@ class CatalogTraceRecorder:
         seed: int = 0,
         catalog: Catalog | None = None,
         cluster=None,
-        workload: dict | None = None,
-        segment_records: int | None = None,
         compress: bool = False,
     ) -> None:
-        self._writer = TraceWriter(sink, segment_records=segment_records, compress=compress)
+        self._writer = TraceWriter(sink, compress=compress)
         self._taps = taps
         self._catalog = catalog
         self._closed = False
         warehouse = catalog.warehouse if catalog is not None else "/data"
-        self._writer.write(
-            catalog_header(seed, warehouse=warehouse, cluster=cluster, workload=workload)
-        )
+        self._writer.write(catalog_header(seed, warehouse=warehouse, cluster=cluster))
         for kind in CATALOG_EVENT_KINDS:
             taps.subscribe(kind, self._on_event)
 
@@ -258,6 +247,11 @@ class CatalogTraceRecorder:
         self.close()
 
 
+#: Events (its opening checkpoint not counted) at which a
+#: :class:`CatalogHistoryRing` seals its open segment even without a cycle.
+SEGMENT_EVENTS = 4096
+
+
 class CatalogHistoryRing:
     """A bounded ring of in-memory trace segments over a live catalog.
 
@@ -277,11 +271,11 @@ class CatalogHistoryRing:
         cluster: compaction cluster serialized into generated headers.
         segment_cycles: cycle events per segment before sealing.
         max_segments: ring capacity (oldest segments are evicted).
-        segment_events: hard per-segment event cap — a segment also seals
-            when it reaches this many events, so a service that stops
-            cycling (expired trigger) under a workload that keeps
-            committing still holds at most ``max_segments × segment_events``
-            events instead of growing one open segment without bound.
+
+    A segment also seals when it holds :data:`SEGMENT_EVENTS` events, so a
+    service that stops cycling (expired trigger) under a workload that
+    keeps committing still holds at most ``max_segments × SEGMENT_EVENTS``
+    events instead of growing one open segment without bound.
     """
 
     def __init__(
@@ -292,20 +286,16 @@ class CatalogHistoryRing:
         cluster=None,
         segment_cycles: int = 8,
         max_segments: int = 8,
-        segment_events: int = 4096,
     ) -> None:
         if segment_cycles <= 0:
             raise ValidationError("segment_cycles must be positive")
         if max_segments <= 0:
             raise ValidationError("max_segments must be positive")
-        if segment_events <= 0:
-            raise ValidationError("segment_events must be positive")
         self.catalog = catalog
         self.seed = seed
         self.cluster = cluster
         self.segment_cycles = segment_cycles
         self.max_segments = max_segments
-        self.segment_events = segment_events
         self._taps = taps
         self._segments: deque[list[dict]] = deque()
         self._cycles_in_segment = 0
@@ -344,7 +334,7 @@ class CatalogHistoryRing:
                 return
         # The checkpoint does not count against the cap (> rather than >=
         # would re-seal immediately on a 1-event segment).
-        if len(self._segments[-1]) - 1 >= self.segment_events:
+        if len(self._segments[-1]) - 1 >= SEGMENT_EVENTS:
             self._begin_segment()
 
     def trace(self, window: int | None = None) -> Trace:
@@ -376,30 +366,18 @@ class CatalogHistoryRing:
             events.extend(e for e in segment if e["kind"] != "checkpoint")
         return Trace(header=header, events=events)
 
-    def save(self, path: str | os.PathLike, window: int | None = None, **writer_kwargs) -> None:
-        """Persist the ring (or a window of it) as a trace file."""
-        trace = self.trace(window)
-        writer = TraceWriter(path, **writer_kwargs)
-        try:
-            writer.write(trace.header)
-            for event in trace.events:
-                writer.write(event)
-        finally:
-            writer.close()
+    def spill(self, path: str | os.PathLike) -> int:
+        """Persist the whole ring, one gzip trace segment per ring segment.
 
-    def spill(self, path: str | os.PathLike, compress: bool = True, **writer_kwargs) -> int:
-        """Persist the whole ring, one chunked trace segment per ring segment.
-
-        Unlike :meth:`save` (which flattens a window into one replayable
-        event stream), ``spill`` preserves the ring's *structure*: every
-        segment keeps its opening checkpoint and the writer rotates at
-        each segment boundary, so :meth:`load` can rebuild an equivalent
-        ring — same segment boundaries, same events — after a daemon
-        restart.  The unsealed trailing segment spills too.
+        ``spill`` preserves the ring's *structure*: every segment keeps its
+        opening checkpoint and the writer rotates at each segment
+        boundary, so :meth:`load` can rebuild an equivalent ring — same
+        segment boundaries, same events — after a daemon restart.  The
+        unsealed trailing segment spills too.
 
         Returns the number of ring segments written.
         """
-        writer = TraceWriter(path, compress=compress, **writer_kwargs)
+        writer = TraceWriter(path, compress=True)
         try:
             writer.write(
                 catalog_header(
@@ -409,8 +387,7 @@ class CatalogHistoryRing:
             for segment in self._segments:
                 for event in segment:
                     writer.write(event)
-                if writer.chunked:
-                    writer.rotate()  # one trace segment per ring segment
+                writer.rotate()  # one trace segment per ring segment
         finally:
             writer.close()
         return len(self._segments)

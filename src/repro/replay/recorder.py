@@ -27,7 +27,6 @@ import dataclasses
 import os
 from typing import IO
 
-from repro.errors import ValidationError
 from repro.fleet.model import FleetConfig
 from repro.replay.trace import TRACE_EVENT_KINDS, TRACE_SCHEMA_VERSION, TraceWriter
 from repro.simulation.taps import TapBus
@@ -41,27 +40,22 @@ class TraceRecorder:
             ``io.StringIO`` for in-memory capture).
         taps: the bus the fleet publishes on; the recorder subscribes to
             every trace-relevant kind immediately.
-        config: the fleet configuration stamped into the header.  Must be
-            set (here or via :meth:`bind_config`) before the first event
-            arrives — i.e. before the recorded :class:`~repro.fleet.FleetModel`
-            is constructed, since construction onboards the initial
-            population.
-        segment_records: chunk the trace into segment files of this many
-            events (see :class:`~repro.replay.trace.TraceWriter`; requires
-            a path sink).  Month-scale fleets should chunk: a 30-day
-            1.2k-table trace is ~8 MiB as one plain file.
-        compress: gzip each segment deterministically (implies chunking).
+        config: the fleet configuration stamped into the header, which is
+            written with the first event — the recorded
+            :class:`~repro.fleet.FleetModel`'s initial onboard, published
+            when it is constructed.
+
+    A recorded trace can be re-chunked afterwards through a chunked
+    :class:`~repro.replay.trace.TraceWriter`.
     """
 
     def __init__(
         self,
         sink: str | os.PathLike | IO[str],
         taps: TapBus,
-        config: FleetConfig | None = None,
-        segment_records: int | None = None,
-        compress: bool = False,
+        config: FleetConfig,
     ) -> None:
-        self._writer = TraceWriter(sink, segment_records=segment_records, compress=compress)
+        self._writer = TraceWriter(sink)
         self._taps = taps
         self._header_written = False
         self._config = config
@@ -74,47 +68,20 @@ class TraceRecorder:
         """Events written so far (header excluded)."""
         return max(self._writer.records_written - (1 if self._header_written else 0), 0)
 
-    def bind_config(self, config: FleetConfig) -> "TraceRecorder":
-        """Associate the fleet config stamped into the header; returns self.
-
-        Optional when the fleet is built *after* the recorder (the normal
-        wiring): the first :meth:`write_header` caller supplies it.
-        """
-        self._config = config
-        return self
-
-    def write_header(self, config: FleetConfig | None = None) -> None:
-        """Write the seed-stamped header (idempotent)."""
-        if self._header_written:
-            return
-        config = config if config is not None else self._config
-        if config is None:
-            raise ValidationError(
-                "TraceRecorder has no FleetConfig for the header; "
-                "call bind_config() or pass one"
-            )
-        self._config = config
-        self._writer.write(
-            {
-                "kind": "header",
-                "schema": TRACE_SCHEMA_VERSION,
-                "seed": config.seed,
-                "config": dataclasses.asdict(config),
-            }
-        )
-        self._header_written = True
-
-    def rotate(self) -> None:
-        """Seal the current trace segment (chunked writers only)."""
-        self._writer.rotate()
-
     def _on_event(self, kind: str, payload: dict) -> None:
         if self._closed:
             return
         if not self._header_written:
-            # The first event a fleet publishes is its initial onboard;
-            # require the config to have been bound by then.
-            self.write_header()
+            # The first event a fleet publishes is its initial onboard.
+            self._writer.write(
+                {
+                    "kind": "header",
+                    "schema": TRACE_SCHEMA_VERSION,
+                    "seed": self._config.seed,
+                    "config": dataclasses.asdict(self._config),
+                }
+            )
+            self._header_written = True
         self._writer.write({"kind": kind, **payload})
 
     def close(self) -> None:

@@ -253,15 +253,3 @@ class TraceReplayer:
         result.files_below_threshold_final = model.files_below_threshold
         return result
 
-
-def verify_deterministic(
-    trace: Trace | str | os.PathLike, variant: PolicyVariant
-) -> bool:
-    """Replay ``trace`` under ``variant`` twice; True iff byte-identical.
-
-    A convenience wrapper used by benches and CI smoke checks; the test
-    suite asserts the same property directly.
-    """
-    first = TraceReplayer(trace).replay(variant)
-    second = TraceReplayer(trace).replay(variant)
-    return first.report_bytes() == second.report_bytes()

@@ -207,7 +207,7 @@ class PolicyVariant:
         return ShardedPipeline(shards, selection="global", merge_order="any", max_workers=1)
 
     def build_catalog_pipeline(
-        self, catalog, compaction_cluster, cost_model=None
+        self, catalog, compaction_cluster
     ) -> AutoCompPipeline | ShardedPipeline:
         """A runnable OpenHouse-shaped pipeline over a live (or replayed) catalog.
 
@@ -229,7 +229,6 @@ class PolicyVariant:
         replayer does).
         """
         kwargs = dict(
-            cost_model=cost_model,
             generation=self.generation,
             k=self.k,
             budget_gbhr=self.budget_gbhr,

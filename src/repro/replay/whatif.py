@@ -205,6 +205,19 @@ def build_replayer(trace: Trace | str | os.PathLike):
     return TraceReplayer(parsed)
 
 
+def verify_deterministic(trace: Trace | str | os.PathLike, variant: PolicyVariant) -> bool:
+    """Replay ``trace`` under ``variant`` twice; True iff byte-identical.
+
+    Either trace type, through :func:`build_replayer`.  A convenience
+    wrapper used by benches and CI smoke checks; the test suite asserts
+    the same property directly.
+    """
+    parsed = trace if isinstance(trace, Trace) else TraceReader(trace).read()
+    first = build_replayer(parsed).replay(variant)
+    second = build_replayer(parsed).replay(variant)
+    return first.report_bytes() == second.report_bytes()
+
+
 #: Per-process replayer memo: pool workers handle many variants, so each
 #: worker parses (and base-snapshots) a given trace file exactly once.
 #: Keyed by (path, size, mtime) so a rewritten trace is never served stale.

@@ -117,7 +117,8 @@ class TestResumableStateMachine:
         machine.release("u1")
         machine.get_next_chunk()
         machine.mark_running("u1")
-        record = json.loads(open(machine._path_for("u1")).read())
+        with open(machine._path_for("u1")) as handle:
+            record = json.load(handle)
         assert record["attempts"] == 2
 
     def test_chunk_validation(self, tmp_path):
@@ -183,8 +184,6 @@ class TestDaemonCycle:
     def test_validation(self, fleet, tmp_path):
         with pytest.raises(ValidationError):
             build_daemon(fleet, tmp_path / "locks", interval_s=0)
-        with pytest.raises(ValidationError):
-            build_daemon(fleet, tmp_path / "locks", drain_timeout_s=0)
 
     def test_start_is_idempotent_and_context_manager(self, fleet, tmp_path):
         daemon = build_daemon(fleet, tmp_path / "locks", interval_s=60)

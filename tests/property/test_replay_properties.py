@@ -35,7 +35,7 @@ from repro.simulation import TapBus
 from repro.units import HOUR, MiB
 
 from tests.replay.conftest import catalog_layout as _layout
-from tests.replay.conftest import record_cab_run, small_cab_config
+from tests.replay.conftest import record_cab_run, rechunk_trace, small_cab_config
 
 #: Small-but-varied recorded workloads (fleet size, days, seed, source k).
 workloads = st.tuples(
@@ -113,7 +113,8 @@ def _record_cab(seed: int, shuffle: int, insert_mib: int, k: int, sink):
 
     Thin wrapper over the shared :func:`tests.replay.conftest.record_cab_run`
     harness: hypothesis draws the workload shape and the recorded policy's
-    k; path sinks record chunked + compressed, stream sinks single-file.
+    k; path sinks record compressed segments sealed after each hourly
+    cycle, stream sinks single-file.
     """
     config = small_cab_config(
         seed=seed,
@@ -127,9 +128,11 @@ def _record_cab(seed: int, shuffle: int, insert_mib: int, k: int, sink):
         insert_bytes_mean=insert_mib * MiB,
         shuffle_partitions=shuffle,
     )
-    kwargs = {} if hasattr(sink, "write") else {"segment_records": 15, "compress": True}
     catalog, _, reports, variant = record_cab_run(
-        sink, config=config, variant=PolicyVariant(name="recorded", k=k), **kwargs
+        sink,
+        config=config,
+        variant=PolicyVariant(name="recorded", k=k),
+        compress=not hasattr(sink, "write"),
     )
     return catalog, reports, variant
 
@@ -139,7 +142,8 @@ def _record_cab(seed: int, shuffle: int, insert_mib: int, k: int, sink):
 def test_cab_record_replay_round_trip_is_byte_identical(workload):
     """Record → replay of a CAB catalog run is byte-identical — same cycle
     report serialization, same final file layout — across both the
-    single-file and the chunked+compressed trace formats."""
+    single-file and the chunked+compressed trace formats, whether segments
+    seal at cycle boundaries or mid-cycle."""
     buffer = io.StringIO()
     catalog, live_reports, variant = _record_cab(*workload, sink=buffer)
     live_bytes = "\n".join(
@@ -152,10 +156,15 @@ def test_cab_record_replay_round_trip_is_byte_identical(workload):
         chunked_path = os.path.join(tmp, "cab.trace.jsonl")
         _record_cab(*workload, sink=chunked_path)
         chunked_trace = TraceReader(chunked_path).read()
+        # Segments sealed every 15 events, mid-cycle, by the writer itself.
+        rechunked_path = os.path.join(tmp, "cab.rechunked.jsonl")
+        rechunk_trace(buffer.getvalue(), rechunked_path, segment_records=15, compress=True)
+        rechunked_trace = TraceReader(rechunked_path).read()
         # Chunking is a pure container change: identical events.
         assert chunked_trace.events == plain_trace.events
+        assert rechunked_trace.events == plain_trace.events
 
-        for trace in (plain_trace, chunked_trace):
+        for trace in (plain_trace, chunked_trace, rechunked_trace):
             result = CatalogReplayer(trace).replay(variant)
             assert result.report_bytes() == live_bytes
             assert _layout(CatalogReplayer(trace).replay_verbatim()) == _layout(catalog)

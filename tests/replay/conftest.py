@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import io
+import os
 
 import pytest
 
 from repro.catalog import Catalog
 from repro.engine import Cluster, EngineSession
 from repro.fleet import AutoCompStrategy, FleetConfig, FleetSimulator
-from repro.replay import CatalogTraceRecorder, PolicyVariant, TraceRecorder
+from repro.replay import (
+    CatalogTraceRecorder,
+    PolicyVariant,
+    TraceReader,
+    TraceRecorder,
+    TraceWriter,
+)
 from repro.simulation import Simulator, TapBus
 from repro.units import HOUR, MiB
 from repro.workloads import CabConfig, CabWorkload
@@ -74,13 +81,16 @@ def record_cab_run(
     sink,
     config: CabConfig | None = None,
     variant: PolicyVariant | None = None,
-    **writer_kwargs,
+    compress: bool = False,
 ):
     """Run a tiny §6 CAB catalog workload under AutoComp while recording.
 
     Cycles run *synchronously* (no simulator handed to the pipeline) on an
     hourly cadence driven between simulator windows — the recordable
-    step-then-compact setting replay reproduces byte-for-byte.  Returns
+    step-then-compact setting replay reproduces byte-for-byte.  With
+    ``compress`` (a path sink) the trace is chunked: each hour's events
+    seal into their own gzip segment, without a checkpoint, so the events
+    equal an uncompressed recording's.  Returns
     ``(catalog, workload, reports, variant)``.
     """
     config = config or small_cab_config()
@@ -89,7 +99,7 @@ def record_cab_run(
     catalog = Catalog(taps=taps)
     cluster = Cluster("compaction", executors=3)
     recorder = CatalogTraceRecorder(
-        sink, taps, seed=config.seed, catalog=catalog, cluster=cluster, **writer_kwargs
+        sink, taps, seed=config.seed, catalog=catalog, cluster=cluster, compress=compress
     )
     session = EngineSession(
         Cluster("query", executors=4),
@@ -109,9 +119,28 @@ def record_cab_run(
     for hour in range(1, hours + 1):
         simulator.run_until(hour * HOUR)
         reports.append(pipeline.run_cycle(now=catalog.clock.now))
+        if compress:
+            recorder.rotate(checkpoint=False)
     simulator.run_until(config.duration_s + HOUR)
     recorder.close()
     return catalog, workload, reports, variant
+
+
+def rechunk_trace(text: str, path, segment_records: int, compress: bool) -> None:
+    """Re-write a single-file trace through a chunked :class:`TraceWriter`.
+
+    Segments seal every ``segment_records`` events, so boundaries fall
+    mid-cycle (unlike the recorder's hourly ``rotate``); ``compress=False``
+    writes uncompressed (``codec: none``) segments.
+    """
+    trace = TraceReader(io.StringIO(text)).read()
+    writer = TraceWriter(os.fspath(path), segment_records=segment_records, compress=compress)
+    try:
+        writer.write(trace.header)
+        for event in trace.events:
+            writer.write(event)
+    finally:
+        writer.close()
 
 
 def catalog_layout(catalog: Catalog) -> dict:

@@ -30,7 +30,7 @@ from repro.units import HOUR, MiB
 from repro.workloads import CabWorkload
 
 from tests.replay.conftest import catalog_layout as live_layout
-from tests.replay.conftest import record_cab_run, small_cab_config
+from tests.replay.conftest import record_cab_run, rechunk_trace, small_cab_config
 
 RECORD_VARIANT = PolicyVariant(name="w0.70-k10", k=10)
 
@@ -177,11 +177,30 @@ class TestCatalogWhatIfReplay:
             CatalogReplayer(io.StringIO(text))
 
 
+def manifest_codecs(path) -> list[str]:
+    """The ``codec`` of each segment a chunked trace's manifest lists."""
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    return [r["codec"] for r in records if r["kind"] == "segment"]
+
+
 class TestChunkedTraces:
     def test_chunked_round_trip_matches_single_file(self, recorded_cab, tmp_path):
         plain_events = TraceReader(io.StringIO(recorded_cab[0])).read().events
         chunked_path = tmp_path / "run.trace.jsonl"
-        record_cab_run(os.fspath(chunked_path), segment_records=25, compress=True)
+        rechunk_trace(recorded_cab[0], chunked_path, segment_records=25, compress=False)
+        assert manifest_codecs(chunked_path) == ["none"] * -(-len(plain_events) // 25)
+        chunked = TraceReader(os.fspath(chunked_path)).read()
+        assert chunked.events == plain_events
+        assert chunked.header["chunked"] is True
+
+    def test_hourly_rotation_round_trip_matches_single_file(self, recorded_cab, tmp_path):
+        """The recorder's own compressed path, sealed after each cycle."""
+        plain_events = TraceReader(io.StringIO(recorded_cab[0])).read().events
+        chunked_path = tmp_path / "run.trace.jsonl"
+        record_cab_run(os.fspath(chunked_path), compress=True)
+        codecs = manifest_codecs(chunked_path)
+        assert len(codecs) >= 2 and set(codecs) == {"gzip"}
         chunked = TraceReader(os.fspath(chunked_path)).read()
         assert chunked.events == plain_events
         assert chunked.header["chunked"] is True
@@ -190,12 +209,12 @@ class TestChunkedTraces:
         plain_path = tmp_path / "plain.jsonl"
         plain_path.write_text(recorded_cab[0], encoding="utf-8")
         chunked_path = tmp_path / "chunked.jsonl"
-        record_cab_run(os.fspath(chunked_path), segment_records=25, compress=True)
+        record_cab_run(os.fspath(chunked_path), compress=True)
         assert trace_size_bytes(chunked_path) * 2 <= trace_size_bytes(plain_path)
 
-    def test_segment_record_counts_validated(self, tmp_path):
+    def test_segment_record_counts_validated(self, recorded_cab, tmp_path):
         path = tmp_path / "bad.jsonl"
-        record_cab_run(os.fspath(path), segment_records=25, compress=False)
+        rechunk_trace(recorded_cab[0], path, segment_records=25, compress=False)
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         tampered = json.loads(lines[1])
@@ -215,8 +234,8 @@ class TestChunkedTraces:
         """Same run recorded twice → identical segment bytes (pinned gzip)."""
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        record_cab_run(os.fspath(a), segment_records=40, compress=True)
-        record_cab_run(os.fspath(b), segment_records=40, compress=True)
+        record_cab_run(os.fspath(a), compress=True)
+        record_cab_run(os.fspath(b), compress=True)
         seg_a = sorted(p for p in os.listdir(tmp_path) if p.startswith("a.jsonl.seg"))
         seg_b = sorted(p for p in os.listdir(tmp_path) if p.startswith("b.jsonl.seg"))
         assert len(seg_a) == len(seg_b) >= 2
@@ -261,9 +280,9 @@ class TestWhatIfOverCatalogTraces:
         digests = {s.variant.name: s.report_digest for s in report.scores}
         assert len(set(digests.values())) >= 2  # policies genuinely differ
 
-    def test_path_mode_processes_match_sequential(self, tmp_path):
+    def test_path_mode_processes_match_sequential(self, recorded_cab, tmp_path):
         path = tmp_path / "run.trace.jsonl"
-        record_cab_run(os.fspath(path), segment_records=50, compress=True)
+        rechunk_trace(recorded_cab[0], path, segment_records=50, compress=True)
         variants = [PolicyVariant(name="k2", k=2), PolicyVariant(name="k10", k=10)]
         runner = WhatIfRunner(os.fspath(path), variants)
         try:
@@ -444,13 +463,6 @@ class TestServiceSelfEvaluation:
         second = CatalogReplayer(trace).replay(PolicyVariant(name="probe", k=5))
         assert first.report_bytes() == second.report_bytes()
 
-    def test_ring_save_round_trips_through_reader(self, tmp_path):
-        _, ring, _ = build_service_run()
-        path = tmp_path / "ring.trace.jsonl"
-        ring.save(os.fspath(path), segment_records=100, compress=True)
-        trace = TraceReader(os.fspath(path)).read()
-        assert trace.events == ring.trace().events
-
     def test_evaluate_recent_requires_history(self, tmp_path):
         catalog = Catalog()
         catalog.create_database("db")
@@ -523,6 +535,21 @@ class TestRingEdges:
         assert service.enable_history() is ring
         assert service.enable_history(max_segments=2) is ring
 
+    def test_commits_without_cycles_seal_at_the_event_cap(self, catalog):
+        from repro.replay.catalog_trace import SEGMENT_EVENTS
+
+        taps = TapBus()
+        ring = CatalogHistoryRing(catalog, taps)
+        commit = {"t": 0.0, "database": "db", "table": "t0", "op": "append"}
+        for _ in range(SEGMENT_EVENTS - 1):
+            taps.publish("table_commit", commit)
+        assert ring.n_segments == 1
+        taps.publish("table_commit", commit)
+        assert ring.n_segments == 2  # sealed although no cycle ever ran
+        sealed, fresh = ring._segments
+        assert len(sealed) == SEGMENT_EVENTS + 1  # its checkpoint, then the cap
+        assert [e["kind"] for e in fresh] == ["checkpoint"]
+
     def test_unsealed_trailing_segment_is_included(self):
         service, ring, _ = build_service_run(segment_cycles=8)  # never seals
         assert ring.n_segments == 1
@@ -544,7 +571,8 @@ class TestRingSpillLoad:
         path = tmp_path / "ring.spill.jsonl"
         spilled = ring.spill(os.fspath(path))
         assert spilled == ring.n_segments
-        manifest = [json.loads(line) for line in open(path)]
+        with open(path, encoding="utf-8") as handle:
+            manifest = [json.loads(line) for line in handle]
         segments = [r for r in manifest if r["kind"] == "segment"]
         assert len(segments) == ring.n_segments
         assert all(r["codec"] == "gzip" for r in segments)

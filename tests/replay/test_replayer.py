@@ -9,10 +9,10 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.fleet import FleetConfig, FleetModel, TABLE_COLUMNS
-from repro.replay import PolicyVariant, TraceReplayer
-from repro.replay.replayer import verify_deterministic
+from repro.replay import PolicyVariant, TraceReplayer, verify_deterministic
+from repro.units import HOUR
 
-from tests.replay.conftest import record_fleet_run
+from tests.replay.conftest import record_cab_run, record_fleet_run, small_cab_config
 
 
 def _arrays_equal(a: FleetModel, b: FleetModel) -> bool:
@@ -88,6 +88,9 @@ class TestWhatIfReplay:
     def test_sharded_variant_is_deterministic(self, trace_text):
         variant = PolicyVariant(name="sharded", k=5, n_shards=2)
         assert verify_deterministic(io.StringIO(trace_text), variant)
+        catalog_trace = io.StringIO()
+        record_cab_run(catalog_trace, small_cab_config(databases=1, duration_s=2 * HOUR))
+        assert verify_deterministic(io.StringIO(catalog_trace.getvalue()), variant)
 
     def test_concurrent_scheduler_variant_is_deterministic(self, trace_text):
         variant = PolicyVariant(name="conc", k=5, scheduler="concurrent")
