@@ -58,6 +58,10 @@ from repro.units import DEFAULT_TARGET_FILE_SIZE, SMALL_FILE_THRESHOLD
 #: Assumed average row width used when writers do not supply record counts.
 DEFAULT_ROW_BYTES = 128
 
+_tuple_new = tuple.__new__
+_DATA = FileContent.DATA
+_NO_REFERENCES: frozenset[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class TableIdentifier:
@@ -157,7 +161,8 @@ class _PendingFile(NamedTuple):
 
     A named tuple rather than a frozen dataclass: writers stage every file
     through :meth:`Transaction.add_file`, so its construction is on the
-    ingest hot path.
+    ingest hot path.  ``add_file`` builds it with ``tuple.__new__`` and
+    all five fields, skipping the generated ``__new__``.
     """
 
     size_bytes: int
@@ -167,9 +172,11 @@ class _PendingFile(NamedTuple):
     references: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class _CommitRecord:
-    """Internal log entry used for conflict validation."""
+class _CommitRecord(NamedTuple):
+    """Internal log entry used for conflict validation.
+
+    A named tuple, like the file records: one is logged per commit.
+    """
 
     version: int
     snapshot_id: int
@@ -215,7 +222,7 @@ def _replay(index: PartitionIndex, chain: list[Snapshot]) -> PartitionIndex:
 def _not_live(live: dict[int, DataFile], files: list[DataFile]) -> list[DataFile]:
     """The ``files`` that are not the live file holding their id."""
     # Staged files are usually the live objects themselves: test identity
-    # before paying for the dataclass field-by-field equality.
+    # before paying for the field-by-field tuple equality.
     return [f for f in files if (g := live.get(f.file_id)) is not f and g != f]
 
 
@@ -234,8 +241,7 @@ class Transaction:
 
     def __init__(self, table: "BaseTable") -> None:
         self._table = table
-        self.base_version = table.version
-        self.started_at = table.clock.now
+        self.base_version = table._version
         self._pending: list[_PendingFile] = []
         self._removed: list[DataFile] = []
         self._sources: list[DataFile] = []
@@ -249,15 +255,30 @@ class Transaction:
         partition: tuple = (),
         record_count: int | None = None,
     ) -> None:
-        """Stage a new data file of ``size_bytes`` in ``partition``."""
-        self._check_open()
+        """Stage a new data file of ``size_bytes`` in ``partition``.
+
+        Raises:
+            ValidationError: for a negative size or record count, or once
+                the transaction has committed or aborted.
+        """
+        if self._done:
+            raise ValidationError("transaction already committed or aborted")
         if size_bytes < 0:
             raise ValidationError(f"file size must be >= 0, got {size_bytes}")
         size = int(size_bytes)
-        records = (
-            int(record_count) if record_count is not None else max(1, size // DEFAULT_ROW_BYTES)
+        if record_count is None:
+            records = size // DEFAULT_ROW_BYTES or 1
+        else:
+            records = int(record_count)
+            if records < 0:
+                # Rejected here, not by DataFile at commit: by then part of
+                # the storage batch would already exist.
+                raise ValidationError(f"record count must be >= 0, got {record_count}")
+        if type(partition) is not tuple:
+            partition = tuple(partition)
+        self._pending.append(
+            _tuple_new(_PendingFile, (size, records, partition, _DATA, _NO_REFERENCES))
         )
-        self._pending.append(_PendingFile(size, records, tuple(partition)))
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -332,10 +353,14 @@ class RowDeltaTransaction(Transaction):
         self._check_open()
         if not references:
             raise ValidationError("a delete file must reference at least one data file")
+        if size_bytes < 0:
+            raise ValidationError(f"file size must be >= 0, got {size_bytes}")
         partition = references[0].partition
         records = record_count if record_count is not None else max(
             1, size_bytes // DEFAULT_ROW_BYTES
         )
+        if records < 0:
+            raise ValidationError(f"record count must be >= 0, got {record_count}")
         self._pending.append(
             _PendingFile(
                 int(size_bytes),
@@ -738,13 +763,13 @@ class BaseTable(abc.ABC):
         self._version = version
         self._commit_log.append(
             _CommitRecord(
-                version=version,
-                snapshot_id=snapshot_id,
-                operation=txn.operation,
-                partitions=touched,
-                removed_file_ids=removed_ids,
-                is_rewrite=txn.operation == "replace",
-                timestamp=self.clock.now,
+                version,
+                snapshot_id,
+                txn.operation,
+                touched,
+                removed_ids,
+                txn.operation == "replace",
+                self.clock.now,
             )
         )
         self.last_modified_at = self.clock.now
@@ -802,11 +827,11 @@ class BaseTable(abc.ABC):
             )
             data_files.extend(
                 DataFile(
-                    file_id=int(file_id),
-                    path=f"{directory}/part-{file_id:08d}.parquet",
-                    size_bytes=int(size_bytes),
-                    record_count=max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
-                    partition=partition,
+                    int(file_id),
+                    f"{directory}/part-{file_id:08d}.parquet",
+                    int(size_bytes),
+                    max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
+                    partition,
                 )
                 for file_id, _, size_bytes in run
             )
@@ -819,12 +844,12 @@ class BaseTable(abc.ABC):
             )
             delete_files.extend(
                 DeleteFile(
-                    file_id=int(file_id),
-                    path=f"{directory}/delete-{file_id:08d}.parquet",
-                    size_bytes=int(size_bytes),
-                    record_count=max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
-                    partition=partition,
-                    references=frozenset(int(r) for r in references),
+                    int(file_id),
+                    f"{directory}/delete-{file_id:08d}.parquet",
+                    int(size_bytes),
+                    max(1, int(size_bytes) // DEFAULT_ROW_BYTES),
+                    partition,
+                    frozenset(int(r) for r in references),
                 )
                 for file_id, _, size_bytes, references in run
             )
@@ -976,33 +1001,20 @@ class BaseTable(abc.ABC):
         Each file's id is allocated as the storage batch reaches it, so a
         batch that fails part-way leaves the ids a per-file loop would.
         """
-        for spec in run:
+        for size, records, partition, content, references in run:
             file_id = self._next_file_id
             self._next_file_id += 1
-            if spec.content is FileContent.DATA:
+            if content is _DATA:
                 name = f"part-{file_id:08d}.parquet"
-                data.append(
-                    DataFile(
-                        file_id=file_id,
-                        path=f"{directory}/{name}",
-                        size_bytes=spec.size_bytes,
-                        record_count=spec.record_count,
-                        partition=spec.partition,
-                    )
-                )
+                data.append(DataFile(file_id, f"{directory}/{name}", size, records, partition))
             else:
                 name = f"delete-{file_id:08d}.parquet"
                 deletes.append(
                     DeleteFile(
-                        file_id=file_id,
-                        path=f"{directory}/{name}",
-                        size_bytes=spec.size_bytes,
-                        record_count=spec.record_count,
-                        partition=spec.partition,
-                        references=spec.references,
+                        file_id, f"{directory}/{name}", size, records, partition, references
                     )
                 )
-            yield name, spec.size_bytes
+            yield name, size
 
     # --- snapshot expiration -----------------------------------------------------------
 

@@ -21,6 +21,10 @@ grow by one per file, so Figure 11b's counts do not depend on batching,
 and a batch that fails part-way leaves exactly what the same single calls
 would have left.
 
+A :class:`~repro.storage.namenode.FileInfo` is a named tuple, not a frozen
+dataclass: every create builds one, so it is on the ingest hot path.  It
+hashes as the tuple of its fields, which is what the dataclass hashed.
+
 No actual bytes are stored; file sizes are bookkeeping attributes.
 """
 

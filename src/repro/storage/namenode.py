@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import (
     FileExistsInStorageError,
@@ -46,9 +46,13 @@ def parent_directories(path: str) -> list[str]:
     return ["/" + "/".join(parts[:i]) for i in range(1, len(parts))]
 
 
-@dataclass(frozen=True)
-class FileInfo:
-    """Metadata for one stored file."""
+class FileInfo(NamedTuple):
+    """Metadata for one stored file.
+
+    A named tuple rather than a frozen dataclass: every create builds one,
+    so its construction is on the ingest hot path.  Its hash is the one
+    the frozen dataclass had, the hash of the tuple of its fields.
+    """
 
     path: str
     size_bytes: int

@@ -16,7 +16,7 @@ import pytest
 import repro.lst.maintenance as maintenance
 import repro.storage.namenode as namenode_module
 from repro.lst import DataFile, IcebergTable, TableIdentifier
-from repro.storage import NameNode
+from repro.storage import FileInfo, NameNode
 from repro.units import MiB
 
 BIG = 5_000
@@ -46,6 +46,27 @@ class TestCommitCost:
         snapshot = txn.commit()
         assert snapshot.data_file_count == BIG + 12
         assert snapshot.ordered_files[-1].file_id == BIG + 12
+
+    def test_append_builds_one_record_per_file_per_layer(self, big_table, monkeypatch):
+        # Each appended file is one DataFile (table layer) and one FileInfo
+        # (storage layer); the Iceberg commit adds three metadata files.
+        built: Counter = Counter()
+        for record in (DataFile, FileInfo):
+            # Tuple records own their ``__new__``; patching an inherited
+            # ``object.__new__`` would not be undone cleanly.
+            assert issubclass(record, tuple) and "__new__" in vars(record)
+            new = record.__new__
+
+            def counting(cls, *args, _new=new, **kwargs):
+                built[cls.__name__] += 1
+                return _new(cls, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__new__", counting)
+        txn = big_table.new_append()
+        for i in range(12):
+            txn.add_file(1 * MiB, partition=(i % 3,))
+        txn.commit()
+        assert built == {"DataFile": 12, "FileInfo": 15}
 
     def test_rewrite_never_hashes_a_data_file(self, big_table, monkeypatch):
         sources = big_table.current_snapshot().files_in_partition((7,))

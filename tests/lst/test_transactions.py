@@ -56,6 +56,27 @@ class TestAppend:
         with pytest.raises(ValidationError):
             txn.add_file(-1, partition=(0,))
 
+    def test_negative_record_count_leaves_no_orphan_file(self, table, fs):
+        """A negative record count is rejected when staged: a commit that
+        reached it would already have created the files before it."""
+        stored, next_id = fs.namenode.file_count, table._next_file_id
+        txn = table.new_append()
+        txn.add_file(1 * MiB, partition=(0,))
+        with pytest.raises(ValidationError):
+            txn.add_file(1 * MiB, partition=(0,), record_count=-5)
+            txn.commit()
+        assert fs.namenode.file_count == stored
+        assert table.version == 0
+        assert table._next_file_id == next_id
+
+    def test_negative_delete_record_count_rejected(self, fragmented_table):
+        references = fragmented_table.current_snapshot().files_in_partition((0,))[:1]
+        txn = fragmented_table.new_row_delta()
+        with pytest.raises(ValidationError):
+            txn.add_deletes(100, references, record_count=-1)
+        with pytest.raises(ValidationError):
+            txn.add_deletes(-1, references)
+
     def test_transaction_single_use(self, table):
         txn = table.new_append()
         txn.add_file(1, partition=(0,))

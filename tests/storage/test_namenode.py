@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -10,7 +12,7 @@ from repro.errors import (
     QuotaExceededError,
     ValidationError,
 )
-from repro.storage.namenode import NameNode, normalize_path, parent_directories
+from repro.storage.namenode import FileInfo, NameNode, normalize_path, parent_directories
 from repro.units import MiB
 
 
@@ -174,3 +176,34 @@ class TestQuotas:
         node.set_quota("/db", 1)
         node.create("/elsewhere/f", 1, created_at=0.0)
         assert node.quota_usage("/db") == (0, 1)
+
+
+class TestFileInfoValueSemantics:
+    """``FileInfo`` is a named tuple with the frozen dataclass's semantics."""
+
+    FIELDS = ("/data/f.parquet", 3 * MiB, 5.0, MiB)
+
+    def test_hash_is_the_dataclass_hash(self):
+        assert hash(FileInfo(*self.FIELDS)) == hash(self.FIELDS)
+
+    def test_keyword_and_positional_construction_agree(self):
+        keyword = FileInfo(
+            path="/data/f.parquet", size_bytes=3 * MiB, created_at=5.0, block_size=MiB
+        )
+        assert keyword == FileInfo(*self.FIELDS)
+        assert keyword.block_count == 3
+
+    def test_equality(self):
+        assert FileInfo(*self.FIELDS) == FileInfo(*self.FIELDS)
+        assert FileInfo(*self.FIELDS) != FileInfo("/data/g.parquet", *self.FIELDS[1:])
+
+    def test_pickle_round_trip(self):
+        info = NameNode(block_size=MiB).create("/data/f.parquet", 3 * MiB, created_at=5.0)
+        copy = pickle.loads(pickle.dumps(info, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy == info == FileInfo(*self.FIELDS)
+        assert type(copy) is FileInfo
+        assert copy.block_count == 3
+
+    def test_block_count_floor(self):
+        assert FileInfo("/e", 0, 0.0, MiB).block_count == 1
+        assert FileInfo("/e", MiB + 1, 0.0, MiB).block_count == 2
