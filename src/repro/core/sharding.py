@@ -1,41 +1,37 @@
 """Scale-out control plane: sharded parallel OODA cycles.
 
-The paper's deployment (§7) onboards thousands of tables per month while
-holding cycle cadence fixed, so cycle latency must not grow linearly with
-fleet size.  This module shards one logical AutoComp instance across N
-per-shard :class:`~repro.core.pipeline.AutoCompPipeline` instances:
+The paper's deployment (§7) onboards thousands of tables per month at a
+fixed cycle cadence, so cycle latency must not grow linearly with fleet
+size.  This module shards one logical AutoComp instance across N per-shard
+:class:`~repro.core.pipeline.AutoCompPipeline` instances:
 
 * candidate keys are **consistent-hashed** across shards
-  (:func:`shard_for_key` — a stable content hash, so a key lands on the
-  same shard in every cycle and every process);
-* each shard runs the expensive **observe/orient** phases over only its
-  slice — inline, on a persistent thread pool, or (for connectors that
-  provide a :class:`~repro.core.transport.ColumnarTransport`) on a
-  persistent **process pool** that sidesteps the GIL for CPU-bound
-  observation — optionally backed by an incremental
+  (:func:`shard_for_key`: a stable content hash, the same shard in every
+  cycle and process);
+* each shard runs **observe/orient** over its slice — inline, on a thread
+  pool, or on a **process pool** (connectors with a
+  :class:`~repro.core.transport.ColumnarTransport`) that sidesteps the GIL
+  — optionally over an incremental
   :class:`~repro.core.statscache.IndexedCandidateCache`;
-* the **decide** phase runs either globally (``selection="global"``:
-  per-shard candidates are merged back into generation order and ranked
-  once, making the merged cycle *exactly* equivalent to an unsharded one)
-  or locally (``selection="local"``: each shard ranks and selects under a
-  split budget — :func:`split_selector` — the fully independent
-  multi-worker deployment mode, decided inside the worker on process
-  cycles);
-* per-shard :class:`~repro.core.pipeline.CycleReport`\\ s are merged into a
-  fleet-level report, and per-shard metrics land in scoped telemetry
-  namespaces (``autocomp.shard00.…``).
+* **decide** runs globally (``selection="global"``: survivors merged in
+  generation order and ranked once, exactly the unsharded cycle) or
+  locally (``selection="local"``: each shard ranks and selects under a
+  :func:`split_selector` budget, inside the worker on process cycles, and
+  acts as soon as its answer lands);
+* per-shard reports merge into a fleet report; per-shard metrics land in
+  scoped telemetry namespaces (``autocomp.shard00.…``).
 
-Determinism (NFR2) is preserved in both modes: hashing is content-based,
-merging follows generation order, and the act phase executes in a single
-deterministic order.
+Determinism (NFR2) holds in every mode: hashing is content-based, merging
+follows generation order, and shards act in shard order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import os
-from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,7 +41,6 @@ from repro.core.ranking import RankingPolicy
 from repro.core.selection import AllSelector, BudgetSelector, Selector, TopKSelector
 from repro.core.workers import (
     WORKER_MODES,
-    ShardDecision,
     WorkerPool,
     run_shard_work,
 )
@@ -59,12 +54,9 @@ SELECTION_MODES = ("global", "local")
 
 
 def shard_for_key(key: CandidateKey, n_shards: int) -> int:
-    """The shard owning ``key``: a stable content hash mod ``n_shards``.
-
-    Uses BLAKE2b over the key's canonical string form, so assignment is
-    independent of Python's per-process hash randomisation — the same key
-    maps to the same shard across cycles, processes and machines.
-    """
+    """The shard owning ``key``: BLAKE2b of its string form mod ``n_shards``,
+    so the same key maps to the same shard in every cycle, process and
+    machine (no per-process hash randomisation)."""
     if n_shards <= 0:
         raise ValidationError(f"n_shards must be positive, got {n_shards}")
     digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
@@ -77,15 +69,12 @@ def _split_count(total: int, n_shards: int) -> list[int]:
 
 
 def split_selector(selector: Selector, n_shards: int) -> list[Selector]:
-    """Split one selection budget into ``n_shards`` per-shard selectors.
-
-    Top-k budgets distribute the k as evenly as possible (earlier shards
-    take the remainder); GBHr budgets divide evenly.  Used by the local
-    selection mode, where shards decide independently.
+    """Split one selection budget into ``n_shards`` per-shard selectors
+    (local selection): top-k spreads k evenly, earlier shards taking the
+    remainder; GBHr budgets divide evenly.
 
     Raises:
-        ValidationError: for selector types without a known split rule —
-            pass per-shard selectors explicitly instead.
+        ValidationError: for selector types without a known split rule.
     """
     if n_shards <= 0:
         raise ValidationError(f"n_shards must be positive, got {n_shards}")
@@ -114,15 +103,35 @@ def split_selector(selector: Selector, n_shards: int) -> list[Selector]:
     )
 
 
+class _CycleWalls:
+    """A cycle's phase walls, fed to the wall histograms once per cycle:
+    per-shard decide/act walls are summed, and the observe wall
+    (:attr:`observe_s`) excludes the decide/act work run inside it."""
+
+    def __init__(self, telemetry: Telemetry) -> None:
+        self.telemetry = telemetry
+        self.sums: dict[str, float] = {}
+        self.observe_s = 0.0
+
+    def observe(self, name: str, wall_s: float) -> None:
+        if name == "autocomp.hist.observe_wall_s":
+            self.observe_s = wall_s - sum(self.sums.values())
+            self.telemetry.observe(name, self.observe_s)
+        else:
+            self.sums[name] = self.sums.get(name, 0.0) + wall_s
+
+    def flush(self) -> None:
+        for name, wall_s in self.sums.items():
+            self.telemetry.observe(name, wall_s)
+
+
 @dataclass
 class ShardedCycleReport:
     """One fleet-level cycle: the merged view plus per-shard detail."""
 
-    #: Fleet-level merged report (counts summed, selection in rank order,
-    #: results shared with the act phase).
+    #: Fleet-level merged report (counts summed, results of the act phase).
     report: CycleReport
-    #: Per-shard reports (observation counts and each shard's share of the
-    #: selection).
+    #: Per-shard reports (observation counts, each shard's selection).
     shard_reports: list[CycleReport] = field(default_factory=list)
     #: Wall-clock seconds each shard spent in observe/orient.
     shard_observe_wall_s: list[float] = field(default_factory=list)
@@ -138,57 +147,41 @@ class ShardedCycleReport:
 class ShardedPipeline:
     """N per-shard pipelines behind one fleet-level OODA cycle.
 
-    All shards are expected to view the same world (their connectors list
-    the same candidates) and to share filter/trait/decide configuration;
-    the sharded control plane partitions the *work*, not the data.
-    Candidate listing therefore happens once, through shard 0's connector,
-    and the fleet-level :attr:`policy`, :attr:`selector` and
-    :attr:`generation` are shard 0's — read live every cycle, so
-    reconfiguring the shards (as
-    :func:`~repro.core.promoter.apply_variant` does) reconfigures the
-    fleet.
+    Shards view the same world and share filter/trait/decide configuration:
+    the plane partitions the *work*, not the data.  Candidates are listed
+    once, through shard 0's connector, and the fleet-level :attr:`policy`,
+    :attr:`selector` and :attr:`generation` are shard 0's, read live every
+    cycle (so :func:`~repro.core.promoter.apply_variant` reconfigures the
+    fleet by reconfiguring the shards).
 
     Args:
         shards: the per-shard pipelines (their connectors typically carry
             stats caches for incremental observation).
         selection: ``"global"`` (merge, then rank/select once with shard
-            0's policy and selector — exactly equivalent to the unsharded
-            pipeline) or ``"local"`` (per-shard decide, with shard 0's
-            selector split across the shards by :func:`split_selector`).
-            Process cycles with local selection decide inside the
-            workers: the worker answers with counts plus references to
-            the selected candidates instead of every observed miss.
+            0's policy and selector — exactly the unsharded pipeline) or
+            ``"local"`` (per-shard decide under shard 0's selector split
+            by :func:`split_selector`; process workers decide in-process
+            and answer with counts plus selection references).
         merge_order: ``"generation"`` (default) rebuilds the unsharded
             candidate order before the global rank — correct for any
-            policy; ``"any"`` concatenates per-shard results, which is
-            cheaper and produces identical rankings for order-insensitive
-            policies (every built-in policy normalises over the candidate
-            *set* and ends in a key-tie-broken total-order sort, so input
-            order never matters).
-        workers: observe/orient execution mode — ``"threads"`` (the
-            default: a persistent thread pool, works with any connector,
-            overlaps numpy-released work) or ``"processes"`` (a persistent
-            process pool for true multi-core CPU-bound observation; every
-            shard connector must provide a
-            :class:`~repro.core.transport.ColumnarTransport` through
-            :meth:`~repro.core.connectors.Connector.worker_transport`).
-            Both modes produce byte-identical cycle reports for the same
-            inputs, so the choice is purely an execution decision.
+            policy; ``"any"`` concatenates per-shard results, cheaper and
+            identical for order-insensitive policies (every built-in one).
+        workers: ``"threads"`` (default; works with any connector) or
+            ``"processes"`` (multi-core observation; every shard connector
+            must provide a :class:`~repro.core.transport.ColumnarTransport`
+            via :meth:`~repro.core.connectors.Connector.worker_transport`).
+            Both produce byte-identical cycle reports.
         max_workers: pool width; defaults to
             ``min(len(shards), cpu_count)``; 1 runs shards inline.
-        telemetry: fleet-level metric sink (per-shard metrics are recorded
-            under ``autocomp.shard<i>`` scopes of this sink).
-        tracer: optional :class:`repro.obs.tracing.Tracer`.  Each cycle
-            produces one ``cycle → observe → shard → …`` span tree; in
-            process mode the shard span's context ships inside the
-            :class:`~repro.core.workers.ShardWorkSpec` and the worker's
-            observe/decide spans are stitched back into this tracer.
-            Assigning ``pipeline.tracer`` after construction also works
-            (it propagates to every shard pipeline).
+        telemetry: fleet-level metric sink (per-shard metrics go under
+            its ``autocomp.shard<i>`` scopes).
+        tracer: optional :class:`repro.obs.tracing.Tracer` (also settable
+            later; it propagates to every shard).  Each cycle produces one
+            ``cycle → observe → shard → …`` span tree, with the worker's
+            observe/decide spans stitched in under their shard span.
 
-    The pool is part of the pipeline's lifecycle: spawned lazily on the
-    first concurrent cycle, reused by every later cycle, and shut down by
-    :meth:`close` (the pipeline is also a context manager).
+    The worker pool starts on the first concurrent cycle, is reused by
+    every later one, and is shut down by :meth:`close` (or ``with``).
     """
 
     def __init__(
@@ -230,11 +223,9 @@ class ShardedPipeline:
             ]
             if unsupported:
                 raise ValidationError(
-                    "workers='processes' needs every shard connector to "
-                    "provide a worker transport (override "
-                    "Connector.worker_transport); these do not: "
-                    f"{sorted(set(unsupported))}. "
-                    "Use the thread-pool fallback (workers='threads')."
+                    "workers='processes' needs every shard connector to provide a "
+                    "worker transport (Connector.worker_transport); these do not: "
+                    f"{sorted(set(unsupported))}. Use workers='threads' instead."
                 )
         self.workers = workers
         if max_workers is None:
@@ -242,9 +233,8 @@ class ShardedPipeline:
         if max_workers <= 0:
             raise ValidationError("max_workers must be positive")
         self.max_workers = max_workers
-        # One persistent worker pool: a fresh executor per cycle would pay
-        # spawn cost every cycle.  Its executor spawns lazily — inline
-        # pipelines (one shard or max_workers=1) never start one.
+        # Persistent; inline pipelines (one shard or max_workers=1) never
+        # start its executor.
         self._pool = WorkerPool(mode=workers, max_workers=max_workers)
         for transport in self._transports:
             transport.bind_pool(self._pool)
@@ -257,15 +247,11 @@ class ShardedPipeline:
         self._split_memo: tuple[Selector, list[Selector]] | None = None
         if selection == "local":
             self._split_selectors()  # an unsplittable selector fails here
-        # Consistent hashing is stable per key, so assignments are memoised
-        # by object id (connectors intern their keys): an int-keyed dict
-        # hit per key per cycle instead of a content hash.  The value pins
-        # the key object, so its id cannot be recycled while the entry
-        # lives; the size guard in assign() bounds growth for connectors
-        # that rebuild key objects every cycle.
+        # Shard assignments memoised by key object id (connectors intern
+        # their keys): an int-keyed dict hit instead of a content hash.
+        # The value pins the key, so its id cannot be recycled; the cap
+        # bounds connectors that rebuild key objects every cycle.
         self._shard_of: dict[int, tuple[CandidateKey, int]] = {}
-        #: Hard cap on the memo: connectors that rebuild key objects every
-        #: cycle would otherwise grow it (and pin keys) without bound.
         self._shard_memo_limit = 262_144
         self._cycle_index = 0
         self._tracer: Tracer | None = None
@@ -273,9 +259,7 @@ class ShardedPipeline:
 
     @property
     def tracer(self) -> Tracer | None:
-        """The fleet tracer; assigning one also hands it to every shard
-        pipeline, so per-shard act phases emit rewrite spans into the same
-        trace."""
+        """The fleet tracer; assigning one hands it to every shard too."""
         return self._tracer
 
     @tracer.setter
@@ -305,12 +289,8 @@ class ShardedPipeline:
         return self.shards[0].generation
 
     def _split_selectors(self) -> list[Selector]:
-        """Local mode's per-shard selectors: :attr:`selector`, split.
-
-        Memoised on the selector object's identity — the memo pins the
-        object, so its id cannot be recycled — and rebuilt whenever
-        shard 0 is handed a new selector.
-        """
+        """Local mode's per-shard selectors: :attr:`selector`, split
+        (memoised on, and pinning, the selector object)."""
         selector = self.selector
         memo = self._split_memo
         if memo is None or memo[0] is not selector:
@@ -321,15 +301,10 @@ class ShardedPipeline:
         return memo[1]
 
     def close(self, timeout: float | None = None) -> None:
-        """Shut the shard worker pool down (idempotent).
-
-        Call when the pipeline is done (or use the pipeline as a context
-        manager); a garbage-collected pipeline's pool is also shut down by
-        its finalizer, so forgotten pipelines never strand processes.
-        With a ``timeout``, the pool drains instead of blocking
-        indefinitely (see :meth:`~repro.core.workers.WorkerPool.close`) —
-        the daemon's graceful-shutdown path.  A later cycle respawns it.
-        """
+        """Shut the shard worker pool down (idempotent; a later cycle
+        restarts it).  With a ``timeout`` the pool drains instead of
+        blocking (:meth:`~repro.core.workers.WorkerPool.close`) — the
+        daemon's graceful-shutdown path."""
         self._pool.close(timeout=timeout)
 
     def __enter__(self) -> "ShardedPipeline":
@@ -341,13 +316,9 @@ class ShardedPipeline:
     def invalidate(self, key: CandidateKey) -> None:
         """Write-event hook: evict ``key`` from the cache of its owning shard.
 
-        Routes through the same consistent hash that places the key's
-        observation work (:func:`shard_for_key`), so service notification
-        inboxes work unchanged against a sharded plane — a key's cached
-        statistics always live (if anywhere) behind the connector of the
-        shard that observes it.  With a connector shared across shards
-        (the OpenHouse LST assembly) routing is a no-op distinction, but
-        per-shard connectors (the fleet plane) genuinely need it.
+        Routed by the consistent hash that places the key's observation
+        work, so service notification inboxes work unchanged against a
+        sharded plane with per-shard connectors (the fleet plane).
         """
         self.shards[self._shard_for(key)].connector.invalidate(key)
 
@@ -364,26 +335,31 @@ class ShardedPipeline:
 
     def assign(self, keys: Sequence[CandidateKey]) -> list[list[CandidateKey]]:
         """Partition ``keys`` across shards, preserving generation order."""
-        if len(self._shard_of) > max(65536, 8 * len(keys)):
-            self._shard_of.clear()
         shard_keys: list[list[CandidateKey]] = [[] for _ in self.shards]
-        memo = self._shard_of
-        n = len(self.shards)
-        append_of = [bucket.append for bucket in shard_keys]
+        shard_for = self._shard_for
         for key in keys:
-            entry = memo.get(id(key))
-            if entry is None or entry[0] is not key:
-                shard = shard_for_key(key, n)
-                memo[id(key)] = (key, shard)
-            else:
-                shard = entry[1]
-            append_of[shard](key)
+            shard_keys[shard_for(key)].append(key)
         return shard_keys
 
     def run_cycle(
         self, now: float = 0.0, simulator: Simulator | None = None
     ) -> ShardedCycleReport:
         """Run one fleet-level OODA cycle across all shards.
+
+        Under ``selection="local"`` each shard decides and acts, in shard
+        order, as soon as its candidates are in: a process cycle acts on
+        shard 0 while the workers still compute later shards; thread and
+        inline cycles first wait for every observing thread, which must
+        not race a commit.  ``results`` and ``selected`` keep shard order,
+        so the modes' reports stay byte-identical.  Global selection
+        observes every shard, then decides and acts once.
+
+        A worker failure on shard *j* raises
+        :class:`~repro.errors.WorkerError` once in-flight shard work is
+        drained.  Under local selection, shards before *j* have acted and
+        their compactions stand — each complete, on keys no other shard
+        owns, its cache entries invalidated as it committed — and the
+        error names them.
 
         Args:
             now: current time; ignored when a simulator is given.
@@ -427,33 +403,45 @@ class ShardedPipeline:
             for report, subset in zip(shard_reports, shard_keys):
                 report.candidates_generated = len(subset)
 
-            # Observe + orient each shard's slice (concurrently when possible).
-            with timed(
-                tracer,
-                "observe",
-                "autocomp.hist.observe_wall_s",
-                telemetry,
-                mode=self.workers,
-            ) as observe:
-                per_shard, observe_wall, decisions = self._observe_all(
-                    shard_keys, shard_reports, now
+            walls = _CycleWalls(telemetry)
+            per_shard: list[list[Candidate]] = []
+            if self.selection == "local":
+                settle = functools.partial(
+                    self._settle_shard, fleet_report, shard_reports, simulator, cycle.span, walls
                 )
-            telemetry.record(
-                f"autocomp.fleet.observe_wall.{self.workers}", now, observe.wall_s
-            )
-
-            with timed(tracer, "decide", "autocomp.hist.decide_wall_s", telemetry):
+            else:
+                settle = lambda index, candidates, decision: per_shard.append(candidates)
+            try:
+                # Observe + orient each shard's slice (concurrently when
+                # possible), each shard settling as soon as it is in.
+                with timed(
+                    tracer,
+                    "observe",
+                    "autocomp.hist.observe_wall_s",
+                    walls,
+                    mode=self.workers,
+                ):
+                    observe_wall = self._observe_all(
+                        shard_keys, shard_reports, now, settle
+                    )
+                telemetry.record(
+                    f"autocomp.fleet.observe_wall.{self.workers}", now, walls.observe_s
+                )
                 if self.selection == "global":
-                    selected = self._decide_global(
-                        keys, per_shard, fleet_report, shard_reports
-                    )
+                    with timed(tracer, "decide", "autocomp.hist.decide_wall_s", walls):
+                        selected = self._decide_global(
+                            keys, per_shard, fleet_report, shard_reports
+                        )
+                    with timed(tracer, "act", "autocomp.hist.act_wall_s", walls):
+                        self._act_global(selected, fleet_report, simulator)
                 else:
-                    selected = self._decide_local(
-                        per_shard, fleet_report, shard_reports, decisions
-                    )
-
-            with timed(tracer, "act", "autocomp.hist.act_wall_s", telemetry):
-                self._act_all(selected, fleet_report, shard_reports, simulator)
+                    for name in ("after_stats_filters", "after_trait_filters", "ranked"):
+                        setattr(
+                            fleet_report, name, sum(getattr(r, name) for r in shard_reports)
+                        )
+                    fleet_report.selected = [key for r in shard_reports for key in r.selected]
+            finally:
+                walls.flush()
 
             for shard, report in zip(self.shards, shard_reports):
                 shard.finish_cycle(report, now)
@@ -467,38 +455,61 @@ class ShardedPipeline:
         self._record_cycle(sharded, now)
         return sharded
 
-    def _act_all(
+    def _act_global(
         self,
-        selected,
+        selected: list[Candidate],
         fleet_report: CycleReport,
-        shard_reports: list[CycleReport],
         simulator: Simulator | None,
     ) -> None:
-        """Act phase: one deterministic global pass, or one pass per shard."""
-        if self.selection == "global":
+        """Global act phase: one deterministic pass in fleet rank order."""
 
-            def invalidate_owner(result) -> None:
-                # The act pass runs through shard 0, whose pipeline evicts
-                # its own connector's cache; mirror the eviction to the
-                # shard that actually owns (observes) the compacted key.
-                if result.success:
-                    owner = self._shard_for(result.candidate)
-                    if owner != 0:
-                        self.shards[owner].connector.invalidate(result.candidate)
+        def invalidate_owner(result) -> None:
+            # Shard 0's pipeline evicts from its own connector's cache;
+            # mirror that to the shard that owns the compacted key.
+            if result.success:
+                owner = self._shard_for(result.candidate)
+                if owner != 0:
+                    self.shards[owner].connector.invalidate(result.candidate)
 
-            # One deterministic act pass in fleet rank order: shards
-            # partition the observation work, not the executor.
-            self.shards[0].act(
-                selected, fleet_report, simulator=simulator, on_result=invalidate_owner
+        # Shards partition the observation work, not the executor.
+        self.shards[0].act(
+            selected, fleet_report, simulator=simulator, on_result=invalidate_owner
+        )
+
+    def _settle_shard(
+        self, fleet_report, shard_reports, simulator, parent, walls, index, candidates, decision
+    ) -> None:
+        """Local selection: decide and act shard ``index``.
+
+        A worker's ``decision`` is adopted as is; otherwise the shard ranks
+        and selects here under its split selector — the worker's sequence,
+        so both placements are value-identical.  The ``decide``/``act``
+        spans parent to the cycle span ``parent``.
+        """
+        tracer = self._tracer
+        shard = self.shards[index]
+        report = shard_reports[index]
+        with timed(
+            tracer, "decide", "autocomp.hist.decide_wall_s", walls,
+            parent=parent, shard=index,
+        ):
+            if decision is not None:
+                report.after_stats_filters = decision.after_stats_filters
+                report.after_trait_filters = decision.after_trait_filters
+                report.ranked = decision.ranked
+                chosen = decision.selected
+            else:
+                ranked = shard.policy.rank(candidates)
+                report.ranked = len(ranked)
+                chosen = self._split_selectors()[index].select(ranked)
+            report.selected = [c.key for c in chosen]
+        with timed(
+            tracer, "act", "autocomp.hist.act_wall_s", walls,
+            parent=parent, shard=index,
+        ):
+            shard.act(
+                chosen, report, simulator=simulator, on_result=fleet_report.results.append
             )
-        else:
-            for shard, report, chosen in zip(self.shards, shard_reports, selected):
-                shard.act(
-                    chosen,
-                    report,
-                    simulator=simulator,
-                    on_result=fleet_report.results.append,
-                )
 
     # --- phases ----------------------------------------------------------------
 
@@ -507,11 +518,14 @@ class ShardedPipeline:
         shard_keys: list[list[CandidateKey]],
         shard_reports: list[CycleReport],
         now: float,
-    ) -> tuple[list[list[Candidate]], list[float], list[ShardDecision | None]]:
-        decisions: list[ShardDecision | None] = [None] * len(self.shards)
+        settle,
+    ) -> list[float]:
+        """Observe/orient every shard, handing each one's candidates (or
+        its worker's decision) to ``settle(index, candidates, decision)``
+        in shard order; returns each shard's observe wall."""
         concurrent = self.max_workers > 1 and len(self.shards) > 1
         if concurrent and self.workers == "processes":
-            return self._observe_processes(shard_keys, shard_reports, now)
+            return self._observe_processes(shard_keys, shard_reports, now, settle)
         observe_wall = [0.0] * len(self.shards)
         tracer = self._tracer
         # Pool threads have empty span stacks, so the per-shard spans
@@ -541,61 +555,64 @@ class ShardedPipeline:
             )
         else:
             per_shard = [observe(i) for i in indices]
-        return per_shard, observe_wall, decisions
+        for i, candidates in enumerate(per_shard):
+            settle(i, candidates, None)
+        return observe_wall
 
     def _observe_processes(
         self,
         shard_keys: list[list[CandidateKey]],
         shard_reports: list[CycleReport],
         now: float,
-    ) -> tuple[list[list[Candidate]], list[float], list[ShardDecision | None]]:
+        settle,
+    ) -> list[float]:
         """Observe/orient (and, under local selection, decide) on the process pool.
 
-        Per shard: the *coordinator* resolves cache hits and packs the
-        misses into a shippable :class:`~repro.core.workers.ShardWorkSpec`
-        through the shard's
-        :class:`~repro.core.transport.ColumnarTransport` (shared-memory
-        arrays); a *worker process* computes the misses' traits; the
-        coordinator merges the result — rebuilding the miss candidates
-        from its retained arrays and replaying the worker's cache delta
-        so invalidation tokens survive the round trip — then runs the
-        (cheap) filter passes locally.  Under ``selection="local"`` the
-        spec additionally carries the shard's policy, split selector,
-        filter chains and resolved hits; the worker then returns its
-        decision counts and selection references.
-        Every value is produced by the same code paths as thread mode, so
-        the modes' cycle reports are byte-identical.
+        Per shard, the coordinator resolves cache hits, packs the misses
+        into a :class:`~repro.core.workers.ShardWorkSpec` through the
+        shard's :class:`~repro.core.transport.ColumnarTransport` (shared
+        memory; under local selection plus the shard's policy, split
+        selector, filters and resolved hits) and sends it to a worker at
+        once, so workers compute while later shards pack.  Then, in shard
+        order, it merges each answer (rebuilding the misses from its own
+        arrays, replaying the cache delta), runs the filter passes, and
+        hands the shard to ``settle`` before waiting on the next: a local
+        shard acts while later shards' workers still run.  Shards with no
+        misses ship nothing and decide on the coordinator.  The same code
+        paths as thread mode produce every value, so reports match.
 
-        Shards with no misses skip the pool entirely (their wall time is
-        the local hit-resolution cost, effectively the thread-mode number
-        for a fully warm cycle); under local selection such shards decide
-        on the coordinator — there is nothing to ship.
-
-        A worker failure mid-cycle cancels and drains every outstanding
-        shard future before surfacing a :class:`~repro.errors.WorkerError`
-        (with the worker's exception chained), so no shard work is left
-        in flight behind a half-begun cycle; transport resources
-        (shared-memory segments) are released either way.
+        A failed export, worker task or merge cancels queued shard tasks,
+        drains running ones and raises one
+        :class:`~repro.errors.WorkerError` (cause chained, naming the
+        shards that already acted); a failed decide or act drains the same
+        way and keeps its own exception.  Shared-memory segments are
+        released either way.
         """
         observe_wall = [0.0] * len(self.shards)
-        decisions: list[ShardDecision | None] = [None] * len(self.shards)
         selectors = self._split_selectors() if self.selection == "local" else None
         placed_specs = []
         futures = {}
-        per_shard: list[list[Candidate]] = []
-        # Contract handshake, verified once per pool (cached): the worker
-        # side must speak the same spec version before any spec ships;
-        # raises WorkerError naming both sides otherwise.
+        settled: list[int] = []
+        settling = False
         pool = self._pool
-        pool.negotiate()
+        pool.negotiate()  # once per pool: both sides speak one spec version
         transports = self._transports
         tracer = self._tracer
-        # One coordinator-side "shard" span per shard covers export →
-        # worker round trip → merge; its context ships inside the spec so
-        # the worker's observe/decide spans stitch under it, and the
-        # coordinator-side encode/decode walls land in "pack"/"unpack"
-        # child spans plus the pack_wall_s/unpack_wall_s histograms.
+        # One coordinator-side "shard" span per shard covers export → worker
+        # round trip → merge; its context ships in the spec, so the worker's
+        # spans stitch under it.  Pack and unpack walls get child spans.
         shard_spans: list = [None] * len(self.shards)
+
+        def phase(name: str, index: int) -> timed:
+            return timed(
+                tracer,
+                name,
+                f"autocomp.hist.{name}_wall_s",
+                self.telemetry,
+                parent=shard_spans[index],
+                detached=True,
+            )
+
         shard_index = 0
         try:
             for shard_index, shard in enumerate(self.shards):
@@ -608,14 +625,7 @@ class ShardedPipeline:
                         keys=len(shard_keys[shard_index]),
                     )
                 transport = transports[shard_index]
-                with timed(
-                    tracer,
-                    "pack",
-                    "autocomp.hist.pack_wall_s",
-                    self.telemetry,
-                    parent=shard_spans[shard_index],
-                    detached=True,
-                ) as pack:
+                with phase("pack", shard_index) as pack:
                     placed, spec = transport.export(
                         shard_keys[shard_index], shard_index, shard.traits
                     )
@@ -635,12 +645,11 @@ class ShardedPipeline:
                 observe_wall[shard_index] = pack.wall_s
                 placed_specs.append((placed, spec))
                 if spec is not None:
-                    # Submit immediately: shard 0's workers compute while
-                    # later shards are still exporting.
                     futures[shard_index] = pool.submit(run_shard_work, spec)
             returned = 0
             for shard_index, shard in enumerate(self.shards):
                 placed, spec = placed_specs[shard_index]
+                decision = None
                 if spec is None:
                     candidates = [c for c in placed if c is not None]
                 else:
@@ -652,55 +661,53 @@ class ShardedPipeline:
                     merge = (
                         transport.merge if spec.decide is None else transport.merge_decision
                     )
-                    with timed(
-                        tracer,
-                        "unpack",
-                        "autocomp.hist.unpack_wall_s",
-                        self.telemetry,
-                        parent=shard_spans[shard_index],
-                        detached=True,
-                    ) as unpack:
+                    with phase("unpack", shard_index) as unpack:
                         merged = merge(spec, placed, result)
                     observe_wall[shard_index] += unpack.wall_s
                     if spec.decide is not None:
                         returned += len(merged.selected)
-                        decisions[shard_index] = merged
-                        per_shard.append([])  # the decision replaces the survivors
-                        self._end_shard_span(shard_spans, shard_index)
-                        continue
-                    returned += len(spec.keys)
-                    candidates = merged
-                candidates = shard.orient(
-                    candidates, now, shard_reports[shard_index], only_missing=True
-                )
-                per_shard.append(candidates)
+                        # The decision replaces the survivors.
+                        decision, candidates = merged, []
+                    else:
+                        returned += len(spec.keys)
+                        candidates = merged
+                if decision is None:
+                    candidates = shard.orient(
+                        candidates, now, shard_reports[shard_index], only_missing=True
+                    )
                 self._end_shard_span(shard_spans, shard_index)
+                settling = True
+                settle(shard_index, candidates, decision)
+                settling = False
+                settled.append(shard_index)
         except Exception as exc:
-            # A failed export, worker task or merge must not strand the
-            # sibling shards' futures: cancel what has not started, drain
-            # what has, then surface one clear error.
+            # Nothing may be left in flight behind a half-run cycle:
+            # cancel what has not started, drain what has.
             outstanding = [f for f in futures.values() if not f.done()]
-            for future in futures.values():
-                future.cancel()
-            wait_futures(list(futures.values()))
+            for future in outstanding:
+                if not future.cancel():
+                    with contextlib.suppress(Exception):
+                        future.result()
             for i in range(len(shard_spans)):
                 self._end_shard_span(shard_spans, i, error=str(exc))
+            if settling:
+                raise  # a decide or act failure keeps its own type
+            acted = (
+                f"; shard(s) {settled} already acted and their compactions stand"
+                if settled and selectors is not None
+                else ""
+            )
             raise WorkerError(
                 f"shard {shard_index} failed mid-cycle ({exc}); cancelled or "
-                f"drained {len(outstanding)} outstanding shard task(s)"
+                f"drained {len(outstanding)} outstanding shard task(s){acted}"
             ) from exc
         finally:
-            # Release shared transport resources (shm segments)
-            # whether the cycle merged or failed; release is idempotent,
-            # and the error path has already drained the futures that
-            # read them.
+            # Idempotent; the error path has drained every reader first.
             for (_, spec), transport in zip(placed_specs, transports):
                 transport.release(spec)
-        # Returned-candidate accounting: under local selection the
-        # workers hand back O(selected) candidate references instead of
-        # O(shard misses) observed candidates.
+        # Local selection returns O(selected) references, not O(misses).
         self.telemetry.record("autocomp.fleet.returned_candidates", now, returned)
-        return per_shard, observe_wall, decisions
+        return observe_wall
 
     def _end_shard_span(self, shard_spans: list, index: int, **attrs) -> None:
         """Close (at most once) the coordinator-side span for shard ``index``."""
@@ -749,42 +756,6 @@ class ShardedPipeline:
             report.selected = [
                 key for key in fleet_report.selected if self._shard_for(key) == shard_index
             ]
-        return selected
-
-    def _decide_local(
-        self,
-        per_shard: list[list[Candidate]],
-        fleet_report: CycleReport,
-        shard_reports: list[CycleReport],
-        decisions: list[ShardDecision | None] | None = None,
-    ) -> list[list[Candidate]]:
-        """Per-shard rank and select under split budgets.
-
-        Shards whose worker already decided (``decisions[i]`` set) just
-        adopt the worker's counts and selection; the rest rank/select here
-        — the exact sequence the worker runs, so the two placements are
-        value-identical.
-        """
-        selected: list[list[Candidate]] = []
-        for i, (shard, local_selector, candidates, report) in enumerate(
-            zip(self.shards, self._split_selectors(), per_shard, shard_reports)
-        ):
-            decision = decisions[i] if decisions is not None else None
-            if decision is not None:
-                report.after_stats_filters = decision.after_stats_filters
-                report.after_trait_filters = decision.after_trait_filters
-                report.ranked = decision.ranked
-                chosen = decision.selected
-            else:
-                ranked = shard.policy.rank(candidates)
-                report.ranked = len(ranked)
-                chosen = local_selector.select(ranked)
-            report.selected = [c.key for c in chosen]
-            selected.append(chosen)
-        fleet_report.after_stats_filters = sum(r.after_stats_filters for r in shard_reports)
-        fleet_report.after_trait_filters = sum(r.after_trait_filters for r in shard_reports)
-        fleet_report.ranked = sum(r.ranked for r in shard_reports)
-        fleet_report.selected = [key for r in shard_reports for key in r.selected]
         return selected
 
     # --- telemetry -------------------------------------------------------------

@@ -1,59 +1,53 @@
 """Shard workers: the process boundary of the scale-out control plane.
 
-The sharded control plane (:mod:`repro.core.sharding`) partitions the
-observe/orient work of one OODA cycle across shards.  Threads overlap the
-numpy-released portions of that work, but CPU-bound statistics
-construction and trait math serialize on the GIL — so true multi-core
-cycles need shard work to cross a *process* boundary, and everything that
-crosses must become an explicit, versioned, picklable contract:
+The sharded control plane (:mod:`repro.core.sharding`) partitions one OODA
+cycle's observe/orient work across shards.  CPU-bound statistics and trait
+math serialize on the GIL, so multi-core cycles ship shard work across a
+*process* boundary as explicit, versioned, picklable contracts:
 
-* :class:`ShardWorkSpec` — one shard's unit of work: the candidate keys
-  that missed the coordinator's stats cache, their observation inputs as
-  a :class:`~repro.core.columnar.ColumnarMissBlock` (flat arrays in shared
-  memory), the cache slot indices and freshness **tokens** those keys map
-  to, and the orient-phase trait registry;
-* :class:`ShardCycleResult` — what comes back: a trait matrix (one row
-  per miss key) plus a :class:`CacheDelta` covering every miss, so the
-  coordinator rebuilds the observed candidates from its *own* retained
-  arrays and its :class:`~repro.core.statscache.IndexedCandidateCache`
-  learns the worker's observations (the next cycle stays O(dirty tables)
-  in every worker mode);
-* :func:`run_shard_work` — the module-level worker entry point (process
-  pools can only ship module-level callables).
+* :class:`ShardWorkSpec` — one shard's work: the keys that missed the
+  coordinator's stats cache, their observation inputs as a
+  :class:`~repro.core.columnar.ColumnarMissBlock` (flat arrays in shared
+  memory), their cache slots and freshness **tokens**, and the trait
+  registry;
+* :class:`ShardCycleResult` — the answer: a trait matrix (one row per
+  miss) plus a :class:`CacheDelta` covering every miss, so the coordinator
+  rebuilds the candidates from its *own* arrays and its cache learns the
+  worker's observations (later cycles stay O(dirty tables));
+* :func:`run_shard_work` — the module-level worker entry point.
 
-Only the *miss* slice crosses the boundary: the coordinator resolves cache
-hits locally (a token compare per key), so steady-state specs stay small.
-:class:`~repro.core.transport.ColumnarTransport` packs specs and merges
-results on the coordinator side.
+Only the miss slice crosses: the coordinator resolves cache hits locally.
+Under ``selection="local"`` the decide phase crosses too — the spec
+carries a :class:`ShardDecideSpec` (policy, split selector, filter chains,
+resolved hits) and the worker answers with counts plus *references* to the
+selected candidates.  Either way the cycle reports stay byte-identical to
+thread/inline mode (property-tested).
 
-The decide phase can cross the boundary too — but only for *local*
-selection.  Global selection must see every shard's survivors at once, so
-it always decides on the coordinator; a ``selection="local"`` shard, by
-contrast, ranks and selects under its own split budget, which a worker can
-do entirely in-process when the spec carries a :class:`ShardDecideSpec`
-(picklable policy + selector + filter chains + the coordinator-resolved
-cache hits) — which every local-selection process cycle does.  The worker
-then answers with counts plus *references* to the selected candidates,
-which the coordinator resolves against its own candidate lists.  Either
-way the cycle reports stay byte-identical to thread/inline mode
-(property-tested).
-
-:class:`WorkerPool` is the persistent executor behind both the sharded
-pipeline and the Policy Lab's what-if sweeps
-(:class:`~repro.replay.whatif.WhatIfRunner`): spawned once, reused across
-cycles to amortize fork/spawn cost, shut down via :meth:`WorkerPool.close`
-(or a ``weakref`` finalizer if the owner is garbage-collected first).
+:class:`WorkerPool` is the persistent executor behind the sharded pipeline
+and the Policy Lab's what-if sweeps
+(:class:`~repro.replay.whatif.WhatIfRunner`): started once, reused across
+cycles, shut down via :meth:`WorkerPool.close` (or a ``weakref``
+finalizer).  Its process mode runs no threads: each forked child reads
+tasks from one duplex pipe that the coordinator writes itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
+import multiprocessing
 import os
 import sys
+import threading
 import time
+import traceback
 import weakref
+from collections import deque
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, field
+from multiprocessing import connection, resource_tracker
+from multiprocessing.process import BaseProcess
 from typing import Callable, Sequence
 
 from repro.core.candidates import Candidate, CandidateKey
@@ -69,19 +63,11 @@ from repro.obs.tracing import SpanRecorder, timed
 #: ``processes`` is the true multi-core mode for CPU-bound observe work.
 WORKER_MODES = ("threads", "processes")
 
-#: Contract version stamped on every spec/result; a coordinator refuses a
-#: result whose version it does not understand (mixed-version pools after
-#: an upgrade must fail loudly, not corrupt caches).  Version 2 added the
-#: catalog-snapshot observation payload and the worker-side decide
-#: contract (:class:`ShardDecideSpec` / :class:`ShardDecision`).
-#: Version 3 added span propagation: ``ShardWorkSpec.trace`` carries the
-#: coordinator's span context in, ``ShardCycleResult.spans`` carries the
-#: worker-side observe/decide spans back.
-#: Version 4 added transport negotiation and the columnar payloads
-#: (:mod:`repro.core.columnar`), and moved version checks into the
-#: :meth:`WorkerPool.negotiate` handshake.
-#: Version 5 made the columnar encoding the only one: specs carry a
-#: :class:`~repro.core.columnar.ColumnarMissBlock`, results a trait matrix.
+#: Contract version stamped on every spec/result; mixed-version pools after
+#: an upgrade must fail loudly (:meth:`WorkerPool.negotiate`), not corrupt
+#: caches.  2: worker-side decide (:class:`ShardDecideSpec`); 3: span
+#: propagation (``ShardWorkSpec.trace`` in, ``ShardCycleResult.spans``
+#: back); 4: columnar payloads and the negotiate handshake; 5: columnar only.
 WORK_SPEC_VERSION = 5
 
 
@@ -107,15 +93,11 @@ def describe_contract() -> TransportContract:
 def process_workers_available() -> bool:
     """Whether this platform can run process-mode shard workers safely.
 
-    Process mode leans on ``fork`` so workers inherit the imported modules
-    (spawn/forkserver re-import the world — and re-run ``__main__`` — per
-    worker, which both dwarfs a cycle and breaks script/REPL callers).
-    Restricted to Linux: macOS exposes ``os.fork`` but forking after any
-    thread has started crashes in system frameworks, and Windows has no
-    fork at all — both stay on the thread-pool fallback.  Forked children
-    here only ever touch the pool's own freshly created pipes/queues (the
-    classic fork-after-threads deadlocks involve re-using the parent's
-    locked state, which :func:`run_shard_work` never does).
+    Process mode forks, so workers inherit the imported modules (spawn
+    re-imports the world and re-runs ``__main__`` per worker).  Linux
+    only: macOS crashes forking after threads start, Windows has no fork.
+    Forked children touch only their own fresh pipe, never the parent's
+    locked state, so fork-after-threads deadlocks cannot arise.
     """
     return sys.platform.startswith("linux") and hasattr(os, "fork")
 
@@ -123,12 +105,9 @@ def process_workers_available() -> bool:
 def burn_cpu(units: int, seed: bytes = b"observe") -> int:
     """Deterministically burn ``units`` rounds of CPU; returns a checksum.
 
-    Emulates the statistics-collection cost a real connector pays per
-    candidate (manifest parsing, file listing, column-stat decoding) that
-    the in-memory fleet model skips.  Pure CPU with no allocation, so it
-    holds the GIL — which is the point: it makes observe workloads
-    CPU-bound the way production ones are, letting benchmarks compare
-    worker modes honestly.
+    Emulates the per-candidate statistics-collection cost of a real
+    connector (manifests, listings, column stats) that the in-memory fleet
+    skips.  It holds the GIL, so observe work is CPU-bound as in production.
     """
     digest = seed
     for _ in range(max(units, 0)):
@@ -301,11 +280,9 @@ class ShardCycleResult:
 def _observe(spec: ShardWorkSpec):
     """Observe/orient: the trait matrix straight from the miss block.
 
-    Returns ``(trait_names, matrix, observed)`` where ``observed`` is
-    ``None`` on the vectorised path and the per-object fallback's
-    candidate list (already oriented) when any registered trait lacks a
-    columnar implementation — custom traits keep working, they just pay
-    object construction worker-side.
+    Returns ``(trait_names, matrix, observed)``; ``observed`` is ``None``
+    on the vectorised path, else the oriented candidates of the
+    per-object fallback taken when a trait has no columnar form.
     """
     from repro.core.columnar import matrix_from_candidates
 
@@ -330,15 +307,12 @@ def _observe(spec: ShardWorkSpec):
 def _decide(spec: ShardWorkSpec, names: tuple, matrix, observed):
     """Worker-side decide; no candidate objects cross back.
 
-    Filter → orient → filter → rank → select — the same sequence as
-    :meth:`~repro.core.pipeline.AutoCompPipeline.orient` followed by the
-    sharded pipeline's local decide, so the decision is value-identical
-    to a coordinator-side one — over transient worker-local candidates:
-    misses rebuilt from the block's scalars with traits pre-assigned from
-    the matrix, hits rebuilt from the spec's
-    :class:`~repro.core.columnar.ColumnarHitPayload` (or taken verbatim
-    from object hits).  The answer is counts plus *references* into the
-    coordinator's own candidate lists.
+    Filter → orient → filter → rank → select, the sequence of
+    :meth:`~repro.core.pipeline.AutoCompPipeline.orient` plus the sharded
+    local decide, over transient candidates (misses rebuilt from the
+    block with traits from the matrix, hits from the spec's payload), so
+    the decision is value-identical to a coordinator-side one.  Answers
+    counts plus *references* into the coordinator's candidate lists.
     """
     from repro.core.columnar import ColumnarResultPayload
 
@@ -389,11 +363,9 @@ def _decide(spec: ShardWorkSpec, names: tuple, matrix, observed):
 def run_shard_work(spec: ShardWorkSpec) -> ShardCycleResult:
     """Worker entry point: observe + orient (+ optionally decide) one spec.
 
-    Module-level so process pools can pickle it.  Statistics go through
-    the same constructors as the in-process paths and traits through the
-    same registry compute, so the returned trait matrix is value-identical
-    to thread-mode observation of the same inputs — the foundation of the
-    modes' byte-identical cycle reports.
+    Module-level so it pickles by reference.  It runs the in-process
+    paths' constructors and trait compute, so its trait matrix is
+    value-identical to thread-mode observation of the same inputs.
     """
     from repro.core.columnar import ColumnarResultPayload
 
@@ -442,14 +414,210 @@ def _shutdown_executor(executor: Executor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
+def _serve(conn, inherited: list) -> None:
+    """A process worker: answer each ``(fn, args, kwargs)`` with ``(ok, value)``
+    until ``None`` or end-of-file (it first closes the coordinator's pipe
+    ends the fork copied in, so a dead coordinator reads as end-of-file)."""
+    for end in inherited:
+        end.close()
+    with contextlib.suppress(EOFError, OSError):  # the coordinator is gone
+        while (task := conn.recv()) is not None:
+            fn, args, kwargs = task
+            try:
+                reply = (True, fn(*args, **kwargs))
+            except Exception as exc:
+                exc.add_note("worker traceback:\n" + "".join(traceback.format_exception(exc)))
+                reply = (False, exc)
+            try:
+                conn.send(reply)
+            except OSError:
+                raise
+            except Exception as exc:  # an answer that does not pickle
+                conn.send((False, WorkerError(f"worker could not send its answer: {exc!r}")))
+
+
+@dataclass(eq=False)
+class _Child:
+    """A forked worker, our end of its pipe, and its task's future (None: idle)."""
+
+    process: BaseProcess
+    conn: connection.Connection
+    future: Future | None = None
+
+
+class _PipeFuture(Future):
+    """A process-worker future: ``result()`` drives the pool (so
+    ``concurrent.futures.wait``, which does not, must not be used)."""
+
+    def __init__(self, workers: "_ProcessWorkers") -> None:
+        super().__init__()
+        self._workers = workers
+
+    def result(self, timeout: float | None = None):
+        self._workers.drive(self, timeout)
+        return super().result(timeout=0)
+
+    def exception(self, timeout: float | None = None):
+        self._workers.drive(self, timeout)
+        return super().exception(timeout=0)
+
+
+class _ProcessWorkers(Executor):
+    """Process mode's executor (see :class:`WorkerPool`): ``max_workers``
+    forked children, each fed over its own duplex pipe, and no threads."""
+
+    def __init__(self, max_workers: int) -> None:
+        # Start the coordinator's shared-memory resource tracker before
+        # forking, so the workers inherit it.  A worker forked first would
+        # start a tracker of its own on its first segment attach, and that
+        # tracker would "clean up" (unlink) segments the coordinator still
+        # owns when the worker exits.
+        resource_tracker.ensure_running()
+        self._context = multiprocessing.get_context("fork")
+        self._lock = threading.RLock()
+        self._queue: deque[tuple[Future, tuple]] = deque()
+        self._closed = False
+        self._children: list[_Child] = []
+        for _ in range(max_workers):
+            self._children.append(self._spawn())
+
+    def _spawn(self) -> _Child:
+        ours, theirs = self._context.Pipe()
+        inherited = [child.conn for child in self._children] + [ours]
+        process = self._context.Process(
+            target=_serve, args=(theirs, inherited), daemon=True
+        )
+        process.start()
+        theirs.close()
+        return _Child(process, ours)
+
+    def _replace(self, index: int) -> WorkerError:
+        """Reap the dead child at ``index`` and fork its replacement."""
+        dead = self._children[index]
+        dead.conn.close()
+        dead.process.join(timeout=1.0)
+        self._children[index] = self._spawn()
+        return WorkerError(
+            f"worker process {dead.process.pid} died (exit code {dead.process.exitcode})"
+        )
+
+    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
+        future = _PipeFuture(self)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            self._queue.append((future, (fn, args, kwargs)))
+            idle = [i for i, child in enumerate(self._children) if child.future is None]
+            if idle:
+                self._feed(idle[0])
+        return future
+
+    def _feed(self, index: int) -> None:
+        """Send the next runnable queued task to the idle child ``index``."""
+        child = self._children[index]
+        while child.future is None and self._queue:
+            future, task = self._queue.popleft()
+            if not future.set_running_or_notify_cancel():
+                continue  # cancelled while queued
+            try:
+                child.conn.send(task)
+            except OSError:
+                future.set_exception(self._replace(index))
+                child = self._children[index]
+            except Exception as exc:  # a task that does not pickle
+                future.set_exception(exc)
+            else:
+                child.future = future
+
+    def drive(self, target: Future, timeout: float | None = None) -> None:
+        """Collect answers until ``target`` is done or ``timeout`` passes."""
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        while not target.done():
+            busy = [child.conn for child in self._children if child.future is not None]
+            left = deadline - time.monotonic()
+            if not busy or left <= 0:
+                return
+            # Bounded: another waiting thread may collect this one's answer.
+            ready = connection.wait(busy, min(left, 0.1))
+            with self._lock:
+                for index, child in enumerate(self._children):
+                    # poll(): another waiting thread may have collected it.
+                    if child.future is not None and child.conn in ready and child.conn.poll():
+                        self._collect(index)
+
+    def _collect(self, index: int) -> None:
+        child = self._children[index]
+        future, child.future = child.future, None
+        try:
+            ok, value = child.conn.recv()
+        except (EOFError, OSError):
+            ok, value = False, self._replace(index)
+        if ok:
+            future.set_result(value)  # type: ignore[union-attr]
+        else:
+            future.set_exception(value)  # type: ignore[union-attr]
+        self._feed(index)
+
+    def shutdown(self, wait=True, *, cancel_futures=False, timeout: float | None = None) -> None:
+        """Stop the children; a task left unfinished fails with ``WorkerError``.
+
+        With ``wait``, running (and, unless ``cancel_futures``, queued)
+        tasks get up to ``timeout`` seconds, then the children are joined
+        by the same deadline, then terminated and killed.  Without it (the
+        finalizer path) they exit after their current task, unjoined.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def left() -> float | None:
+            return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
+        with self._lock:
+            self._closed = True
+            for future, _ in self._queue if cancel_futures else ():
+                future.cancel()
+        while wait and left() != 0.0:
+            running = [c.future for c in self._children if c.future is not None]
+            if not running:
+                break
+            self.drive(running[0], left())
+        with self._lock:
+            for child in self._children:
+                with contextlib.suppress(OSError):
+                    child.conn.send(None)
+            for child in self._children:
+                if wait:
+                    child.process.join(left())
+                    for stop in (child.process.terminate, child.process.kill):
+                        if child.process.is_alive():
+                            stop()
+                            child.process.join(timeout=1.0)
+                if child.future is not None:
+                    child.future.set_exception(
+                        WorkerError("worker pool closed before the task finished")
+                    )
+                    child.future = None
+                child.conn.close()
+            for future, _ in self._queue:
+                future.cancel()
+            self._queue.clear()
+
+
 class WorkerPool:
     """A persistent thread- or process-backed executor with one lifecycle.
 
-    Construction is cheap — the underlying executor spawns lazily on first
-    use and is then *reused* across cycles (spawning a process pool per
-    cycle costs more than many cycles' work).  Owners call :meth:`close`
-    when done; a ``weakref`` finalizer backstops owners that forget, so
-    garbage-collected pools never strand worker processes.
+    The executor starts on first use and is reused across cycles (forking
+    per cycle costs more than many cycles' work).  Owners call
+    :meth:`close`; a ``weakref`` finalizer backstops owners that forget.
+
+    Thread mode wraps a :class:`~concurrent.futures.ThreadPoolExecutor`.
+    Process mode forks all ``max_workers`` children at once, from the
+    calling thread, each with one duplex pipe: :meth:`submit` pickles a
+    task into an idle child's pipe from the caller's thread (or queues
+    it), and ``Future.result()`` drives the pool — it waits on the busy
+    pipes, collects each answer and sends the freed child the next queued
+    task.  No management or feeder thread stands between a submit and its
+    worker.  A child that dies fails its task with
+    :class:`~repro.errors.WorkerError` and is replaced by a fresh fork.
 
     Args:
         mode: one of :data:`WORKER_MODES`.
@@ -472,34 +640,21 @@ class WorkerPool:
         self.max_workers = max_workers
         self._executor: Executor | None = None
         self._finalizer: weakref.finalize | None = None
+        #: Thread mode's submitted futures, for close(timeout=...)'s drain.
         self._futures: list[Future] = []
         self._contract: TransportContract | None = None
         self._resources: dict[int, object] = {}
 
     @property
     def started(self) -> bool:
-        """Whether the underlying executor has been spawned."""
+        """Whether the underlying executor has been started."""
         return self._executor is not None
 
     def _ensure(self) -> Executor:
         executor = self._executor
         if executor is None:
             if self.mode == "processes":
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                from multiprocessing import resource_tracker
-
-                # Start the coordinator's shared-memory resource tracker
-                # before forking, so the workers inherit it.  A worker
-                # forked first would start a tracker of its own on its
-                # first segment attach, and that tracker would "clean up"
-                # (unlink) segments the coordinator still owns when the
-                # worker exits.
-                resource_tracker.ensure_running()
-                executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
+                executor = _ProcessWorkers(self.max_workers)
             else:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -509,18 +664,13 @@ class WorkerPool:
         return executor
 
     def negotiate(self) -> TransportContract:
-        """Handshake the worker contract; the pool's one version check.
+        """Handshake the worker contract: the pool's one version check.
 
-        Fetches :func:`describe_contract` from a live worker (threads
-        share the interpreter, so their contract is by construction the
-        local one) and verifies both sides run the same spec version.
-        Cached until :meth:`close` — one round trip per pool lifetime,
-        not per cycle.
+        Fetches :func:`describe_contract` from a live worker (a thread's
+        is the local one) once per pool lifetime, until :meth:`close`.
 
         Raises:
-            WorkerError: naming both sides' versions on a mismatch — the
-                single failure point that replaced per-object
-                ``version:`` field checks.
+            WorkerError: naming both sides' versions on a mismatch.
         """
         local = describe_contract()
         remote = self._contract
@@ -538,13 +688,9 @@ class WorkerPool:
         return remote
 
     def track_resource(self, resource: object) -> None:
-        """Register a disposable (``dispose()``-bearing) shared resource.
-
-        The columnar transport parks its live shared-memory blocks here so
-        :meth:`close` can unlink anything a crashed worker or an
-        interrupted cycle left behind — segments must never outlive the
-        pool.
-        """
+        """Register a ``dispose()``-bearing shared resource (a live
+        shared-memory block) for :meth:`close` to release if a crashed
+        worker or an interrupted cycle left it behind."""
         self._resources[id(resource)] = resource
 
     def untrack_resource(self, resource: object) -> None:
@@ -552,24 +698,19 @@ class WorkerPool:
         self._resources.pop(id(resource), None)
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
-        """Submit one task (spawning the executor on first use)."""
+        """Submit one task (starting the executor on first use)."""
         future = self._ensure().submit(fn, *args, **kwargs)
-        self._track(future)
+        if self.mode == "threads":
+            # Pruned so long-lived pools don't keep every future they ran.
+            if len(self._futures) >= 64:
+                self._futures = [f for f in self._futures if not f.done()]
+            self._futures.append(future)
         return future
-
-    def _track(self, future: Future) -> None:
-        # Kept so close(timeout=...) can cancel-then-drain in-flight work;
-        # pruned opportunistically so long-lived pools don't accumulate
-        # references to every future they ever ran.
-        if len(self._futures) >= 64:
-            self._futures = [f for f in self._futures if not f.done()]
-        self._futures.append(future)
 
     def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
         """Run zero-argument callables, results in submission order.
 
-        Thread mode only: closures cannot cross a process boundary, which
-        is exactly the constraint the spec/result contracts exist to lift.
+        Thread mode only: closures cannot cross a process boundary.
         """
         if self.mode == "processes":
             raise ValidationError(
@@ -580,68 +721,33 @@ class WorkerPool:
         return [future.result() for future in futures]
 
     def close(self, timeout: float | None = None) -> None:
-        """Shut the executor down (idempotent).
-
-        Args:
-            timeout: ``None`` (the default) waits for running work to
-                finish — the historical behaviour.  With a timeout, close
-                becomes a *drain*: queued-but-unstarted futures are
-                cancelled, running ones get up to ``timeout`` seconds to
-                finish, and any process children still alive after that
-                are terminated (then killed) and joined — so a daemon
-                shutting down mid-cycle never strands orphans for the
-                interpreter-teardown finalizer (which can run after the
-                executor machinery is already torn down).
-        """
+        """Shut the executor down (idempotent).  ``timeout=None`` waits for
+        running work; a timeout *drains*: queued tasks are cancelled,
+        running ones get ``timeout`` seconds, then process children still
+        alive are terminated (then killed) and joined."""
         executor, self._executor = self._executor, None
         futures, self._futures = self._futures, []
         resources, self._resources = self._resources, {}
         self._contract = None
-        if executor is None:
-            self._dispose_resources(resources)
-            return
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if timeout is None:
-            executor.shutdown(wait=True)
-            self._dispose_resources(resources)
-            return
-        pending = [f for f in futures if not f.done()]
-        for future in pending:
-            future.cancel()  # unstarted work never runs
-        if pending:
-            wait(pending, timeout=timeout)
-        # Snapshot the children and the management thread before shutdown
-        # forgets them, so we can join (and if necessary kill) stragglers.
-        children = list(getattr(executor, "_processes", {}).values())
-        manager = getattr(executor, "_executor_manager_thread", None)
-        executor.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + timeout
-        for child in children:
-            child.join(timeout=max(deadline - time.monotonic(), 0.0))
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-                child.join(timeout=1.0)
-            if child.is_alive():
-                child.kill()
-                child.join(timeout=1.0)
-        if manager is not None:
-            # The management thread reaps the children too; a child it
-            # reaped first reads as alive here until it records the exit.
-            manager.join(timeout=1.0)
-        self._dispose_resources(resources)
-
-    @staticmethod
-    def _dispose_resources(resources: dict[int, object]) -> None:
-        # After workers are down: unlinking first could yank a segment out
-        # from under a straggler mid-read.
+        if executor is not None:
+            if self._finalizer is not None:
+                self._finalizer.detach()
+                self._finalizer = None
+            if timeout is None:
+                executor.shutdown(wait=True)
+            elif isinstance(executor, _ProcessWorkers):
+                executor.shutdown(cancel_futures=True, timeout=timeout)
+            else:
+                pending = [f for f in futures if not f.done()]
+                for future in pending:
+                    future.cancel()  # unstarted work never runs
+                wait(pending, timeout=timeout)
+                executor.shutdown(wait=False, cancel_futures=True)
+        # Only now that the workers are down: unlinking first could yank a
+        # segment out from under a straggler mid-read.
         for resource in resources.values():
-            try:
+            with contextlib.suppress(Exception):  # best-effort cleanup
                 resource.dispose()  # type: ignore[attr-defined]
-            except Exception:
-                pass  # best-effort cleanup must not mask the close itself
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -394,6 +394,9 @@ class RewriteTransaction(Transaction):
             raise ValidationError(
                 f"rewrite group must stay within one partition, got {sorted(partitions)}"
             )
+        for size in output_sizes:
+            if size <= 0:
+                raise ValidationError(f"output sizes must be positive, got {size}")
         total_in = sum(f.size_bytes for f in sources)
         total_out = sum(output_sizes)
         if total_out != total_in:
@@ -405,8 +408,6 @@ class RewriteTransaction(Transaction):
         self._sources.extend(sources)
         remaining_records = records
         for i, size in enumerate(output_sizes):
-            if size <= 0:
-                raise ValidationError(f"output sizes must be positive, got {size}")
             share = (
                 remaining_records
                 if i == len(output_sizes) - 1

@@ -365,3 +365,129 @@ def test_shard_memo_is_bounded_for_fresh_key_objects():
         key = CandidateKey("db", f"fresh{i}", CandidateScope.TABLE)
         assert pipeline._shard_for(key) == shard_for_key(key, 2)
     assert len(pipeline._shard_of) <= 17
+
+
+# --- pipelined local cycles --------------------------------------------------------
+
+
+def _lst_catalog(n_tables: int = 12):
+    """Small-file tables, except those of shard 1 (of 3): one target-size
+    file each, which the small-file filter drops, so shard 1 never acts
+    and its tables stay cached."""
+    from repro.catalog import Catalog
+    from repro.lst import Field, Schema
+    from repro.units import MiB
+
+    catalog = Catalog()
+    catalog.create_database("db")
+    schema = Schema.of(Field("id", "long"))
+    for i in range(n_tables):
+        key = CandidateKey("db", f"t{i:02d}", CandidateScope.TABLE)
+        txn = catalog.create_table(f"db.t{i:02d}", schema).new_append()
+        if shard_for_key(key, 3) == 1:
+            txn.add_file(512 * MiB, partition=())
+        else:
+            for j in range(6 + i):
+                txn.add_file((4 + j % 3) * MiB, partition=())
+        txn.commit()
+    return catalog
+
+
+class TestPipelinedLocalCycle:
+    """Process cycles act on each shard as soon as its answer lands."""
+
+    def test_modes_agree_with_a_shard_that_has_no_misses(self):
+        from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
+        from repro.engine import Cluster
+
+        def pipeline(catalog, workers):
+            return openhouse_sharded_pipeline(
+                catalog,
+                Cluster("maint", executors=2),
+                n_shards=3,
+                stats_cache=IndexedCandidateCache(),
+                selection="local",
+                workers=workers,
+                max_workers=2,
+                k=3,
+                min_table_age_s=0.0,
+            )
+
+        catalogs = [_lst_catalog(), _lst_catalog()]
+        with pipeline(catalogs[0], "threads") as threads, pipeline(
+            catalogs[1], "processes"
+        ) as processes:
+            shipped: list[int] = []
+            submit = processes._pool.submit
+
+            def recording_submit(fn, *args):
+                shipped.extend(spec.shard_index for spec in args)
+                return submit(fn, *args)
+
+            processes._pool.submit = recording_submit
+            for cycle in range(3):
+                shipped.clear()
+                reports = [
+                    pipeline.run_cycle(now=catalog.clock.now)
+                    for pipeline, catalog in zip((threads, processes), catalogs)
+                ]
+                assert dataclasses.asdict(reports[0].report) == dataclasses.asdict(
+                    reports[1].report
+                ), f"diverged on cycle {cycle}"
+                assert [dataclasses.asdict(r) for r in reports[0].shard_reports] == [
+                    dataclasses.asdict(r) for r in reports[1].shard_reports
+                ]
+                assert [r.candidate for r in reports[1].report.results] == [
+                    key for r in reports[1].shard_reports for key in r.selected
+                ]
+                if cycle:
+                    # Warm: shard 1's tables are all cache hits, so it
+                    # decides on the coordinator between two shipped shards.
+                    assert shipped == [0, 2]
+                    assert reports[1].shard_reports[1].candidates_generated > 0
+                assert reports[1].report.results, "no shard acted"
+
+    def test_failed_shard_leaves_earlier_shards_acted(self):
+        from collections import Counter
+
+        from repro.errors import WorkerError
+
+        model = FleetModel(FleetConfig(initial_tables=150, seed=6))
+        model.step_day()
+        compacted: Counter = Counter()
+        compact = model.compact
+
+        def counting_compact(index):
+            compacted[index] += 1
+            return compact(index)
+
+        model.compact = counting_compact
+        with ShardedAutoCompStrategy(
+            model, n_shards=3, k=6, selection="local", workers="processes", max_workers=2
+        ) as strategy:
+            pipeline = strategy.pipeline
+            victim = pipeline.shards[1].connector
+            original = victim.export_columnar
+
+            def poisoned(keys, shard_index, traits):
+                placed, spec = original(keys, shard_index, traits)
+                if spec is not None:
+                    spec = dataclasses.replace(spec, version=99)
+                return placed, spec
+
+            victim.export_columnar = poisoned
+            with pytest.raises(WorkerError, match=r"shard 1 .*\[0\] already acted"):
+                pipeline.run_cycle(now=0.0)
+            # Shard 0's split budget of 2 compacted exactly once each, and
+            # nothing of the failed or later shards ran.
+            assert len(compacted) == 2 and set(compacted.values()) == {1}
+            owners = {
+                shard_for_key(key, 3)
+                for key in pipeline.shards[0].connector.list_candidates("table")
+                if int(key.table[len("table") :]) in compacted
+            }
+            assert owners == {0}
+            del victim.export_columnar
+            model.step_day()
+            report = pipeline.run_cycle(now=DAY)
+        assert len(report.report.results) == 6

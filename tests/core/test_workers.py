@@ -124,6 +124,88 @@ class TestWorkerPool:
         assert result.columnar.matrix.shape == (len(spec.keys), len(spec.traits.names()))
 
 
+def _after(delay: float, value: int) -> int:
+    import time as _time
+
+    _time.sleep(delay)
+    return value
+
+
+class TestProcessPoolDispatch:
+    """Process mode: direct pipes, a queue past max_workers, no threads."""
+
+    def test_queued_tasks_return_in_submission_order(self):
+        with WorkerPool(mode="processes", max_workers=2) as pool:
+            futures = [
+                pool.submit(_after, delay, i)
+                for i, delay in enumerate([0.2, 0.0, 0.1, 0.0, 0.05])
+            ]
+            # Waiting on the last future first still drives every task.
+            assert futures[-1].result(timeout=30) == 4
+            assert [f.result(timeout=30) for f in futures] == [0, 1, 2, 3, 4]
+
+    def test_killed_worker_fails_its_future(self):
+        import multiprocessing
+        import os as _os
+        import signal
+        import time as _time
+
+        from repro.errors import WorkerError
+
+        pool = WorkerPool(mode="processes", max_workers=1)
+        try:
+            pid = pool.submit(_os.getpid).result(timeout=30)
+            future = pool.submit(_time.sleep, 30)
+            _os.kill(pid, signal.SIGKILL)
+            started = _time.monotonic()
+            with pytest.raises(WorkerError, match="died"):
+                future.result(timeout=30)
+            assert _time.monotonic() - started < 10.0
+            # The dead child was replaced; the pool keeps working.
+            assert pool.submit(int, "7").result(timeout=30) == 7
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_threads_sharing_a_pool_each_get_their_answers(self):
+        import sys
+        import threading
+
+        results: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(mode="processes", max_workers=2) as pool:
+
+                def client(n: int) -> None:
+                    futures = [pool.submit(_after, 0.001 * (i % 3), n * 100 + i) for i in range(12)]
+                    results[n] = [f.result(timeout=30) for f in futures]
+
+                threads = [threading.Thread(target=client, args=(n,)) for n in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {n: [n * 100 + i for i in range(12)] for n in range(4)}
+
+    def test_process_cycles_start_no_threads(self):
+        import threading
+
+        model = FleetModel(FleetConfig(initial_tables=120, seed=4))
+        model.step_day()
+        before = threading.active_count()
+        with ShardedAutoCompStrategy(
+            model, n_shards=2, k=5, selection="local", workers="processes", max_workers=2
+        ) as strategy:
+            for day in range(2):
+                strategy.pipeline.run_cycle(now=day * DAY)
+                assert threading.active_count() == before
+                model.step_day()
+
+
 class TestWorkerPoolDrain:
     """Regression: close() mid-flight hung on slow work and orphaned children."""
 

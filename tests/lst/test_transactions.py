@@ -228,6 +228,20 @@ class TestRewrite:
         txn.commit()
         assert table.delete_file_count == 0
 
+    def test_rejected_output_size_stages_nothing(self, table):
+        """A group whose sizes fail validation leaves the transaction as it was."""
+        txn = table.new_append()
+        txn.add_file(10 * MiB, partition=(0,))
+        txn.add_file(10 * MiB, partition=(0,))
+        txn.commit()
+        sources = list(table.live_files())
+        txn = table.new_rewrite()
+        with pytest.raises(ValidationError, match="positive"):
+            txn.rewrite(sources, [30 * MiB, -10 * MiB])
+        txn.commit()
+        assert {f.path for f in table.live_files()} == {f.path for f in sources}
+        assert table.total_data_bytes == 20 * MiB
+
     def test_empty_rewrite_group_rejected(self, table):
         txn = table.new_rewrite()
         with pytest.raises(ValidationError):
