@@ -16,11 +16,10 @@ from repro.analysis.metrics import (
     moving_average,
     normalize_series,
     reduction_efficiency,
-    relative_change,
     task_failure_rate,
     write_amplification,
 )
-from repro.analysis.reporting import bar_chart, render_table, series_chart, sparkline
+from repro.analysis.reporting import bar_chart, render_table, sparkline
 
 __all__ = [
     "PAPER_BUCKETS_MIB",
@@ -30,9 +29,7 @@ __all__ = [
     "normalize_series",
     "percentile",
     "reduction_efficiency",
-    "relative_change",
     "render_table",
-    "series_chart",
     "size_histogram",
     "sparkline",
     "task_failure_rate",

@@ -12,23 +12,14 @@ from repro.units import MiB
 PAPER_BUCKETS_MIB: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
 
 
-def size_histogram(
-    sizes_bytes: list[int], bucket_edges_mib: tuple[int, ...] = PAPER_BUCKETS_MIB
-) -> dict[str, int]:
-    """Histogram of file sizes over MiB bucket edges.
-
-    Args:
-        sizes_bytes: file sizes in bytes.
-        bucket_edges_mib: ascending bucket upper edges in MiB; an overflow
-            bucket is appended automatically.
+def size_histogram(sizes_bytes: list[int]) -> dict[str, int]:
+    """Histogram of file sizes (bytes) over :data:`PAPER_BUCKETS_MIB`.
 
     Returns:
-        Ordered mapping of bucket label to count, e.g. ``'<16MiB'``,
-        ``'16-32MiB'``, …, ``'>=512MiB'``.
+        Ordered mapping of bucket label to count: ``'<16MiB'``,
+        ``'16-32MiB'``, …, ``'>=512MiB'`` (the overflow bucket).
     """
-    edges = sorted(int(e) for e in bucket_edges_mib)
-    if not edges:
-        raise ValidationError("need at least one bucket edge")
+    edges = PAPER_BUCKETS_MIB
     labels = [f"<{edges[0]}MiB"]
     labels += [f"{lo}-{hi}MiB" for lo, hi in zip(edges, edges[1:])]
     labels.append(f">={edges[-1]}MiB")
@@ -42,13 +33,6 @@ def size_histogram(
         else:
             counts[labels[-1]] += 1
     return counts
-
-
-def fraction_below(sizes_bytes: list[int], threshold_bytes: int) -> float:
-    """Share of files smaller than ``threshold_bytes`` (0 for empty input)."""
-    if not sizes_bytes:
-        return 0.0
-    return sum(1 for s in sizes_bytes if s < threshold_bytes) / len(sizes_bytes)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -87,11 +71,6 @@ class Candlestick:
     def spread(self) -> float:
         """Max − min: the execution-time variability the paper tracks."""
         return self.maximum - self.minimum
-
-    @property
-    def iqr(self) -> float:
-        """Interquartile range."""
-        return self.p75 - self.p25
 
 
 def candlestick(values: list[float]) -> Candlestick:

@@ -41,17 +41,6 @@ def moving_average(values: list[float], window: int) -> list[float]:
     return out
 
 
-def relative_change(before: float, after: float) -> float:
-    """``(after − before) / before``.
-
-    Raises:
-        ValidationError: when ``before`` is zero.
-    """
-    if before == 0:
-        raise ValidationError("relative change from zero baseline")
-    return (after - before) / before
-
-
 def write_amplification(rewritten_bytes: float, ingested_bytes: float) -> float:
     """Bytes rewritten by compaction per byte the workload ingested.
 

@@ -73,38 +73,3 @@ def sparkline(values: list[float]) -> str:
         index = int((value - low) / span * (len(_BLOCKS) - 1))
         out.append(_BLOCKS[index])
     return "".join(out)
-
-
-def series_chart(
-    series: dict[str, list[float]], width: int | None = None, height: int = 10
-) -> str:
-    """Multi-series ASCII chart: one sparkline row per series, aligned.
-
-    Args:
-        series: name → values; series may have different lengths.
-        width: downsample each series to this many points (None = natural).
-        height: accepted for API symmetry; sparklines are one row high.
-    """
-    if not series:
-        return "(no series)"
-    name_width = max(len(name) for name in series)
-    lines = []
-    for name, values in series.items():
-        shown = _downsample(values, width) if width else values
-        lines.append(f"{name.rjust(name_width)} | {sparkline(shown)}")
-    return "\n".join(lines)
-
-
-def _downsample(values: list[float], width: int) -> list[float]:
-    if width <= 0:
-        raise ValidationError("width must be positive")
-    if len(values) <= width:
-        return list(values)
-    bucket = len(values) / width
-    out = []
-    for i in range(width):
-        lo = int(i * bucket)
-        hi = max(int((i + 1) * bucket), lo + 1)
-        chunk = values[lo:hi]
-        out.append(sum(chunk) / len(chunk))
-    return out

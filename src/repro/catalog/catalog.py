@@ -338,14 +338,6 @@ class Catalog:
         self._policies.pop(str(identifier), None)
         self.telemetry.increment("catalog.tables.dropped")
 
-    def table_exists(self, identifier: TableIdentifier | str) -> bool:
-        """Whether a table is registered."""
-        try:
-            self.load_table(identifier)
-            return True
-        except NoSuchTableError:
-            return False
-
     def list_tables(self, database_name: str | None = None) -> list[TableIdentifier]:
         """Identifiers of registered tables (optionally one database), sorted."""
         names = [database_name] if database_name is not None else self.list_databases()
@@ -373,22 +365,3 @@ class Catalog:
         if key not in self._policies:
             raise NoSuchTableError(key)
         return self._policies[key]
-
-    def set_policy(self, identifier: TableIdentifier | str, policy: TablePolicy) -> None:
-        """Replace a table's maintenance policy.
-
-        The table's properties take the policy's target file size and
-        snapshot retention, as at :meth:`create_table`, so observation
-        (which reads the policy) and rewrite planning (which reads the
-        table) use one target.
-
-        Raises:
-            NoSuchTableError: if the table is not registered.
-        """
-        if isinstance(identifier, str):
-            identifier = TableIdentifier.parse(identifier)
-        key = str(identifier)
-        if key not in self._policies:
-            raise NoSuchTableError(key)
-        self._policies[key] = policy
-        self.load_table(identifier).properties.update(_policy_properties(policy))

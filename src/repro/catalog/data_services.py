@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
-from repro.lst.base import BaseTable
+
+#: The share of a table's live files below its policy's target size above
+#: which :meth:`DataServices.out_of_policy_tables` flags it.
+SMALL_FILE_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,9 @@ class DataServices:
             out_of_policy=tuple(self.out_of_policy_tables()),
         )
 
-    def out_of_policy_tables(self, small_file_ratio: float = 0.5) -> list[str]:
-        """Tables whose live files are mostly below their target size.
-
-        Args:
-            small_file_ratio: fraction of live files below the policy target
-                above which a table counts as out of policy.
-
-        Returns:
-            Qualified table names, sorted.
-        """
+    def out_of_policy_tables(self) -> list[str]:
+        """Tables with more than :data:`SMALL_FILE_RATIO` of their live files
+        below the policy's target size, as qualified names, sorted."""
         flagged = []
         for table in self.catalog.all_tables():
             count = table.data_file_count
@@ -75,20 +71,6 @@ class DataServices:
             small = sum(
                 1 for f in table.live_files() if f.size_bytes < policy.target_file_size
             )
-            if small / count > small_file_ratio:
+            if small / count > SMALL_FILE_RATIO:
                 flagged.append(str(table.identifier))
         return sorted(flagged)
-
-    def table_health(self, table: BaseTable) -> dict[str, float]:
-        """Health metrics for one table (counts, bytes, small-file share)."""
-        files = table.live_files()
-        policy = self.catalog.policy(table.identifier)
-        small = sum(1 for f in files if f.size_bytes < policy.target_file_size)
-        return {
-            "file_count": float(len(files)),
-            "total_bytes": float(sum(f.size_bytes for f in files)),
-            "small_file_count": float(small),
-            "small_file_fraction": small / len(files) if files else 0.0,
-            "delete_file_count": float(table.delete_file_count),
-            "metadata_version": float(table.version),
-        }

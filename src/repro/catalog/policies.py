@@ -44,9 +44,3 @@ class TablePolicy:
             raise ValidationError("snapshot_retention_s must be >= 0")
         if self.min_age_before_compaction_s < 0:
             raise ValidationError("min_age_before_compaction_s must be >= 0")
-
-    def with_overrides(self, **changes: object) -> "TablePolicy":
-        """A copy of this policy with the given fields replaced."""
-        from dataclasses import replace
-
-        return replace(self, **changes)  # type: ignore[arg-type]

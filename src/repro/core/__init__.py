@@ -4,6 +4,9 @@ The OODA-structured automatic-compaction framework (§3–§5):
 
 * **generate** — :mod:`repro.core.candidates` (scopes, keys, statistics);
 * **observe** — :class:`~repro.core.connectors.Connector` implementations;
+* **filter** — :mod:`repro.core.filters` (table age, quiescence and
+  small-file count, the stage :func:`~repro.core.service.openhouse_pipeline`
+  composes);
 * **orient** — :mod:`repro.core.traits` (ΔF_c, file entropy, GBHr);
 * **decide** — :mod:`repro.core.ranking` (threshold & MOOP policies) and
   :mod:`repro.core.selection` (top-k / budget);
@@ -40,17 +43,12 @@ from repro.core.locks import (
     AuditSummary,
     LockInfo,
     LockManager,
-    read_audit,
     verify_audit,
 )
 from repro.core.filters import (
     CandidateFilter,
-    MaxTraitFilter,
-    MinFileCountFilter,
     MinSmallFileCountFilter,
     MinTableAgeFilter,
-    MinTotalBytesFilter,
-    MinTraitFilter,
     QuiescenceFilter,
 )
 from repro.core.pipeline import AutoCompPipeline, CycleReport
@@ -166,12 +164,8 @@ __all__ = [
     "LockManager",
     "LstConnector",
     "LstExecutionBackend",
-    "MaxTraitFilter",
-    "MinFileCountFilter",
     "MinSmallFileCountFilter",
     "MinTableAgeFilter",
-    "MinTotalBytesFilter",
-    "MinTraitFilter",
     "Objective",
     "OffPeakScheduler",
     "OptimizeAfterWriteHook",
@@ -216,7 +210,6 @@ __all__ = [
     "openhouse_sharded_pipeline",
     "pareto_front",
     "process_workers_available",
-    "read_audit",
     "read_promotions",
     "replay_promotions",
     "run_shard_work",

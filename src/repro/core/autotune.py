@@ -90,15 +90,6 @@ class TuningResult:
         """Objective value per iteration (the Figure 9 y-axis)."""
         return [t.objective for t in self.trials]
 
-    def best_so_far_series(self) -> list[float]:
-        """Running minimum of the objective (convergence curve)."""
-        best = math.inf
-        series = []
-        for trial in self.trials:
-            best = min(best, trial.objective)
-            series.append(best)
-        return series
-
 
 class Optimizer:
     """Base class for threshold optimisers."""
@@ -188,8 +179,6 @@ class CostFrugalOptimizer(Optimizer):
         initial_step: initial relative step size.
         shrink: multiplicative step decay on stagnation.
         patience: failures tolerated before shrinking.
-        start_at_low: start at each parameter's low end (True, CFO-style)
-            or at a random point.
     """
 
     def __init__(
@@ -197,7 +186,6 @@ class CostFrugalOptimizer(Optimizer):
         initial_step: float = 0.25,
         shrink: float = 0.6,
         patience: int = 3,
-        start_at_low: bool = True,
     ) -> None:
         if not 0 < shrink < 1:
             raise ValidationError("shrink must be in (0, 1)")
@@ -208,20 +196,13 @@ class CostFrugalOptimizer(Optimizer):
         self.initial_step = initial_step
         self.shrink = shrink
         self.patience = patience
-        self.start_at_low = start_at_low
 
     def optimize(self, objective, parameters, iterations, seed=0, warm_start=None):
         self._validate(parameters, iterations)
         rng = derive_rng(seed, "cfo")
-        if warm_start is not None:
-            # An offline prior (e.g. a Policy Lab what-if winner) replaces
-            # the cold corner as the incumbent the local search refines.
-            cold = (lambda p: p.clip(p.low)) if self.start_at_low else (lambda p: p.sample(rng))
-            incumbent = self._warm_point(parameters, warm_start, cold)
-        elif self.start_at_low:
-            incumbent = {p.name: p.clip(p.low) for p in parameters}
-        else:
-            incumbent = {p.name: p.sample(rng) for p in parameters}
+        # An offline prior (e.g. a Policy Lab what-if winner) replaces the
+        # cold low corner as the incumbent the local search refines.
+        incumbent = self._warm_point(parameters, warm_start or {}, lambda p: p.clip(p.low))
         incumbent_score = float(objective(incumbent))
         trials = [Trial(params=dict(incumbent), objective=incumbent_score)]
 

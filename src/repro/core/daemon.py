@@ -25,8 +25,8 @@ service; :class:`AutoCompDaemon` is that run-forever layer over
 * **crash safety** — :meth:`AutoCompDaemon.start` reclaims stale locks
   (dead pid or stale heartbeat mtime) left by crashed siblings, and a
   heartbeat thread keeps this instance's locks visibly alive;
-* **graceful drain** — :meth:`AutoCompDaemon.stop` finishes or cancels
-  in-flight shard work with a bounded timeout
+* **graceful drain** — :meth:`AutoCompDaemon.stop` gives in-flight shard
+  work a bounded timeout to finish
   (:meth:`~repro.core.workers.WorkerPool.close`), releases all locks, and
   spills the service's :class:`~repro.replay.catalog_trace.CatalogHistoryRing`
   to chunked trace segments so ``evaluate_recent`` history survives the
@@ -216,13 +216,6 @@ class ResumableStateMachine:
             for record in self._states.values():
                 totals[record["state"]] += 1
         return totals
-
-    def complete_units(self) -> list[str]:
-        """All COMPLETE unit names, sorted."""
-        with self._mutex:
-            return sorted(
-                u for u, r in self._states.items() if r["state"] == "COMPLETE"
-            )
 
 
 class AutoCompDaemon:
@@ -568,16 +561,15 @@ class AutoCompDaemon:
         self._status_server = server
         return server
 
-    def stop(self, drain: bool = True) -> None:
+    def stop(self) -> None:
         """Graceful shutdown: stop scheduling, drain, spill, detach, release.
 
-        With ``drain`` (the default), in-flight shard work gets up to
-        :data:`DRAIN_TIMEOUT_S` to finish before worker children are joined
-        and, if necessary, terminated; without it, pools are told to
-        drop queued work immediately.  Either way the history ring is
-        spilled (when ``spill_path`` is set), the act gates are removed,
-        and the lock manager is closed: the heartbeat stops, every held
-        lock is released and the holder files are removed.
+        In-flight shard work gets up to :data:`DRAIN_TIMEOUT_S` to finish
+        before worker children are joined and, if necessary, terminated.
+        Then the history ring is spilled (when ``spill_path`` is set), the
+        act gates are removed, and the lock manager is closed: the
+        heartbeat stops, every held lock is released and the holder files
+        are removed.
 
         Stop also detaches everything the running daemon hung on the
         service and its catalog: the promoter (its ``table_commit`` tap and
@@ -599,7 +591,7 @@ class AutoCompDaemon:
             self._promoter_thread = None
         close = getattr(self.service.pipeline, "close", None)
         if close is not None:
-            close(timeout=DRAIN_TIMEOUT_S if drain else 0.001)
+            close(timeout=DRAIN_TIMEOUT_S)
         if self.spill_path is not None:
             self.service.spill_history(self.spill_path)
         if self.promoter is not None and self.promoter.service is self.service:

@@ -78,21 +78,6 @@ class QuiescenceFilter(CandidateFilter):
         return stats is not None and now - stats.last_modified_at >= self.quiet_s
 
 
-class MinFileCountFilter(CandidateFilter):
-    """Drop candidates with fewer than ``min_files`` live files."""
-
-    name = "min_file_count"
-
-    def __init__(self, min_files: int) -> None:
-        if min_files < 0:
-            raise ValidationError("min_files must be >= 0")
-        self.min_files = min_files
-
-    def keep(self, candidate: Candidate, now: float) -> bool:
-        stats = candidate.statistics
-        return stats is not None and stats.file_count >= self.min_files
-
-
 class MinSmallFileCountFilter(CandidateFilter):
     """Drop candidates with fewer than ``min_small_files`` small files.
 
@@ -110,57 +95,3 @@ class MinSmallFileCountFilter(CandidateFilter):
     def keep(self, candidate: Candidate, now: float) -> bool:
         stats = candidate.statistics
         return stats is not None and stats.small_file_count >= self.min_small_files
-
-
-class MinTotalBytesFilter(CandidateFilter):
-    """Drop candidates smaller than ``min_bytes`` in total.
-
-    Tiny tables are not worth a compaction application's startup cost —
-    the "check the table size to skip tables that are too small" example
-    filter from §3.3.
-    """
-
-    name = "min_total_bytes"
-
-    def __init__(self, min_bytes: int) -> None:
-        if min_bytes < 0:
-            raise ValidationError("min_bytes must be >= 0")
-        self.min_bytes = min_bytes
-
-    def keep(self, candidate: Candidate, now: float) -> bool:
-        stats = candidate.statistics
-        return stats is not None and stats.total_bytes >= self.min_bytes
-
-
-class MinTraitFilter(CandidateFilter):
-    """Keep candidates whose trait ``trait_name`` is at least ``threshold``.
-
-    Applied between orient and decide; the building block of
-    threshold-triggered compaction.
-    """
-
-    name = "min_trait"
-
-    def __init__(self, trait_name: str, threshold: float) -> None:
-        self.trait_name = trait_name
-        self.threshold = threshold
-
-    def keep(self, candidate: Candidate, now: float) -> bool:
-        return candidate.traits.get(self.trait_name, float("-inf")) >= self.threshold
-
-
-class MaxTraitFilter(CandidateFilter):
-    """Keep candidates whose trait ``trait_name`` is at most ``threshold``.
-
-    The §4.2 budget screen: candidates whose estimated compute cost exceeds
-    the per-task allocation are discarded (or flagged) before ranking.
-    """
-
-    name = "max_trait"
-
-    def __init__(self, trait_name: str, threshold: float) -> None:
-        self.trait_name = trait_name
-        self.threshold = threshold
-
-    def keep(self, candidate: Candidate, now: float) -> bool:
-        return candidate.traits.get(self.trait_name, float("inf")) <= self.threshold

@@ -683,14 +683,6 @@ def _audit_log(lock_dir: str | os.PathLike) -> tuple[list[dict], list[str]]:
     return durable.read_jsonl(os.path.join(os.fspath(lock_dir), AUDIT_LOG))
 
 
-def read_audit(lock_dir: str | os.PathLike) -> list[dict]:
-    """Parse the audit log of a lock directory (missing log = empty).
-
-    Lines that do not parse are left out; :func:`verify_audit` reports them.
-    """
-    return _audit_log(lock_dir)[0]
-
-
 def verify_audit(lock_dir: str | os.PathLike) -> AuditSummary:
     """Replay an audit log and check the no-double-compaction invariants.
 

@@ -165,8 +165,3 @@ class OptimizeAfterWriteHook:
         )
         self.decisions.append(decision)
         return decision
-
-    @property
-    def trigger_count(self) -> int:
-        """How many times the hook fired."""
-        return sum(1 for d in self.decisions if d.triggered)

@@ -127,24 +127,6 @@ class CostModel:
         """``RewriteBytesPerHour`` — system rewrite throughput (paper §4.2)."""
         return max(executors, 1) * self.rewrite_bytes_per_executor_s * 3600.0
 
-    def estimate_compaction_gbhr(
-        self, data_size_bytes: int, executor_memory_gb: float, executors: int
-    ) -> float:
-        """The paper's compute-cost estimator, verbatim:
-
-        ``GBHr_c = ExecutorMemoryGB × (DataSize_c / RewriteBytesPerHour)``
-
-        Args:
-            data_size_bytes: candidate's total bytes (``DataSize_c``).
-            executor_memory_gb: total memory allocated to executors.
-            executors: executors used to derive ``RewriteBytesPerHour``.
-        """
-        if data_size_bytes < 0:
-            raise ValidationError("data size must be >= 0")
-        return executor_memory_gb * (
-            data_size_bytes / self.rewrite_bytes_per_hour(executors)
-        )
-
 
 #: A cost model with coarser throughput, handy for quick demos where even
 #: modest tables should show visible latency differences.

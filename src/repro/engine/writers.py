@@ -21,7 +21,6 @@ replays reproducible (NFR2).
 from __future__ import annotations
 
 import abc
-import math
 
 import numpy as np
 
@@ -101,26 +100,24 @@ class MisconfiguredShuffleWriter(WriterProfile):
         return self._normalize(weights, total_bytes)
 
 
+#: Log-normal sigma of a :class:`TrickleWriter`'s individual file sizes.
+TRICKLE_SIZE_SIGMA = 0.5
+
+
 class TrickleWriter(WriterProfile):
     """Emits small files of roughly ``mean_file_size`` regardless of volume.
 
     Args:
         mean_file_size: mean emitted file size (default 8 MiB — CDC-scale).
-        sigma: log-normal sigma of individual file sizes.
         max_files: safety cap on files per write.
     """
 
-    def __init__(
-        self, mean_file_size: int = 8 * MiB, sigma: float = 0.5, max_files: int = 10_000
-    ) -> None:
+    def __init__(self, mean_file_size: int = 8 * MiB, max_files: int = 10_000) -> None:
         if mean_file_size <= 0:
             raise ValidationError("mean_file_size must be positive")
-        if sigma < 0:
-            raise ValidationError("sigma must be >= 0")
         if max_files <= 0:
             raise ValidationError("max_files must be positive")
         self.mean_file_size = mean_file_size
-        self.sigma = sigma
         self.max_files = max_files
 
     def split(self, total_bytes: int, rng: np.random.Generator) -> list[int]:
@@ -128,22 +125,6 @@ class TrickleWriter(WriterProfile):
             return []
         count = min(self.max_files, max(1, round(total_bytes / self.mean_file_size)))
         # Log-normal with mean 1 after correction, preserving the byte total.
-        mu = -0.5 * self.sigma**2
-        weights = rng.lognormal(mu, self.sigma, size=count)
+        mu = -0.5 * TRICKLE_SIZE_SIGMA**2
+        weights = rng.lognormal(mu, TRICKLE_SIZE_SIGMA, size=count)
         return self._normalize(weights, total_bytes)
-
-
-def files_per_write_estimate(writer: WriterProfile, total_bytes: int) -> int:
-    """Expected file count for a write, without consuming randomness.
-
-    Useful for sizing experiments before running them.
-    """
-    if total_bytes <= 0:
-        return 0
-    if isinstance(writer, WellTunedWriter):
-        return max(1, round(total_bytes / writer.target_file_size))
-    if isinstance(writer, MisconfiguredShuffleWriter):
-        return min(writer.num_partitions, max(1, total_bytes))
-    if isinstance(writer, TrickleWriter):
-        return min(writer.max_files, max(1, round(total_bytes / writer.mean_file_size)))
-    return max(1, math.ceil(total_bytes / DEFAULT_TARGET_FILE_SIZE))

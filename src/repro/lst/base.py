@@ -300,11 +300,6 @@ class Transaction:
         """Discard the transaction without committing."""
         self._done = True
 
-    @property
-    def committed_or_aborted(self) -> bool:
-        """Whether the transaction has completed (successfully or not)."""
-        return self._done
-
     def _check_open(self) -> None:
         if self._done:
             raise ValidationError("transaction already committed or aborted")

@@ -115,21 +115,6 @@ class PartitionSpec:
         """Whether the spec has any partition fields."""
         return bool(self.fields)
 
-    def partition_for(self, row: dict[str, object]) -> tuple:
-        """Partition tuple for a row given as a column->value mapping.
-
-        Raises:
-            ValidationError: if a source column is missing from ``row``.
-        """
-        values = []
-        for part_field in self.fields:
-            if part_field.source not in row:
-                raise ValidationError(
-                    f"row missing partition source column {part_field.source!r}"
-                )
-            values.append(part_field.transform.apply(row[part_field.source]))
-        return tuple(values)
-
     def partition_path(self, partition: tuple) -> str:
         """Directory fragment for a partition tuple, e.g. ``'shipdate_month=42'``."""
         if not self.fields:

@@ -56,10 +56,6 @@ class Schema:
     def __len__(self) -> int:
         return len(self.fields)
 
-    def field_names(self) -> list[str]:
-        """Column names in schema order."""
-        return [f.name for f in self.fields]
-
     def has_field(self, name: str) -> bool:
         """Whether a column with ``name`` exists."""
         return any(f.name == name for f in self.fields)

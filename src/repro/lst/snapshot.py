@@ -144,10 +144,6 @@ class Snapshot:
         """Total bytes across live data files."""
         return sum(f.size_bytes for f in self.files.values())
 
-    def files_in_partition(self, partition: tuple) -> list[DataFile]:
-        """Live data files belonging to ``partition``, in id order."""
-        return list(self.files_by_partition.get(partition, ()))
-
     def files_in_partitions(self, partitions) -> list[DataFile]:
         """Live data files belonging to any of ``partitions``, in id order."""
         return select_partitions(self.files_by_partition, partitions)

@@ -25,11 +25,12 @@ plane — into a reusable corpus for policy experiments, in three layers:
   trace type); a :class:`~repro.replay.perturb.Perturbation`
   deterministically rescales the recorded workload first for
   counterfactual what-ifs;
-* **search** — :class:`~repro.replay.whatif.WhatIfRunner` fans a grid or
-  random sample of variants out over a worker pool (dispatching on the
-  trace's type), scores each against the recorded workload, and emits a
-  ranked comparison whose winner can seed :mod:`repro.core.autotune` /
-  :mod:`repro.core.weight_learning` as offline priors.
+* **search** — :class:`~repro.replay.whatif.WhatIfRunner` fans a grid of
+  variants (:func:`~repro.replay.variants.variant_grid`) out over a worker
+  pool (dispatching on the trace's type), scores each against the
+  recorded workload, and emits a ranked comparison whose winner can seed
+  :mod:`repro.core.autotune` / :mod:`repro.core.weight_learning` as
+  offline priors.
 """
 
 from repro.replay.catalog_replay import CatalogReplayer
@@ -53,7 +54,7 @@ from repro.replay.trace import (
     serialize_cycle_report,
     trace_size_bytes,
 )
-from repro.replay.variants import PolicyVariant, sample_variants, variant_grid
+from repro.replay.variants import PolicyVariant, variant_grid
 from repro.replay.whatif import (
     VariantScore,
     WhatIfReport,
@@ -84,7 +85,6 @@ __all__ = [
     "build_replayer",
     "catalog_checkpoint",
     "restore_checkpoint",
-    "sample_variants",
     "serialize_cycle_report",
     "trace_size_bytes",
     "variant_grid",

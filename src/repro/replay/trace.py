@@ -179,10 +179,6 @@ class Trace:
             raise ValidationError("catalog traces carry no FleetConfig")
         return FleetConfig(**self.header["config"])
 
-    def events_of(self, kind: str) -> list[dict]:
-        """All events of one kind, in capture order."""
-        return [event for event in self.events if event["kind"] == kind]
-
     @property
     def days(self) -> int:
         """Number of recorded write days (fleet) or cycle markers (catalog)."""

@@ -16,7 +16,7 @@ what-if run crowns best is byte-for-byte the policy a deployment would run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from repro.core.filters import MinSmallFileCountFilter, QuiescenceFilter
 from repro.core.pipeline import AutoCompPipeline
@@ -29,7 +29,6 @@ from repro.core.traits import ComputeCostTrait, FileCountReductionTrait, TraitRe
 from repro.errors import ValidationError
 from repro.fleet.connectors import FleetBackend, FleetConnector
 from repro.fleet.model import FleetModel
-from repro.simulation.rng import derive_rng
 from repro.units import DAY
 
 #: Ranking families a variant may select.
@@ -114,10 +113,6 @@ class PolicyVariant:
                 f"unknown generation {self.generation!r}; "
                 f"expected one of {GENERATION_STRATEGIES}"
             )
-
-    def renamed(self, name: str) -> "PolicyVariant":
-        """A copy under a different name."""
-        return replace(self, name=name)
 
     # --- serde (the PolicyStore's durable format) -------------------------------
 
@@ -293,30 +288,6 @@ def variant_grid(
                 benefit_weight=weight if ranking == "weighted" else 0.7,
                 k=k,
                 trigger_interval_days=interval,
-            )
-        )
-    return variants
-
-
-def sample_variants(n: int, seed: int = 0) -> list[PolicyVariant]:
-    """``n`` random points of the variant space (deterministic under a seed)."""
-    if n <= 0:
-        raise ValidationError("n must be positive")
-    rng = derive_rng(seed, "policy-lab", "sample-variants")
-    variants = []
-    for index in range(n):
-        ranking = "quota_aware" if rng.uniform() < 0.25 else "weighted"
-        weight = float(round(rng.uniform(0.35, 0.9), 3))
-        k = int(rng.integers(3, 40))
-        interval = int(rng.integers(1, 4))
-        variants.append(
-            PolicyVariant(
-                name=f"sample{index:02d}",
-                ranking=ranking,
-                benefit_weight=weight,
-                k=k,
-                trigger_interval_days=interval,
-                scheduler="concurrent" if rng.uniform() < 0.3 else "sequential",
             )
         )
     return variants

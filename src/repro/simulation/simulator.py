@@ -27,17 +27,11 @@ class Simulator:
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.queue = EventQueue()
-        self._events_fired = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self.clock.now
-
-    @property
-    def events_fired(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_fired
 
     # --- scheduling ---------------------------------------------------------
 
@@ -112,7 +106,6 @@ class Simulator:
         event = self.queue.pop()
         self.clock.advance_to(event.time)
         event.action()
-        self._events_fired += 1
         return True
 
     def run_until(self, end_time: float) -> None:

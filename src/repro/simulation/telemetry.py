@@ -21,7 +21,7 @@ import math
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass
@@ -358,18 +358,6 @@ class Telemetry:
                 series = self._series[name] = MetricSeries(name)
             return series
 
-    def series_names(self, prefix: str = "") -> list[str]:
-        """Sorted names of all series starting with ``prefix``."""
-        with self._lock:
-            return sorted(name for name in self._series if name.startswith(prefix))
-
-    def merge_values(self, names: Iterable[str]) -> list[float]:
-        """Concatenate the values of several series (order: name, then time)."""
-        merged: list[float] = []
-        for name in names:
-            merged.extend(self.series(name).values)
-        return merged
-
     # --- histograms -----------------------------------------------------------
 
     def observe(
@@ -396,21 +384,6 @@ class Telemetry:
                     name, bounds if bounds is not None else LATENCY_BOUNDS_S
                 )
             return hist
-
-    def merge_histogram(self, other: Histogram) -> None:
-        """Fold a remotely-filled histogram (e.g. from a process worker)
-        into the local histogram of the same name, creating it if needed."""
-        with self._lock:
-            hist = self._histograms.get(other.name)
-            if hist is None:
-                self._histograms[other.name] = other.copy()
-            else:
-                hist.merge(other)
-
-    def histogram_names(self, prefix: str = "") -> list[str]:
-        """Sorted names of all histograms starting with ``prefix``."""
-        with self._lock:
-            return sorted(name for name in self._histograms if name.startswith(prefix))
 
     def histogram_summaries(self, prefix: str = "") -> dict[str, dict[str, float]]:
         """:meth:`Histogram.summary` of every histogram starting with ``prefix``.

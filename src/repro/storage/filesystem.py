@@ -54,11 +54,6 @@ class SimulatedFileSystem:
             "storage.rpc.create", self.namenode.create_many, directory, entries, self.clock.now
         )
 
-    def open_file(self, path: str) -> FileInfo:
-        """Open (read) a file (counts an open RPC)."""
-        self.telemetry.increment("storage.rpc.open")
-        return self.namenode.lookup(path)
-
     def record_opens(self, count: int) -> None:
         """Bulk-record ``count`` open RPCs without path lookups.
 
@@ -96,11 +91,6 @@ class SimulatedFileSystem:
         if done:
             self.telemetry.increment(counter, len(done))
         return done
-
-    def list_files(self, prefix: str = "/") -> list[FileInfo]:
-        """List all files under a directory (counts a list RPC)."""
-        self.telemetry.increment("storage.rpc.list")
-        return self.namenode.files_under(prefix)
 
     def exists(self, path: str) -> bool:
         """Whether ``path`` exists (counts a getFileInfo RPC)."""

@@ -106,19 +106,9 @@ class NameNode:
         return len(self._dirs)
 
     @property
-    def object_count(self) -> int:
-        """Files + directories: what an HDFS namespace quota charges."""
-        return len(self._files) + len(self._dirs)
-
-    @property
     def total_bytes(self) -> int:
         """Sum of all file sizes."""
         return self._total_bytes
-
-    @property
-    def total_blocks(self) -> int:
-        """Sum of per-file block counts (NameNode block-map pressure)."""
-        return sum(info.block_count for info in self._files.values())
 
     # --- file operations --------------------------------------------------------
 
@@ -263,19 +253,6 @@ class NameNode:
         needle = prefix + "/"
         return [info for path, info in self._files.items() if path.startswith(needle)]
 
-    def directories_under(self, prefix: str = "/") -> list[str]:
-        """All directories strictly under ``prefix``, sorted.
-
-        Directories are never garbage-collected (matching HDFS), so empty
-        ones keep counting against namespace quotas until removed by an
-        operator.
-        """
-        prefix = normalize_path(prefix)
-        if prefix == "/":
-            return sorted(self._dirs)
-        needle = prefix + "/"
-        return sorted(d for d in self._dirs if d.startswith(needle))
-
     def count_under(self, prefix: str = "/") -> int:
         """Number of files under ``prefix`` (cheaper than materialising)."""
         prefix = normalize_path(prefix)
@@ -312,10 +289,6 @@ class NameNode:
         if quota is None:
             raise ValidationError(f"no quota set on {directory!r}")
         return quota.used, quota.limit
-
-    def quota_directories(self) -> list[str]:
-        """Directories that carry a quota, sorted."""
-        return sorted(self._quotas)
 
     def _enclosing_quotas(self, parent: str) -> tuple[tuple[str, _Quota], ...]:
         """Quotas charged for an entry of directory ``parent`` (``""``: root)."""

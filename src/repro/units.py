@@ -48,13 +48,3 @@ def format_bytes(num_bytes: float) -> str:
         if value >= size:
             return f"{sign}{value / size:.1f} {unit}"
     return f"{sign}{int(value)} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in the largest sensible unit, e.g. ``'2.5 h'``."""
-    sign = "-" if seconds < 0 else ""
-    value = abs(float(seconds))
-    for unit, size in (("d", DAY), ("h", HOUR), ("min", MINUTE)):
-        if value >= size:
-            return f"{sign}{value / size:.1f} {unit}"
-    return f"{sign}{value:.1f} s"

@@ -29,7 +29,7 @@ from repro.workloads.tpch import TPCH_TABLES, create_tpch_database
 from repro.workloads.ingestion import RawIngestionPipeline
 from repro.workloads.cab import CabConfig, CabWorkload
 from repro.workloads.tpcds import TPCDS_TABLES, TpcdsExperiment, create_tpcds_database
-from repro.workloads.lstbench import LstBenchPhase, LstBenchRun, PhaseResult
+from repro.workloads.lstbench import LstBenchRun, PhaseResult
 
 __all__ = [
     "ArrivalPattern",
@@ -37,7 +37,6 @@ __all__ = [
     "CabConfig",
     "CabWorkload",
     "CombinedPattern",
-    "LstBenchPhase",
     "LstBenchRun",
     "PeriodicPattern",
     "PhaseResult",

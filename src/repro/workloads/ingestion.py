@@ -21,6 +21,10 @@ from repro.errors import ValidationError
 from repro.lst.base import BaseTable
 from repro.units import DEFAULT_TARGET_FILE_SIZE, HOUR, MINUTE
 
+#: The micro-batch cadence of the §2 pipeline: raw events land every five
+#: minutes.
+MICRO_BATCH_INTERVAL_S = 5 * MINUTE
+
 
 @dataclass
 class IngestionStats:
@@ -41,7 +45,6 @@ class RawIngestionPipeline:
         session: engine session used for writes.
         events_bytes_per_hour: raw volume arriving per hour.
         target_file_size: hourly-compaction output size (512 MiB default).
-        micro_batch_interval_s: micro-batch cadence (5 minutes default).
     """
 
     def __init__(
@@ -50,23 +53,19 @@ class RawIngestionPipeline:
         session: EngineSession,
         events_bytes_per_hour: int,
         target_file_size: int = DEFAULT_TARGET_FILE_SIZE,
-        micro_batch_interval_s: float = 5 * MINUTE,
     ) -> None:
         if events_bytes_per_hour <= 0:
             raise ValidationError("events_bytes_per_hour must be positive")
-        if micro_batch_interval_s <= 0 or micro_batch_interval_s > HOUR:
-            raise ValidationError("micro_batch_interval_s must be in (0, 1 hour]")
         self.table = table
         self.session = session
         self.events_bytes_per_hour = events_bytes_per_hour
         self.target_file_size = target_file_size
-        self.micro_batch_interval_s = micro_batch_interval_s
         self._writer = WellTunedWriter(target_file_size, jitter=0.12)
 
     @property
     def batches_per_hour(self) -> int:
         """Micro-batches per hourly window."""
-        return max(1, round(HOUR / self.micro_batch_interval_s))
+        return round(HOUR / MICRO_BATCH_INTERVAL_S)
 
     def ingest_hours(self, hours: int, rng: np.random.Generator) -> IngestionStats:
         """Simulate ``hours`` of ingestion.

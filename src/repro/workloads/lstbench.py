@@ -23,7 +23,6 @@ auto-tuner's objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.catalog.catalog import Catalog
 from repro.core.connectors import LstConnector
@@ -63,30 +62,6 @@ class LstBenchRun:
     def total_duration_s(self) -> float:
         """End-to-end duration — the auto-tuning objective."""
         return sum(p.duration_s for p in self.phases)
-
-    @property
-    def total_compactions(self) -> int:
-        """Hook-triggered compactions across all phases."""
-        return sum(p.compactions for p in self.phases)
-
-
-@dataclass(frozen=True)
-class LstBenchPhase:
-    """A custom phase: a body returning ``(duration_s, operations)``."""
-
-    name: str
-    body: Callable[[], tuple[float, int]]
-
-
-def run_phases(workload: str, phases: list[LstBenchPhase]) -> LstBenchRun:
-    """Execute custom phases sequentially into an :class:`LstBenchRun`."""
-    run = LstBenchRun(workload=workload)
-    for phase in phases:
-        duration, operations = phase.body()
-        run.phases.append(
-            PhaseResult(name=phase.name, duration_s=duration, operations=operations)
-        )
-    return run
 
 
 class _World:

@@ -132,18 +132,6 @@ TPCH_TABLES: tuple[TpchTableSpec, ...] = (
 )
 
 
-def tpch_table_spec(name: str) -> TpchTableSpec:
-    """Look up a TPC-H table spec by name.
-
-    Raises:
-        ValidationError: for unknown table names.
-    """
-    for spec in TPCH_TABLES:
-        if spec.name == name:
-            return spec
-    raise ValidationError(f"no TPC-H table named {name!r}")
-
-
 def create_tpch_database(
     catalog: Catalog,
     database: str,

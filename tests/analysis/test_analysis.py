@@ -14,12 +14,9 @@ from repro.analysis import (
     normalize_series,
     percentile,
     render_table,
-    series_chart,
     size_histogram,
     sparkline,
 )
-from repro.analysis.distributions import fraction_below
-from repro.analysis.metrics import relative_change
 from repro.errors import ValidationError
 from repro.units import MiB
 
@@ -37,15 +34,6 @@ class TestSizeHistogram:
 
     def test_default_edges_match_paper(self):
         assert PAPER_BUCKETS_MIB == (16, 32, 64, 128, 256, 512)
-
-    def test_empty_edges_rejected(self):
-        with pytest.raises(ValidationError):
-            size_histogram([MiB], ())
-
-    def test_fraction_below(self):
-        sizes = [MiB, 100 * MiB, 200 * MiB]
-        assert fraction_below(sizes, 128 * MiB) == pytest.approx(2 / 3)
-        assert fraction_below([], 128 * MiB) == 0.0
 
 
 class TestPercentiles:
@@ -78,7 +66,6 @@ class TestCandlestick:
         assert summary.p25 == pytest.approx(25.75)
         assert summary.p75 == pytest.approx(75.25)
         assert summary.spread == 99.0
-        assert summary.iqr == pytest.approx(49.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -99,12 +86,6 @@ class TestSeriesTransforms:
     def test_moving_average_validation(self):
         with pytest.raises(ValidationError):
             moving_average([1.0], 0)
-
-    def test_relative_change(self):
-        assert relative_change(100.0, 150.0) == pytest.approx(0.5)
-        assert relative_change(100.0, 56.0) == pytest.approx(-0.44)
-        with pytest.raises(ValidationError):
-            relative_change(0.0, 1.0)
 
 
 class TestRenderTable:
@@ -143,10 +124,3 @@ class TestCharts:
         assert line[-1] == "█"
         assert sparkline([]) == ""
         assert sparkline([2.0, 2.0]) == "▁▁"
-
-    def test_series_chart_downsamples(self):
-        chart = series_chart({"m": list(map(float, range(100)))}, width=20)
-        assert len(chart.split("| ")[1]) == 20
-
-    def test_series_chart_empty(self):
-        assert series_chart({}) == "(no series)"

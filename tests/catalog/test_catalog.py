@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.lst import DeltaTable, IcebergTable, TableIdentifier
 from repro.lst.maintenance import plan_table_rewrite
-from repro.units import GiB, MiB
+from repro.units import MiB
 
 from tests.conftest import fragment_table
 
@@ -87,9 +87,9 @@ class TestTables:
 
     def test_table_exists(self, catalog, simple_schema):
         catalog.create_database("db")
-        assert not catalog.table_exists("db.t")
+        assert TableIdentifier("db", "t") not in catalog.list_tables()
         catalog.create_table("db.t", simple_schema)
-        assert catalog.table_exists("db.t")
+        assert TableIdentifier("db", "t") in catalog.list_tables()
 
     def test_list_tables(self, catalog, simple_schema):
         catalog.create_database("db1")
@@ -107,7 +107,7 @@ class TestTables:
         fragment_table(table, partitions=[()], files_per_partition=3)
         assert catalog.fs.file_count(table.location) > 0
         catalog.drop_table("db.t")
-        assert not catalog.table_exists("db.t")
+        assert catalog.list_tables() == []
         assert catalog.fs.file_count(table.location) == 0
 
     def test_drop_missing(self, catalog):
@@ -137,29 +137,14 @@ class TestPolicies:
         assert table.target_file_size == 64 * MiB
         assert table.snapshot_retention_s == 0.0
 
-    def test_set_policy(self, catalog, simple_schema):
+    def test_observe_and_rewrite_plan_agree_on_policy_target(self, catalog, simple_schema):
         catalog.create_database("db")
-        catalog.create_table("db.t", simple_schema)
-        catalog.set_policy("db.t", TablePolicy(target_file_size=1 * GiB))
-        assert catalog.policy("db.t").target_file_size == 1 * GiB
-
-    def test_set_policy_updates_table_properties(self, catalog, simple_schema):
-        catalog.create_database("db")
-        table = catalog.create_table("db.t", simple_schema)
-        catalog.set_policy(
-            "db.t", TablePolicy(target_file_size=256 * MiB, snapshot_retention_s=60.0)
-        )
-        assert table.target_file_size == 256 * MiB
-        assert table.snapshot_retention_s == 60.0
-
-    def test_observe_and_rewrite_plan_agree_after_set_policy(self, catalog, simple_schema):
-        catalog.create_database("db")
-        table = catalog.create_table("db.t", simple_schema)
+        policy = TablePolicy(target_file_size=256 * MiB)
+        table = catalog.create_table("db.t", simple_schema, policy=policy)
         txn = table.new_append()
         for size in (100, 100, 300, 300):
             txn.add_file(size * MiB)
         txn.commit()
-        catalog.set_policy("db.t", TablePolicy(target_file_size=256 * MiB))
         key = CandidateKey(database="db", table="t", scope=CandidateScope.TABLE)
         (candidate,) = LstConnector(catalog).observe([key])
         plan = plan_table_rewrite(table)
@@ -171,8 +156,6 @@ class TestPolicies:
         catalog.create_database("db")
         with pytest.raises(NoSuchTableError):
             catalog.policy("db.ghost")
-        with pytest.raises(NoSuchTableError):
-            catalog.set_policy("db.ghost", TablePolicy())
 
     def test_policy_validation(self):
         with pytest.raises(ValidationError):
@@ -181,9 +164,3 @@ class TestPolicies:
             TablePolicy(snapshot_retention_s=-1)
         with pytest.raises(ValidationError):
             TablePolicy(min_age_before_compaction_s=-1)
-
-    def test_policy_with_overrides(self):
-        base = TablePolicy()
-        changed = base.with_overrides(compaction_enabled=False)
-        assert not changed.compaction_enabled
-        assert changed.target_file_size == base.target_file_size

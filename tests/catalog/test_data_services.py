@@ -59,13 +59,3 @@ class TestHealthReporting:
         catalog.create_database("db")
         catalog.create_table("db.empty", simple_schema)
         assert DataServices(catalog).out_of_policy_tables() == []
-
-    def test_table_health_metrics(self, catalog, simple_schema):
-        catalog.create_database("db")
-        table = catalog.create_table("db.t", simple_schema)
-        fragment_table(table, partitions=[()], files_per_partition=4, file_size=MiB)
-        health = DataServices(catalog).table_health(table)
-        assert health["file_count"] == 4
-        assert health["small_file_count"] == 4
-        assert health["small_file_fraction"] == 1.0
-        assert health["metadata_version"] == 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core import CostFrugalOptimizer, Parameter, RandomSearchOptimizer
@@ -128,17 +126,6 @@ class TestCostFrugalOptimizer:
             CostFrugalOptimizer(initial_step=0)
         with pytest.raises(ValidationError):
             CostFrugalOptimizer(patience=0)
-
-
-class TestTuningResult:
-    def test_best_so_far_is_monotone(self):
-        result = RandomSearchOptimizer().optimize(
-            quadratic, [Parameter("x", 0, 1000)], iterations=30, seed=7
-        )
-        series = result.best_so_far_series()
-        assert all(b <= a for a, b in zip(series, series[1:]))
-        assert series[-1] == result.best_objective
-        assert not math.isinf(series[0])
 
 
 class TestValidation:

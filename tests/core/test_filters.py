@@ -9,12 +9,8 @@ from repro.core import (
     CandidateKey,
     CandidateScope,
     CandidateStatistics,
-    MaxTraitFilter,
-    MinFileCountFilter,
     MinSmallFileCountFilter,
     MinTableAgeFilter,
-    MinTotalBytesFilter,
-    MinTraitFilter,
     QuiescenceFilter,
 )
 from repro.core.filters import apply_filters
@@ -67,44 +63,11 @@ class TestQuiescence:
 
 
 class TestCountAndSizeFilters:
-    def test_min_file_count(self):
-        count_filter = MinFileCountFilter(3)
-        assert not count_filter.keep(_candidate(sizes=[MiB, MiB]), now=0)
-        assert count_filter.keep(_candidate(sizes=[MiB] * 3), now=0)
-
     def test_min_small_file_count(self):
         small_filter = MinSmallFileCountFilter(2)
         mostly_large = _candidate(sizes=[TARGET, TARGET, MiB])
         assert not small_filter.keep(mostly_large, now=0)
         assert small_filter.keep(_candidate(sizes=[MiB, MiB]), now=0)
-
-    def test_min_total_bytes(self):
-        size_filter = MinTotalBytesFilter(10 * MiB)
-        assert not size_filter.keep(_candidate(sizes=[MiB]), now=0)
-        assert size_filter.keep(_candidate(sizes=[20 * MiB]), now=0)
-
-
-class TestTraitFilters:
-    def test_min_trait(self):
-        candidate = _candidate()
-        candidate.traits["benefit"] = 5.0
-        assert MinTraitFilter("benefit", 5.0).keep(candidate, now=0)
-        assert not MinTraitFilter("benefit", 5.1).keep(candidate, now=0)
-
-    def test_min_trait_missing_drops(self):
-        assert not MinTraitFilter("ghost", 0.0).keep(_candidate(), now=0)
-
-    def test_max_trait_budget_screen(self):
-        """§4.2: candidates exceeding the per-task budget are discarded."""
-        cheap = _candidate(name="cheap")
-        cheap.traits["compute_cost_gbhr"] = 10.0
-        pricey = _candidate(name="pricey")
-        pricey.traits["compute_cost_gbhr"] = 1000.0
-        budget = MaxTraitFilter("compute_cost_gbhr", 100.0)
-        assert budget.apply([cheap, pricey], now=0) == [cheap]
-
-    def test_max_trait_missing_drops(self):
-        assert not MaxTraitFilter("ghost", 10.0).keep(_candidate(), now=0)
 
 
 class TestApplyFilters:
@@ -114,7 +77,7 @@ class TestApplyFilters:
             _candidate(sizes=[MiB] * 5, name="b", created_at=100.0),
             _candidate(sizes=[MiB] * 5, name="c"),
         ]
-        filters = [MinFileCountFilter(2), MinTableAgeFilter(50.0)]
+        filters = [MinSmallFileCountFilter(2), MinTableAgeFilter(50.0)]
         kept = apply_filters(filters, candidates, now=60.0)
         assert [c.key.table for c in kept] == ["c"]
 
@@ -124,5 +87,5 @@ class TestApplyFilters:
 
     def test_order_preserved(self):
         candidates = [_candidate(name=f"t{i}") for i in range(5)]
-        kept = apply_filters([MinFileCountFilter(1)], candidates, now=0)
+        kept = apply_filters([MinSmallFileCountFilter(1)], candidates, now=0)
         assert [c.key.table for c in kept] == [f"t{i}" for i in range(5)]

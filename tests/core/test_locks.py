@@ -22,9 +22,9 @@ from repro.core.locks import (
     LockManager,
     default_owner,
     lock_slug,
-    read_audit,
     verify_audit,
 )
+from repro.durable import read_jsonl
 from repro.errors import ValidationError
 
 
@@ -69,6 +69,11 @@ def file_opens(monkeypatch):
 
 def lock_names(lock_dir) -> list[str]:
     return sorted(name for name in os.listdir(lock_dir) if name.endswith(LOCK_SUFFIX))
+
+
+def read_audit(lock_dir) -> list[dict]:
+    """The parsed records of a lock directory's audit log."""
+    return read_jsonl(os.path.join(lock_dir, AUDIT_LOG))[0]
 
 
 def last_audit(lock_dir) -> dict:
@@ -331,9 +336,6 @@ class TestAudit:
         summary = verify_audit(lock_dir)
         assert summary.ok, summary.violations
         assert summary.reclaims == 1
-
-    def test_read_audit_missing_log(self, tmp_path):
-        assert read_audit(tmp_path / "nope") == []
 
     def test_verify_reports_a_record_lost_mid_log(self, lock_dir):
         a = LockManager(lock_dir, owner="a")

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core import (
     AutoCompPipeline,
+    CandidateFilter,
     LstConnector,
     LstExecutionBackend,
     MinSmallFileCountFilter,
     MinTableAgeFilter,
-    MinTraitFilter,
     Objective,
     SequentialScheduler,
     TopKSelector,
@@ -102,9 +102,11 @@ class TestRunCycle:
         assert late.after_stats_filters == 3
 
     def test_trait_filters_apply_after_orient(self, fragmented_catalog):
-        pipeline = _make_pipeline(
-            fragmented_catalog, trait_filters=[MinTraitFilter("file_count_reduction", 10)]
-        )
+        class ReducesTenFiles(CandidateFilter):
+            def keep(self, candidate, now):
+                return candidate.traits["file_count_reduction"] >= 10
+
+        pipeline = _make_pipeline(fragmented_catalog, trait_filters=[ReducesTenFiles()])
         report = pipeline.run_cycle(now=HOUR)
         assert report.after_trait_filters == 1
 

@@ -57,7 +57,7 @@ class TestPolicyStore:
         store = PolicyStore(tmp_path)
         store.initialize(ACTIVE)
         with pytest.raises(ValidationError):
-            store.set_pool([CHALLENGER, CHALLENGER.renamed("eager")])
+            store.set_pool([CHALLENGER, PolicyVariant(name="eager")])
 
     def test_promote_guard_confirm_lifecycle(self, tmp_path):
         store = PolicyStore(tmp_path)

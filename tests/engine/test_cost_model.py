@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import CandidateStatistics
+from repro.core.traits import ComputeCostTrait
 from repro.engine import CostModel
 from repro.errors import ValidationError
 from repro.lst import DataFile, DeleteFile
@@ -124,25 +126,18 @@ class TestWriteAndRewrite:
 
 class TestGbhrFormula:
     def test_paper_formula_verbatim(self):
-        """GBHr_c = ExecutorMemoryGB × (DataSize_c / RewriteBytesPerHour)."""
+        """GBHr_c = ExecutorMemoryGB × (DataSize_c / RewriteBytesPerHour), with
+        RewriteBytesPerHour from the cost model, as ``openhouse_pipeline``
+        composes them."""
         model = CostModel(rewrite_bytes_per_executor_s=64 * MiB)
         executors = 3
         rbph = model.rewrite_bytes_per_hour(executors)
         assert rbph == executors * 64 * MiB * 3600
-        data_size = 10 * GiB
         memory = 192.0
-        expected = memory * (data_size / rbph)
-        assert model.estimate_compaction_gbhr(data_size, memory, executors) == pytest.approx(
-            expected
-        )
-
-    def test_zero_data_zero_cost(self):
-        model = CostModel()
-        assert model.estimate_compaction_gbhr(0, 64.0, 4) == 0.0
-
-    def test_negative_data_rejected(self):
-        with pytest.raises(ValidationError):
-            CostModel().estimate_compaction_gbhr(-1, 64.0, 4)
+        trait = ComputeCostTrait(executor_memory_gb=memory, rewrite_bytes_per_hour=rbph)
+        data_size = 10 * GiB  # all of it in files below the target
+        stats = CandidateStatistics.from_file_sizes([data_size], target_file_size=20 * GiB)
+        assert trait.compute(stats) == pytest.approx(memory * (data_size / rbph))
 
     def test_invalid_throughputs_rejected(self):
         with pytest.raises(ValidationError):

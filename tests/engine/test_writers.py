@@ -10,7 +10,6 @@ from repro.engine import (
     TrickleWriter,
     WellTunedWriter,
 )
-from repro.engine.writers import files_per_write_estimate
 from repro.errors import ValidationError
 from repro.simulation import derive_rng
 from repro.units import GiB, MiB
@@ -103,19 +102,3 @@ class TestDeterminism:
         a = writer.split(1 * GiB, derive_rng(5, "w"))
         b = writer.split(1 * GiB, derive_rng(5, "w"))
         assert a == b
-
-
-class TestEstimates:
-    def test_estimates_match_actuals(self, rng):
-        cases = [
-            (WellTunedWriter(), 4 * GiB),
-            (MisconfiguredShuffleWriter(77), 1 * GiB),
-            (TrickleWriter(mean_file_size=16 * MiB), 320 * MiB),
-        ]
-        for writer, total in cases:
-            estimate = files_per_write_estimate(writer, total)
-            actual = len(writer.split(total, rng))
-            assert estimate == actual
-
-    def test_zero_volume(self):
-        assert files_per_write_estimate(WellTunedWriter(), 0) == 0

@@ -115,7 +115,7 @@ class TestVanishingTables:
         with pytest.raises(NoSuchTableError):
             pipeline.run_cycle(now=0.0)
         # Catalog state is consistent: the table is gone, nothing dangling.
-        assert not catalog.table_exists("db.doomed")
+        assert catalog.list_tables("db") == []
 
 
 class TestConflictStorm:

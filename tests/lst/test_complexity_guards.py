@@ -69,7 +69,7 @@ class TestCommitCost:
         assert built == {"DataFile": 12, "FileInfo": 15}
 
     def test_rewrite_never_hashes_a_data_file(self, big_table, monkeypatch):
-        sources = big_table.current_snapshot().files_in_partition((7,))
+        sources = big_table.current_snapshot().files_in_partitions([(7,)])
         monkeypatch.setattr(DataFile, "__hash__", _forbid)
         txn = big_table.new_rewrite()
         txn.rewrite(sources, [len(sources) * MiB])
@@ -79,7 +79,7 @@ class TestCommitCost:
 
 class TestExpiryCost:
     def test_expiring_one_snapshot_checks_only_the_delta(self, big_table, monkeypatch):
-        sources = big_table.current_snapshot().files_in_partition((3,))
+        sources = big_table.current_snapshot().files_in_partitions([(3,)])
         txn = big_table.new_rewrite()
         txn.rewrite(sources, [len(sources) * MiB])
         txn.commit()

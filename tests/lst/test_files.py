@@ -111,10 +111,10 @@ class TestRecordValueSemantics:
 class TestSnapshotAccessors:
     def test_files_in_partition(self, fragmented_table):
         snapshot = fragmented_table.current_snapshot()
-        part0 = snapshot.files_in_partition((0,))
+        part0 = snapshot.files_in_partitions([(0,)])
         assert len(part0) == 10
         assert all(f.partition == (0,) for f in part0)
-        assert snapshot.files_in_partition((99,)) == []
+        assert snapshot.files_in_partitions([(99,)]) == []
 
     def test_partitions_sorted(self, fragmented_table):
         assert fragmented_table.current_snapshot().partitions() == [(0,), (1,)]

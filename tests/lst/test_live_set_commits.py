@@ -113,5 +113,5 @@ class TestPartitionIndex:
         plan = table.scan(partitions=[(1,), (0,), (1,)])
         assert [f.file_id for f in plan.files] == [1, 2, 4, 5]
         snapshot = table.current_snapshot()
-        assert [f.file_id for f in snapshot.files_in_partition((0,))] == [1, 4]
+        assert [f.file_id for f in snapshot.files_in_partitions([(0,)])] == [1, 4]
         assert snapshot.files_in_partitions([(3,)]) == []

@@ -49,27 +49,23 @@ class TestPartitionSpec:
     def test_unpartitioned(self):
         spec = PartitionSpec.unpartitioned()
         assert not spec.is_partitioned
-        assert spec.partition_for({"a": 1}) == ()
         assert spec.partition_path(()) == ""
 
     def test_single_field(self):
         spec = PartitionSpec.of(PartitionField("ship_date", MonthTransform()))
         assert spec.is_partitioned
-        assert spec.partition_for({"ship_date": 65}) == (2,)
+        assert spec.partition_path((2,)) == "ship_date_month=2"
 
     def test_multi_field(self):
         spec = PartitionSpec.of(
             PartitionField("d", MonthTransform()),
             PartitionField("k", BucketTransform(4)),
         )
-        partition = spec.partition_for({"d": 31, "k": "abc"})
-        assert partition[0] == 1
-        assert 0 <= partition[1] < 4
-
-    def test_missing_source_column(self):
-        spec = PartitionSpec.of(PartitionField("d", MonthTransform()))
+        path = spec.partition_path((1, 3))
+        assert path.startswith("d_month=1/")
+        assert path.endswith("=3")
         with pytest.raises(ValidationError):
-            spec.partition_for({"other": 1})
+            spec.partition_path((1,))
 
     def test_partition_path(self):
         spec = PartitionSpec.of(PartitionField("d", MonthTransform(), name="month"))

@@ -34,7 +34,7 @@ class TestSchema:
     def test_of_builder(self):
         schema = Schema.of(Field("a", "int"), Field("b", "string"))
         assert len(schema) == 2
-        assert schema.field_names() == ["a", "b"]
+        assert [f.name for f in schema.fields] == ["a", "b"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError):

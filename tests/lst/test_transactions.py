@@ -70,7 +70,7 @@ class TestAppend:
         assert table._next_file_id == next_id
 
     def test_negative_delete_record_count_rejected(self, fragmented_table):
-        references = fragmented_table.current_snapshot().files_in_partition((0,))[:1]
+        references = fragmented_table.current_snapshot().files_in_partitions([(0,)])[:1]
         txn = fragmented_table.new_row_delta()
         with pytest.raises(ValidationError):
             txn.add_deletes(100, references, record_count=-1)
@@ -92,7 +92,8 @@ class TestAppend:
         txn.abort()
         assert table.version == 0
         assert table.data_file_count == 0
-        assert txn.committed_or_aborted
+        with pytest.raises(ValidationError):
+            txn.commit()
 
     def test_quota_overflow_part_way_keeps_the_created_prefix(self, table, fs):
         """A commit that overflows a quota mid-append leaves the files it

@@ -79,10 +79,10 @@ def full_snapshot(telemetry: Telemetry) -> dict:
         "counters": telemetry.counters_with_prefix(""),
         "series": {
             name: (list(telemetry.series(name).times), list(telemetry.series(name).values))
-            for name in telemetry.series_names()
+            for name in sorted(telemetry.snapshot()["series"])
         },
         "histograms": {
-            name: telemetry.histogram(name).copy() for name in telemetry.histogram_names()
+            name: hist for name, hist in sorted(telemetry.snapshot()["histograms"].items())
         },
     }
 
@@ -160,10 +160,11 @@ def reference_status(telemetry: Telemetry, exports: int) -> dict:
         "exports": exports,
         "inf": math.inf,
         "series_last": [
-            telemetry.series(name).last() for name in telemetry.series_names()
+            telemetry.series(name).last() for name in sorted(telemetry.snapshot()["series"])
         ],
         "histograms": {
-            name: telemetry.histogram(name).summary() for name in telemetry.histogram_names()
+            name: hist.summary()
+            for name, hist in sorted(telemetry.snapshot()["histograms"].items())
         },
     }
 

@@ -94,7 +94,7 @@ class TestNamespaceProperties:
         used, _ = node.quota_usage("/q")
         # Recount from scratch: files plus (never-garbage-collected)
         # directories, matching HDFS namespace-quota semantics.
-        recount = len(node.files_under("/q")) + len(node.directories_under("/q"))
+        recount = len(node.files_under("/q")) + sum(d.startswith("/q/") for d in node._dirs)
         assert recount == used
 
 
@@ -149,7 +149,7 @@ def _state(fs: SimulatedFileSystem):
     return (
         node._files,
         node._dirs,
-        {d: node.quota_usage(d) for d in node.quota_directories()},
+        {d: node.quota_usage(d) for d in sorted(node._quotas)},
         node.total_bytes,
         fs.telemetry.counters_with_prefix("storage.rpc."),
     )
@@ -178,6 +178,7 @@ class TestBatchOracle:
             # The shared one-file path must be right too, not just agree.
             node = batched.namenode
             assert not node._files.keys() & node._dirs
-            for directory in node.quota_directories():
-                recount = len(node.files_under(directory)) + len(node.directories_under(directory))
+            for directory in node._quotas:
+                inside = sum(d.startswith(directory + "/") for d in node._dirs)
+                recount = len(node.files_under(directory)) + inside
                 assert node.quota_usage(directory)[0] == recount

@@ -35,6 +35,11 @@ from tests.replay.conftest import record_cab_run, rechunk_trace, small_cab_confi
 RECORD_VARIANT = PolicyVariant(name="w0.70-k10", k=10)
 
 
+def events_of(trace, kind: str) -> list[dict]:
+    """A trace's events of one kind, in capture order."""
+    return [event for event in trace.events if event["kind"] == kind]
+
+
 @pytest.fixture(scope="module")
 def recorded_cab():
     buffer = io.StringIO()
@@ -59,7 +64,7 @@ class TestCatalogRecording:
             cab_trace.config()
 
     def test_commit_events_carry_version_tokens(self, cab_trace):
-        commits = cab_trace.events_of("table_commit")
+        commits = events_of(cab_trace, "table_commit")
         assert commits
         by_table: dict[str, int] = {}
         for event in commits:
@@ -70,10 +75,10 @@ class TestCatalogRecording:
             by_table[name] = event["version"]
 
     def test_rewrites_are_replace_commits(self, cab_trace):
-        assert any(e["op"] == "replace" for e in cab_trace.events_of("table_commit"))
+        assert any(e["op"] == "replace" for e in events_of(cab_trace, "table_commit"))
 
     def test_cycle_events_hold_serialized_reports(self, cab_trace, recorded_cab):
-        recorded = [event["report"] for event in cab_trace.events_of("cycle")]
+        recorded = [event["report"] for event in events_of(cab_trace, "cycle")]
         assert recorded == [serialize_cycle_report(r) for r in recorded_cab[3]]
 
     def test_cycle_stamp_floors_at_catalog_clock(self):
@@ -102,12 +107,12 @@ class TestCatalogRecording:
         pipeline.run_cycle()  # defaults now=0.0
         recorder.close()
         trace = TraceReader(io.StringIO(buffer.getvalue())).read()  # must validate
-        assert trace.events_of("cycle")[-1]["t"] == HOUR
+        assert events_of(trace, "cycle")[-1]["t"] == HOUR
 
     def test_ingested_bytes_counts_workload_not_rewrites(self, cab_trace):
         expected = sum(
             size
-            for event in cab_trace.events_of("table_commit")
+            for event in events_of(cab_trace, "table_commit")
             if event["op"] != "replace"
             for _, size in event["added"]
         )
@@ -150,7 +155,7 @@ class TestCatalogWhatIfReplay:
     def test_trigger_interval_skips_markers(self, cab_trace):
         lazy = PolicyVariant(name="lazy", k=10, trigger_interval_days=2)
         result = CatalogReplayer(cab_trace).replay(lazy)
-        markers = len(cab_trace.events_of("cycle"))
+        markers = len(events_of(cab_trace, "cycle"))
         assert len(result.reports) == markers // 2
 
     def test_counterfactual_policy_diverges(self, cab_trace):
@@ -336,7 +341,7 @@ class TestPerturbation:
         assert not Perturbation(database_scales={"a": 2.0}).is_identity
 
     def test_database_scales_skew_only_the_named_tenant(self, cab_trace):
-        commits = cab_trace.events_of("table_commit")
+        commits = events_of(cab_trace, "table_commit")
         databases = {e["database"] for e in commits if e["op"] != "replace"}
         target = sorted(databases)[0]
         skew = Perturbation(database_scales={target: 3.0})

@@ -15,7 +15,6 @@ from repro.replay import (
     PolicyVariant,
     TraceReader,
     WhatIfRunner,
-    sample_variants,
     variant_grid,
 )
 
@@ -205,10 +204,6 @@ class TestVariantHelpers:
         assert len(names) == len(set(names))
         # quota-aware points collapse over benefit_weight.
         assert sum(1 for v in grid if v.ranking == "quota_aware") == 4
-
-    def test_sample_variants_deterministic(self):
-        assert sample_variants(6, seed=3) == sample_variants(6, seed=3)
-        assert sample_variants(6, seed=3) != sample_variants(6, seed=4)
 
     def test_variant_validation(self):
         with pytest.raises(ValidationError):

@@ -99,7 +99,6 @@ class TestRun:
             sim.at(t, lambda t=t: fired.append(t))
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
-        assert sim.events_fired == 3
 
     def test_run_guards_against_infinite_loops(self):
         sim = Simulator()

@@ -155,20 +155,6 @@ class TestTelemetrySeries:
         telemetry.record("fresh", 1.0, 2.0)
         assert telemetry.series("fresh").values == [2.0]
 
-    def test_series_names_prefix(self):
-        telemetry = Telemetry()
-        telemetry.record("a.x", 0.0, 1.0)
-        telemetry.record("a.y", 0.0, 1.0)
-        telemetry.record("b.z", 0.0, 1.0)
-        assert telemetry.series_names("a.") == ["a.x", "a.y"]
-
-    def test_merge_values(self):
-        telemetry = Telemetry()
-        telemetry.record("a", 0.0, 1.0)
-        telemetry.record("b", 0.0, 2.0)
-        telemetry.record("a", 1.0, 3.0)
-        assert telemetry.merge_values(["a", "b"]) == [1.0, 3.0, 2.0]
-
 
 class TestExponentialBounds:
     def test_values(self):
@@ -306,23 +292,6 @@ class TestTelemetryHistograms:
         telemetry.observe("n", 4.0, bounds=(99.0,))  # ignored: layout is fixed
         assert telemetry.histogram("n").bounds == (1.0, 10.0)
         assert telemetry.histogram("n").count == 2
-
-    def test_merge_histogram_creates_or_folds(self):
-        telemetry = Telemetry()
-        remote = Histogram("w", bounds=(1.0,))
-        remote.observe(0.5)
-        telemetry.merge_histogram(remote)
-        remote.observe(0.5)  # the sink must have copied, not aliased
-        assert telemetry.histogram("w").count == 1
-        telemetry.merge_histogram(remote)
-        assert telemetry.histogram("w").count == 3
-
-    def test_histogram_names_prefix(self):
-        telemetry = Telemetry()
-        telemetry.observe("a.x", 1.0)
-        telemetry.observe("a.y", 1.0)
-        telemetry.observe("b.z", 1.0)
-        assert telemetry.histogram_names("a.") == ["a.x", "a.y"]
 
     def test_snapshot_is_a_consistent_copy(self):
         telemetry = Telemetry()

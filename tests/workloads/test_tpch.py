@@ -7,8 +7,10 @@ import pytest
 from repro.engine import MisconfiguredShuffleWriter, WellTunedWriter
 from repro.errors import ValidationError
 from repro.units import GiB, MiB
+from repro.lst import TableIdentifier
 from repro.workloads import TPCH_TABLES, create_tpch_database
-from repro.workloads.tpch import tpch_table_spec
+
+SPECS = {spec.name: spec for spec in TPCH_TABLES}
 
 
 class TestTableSpecs:
@@ -27,21 +29,17 @@ class TestTableSpecs:
         }
 
     def test_dbgen_cardinalities(self):
-        assert tpch_table_spec("lineitem").rows_per_sf == 6_000_000
-        assert tpch_table_spec("orders").rows_per_sf == 1_500_000
-        assert tpch_table_spec("nation").rows_per_sf == 25
+        assert SPECS["lineitem"].rows_per_sf == 6_000_000
+        assert SPECS["orders"].rows_per_sf == 1_500_000
+        assert SPECS["nation"].rows_per_sf == 25
 
     def test_lineitem_partitioned_by_shipdate(self):
-        assert tpch_table_spec("lineitem").partition_column == "l_shipdate"
-        assert tpch_table_spec("orders").partition_column is None
+        assert SPECS["lineitem"].partition_column == "l_shipdate"
+        assert SPECS["orders"].partition_column is None
 
     def test_bytes_scale_linearly(self):
-        spec = tpch_table_spec("lineitem")
+        spec = SPECS["lineitem"]
         assert spec.bytes_at(2.0) == 2 * spec.bytes_at(1.0)
-
-    def test_unknown_table(self):
-        with pytest.raises(ValidationError):
-            tpch_table_spec("widgets")
 
 
 class TestCreateDatabase:
@@ -50,7 +48,7 @@ class TestCreateDatabase:
             catalog, "tpch", 0.5, session, WellTunedWriter(), months=6
         )
         assert set(tables) == {spec.name for spec in TPCH_TABLES}
-        assert catalog.table_exists("tpch.lineitem")
+        assert TableIdentifier("tpch", "lineitem") in catalog.list_tables()
 
     def test_lineitem_monthly_partitions(self, catalog, session):
         tables = create_tpch_database(
@@ -83,7 +81,7 @@ class TestCreateDatabase:
             catalog, "tpch", 2.0, session, WellTunedWriter(), months=10
         )
         lineitem_bytes = tables["lineitem"].total_data_bytes
-        expected = tpch_table_spec("lineitem").bytes_at(2.0)
+        expected = SPECS["lineitem"].bytes_at(2.0)
         assert abs(lineitem_bytes - expected) / expected < 0.05
 
     def test_quota_applied(self, catalog, session):
