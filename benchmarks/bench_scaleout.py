@@ -12,12 +12,12 @@ latency for:
   :class:`~repro.fleet.ShardedAutoCompStrategy`: consistent-hash sharding
   plus per-shard incremental observation caches (version-token
   invalidation), global selection;
-* (with ``--workers processes``) **thread- vs process-mode shard
-  workers** under a CPU-bound observe workload (``--observe-cost`` burns
-  deterministic per-candidate CPU emulating real statistics-collection
-  cost): threads serialize that work on the GIL, process workers spread
-  it across cores via :class:`~repro.core.workers.ShardWorkSpec` round
-  trips.
+* (with ``--workers``) **inline vs process-mode shard workers** under a
+  CPU-bound observe workload (``--observe-cost`` burns deterministic
+  per-candidate CPU emulating real statistics-collection cost): inline
+  cycles run that work shard after shard on the calling thread, process
+  workers spread it across cores via
+  :class:`~repro.core.workers.ShardWorkSpec` round trips.
 
 All configurations run the same decisions (global selection is exactly
 equivalent to the unsharded pipeline, and worker modes produce identical
@@ -44,7 +44,7 @@ Run as a script::
 assertions; the full run asserts the >=2x sharding speedup at 4 shards on
 a 2,000-table fleet, that sharded selections are deterministic across
 repeated runs, and — under ``--workers processes`` on a >=4-core host —
-that process workers beat thread workers by >=1.5x on the CPU-bound
+that process workers beat inline cycles by >=1.5x on the CPU-bound
 observe workload.  ``--json`` writes the measured metrics for the CI
 perf-regression gate (``benchmarks/check_regression.py``).
 """
@@ -153,25 +153,26 @@ def measure(tables: int, shard_counts: list[int], days: int, seed: int) -> dict:
 def measure_worker_modes(
     tables: int, n_shards: int, days: int, seed: int, observe_cost: int
 ) -> dict:
-    """Thread- vs process-mode sharded latency under CPU-bound observation.
+    """Inline vs process-mode sharded latency under CPU-bound observation.
 
     Both modes run identical fleets with the same ``observe_cost`` burned
-    per statistics rebuild (in the coordinator for threads, in the worker
+    per statistics rebuild (in the coordinator inline, in the worker
     processes for processes), interleaved day by day; per-cycle selections
     are recorded and compared, so the table demonstrates both the
     multi-core speedup and the modes' identical decisions.
     """
     runs: list[tuple[str, ShardedAutoCompStrategy, FleetModel]] = []
-    for mode in ("threads", "processes"):
+    for mode in ("inline", "processes"):
         model = _fresh_model(tables, seed)
         strategy = ShardedAutoCompStrategy(
             model,
             n_shards=n_shards,
             k=TOP_K,
             workers=mode,
-            # Explicit width: the process path must engage even when the
-            # host advertises a single core (correctness is measured
-            # everywhere; the speedup assertion is gated on cores).
+            # Explicit width (read by process mode only): the process path
+            # must engage even when the host advertises a single core
+            # (correctness is measured everywhere; the speedup assertion
+            # is gated on cores).
             max_workers=n_shards,
             observe_cost=observe_cost,
         )
@@ -199,15 +200,15 @@ def measure_worker_modes(
         for _, strategy, _ in runs:
             strategy.close()
 
-    thread_latency = statistics.median(latencies["threads"])
+    inline_latency = statistics.median(latencies["inline"])
     process_latency = statistics.median(latencies["processes"])
     return {
-        "threads": {"latency_s": thread_latency, "speedup": 1.0},
+        "inline": {"latency_s": inline_latency, "speedup": 1.0},
         "processes": {
             "latency_s": process_latency,
-            "speedup": thread_latency / process_latency,
+            "speedup": inline_latency / process_latency,
         },
-        "identical_selections": selections["threads"] == selections["processes"],
+        "identical_selections": selections["inline"] == selections["processes"],
     }
 
 
@@ -277,11 +278,11 @@ class ObserveCostTrait(Trait):
     so the statistics-collection work a production connector pays per
     candidate (manifest parsing, column-stat decoding) is absent.  This
     trait burns :func:`~repro.core.workers.burn_cpu` rounds keyed on the
-    candidate's file count — bit-identical across the per-object (thread)
+    candidate's file count — bit-identical across the per-object (inline)
     and columnar (worker) paths — and stores the checksum as an inert
     trait value (the
-    policy's objectives only read the two named OpenHouse traits).  Thread
-    workers serialize the burn on the GIL; process workers spread it.
+    policy's objectives only read the two named OpenHouse traits).  Inline
+    cycles run the burn on the coordinator; process workers spread it.
     """
 
     name = "observe_cost_checksum"
@@ -418,7 +419,7 @@ def measure_lst_worker_modes(
     seed: int,
     observe_cost: int,
 ) -> dict:
-    """Thread- vs process-mode sharded cycles over the live-catalog connector.
+    """Inline vs process-mode sharded cycles over the live-catalog connector.
 
     Unlike the fleet rows, LST observation is real per-table Python work
     (file listing, policy lookup, statistics from raw sizes — plus the
@@ -428,7 +429,7 @@ def measure_lst_worker_modes(
     comparison covers the full in-worker OODA path.
     """
     runs = []
-    for mode in ("threads", "processes"):
+    for mode in ("inline", "processes"):
         catalog = _build_lst_catalog(tables, seed)
         pipeline = _lst_pipeline(
             catalog,
@@ -440,16 +441,16 @@ def measure_lst_worker_modes(
         runs.append((mode, catalog, pipeline))
     latencies, selections = _interleaved_lst_cycles(runs, days)
 
-    thread_latency = statistics.median(latencies["threads"])
+    inline_latency = statistics.median(latencies["inline"])
     process_latency = statistics.median(latencies["processes"])
     return {
-        "threads": {"latency_s": thread_latency, "speedup": 1.0},
+        "inline": {"latency_s": inline_latency, "speedup": 1.0},
         "processes": {
             "latency_s": process_latency,
-            "speedup": thread_latency / process_latency,
+            "speedup": inline_latency / process_latency,
         },
-        "identical_selections": selections["threads"] == selections["processes"],
-        "selected_total": sum(len(day) for day in selections["threads"]),
+        "identical_selections": selections["inline"] == selections["processes"],
+        "selected_total": sum(len(day) for day in selections["inline"]),
     }
 
 
@@ -470,7 +471,7 @@ def measure_lst_payload(tables: int, n_shards: int, seed: int) -> dict:
     sizes: dict[bool, dict[str, int]] = {}
     for decide in (False, True):
         catalog = _build_lst_catalog(tables, seed)
-        pipeline = _lst_pipeline(catalog, n_shards, "threads")
+        pipeline = _lst_pipeline(catalog, n_shards, "inline")
         try:
             shard0 = pipeline.shards[0]
             keys = shard0.connector.list_candidates(shard0.generation)
@@ -491,7 +492,6 @@ def measure_lst_payload(tables: int, n_shards: int, seed: int) -> dict:
                             shard.policy,
                             selectors[i],
                             shard.stats_filters,
-                            shard.trait_filters,
                         )
                     result = run_shard_work(spec)
                     total_bytes += len(pickle.dumps(result))
@@ -542,9 +542,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20250730)
     parser.add_argument(
         "--workers",
-        choices=["threads", "processes"],
+        choices=["inline", "processes"],
         default=None,
-        help="also compare shard worker modes (threads vs processes) "
+        help="also compare shard worker modes (inline vs processes) "
         "under a CPU-bound observe workload",
     )
     parser.add_argument(
@@ -584,7 +584,7 @@ def main() -> int:
             f"Scale-out control plane — cycle latency, {tables}-table fleet",
             "Target: >=2x steady-state cycle-latency speedup at 4 shards "
             "(sharding + incremental observation) vs the unsharded baseline; "
-            ">=1.5x process-worker speedup over threads on CPU-bound observe "
+            ">=1.5x process-worker speedup over inline on CPU-bound observe "
             "(4-core host)",
         )
     )
@@ -625,7 +625,7 @@ def main() -> int:
     if not identical:
         failures.append("sharded selections are not deterministic")
     if worker_rows is not None and not worker_rows["identical_selections"]:
-        failures.append("process-mode selections diverged from thread mode")
+        failures.append("process-mode selections diverged from inline mode")
     if not args.smoke:
         speedup = rows["sharded-4"]["speedup"]
         if speedup < 2.0:
@@ -722,7 +722,7 @@ def main_lst(args) -> int:
 
     failures = []
     if not rows["identical_selections"]:
-        failures.append("LST process-mode selections diverged from thread mode")
+        failures.append("LST process-mode selections diverged from inline mode")
     if worker["candidates"] >= coordinator["candidates"]:
         failures.append("worker-side decide did not shrink the returned candidates")
     if not args.smoke:
@@ -731,7 +731,7 @@ def main_lst(args) -> int:
             if worker_speedup < 1.0:
                 failures.append(
                     f"LST process-worker speedup {worker_speedup:.2f}x — "
-                    "process mode must not lose to threads"
+                    "process mode must not lose to inline"
                 )
         else:
             print(f"(worker speedup assertion skipped: only {cores} CPU core(s))")

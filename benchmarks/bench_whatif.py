@@ -246,7 +246,10 @@ def catalog_main(args) -> int:
         with WhatIfRunner(path, variants) as runner:
             report = runner.run(workers=workers)
         sweep_s = time.perf_counter() - start
-        print(f"\nsweep: {len(variants)} variants in {sweep_s:.2f}s ({runner.worker_mode})\n")
+        print(
+            f"\nsweep: {len(variants)} variants in {sweep_s:.2f}s "
+            f"({report.workers} process worker(s); 1 = sequential)\n"
+        )
         print(report.render())
         best = report.best()
 

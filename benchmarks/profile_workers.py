@@ -21,7 +21,7 @@ Profiler selection:
 Usage::
 
     python benchmarks/profile_workers.py --mode processes --label after
-    python benchmarks/profile_workers.py --mode threads
+    python benchmarks/profile_workers.py --mode inline
 
 Artifacts land in ``benchmarks/profiles/`` as
 ``lst_<mode>_<label>.{svg,pstats,txt}``.
@@ -138,7 +138,7 @@ def record_cprofile(args, out_dir: str) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=["threads", "processes"], default="processes")
+    parser.add_argument("--mode", choices=["inline", "processes"], default="processes")
     parser.add_argument("--tables", type=int, default=120)
     parser.add_argument("--days", type=int, default=8)
     parser.add_argument("--seed", type=int, default=20250730)

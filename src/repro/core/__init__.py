@@ -100,6 +100,7 @@ from repro.core.service import (
     openhouse_sharded_pipeline,
 )
 from repro.core.sharding import (
+    WORKER_MODES,
     ShardedCycleReport,
     ShardedPipeline,
     shard_for_key,
@@ -107,7 +108,6 @@ from repro.core.sharding import (
 )
 from repro.core.statscache import IndexedCandidateCache
 from repro.core.workers import (
-    WORKER_MODES,
     CacheDelta,
     ShardCycleResult,
     ShardDecideSpec,

@@ -129,7 +129,7 @@ class Connector(abc.ABC):
 
         Returns None (the base behaviour) when this connector cannot feed
         process workers — its observation reads live, unshippable state —
-        and the sharded pipeline must stay on threads.  Connectors that
+        and the sharded pipeline must run inline.  Connectors that
         implement ``export_columnar`` override this.
         """
         return None
@@ -194,10 +194,10 @@ class LstConnector(Connector):
         self._index_of: dict[CandidateKey, int] = {}
         #: Reverse mapping for table-granular write-event invalidation.
         self._indices_by_table: dict[str, list[int]] = {}
-        # Sharded pipelines observe disjoint key slices of one shared
-        # connector on a thread pool; interning a *new* key reads then
-        # grows two dicts, which must not interleave across threads (two
-        # keys racing len() would share a slot).
+        # Interning a *new* key reads then grows two dicts, which must not
+        # interleave with another thread's interning (two keys racing len()
+        # would share a slot) or with a write-event hook's invalidate()
+        # reading the per-table index lists.
         self._intern_lock = threading.Lock()
 
     def _dense_index(self, key: CandidateKey) -> int:

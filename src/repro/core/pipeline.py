@@ -6,8 +6,7 @@ One :meth:`AutoCompPipeline.run_cycle` call performs a full pass:
    hybrid strategy);
 2. **observe** — collect the standardized statistics for each key, then
    apply the statistics filters;
-3. **orient** — compute every registered trait, then apply the trait
-   filters;
+3. **orient** — compute every registered trait;
 4. **decide** — rank with the configured policy and select within budget;
 5. **act** — hand the selected tasks to the scheduler/backend.
 
@@ -51,7 +50,6 @@ class CycleReport:
     started_at: float
     candidates_generated: int = 0
     after_stats_filters: int = 0
-    after_trait_filters: int = 0
     ranked: int = 0
     #: Selected candidates withheld by act gates (admission quotas, lock
     #: contention) before execution.
@@ -96,7 +94,6 @@ class AutoCompPipeline:
         generation: candidate-generation strategy
             (``table`` / ``partition`` / ``hybrid``).
         stats_filters: filters applied after observe.
-        trait_filters: filters applied after orient.
         telemetry: metric sink for cycle statistics.
         feedback_hooks: callables invoked with each finished
             :class:`CycleReport` (the optional act→observe loop).
@@ -124,7 +121,6 @@ class AutoCompPipeline:
         scheduler: Scheduler,
         generation: str = "table",
         stats_filters: Sequence[CandidateFilter] = (),
-        trait_filters: Sequence[CandidateFilter] = (),
         telemetry: Telemetry | None = None,
         feedback_hooks: Sequence[Callable[[CycleReport], None]] = (),
     ) -> None:
@@ -138,7 +134,6 @@ class AutoCompPipeline:
         self.scheduler = scheduler
         self.generation = validate_generation_strategy(generation)
         self.stats_filters = list(stats_filters)
-        self.trait_filters = list(trait_filters)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer: Tracer | None = None
         self.feedback_hooks = list(feedback_hooks)
@@ -230,7 +225,7 @@ class AutoCompPipeline:
     def observe_orient(
         self, keys: list[CandidateKey], now: float, report: CycleReport | None = None
     ) -> list[Candidate]:
-        """Observe + orient phases: statistics, filters, traits, filters.
+        """Observe + orient phases: statistics, filters, traits.
 
         Pure with respect to pipeline state (only the connector's stats
         cache may be updated), so disjoint key subsets can be processed
@@ -248,21 +243,18 @@ class AutoCompPipeline:
         report: CycleReport | None = None,
         only_missing: bool = True,
     ) -> list[Candidate]:
-        """Orient phase over already observed candidates: filter, annotate, filter.
+        """Orient phase over already observed candidates: filter, then annotate.
 
         Split out of :meth:`observe_orient` for callers that observe
         elsewhere — the process-mode sharded control plane receives
         observed *and* trait-annotated candidates back from shard workers
-        and only needs the filter passes here (``only_missing=True`` then
+        and only needs the filter pass here (``only_missing=True`` then
         skips the already-annotated candidates).
         """
         candidates = apply_filters(self.stats_filters, candidates, now)
         if report is not None:
             report.after_stats_filters = len(candidates)
         self.traits.annotate_all(candidates, only_missing=only_missing)
-        candidates = apply_filters(self.trait_filters, candidates, now)
-        if report is not None:
-            report.after_trait_filters = len(candidates)
         return candidates
 
     def decide(

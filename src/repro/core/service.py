@@ -151,7 +151,7 @@ def openhouse_sharded_pipeline(
     n_shards: int = 4,
     stats_cache: "object | None" = None,
     selection: str = "global",
-    workers: str = "threads",
+    workers: str = "inline",
     max_workers: int | None = None,
     telemetry=None,
     tracer=None,
@@ -211,7 +211,6 @@ def openhouse_sharded_pipeline(
                 scheduler=template.scheduler,
                 generation=template.generation,
                 stats_filters=template.stats_filters,
-                trait_filters=template.trait_filters,
                 telemetry=template.telemetry,
             )
         )
@@ -524,7 +523,6 @@ class AutoCompService:
         variants,
         window: int | None = None,
         rank_by: str = "efficiency",
-        workers: int = 1,
         perturb=None,
     ):
         """Rank candidate policies against this deployment's recent history.
@@ -543,9 +541,6 @@ class AutoCompService:
             window: most-recent history segments to replay.
             rank_by: report ranking key (``efficiency`` / ``files_reduced``
                 / ``gbhr``).
-            workers: replays in flight (history traces are in-memory, so
-                sweeps run on threads; replay work is CPU-bound Python and
-                1 is usually right).
             perturb: optional workload perturbation applied to every
                 replay, baseline included.
 
@@ -561,4 +556,4 @@ class AutoCompService:
 
         trace = self._history.trace(window)
         with WhatIfRunner(trace, list(variants), rank_by=rank_by, perturb=perturb) as runner:
-            return runner.run(workers=workers)
+            return runner.run()

@@ -8,8 +8,8 @@ size.  This module shards one logical AutoComp instance across N per-shard
 * candidate keys are **consistent-hashed** across shards
   (:func:`shard_for_key`: a stable content hash, the same shard in every
   cycle and process);
-* each shard runs **observe/orient** over its slice — inline, on a thread
-  pool, or on a **process pool** (connectors with a
+* each shard runs **observe/orient** over its slice — inline on the
+  calling thread, or on a **process pool** (connectors with a
   :class:`~repro.core.transport.ColumnarTransport`) that sidesteps the GIL
   — optionally over an incremental
   :class:`~repro.core.statscache.IndexedCandidateCache`;
@@ -39,11 +39,7 @@ from repro.core.candidates import Candidate, CandidateKey
 from repro.core.pipeline import AutoCompPipeline, CycleReport
 from repro.core.ranking import RankingPolicy
 from repro.core.selection import AllSelector, BudgetSelector, Selector, TopKSelector
-from repro.core.workers import (
-    WORKER_MODES,
-    WorkerPool,
-    run_shard_work,
-)
+from repro.core.workers import WorkerPool, run_shard_work
 from repro.errors import ValidationError, WorkerError
 from repro.obs.tracing import Tracer, timed
 from repro.simulation.simulator import Simulator
@@ -51,6 +47,11 @@ from repro.simulation.telemetry import RATIO_BOUNDS, Telemetry
 
 #: Valid decide-phase placements.
 SELECTION_MODES = ("global", "local")
+
+#: Shard execution modes: ``inline`` observes every shard on the calling
+#: thread; ``processes`` ships shard work to forked worker processes, the
+#: multi-core mode for CPU-bound observe work.
+WORKER_MODES = ("inline", "processes")
 
 
 def shard_for_key(key: CandidateKey, n_shards: int) -> int:
@@ -166,12 +167,12 @@ class ShardedPipeline:
             candidate order before the global rank — correct for any
             policy; ``"any"`` concatenates per-shard results, cheaper and
             identical for order-insensitive policies (every built-in one).
-        workers: ``"threads"`` (default; works with any connector) or
+        workers: ``"inline"`` (default; works with any connector) or
             ``"processes"`` (multi-core observation; every shard connector
             must provide a :class:`~repro.core.transport.ColumnarTransport`
             via :meth:`~repro.core.connectors.Connector.worker_transport`).
             Both produce byte-identical cycle reports.
-        max_workers: pool width; defaults to
+        max_workers: process-pool width (process mode only); defaults to
             ``min(len(shards), cpu_count)``; 1 runs shards inline.
         telemetry: fleet-level metric sink (per-shard metrics go under
             its ``autocomp.shard<i>`` scopes).
@@ -180,8 +181,9 @@ class ShardedPipeline:
             ``cycle → observe → shard → …`` span tree, with the worker's
             observe/decide spans stitched in under their shard span.
 
-    The worker pool starts on the first concurrent cycle, is reused by
-    every later one, and is shut down by :meth:`close` (or ``with``).
+    In process mode the worker pool starts on the first concurrent cycle,
+    is reused by every later one, and is shut down by :meth:`close` (or
+    ``with``).
     """
 
     def __init__(
@@ -189,7 +191,7 @@ class ShardedPipeline:
         shards: Sequence[AutoCompPipeline],
         selection: str = "global",
         merge_order: str = "generation",
-        workers: str = "threads",
+        workers: str = "inline",
         max_workers: int | None = None,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
@@ -211,9 +213,11 @@ class ShardedPipeline:
         self.merge_order = merge_order
         self.shards = list(shards)
         self.selection = selection
-        #: Per-shard worker transports (process mode only; thread and
-        #: inline cycles never ship).
+        #: Per-shard worker transports (process mode only; inline cycles
+        #: never ship).
         self._transports: list = []
+        #: The persistent process pool (process mode only).
+        self._pool: WorkerPool | None = None
         if workers == "processes":
             self._transports = [shard.worker_transport() for shard in self.shards]
             unsupported = [
@@ -225,19 +229,15 @@ class ShardedPipeline:
                 raise ValidationError(
                     "workers='processes' needs every shard connector to provide a "
                     "worker transport (Connector.worker_transport); these do not: "
-                    f"{sorted(set(unsupported))}. Use workers='threads' instead."
+                    f"{sorted(set(unsupported))}. Use workers='inline' instead."
                 )
+            if max_workers is None:
+                max_workers = min(len(self.shards), os.cpu_count() or 1)
+            # Persistent; one shard or max_workers=1 never starts it.
+            self._pool = WorkerPool(max_workers)
+            for transport in self._transports:
+                transport.bind_pool(self._pool)
         self.workers = workers
-        if max_workers is None:
-            max_workers = min(len(self.shards), os.cpu_count() or 1)
-        if max_workers <= 0:
-            raise ValidationError("max_workers must be positive")
-        self.max_workers = max_workers
-        # Persistent; inline pipelines (one shard or max_workers=1) never
-        # start its executor.
-        self._pool = WorkerPool(mode=workers, max_workers=max_workers)
-        for transport in self._transports:
-            transport.bind_pool(self._pool)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._shard_telemetry = [
             self.telemetry.scoped(f"autocomp.shard{i:02d}") for i in range(len(self.shards))
@@ -304,8 +304,9 @@ class ShardedPipeline:
         """Shut the shard worker pool down (idempotent; a later cycle
         restarts it).  With a ``timeout`` the pool drains instead of
         blocking (:meth:`~repro.core.workers.WorkerPool.close`) — the
-        daemon's graceful-shutdown path."""
-        self._pool.close(timeout=timeout)
+        daemon's graceful-shutdown path.  Inline pipelines hold no pool."""
+        if self._pool is not None:
+            self._pool.close(timeout=timeout)
 
     def __enter__(self) -> "ShardedPipeline":
         return self
@@ -348,10 +349,11 @@ class ShardedPipeline:
 
         Under ``selection="local"`` each shard decides and acts, in shard
         order, as soon as its candidates are in: a process cycle acts on
-        shard 0 while the workers still compute later shards; thread and
-        inline cycles first wait for every observing thread, which must
-        not race a commit.  ``results`` and ``selected`` keep shard order,
-        so the modes' reports stay byte-identical.  Global selection
+        shard 0 while the workers still compute later shards; an inline
+        cycle observes every shard first, so no shard observes the world
+        after another shard's commit (shards of one table share its
+        snapshots).  ``results`` and ``selected`` keep shard order, so the
+        modes' reports stay byte-identical.  Global selection
         observes every shard, then decides and acts once.
 
         A worker failure on shard *j* raises
@@ -412,8 +414,8 @@ class ShardedPipeline:
             else:
                 settle = lambda index, candidates, decision: per_shard.append(candidates)
             try:
-                # Observe + orient each shard's slice (concurrently when
-                # possible), each shard settling as soon as it is in.
+                # Observe + orient each shard's slice (on the process pool
+                # when configured), each shard settling as soon as it is in.
                 with timed(
                     tracer,
                     "observe",
@@ -435,7 +437,7 @@ class ShardedPipeline:
                     with timed(tracer, "act", "autocomp.hist.act_wall_s", walls):
                         self._act_global(selected, fleet_report, simulator)
                 else:
-                    for name in ("after_stats_filters", "after_trait_filters", "ranked"):
+                    for name in ("after_stats_filters", "ranked"):
                         setattr(
                             fleet_report, name, sum(getattr(r, name) for r in shard_reports)
                         )
@@ -495,7 +497,6 @@ class ShardedPipeline:
         ):
             if decision is not None:
                 report.after_stats_filters = decision.after_stats_filters
-                report.after_trait_filters = decision.after_trait_filters
                 report.ranked = decision.ranked
                 chosen = decision.selected
             else:
@@ -523,38 +524,18 @@ class ShardedPipeline:
         """Observe/orient every shard, handing each one's candidates (or
         its worker's decision) to ``settle(index, candidates, decision)``
         in shard order; returns each shard's observe wall."""
-        concurrent = self.max_workers > 1 and len(self.shards) > 1
-        if concurrent and self.workers == "processes":
+        pool = self._pool
+        if pool is not None and pool.max_workers > 1 and len(self.shards) > 1:
             return self._observe_processes(shard_keys, shard_reports, now, settle)
         observe_wall = [0.0] * len(self.shards)
         tracer = self._tracer
-        # Pool threads have empty span stacks, so the per-shard spans
-        # parent explicitly under the coordinator's observe span.
-        parent = tracer.current() if tracer is not None else None
-
-        def observe(i: int) -> list[Candidate]:
+        per_shard = []
+        for i, shard in enumerate(self.shards):
             with timed(
-                tracer,
-                "shard",
-                parent=parent,
-                detached=True,
-                shard=i,
-                mode="threads",
-                keys=len(shard_keys[i]),
+                tracer, "shard", shard=i, mode="inline", keys=len(shard_keys[i])
             ) as work:
-                candidates = self.shards[i].observe_orient(
-                    shard_keys[i], now, shard_reports[i]
-                )
+                per_shard.append(shard.observe_orient(shard_keys[i], now, shard_reports[i]))
             observe_wall[i] = work.wall_s
-            return candidates
-
-        indices = range(len(self.shards))
-        if concurrent:
-            per_shard = self._pool.run_tasks(
-                [lambda i=i: observe(i) for i in indices]
-            )
-        else:
-            per_shard = [observe(i) for i in indices]
         for i, candidates in enumerate(per_shard):
             settle(i, candidates, None)
         return observe_wall
@@ -579,7 +560,7 @@ class ShardedPipeline:
         hands the shard to ``settle`` before waiting on the next: a local
         shard acts while later shards' workers still run.  Shards with no
         misses ship nothing and decide on the coordinator.  The same code
-        paths as thread mode produce every value, so reports match.
+        paths as inline mode produce every value, so reports match.
 
         A failed export, worker task or merge cancels queued shard tasks,
         drains running ones and raises one
@@ -636,7 +617,6 @@ class ShardedPipeline:
                             shard.policy,
                             selectors[shard_index],
                             shard.stats_filters,
-                            shard.trait_filters,
                         )
                 if spec is not None and shard_spans[shard_index] is not None:
                     spec = dataclasses.replace(
@@ -746,7 +726,6 @@ class ShardedPipeline:
                     c for c in (by_content.get(key) for key in keys) if c is not None
                 ]
         fleet_report.after_stats_filters = sum(r.after_stats_filters for r in shard_reports)
-        fleet_report.after_trait_filters = len(merged)
         ranked = self.policy.rank(merged)
         fleet_report.ranked = len(ranked)
         selected = self.selector.select(ranked)
@@ -770,7 +749,6 @@ class ShardedPipeline:
             self._shard_telemetry, sharded.shard_reports, sharded.shard_observe_wall_s
         ):
             scoped.record("candidates", now, shard_report.candidates_generated)
-            scoped.record("after_trait_filters", now, shard_report.after_trait_filters)
             scoped.record("selected", now, len(shard_report.selected))
             scoped.record("observe_wall_s", now, wall)
         self._record_cache_hit_ratio(now)

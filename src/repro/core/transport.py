@@ -10,7 +10,7 @@ resources.
 The encoding is zero-copy (:mod:`repro.core.columnar`): flat arrays in
 shared memory out, trait matrices and selection references back, with
 every miss riding the cache delta so process-mode caches stay as warm as
-thread-mode ones.  A connector feeds process workers exactly when its
+inline ones.  A connector feeds process workers exactly when its
 :meth:`~repro.core.connectors.Connector.worker_transport` returns a
 transport; the :class:`~repro.core.workers.WorkerPool` then verifies, once
 per pool (:meth:`~repro.core.workers.WorkerPool.negotiate`), that the
@@ -38,14 +38,14 @@ class ColumnarTransport:
     cache delta covering *every* miss.  The coordinator rebuilds miss
     candidates from its **retained** export arrays, so no candidate
     object crosses the boundary in either direction, and its caches end
-    the cycle exactly as warm as a thread-mode cycle would leave them.
+    the cycle exactly as warm as an inline cycle would leave them.
 
     Hit statistics ship as scalar columns plus the precomputed trait
     matrix; per-file sizes and custom statistics stay behind (hits
     carrying custom statistics fall back to object pickling).  A custom
     ``stats_filter`` that reads ``file_sizes`` therefore sees empty sizes
     on worker-side hits — run such filters under ``selection="global"``
-    or on threads, which keep the decide phase on the coordinator.
+    or inline, which keep the decide phase on the coordinator.
 
     A transport is bound to one connector and optionally to the
     :class:`~repro.core.workers.WorkerPool` executing its specs
@@ -74,7 +74,7 @@ class ColumnarTransport:
         return placed, spec
 
     def attach_decide(
-        self, spec: ShardWorkSpec, placed: list, policy, selector, stats_filters, trait_filters
+        self, spec: ShardWorkSpec, placed: list, policy, selector, stats_filters
     ) -> ShardWorkSpec:
         """Extend a spec with the worker-side decide phase."""
         names = tuple(spec.traits.names())
@@ -85,7 +85,6 @@ class ColumnarTransport:
             policy=policy,
             selector=selector,
             stats_filters=tuple(stats_filters),
-            trait_filters=tuple(trait_filters),
             hits=() if payload is not None else tuple(placed),
             hits_payload=payload,
         )
@@ -175,7 +174,6 @@ class ColumnarTransport:
         worker = result.decision
         return ShardDecision(
             after_stats_filters=worker.after_stats_filters,
-            after_trait_filters=worker.after_trait_filters,
             ranked=worker.ranked,
             selected=selected,
         )

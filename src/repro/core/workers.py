@@ -18,17 +18,17 @@ math serialize on the GIL, so multi-core cycles ship shard work across a
 
 Only the miss slice crosses: the coordinator resolves cache hits locally.
 Under ``selection="local"`` the decide phase crosses too — the spec
-carries a :class:`ShardDecideSpec` (policy, split selector, filter chains,
-resolved hits) and the worker answers with counts plus *references* to the
-selected candidates.  Either way the cycle reports stay byte-identical to
-thread/inline mode (property-tested).
+carries a :class:`ShardDecideSpec` (policy, split selector, stats filter
+chain, resolved hits) and the worker answers with counts plus
+*references* to the selected candidates.  Either way the cycle reports
+stay byte-identical to inline mode (property-tested).
 
-:class:`WorkerPool` is the persistent executor behind the sharded pipeline
-and the Policy Lab's what-if sweeps
+:class:`WorkerPool` is the persistent process pool behind the sharded
+pipeline and the Policy Lab's what-if sweeps over on-disk traces
 (:class:`~repro.replay.whatif.WhatIfRunner`): started once, reused across
 cycles, shut down via :meth:`WorkerPool.close` (or a ``weakref``
-finalizer).  Its process mode runs no threads: each forked child reads
-tasks from one duplex pipe that the coordinator writes itself.
+finalizer).  It runs no threads: each forked child reads tasks from one
+duplex pipe that the coordinator writes itself.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ import time
 import traceback
 import weakref
 from collections import deque
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from multiprocessing import connection, resource_tracker
 from multiprocessing.process import BaseProcess
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.candidates import Candidate, CandidateKey
 from repro.core.filters import CandidateFilter, apply_filters
@@ -58,17 +58,13 @@ from repro.core.traits import TraitRegistry
 from repro.errors import ValidationError, WorkerError
 from repro.obs.tracing import SpanRecorder, timed
 
-#: Supported shard-worker execution modes.  ``threads`` is the default —
-#: it needs no picklable connector snapshot and works on every platform;
-#: ``processes`` is the true multi-core mode for CPU-bound observe work.
-WORKER_MODES = ("threads", "processes")
-
 #: Contract version stamped on every spec/result; mixed-version pools after
 #: an upgrade must fail loudly (:meth:`WorkerPool.negotiate`), not corrupt
 #: caches.  2: worker-side decide (:class:`ShardDecideSpec`); 3: span
 #: propagation (``ShardWorkSpec.trace`` in, ``ShardCycleResult.spans``
-#: back); 4: columnar payloads and the negotiate handshake; 5: columnar only.
-WORK_SPEC_VERSION = 5
+#: back); 4: columnar payloads and the negotiate handshake; 5: columnar only;
+#: 6: no trait-filter chain or count in the decide contract.
+WORK_SPEC_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,6 @@ class ShardDecideSpec:
             policy is plain data).
         selector: the shard's *split* selection budget.
         stats_filters: post-observe filter chain.
-        trait_filters: post-orient filter chain.
         hits: the coordinator-resolved candidate list in generation order,
             with ``None`` holes at the spec's miss positions — the worker
             fills the holes with its own observations, so rank/select see
@@ -159,7 +154,6 @@ class ShardDecideSpec:
     policy: RankingPolicy
     selector: Selector
     stats_filters: tuple[CandidateFilter, ...] = ()
-    trait_filters: tuple[CandidateFilter, ...] = ()
     hits: tuple = ()
     hits_payload: object | None = None
 
@@ -169,7 +163,6 @@ class ShardDecision:
     """A worker's decide-phase outcome (mirrors the CycleReport fields)."""
 
     after_stats_filters: int = 0
-    after_trait_filters: int = 0
     ranked: int = 0
     #: Selected candidates in rank order.  Empty in a worker's answer (the
     #: selection crosses back as references); filled by the coordinator.
@@ -307,7 +300,7 @@ def _observe(spec: ShardWorkSpec):
 def _decide(spec: ShardWorkSpec, names: tuple, matrix, observed):
     """Worker-side decide; no candidate objects cross back.
 
-    Filter → orient → filter → rank → select, the sequence of
+    Filter → orient → rank → select, the sequence of
     :meth:`~repro.core.pipeline.AutoCompPipeline.orient` plus the sharded
     local decide, over transient candidates (misses rebuilt from the
     block with traits from the matrix, hits from the spec's payload), so
@@ -342,15 +335,9 @@ def _decide(spec: ShardWorkSpec, names: tuple, matrix, observed):
     survivors = apply_filters(list(decide.stats_filters), candidates, spec.now)
     after_stats = len(survivors)
     spec.traits.annotate_all(survivors, only_missing=True)
-    survivors = apply_filters(list(decide.trait_filters), survivors, spec.now)
-    after_traits = len(survivors)
     ranked = decide.policy.rank(survivors)
     selected = decide.selector.select(ranked)
-    decision = ShardDecision(
-        after_stats_filters=after_stats,
-        after_trait_filters=after_traits,
-        ranked=len(ranked),
-    )
+    decision = ShardDecision(after_stats_filters=after_stats, ranked=len(ranked))
     payload = ColumnarResultPayload(
         trait_names=names,
         matrix=matrix,
@@ -365,7 +352,7 @@ def run_shard_work(spec: ShardWorkSpec) -> ShardCycleResult:
 
     Module-level so it pickles by reference.  It runs the in-process
     paths' constructors and trait compute, so its trait matrix is
-    value-identical to thread-mode observation of the same inputs.
+    value-identical to inline observation of the same inputs.
     """
     from repro.core.columnar import ColumnarResultPayload
 
@@ -463,7 +450,7 @@ class _PipeFuture(Future):
 
 
 class _ProcessWorkers(Executor):
-    """Process mode's executor (see :class:`WorkerPool`): ``max_workers``
+    """The executor behind :class:`WorkerPool`: ``max_workers``
     forked children, each fed over its own duplex pipe, and no threads."""
 
     def __init__(self, max_workers: int) -> None:
@@ -603,71 +590,55 @@ class _ProcessWorkers(Executor):
 
 
 class WorkerPool:
-    """A persistent thread- or process-backed executor with one lifecycle.
+    """A persistent process-backed executor with one lifecycle.
 
     The executor starts on first use and is reused across cycles (forking
     per cycle costs more than many cycles' work).  Owners call
     :meth:`close`; a ``weakref`` finalizer backstops owners that forget.
 
-    Thread mode wraps a :class:`~concurrent.futures.ThreadPoolExecutor`.
-    Process mode forks all ``max_workers`` children at once, from the
-    calling thread, each with one duplex pipe: :meth:`submit` pickles a
-    task into an idle child's pipe from the caller's thread (or queues
-    it), and ``Future.result()`` drives the pool — it waits on the busy
-    pipes, collects each answer and sends the freed child the next queued
-    task.  No management or feeder thread stands between a submit and its
+    The pool forks all ``max_workers`` children at once, from the calling
+    thread, each with one duplex pipe: :meth:`submit` pickles a task into
+    an idle child's pipe from the caller's thread (or queues it), and
+    ``Future.result()`` drives the pool — it waits on the busy pipes,
+    collects each answer and sends the freed child the next queued task.
+    No management or feeder thread stands between a submit and its
     worker.  A child that dies fails its task with
     :class:`~repro.errors.WorkerError` and is replaced by a fresh fork.
 
     Args:
-        mode: one of :data:`WORKER_MODES`.
-        max_workers: executor width.
+        max_workers: number of worker processes.
     """
 
-    def __init__(self, mode: str = "threads", max_workers: int = 1) -> None:
-        if mode not in WORKER_MODES:
-            raise ValidationError(
-                f"unknown worker mode {mode!r}; expected one of {WORKER_MODES}"
-            )
+    def __init__(self, max_workers: int = 1) -> None:
         if max_workers <= 0:
             raise ValidationError(f"max_workers must be positive, got {max_workers}")
-        if mode == "processes" and not process_workers_available():
+        if not process_workers_available():
             raise ValidationError(
-                "process workers need fork on Linux; use the thread-pool "
-                "fallback (mode='threads') on this platform"
+                "process workers need fork on Linux; run the work inline on this platform"
             )
-        self.mode = mode
         self.max_workers = max_workers
-        self._executor: Executor | None = None
+        self._executor: _ProcessWorkers | None = None
         self._finalizer: weakref.finalize | None = None
-        #: Thread mode's submitted futures, for close(timeout=...)'s drain.
-        self._futures: list[Future] = []
         self._contract: TransportContract | None = None
         self._resources: dict[int, object] = {}
 
     @property
     def started(self) -> bool:
-        """Whether the underlying executor has been started."""
+        """Whether the worker processes have been started."""
         return self._executor is not None
 
-    def _ensure(self) -> Executor:
+    def _ensure(self) -> _ProcessWorkers:
         executor = self._executor
         if executor is None:
-            if self.mode == "processes":
-                executor = _ProcessWorkers(self.max_workers)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                executor = ThreadPoolExecutor(max_workers=self.max_workers)
-            self._executor = executor
+            executor = self._executor = _ProcessWorkers(self.max_workers)
             self._finalizer = weakref.finalize(self, _shutdown_executor, executor)
         return executor
 
     def negotiate(self) -> TransportContract:
         """Handshake the worker contract: the pool's one version check.
 
-        Fetches :func:`describe_contract` from a live worker (a thread's
-        is the local one) once per pool lifetime, until :meth:`close`.
+        Fetches :func:`describe_contract` from a live worker once per pool
+        lifetime, until :meth:`close`.
 
         Raises:
             WorkerError: naming both sides' versions on a mismatch.
@@ -675,11 +646,7 @@ class WorkerPool:
         local = describe_contract()
         remote = self._contract
         if remote is None:
-            if self.mode == "processes":
-                remote = self.submit(describe_contract).result()
-            else:
-                remote = local
-            self._contract = remote
+            remote = self._contract = self.submit(describe_contract).result()
         if remote.version != local.version:
             raise WorkerError(
                 f"worker contract handshake failed: coordinator speaks "
@@ -698,35 +665,15 @@ class WorkerPool:
         self._resources.pop(id(resource), None)
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
-        """Submit one task (starting the executor on first use)."""
-        future = self._ensure().submit(fn, *args, **kwargs)
-        if self.mode == "threads":
-            # Pruned so long-lived pools don't keep every future they ran.
-            if len(self._futures) >= 64:
-                self._futures = [f for f in self._futures if not f.done()]
-            self._futures.append(future)
-        return future
-
-    def run_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
-        """Run zero-argument callables, results in submission order.
-
-        Thread mode only: closures cannot cross a process boundary.
-        """
-        if self.mode == "processes":
-            raise ValidationError(
-                "process pools cannot run closures; submit a module-level "
-                "function with a picklable spec instead"
-            )
-        futures = [self.submit(thunk) for thunk in thunks]
-        return [future.result() for future in futures]
+        """Submit one task (starting the workers on first use)."""
+        return self._ensure().submit(fn, *args, **kwargs)
 
     def close(self, timeout: float | None = None) -> None:
-        """Shut the executor down (idempotent).  ``timeout=None`` waits for
+        """Shut the workers down (idempotent).  ``timeout=None`` waits for
         running work; a timeout *drains*: queued tasks are cancelled,
-        running ones get ``timeout`` seconds, then process children still
-        alive are terminated (then killed) and joined."""
+        running ones get ``timeout`` seconds, then children still alive
+        are terminated (then killed) and joined."""
         executor, self._executor = self._executor, None
-        futures, self._futures = self._futures, []
         resources, self._resources = self._resources, {}
         self._contract = None
         if executor is not None:
@@ -735,14 +682,8 @@ class WorkerPool:
                 self._finalizer = None
             if timeout is None:
                 executor.shutdown(wait=True)
-            elif isinstance(executor, _ProcessWorkers):
-                executor.shutdown(cancel_futures=True, timeout=timeout)
             else:
-                pending = [f for f in futures if not f.done()]
-                for future in pending:
-                    future.cancel()  # unstarted work never runs
-                wait(pending, timeout=timeout)
-                executor.shutdown(wait=False, cancel_futures=True)
+                executor.shutdown(cancel_futures=True, timeout=timeout)
         # Only now that the workers are down: unlinking first could yank a
         # segment out from under a straggler mid-read.
         for resource in resources.values():

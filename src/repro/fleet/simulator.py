@@ -225,19 +225,20 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         k: fixed top-k selection, as for :class:`AutoCompStrategy`.
         selection: ``"global"`` (exactly the unsharded decisions) or
             ``"local"`` (split budgets, fully independent shards).
-        workers: shard execution mode — ``"threads"`` (default) or
+        workers: shard execution mode — ``"inline"`` (default) or
             ``"processes"`` (true multi-core observe/orient via columnar
             shard work; see :mod:`repro.core.workers`).  Both produce
             byte-identical cycle reports.
-        max_workers: worker-pool width (see
+        max_workers: process-pool width (see
             :class:`~repro.core.sharding.ShardedPipeline`).
         observe_cost: per-candidate CPU units emulating real statistics-
             collection cost (see
             :attr:`~repro.fleet.connectors.FleetConnector.observe_cost`).
         telemetry: fleet-level metric sink.
 
-    The strategy owns a persistent worker pool; call :meth:`close` (or use
-    the strategy as a context manager) when done with it.
+    In process mode the strategy owns a persistent worker pool; call
+    :meth:`close` (or use the strategy as a context manager) when done
+    with it.
     """
 
     name = "autocomp-sharded"
@@ -248,7 +249,7 @@ class ShardedAutoCompStrategy(CompactionStrategy):
         n_shards: int = 4,
         k: int = 10,
         selection: str = "global",
-        workers: str = "threads",
+        workers: str = "inline",
         max_workers: int | None = None,
         observe_cost: int = 0,
         telemetry: Telemetry | None = None,

@@ -94,7 +94,7 @@ METRICS: dict[str, tuple[str, str]] = {
     "autocomp.fleet.candidates": ("series", "Candidates observed per fleet cycle"),
     "autocomp.fleet.selected": ("series", "Candidates selected per fleet cycle"),
     "autocomp.fleet.cycle_wall_s": ("series", "Fleet cycle wall-clock seconds"),
-    "autocomp.fleet.observe_wall.threads": ("series", "Observe-phase wall seconds (thread workers)"),
+    "autocomp.fleet.observe_wall.inline": ("series", "Observe-phase wall seconds (shards observed inline)"),
     "autocomp.fleet.observe_wall.processes": ("series", "Observe-phase wall seconds (process workers)"),
     "autocomp.fleet.returned_candidates": ("series", "Candidates returned from process workers per cycle"),
     "autocomp.fleet.cache_hit_ratio": ("series", "Stats-cache hit ratio per fleet cycle"),

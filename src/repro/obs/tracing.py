@@ -13,7 +13,7 @@ One daemon cycle produces one trace shaped like the control loop itself::
         └── rewrite        (one per scheduled compaction job)
 
 The coordinator owns a :class:`Tracer`.  Spans opened on the coordinator
-thread nest implicitly via a thread-local stack; work that happens on pool
+thread nest implicitly via a thread-local stack; work that happens on other
 threads or in worker processes parents explicitly through a
 :class:`SpanContext` — a picklable (trace_id, span_id) pair that rides
 inside ``ShardWorkSpec`` across the process boundary.  Workers record

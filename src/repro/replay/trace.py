@@ -123,7 +123,6 @@ def serialize_cycle_report(report) -> dict:
         "started_at": report.started_at,
         "candidates_generated": report.candidates_generated,
         "after_stats_filters": report.after_stats_filters,
-        "after_trait_filters": report.after_trait_filters,
         "ranked": report.ranked,
         "selected": [str(key) for key in report.selected],
         "results": [

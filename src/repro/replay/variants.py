@@ -199,7 +199,7 @@ class PolicyVariant:
             return shard_pipeline(None)
         cache = IndexedCandidateCache()
         shards = [shard_pipeline(cache) for _ in range(self.n_shards)]
-        return ShardedPipeline(shards, selection="global", merge_order="any", max_workers=1)
+        return ShardedPipeline(shards, selection="global", merge_order="any")
 
     def build_catalog_pipeline(
         self, catalog, compaction_cluster
@@ -215,7 +215,7 @@ class PolicyVariant:
 
         With ``n_shards > 1`` the variant runs behind
         :func:`~repro.core.service.openhouse_sharded_pipeline` (global
-        selection, single-threaded inline shard workers), so shadow
+        selection, shards observed inline), so shadow
         evaluation can exercise the sharded deployment shape offline.
         Global selection re-merges and ranks shard survivors at the fleet
         level, so sharded replays stay byte-identical to unsharded ones —
@@ -240,8 +240,6 @@ class PolicyVariant:
                 catalog,
                 compaction_cluster,
                 n_shards=self.n_shards,
-                workers="threads",
-                max_workers=1,
                 **kwargs,
             )
             if self.ranking == "quota_aware":

@@ -8,15 +8,16 @@ the no-compaction baseline, GBHr spent, write amplification, task-failure
 rate — and returns a ranked :class:`WhatIfReport`.
 
 Replays are embarrassingly parallel (each variant owns its reconstructed
-fleet), so the runner fans variants out over the scale-out plane's
-persistent :class:`~repro.core.workers.WorkerPool` (the same subsystem
-behind process-mode shard workers): at most ``workers`` replays in
-flight, results always assembled in deterministic variant order
-regardless of completion order.  Replay is CPU-bound Python, so traces
-read from a *path* are evaluated in **process** mode (each worker parses
-and replays independently); in-memory traces fall back to thread mode.
-The pool persists across :meth:`WhatIfRunner.run` calls — close the
-runner (or use it as a context manager) when done.
+fleet), so for traces read from a *path* the runner fans variants out
+over the scale-out plane's persistent
+:class:`~repro.core.workers.WorkerPool` (the same process pool behind
+process-mode shard workers): at most ``workers`` replays in flight, each
+worker parsing and replaying independently, results always assembled in
+deterministic variant order regardless of completion order.  In-memory
+traces replay sequentially on the calling thread: replay is CPU-bound
+Python, which threads would only serialize on the GIL.  The pool
+persists across :meth:`WhatIfRunner.run` calls — close the runner (or
+use it as a context manager) when done.
 
 The report's winner doubles as an offline prior: :meth:`WhatIfReport.to_priors`
 feeds :meth:`repro.core.autotune.Optimizer.optimize`'s warm start and
@@ -224,24 +225,18 @@ def verify_deterministic(trace: Trace | str | os.PathLike, variant: PolicyVarian
 _REPLAYER_CACHE: dict[tuple, object] = {}
 
 
-def _replay_variant(
-    trace_source: str | Trace, variant: PolicyVariant, perturb=None
-) -> dict:
+def _replay_variant(trace_path: str, variant: PolicyVariant, perturb=None) -> dict:
     """Worker entry point: replay one variant, return its summary.
 
-    Module-level (not a closure) so process pools can pickle it; paths go
-    through the per-process replayer memo, in-memory traces are replayed
-    directly.
+    Module-level (not a closure) so process pools can pickle it; the
+    trace goes through the per-process replayer memo.
     """
-    if isinstance(trace_source, Trace):
-        replayer = build_replayer(trace_source)
-    else:
-        stat = os.stat(trace_source)
-        key = (os.path.abspath(trace_source), stat.st_size, stat.st_mtime_ns)
-        replayer = _REPLAYER_CACHE.get(key)
-        if replayer is None:
-            _REPLAYER_CACHE.clear()
-            replayer = _REPLAYER_CACHE[key] = build_replayer(trace_source)
+    stat = os.stat(trace_path)
+    key = (os.path.abspath(trace_path), stat.st_size, stat.st_mtime_ns)
+    replayer = _REPLAYER_CACHE.get(key)
+    if replayer is None:
+        _REPLAYER_CACHE.clear()
+        replayer = _REPLAYER_CACHE[key] = build_replayer(trace_path)
     return _summarize(replayer.replay(variant, perturb=perturb))
 
 
@@ -250,7 +245,7 @@ class WhatIfRunner:
 
     Args:
         trace: a trace path (enables process-pool parallelism) or a parsed
-            :class:`~repro.replay.trace.Trace` (thread pool only).  Fleet
+            :class:`~repro.replay.trace.Trace` (replayed sequentially).  Fleet
             and catalog traces both work — the runner dispatches on the
             header's ``trace_type``.
         variants: the policy points to evaluate; names must be unique.
@@ -297,15 +292,6 @@ class WhatIfRunner:
         # when a run asks for a different width).
         self._pool: WorkerPool | None = None
 
-    @property
-    def worker_mode(self) -> str:
-        """The pool mode sweeps use: processes for on-disk traces (replay
-        is CPU-bound Python), threads for in-memory ones (the parsed trace
-        cannot cheaply cross a process boundary)."""
-        if self._trace_path is not None and process_workers_available():
-            return "processes"
-        return "threads"
-
     def close(self) -> None:
         """Shut the persistent sweep pool down (idempotent)."""
         if self._pool is not None:
@@ -324,14 +310,18 @@ class WhatIfRunner:
         Args:
             workers: maximum replays in flight.  None picks
                 ``min(cpu_count, len(variants))``; 1 runs sequentially
-                (in-process, reusing one replayer's base-state snapshot).
+                (in-process, reusing one replayer's base-state snapshot),
+                as does every run over an in-memory trace or on a
+                platform without process workers.
 
         Scores are identical whatever the worker count — parallelism only
         changes wall-clock time.
         """
         if workers is not None and workers <= 0:
             raise ValidationError("workers must be positive")
-        if workers is None:
+        if self._trace_path is None or not process_workers_available():
+            workers = 1
+        elif workers is None:
             workers = min(os.cpu_count() or 1, len(self.variants))
         workers = min(workers, len(self.variants))
 
@@ -348,7 +338,7 @@ class WhatIfRunner:
                 for variant in self.variants
             ]
         else:
-            summaries = self._run_pool(workers, replayer)
+            summaries = self._run_pool(workers)
         ingested = self._trace.ingested_bytes(perturb=self.perturb)
         scores = [
             self._score(variant, summary, baseline.files_final, ingested)
@@ -362,29 +352,18 @@ class WhatIfRunner:
             workers=workers,
         )
 
-    def _run_pool(self, workers: int, replayer) -> list[dict]:
+    def _run_pool(self, workers: int) -> list[dict]:
         """Capped fan-out; results in variant order regardless of completion."""
-        mode = self.worker_mode
         pool = self._pool
-        if pool is None or pool.mode != mode or pool.max_workers != workers:
+        if pool is None or pool.max_workers != workers:
             if pool is not None:
                 pool.close()
-            pool = self._pool = WorkerPool(mode=mode, max_workers=workers)
-        if mode == "processes":
-            futures = [
-                pool.submit(_replay_variant, self._trace_path, variant, self.perturb)
-                for variant in self.variants
-            ]
-            return [future.result() for future in futures]
-        # In-memory trace: threads sharing the parent replayer (its base
-        # snapshot is already warm from the baseline replay; each replay
-        # restores into its own model, so variants never share state).
-        return pool.run_tasks(
-            [
-                lambda v=variant: _summarize(replayer.replay(v, perturb=self.perturb))
-                for variant in self.variants
-            ]
-        )
+            pool = self._pool = WorkerPool(workers)
+        futures = [
+            pool.submit(_replay_variant, self._trace_path, variant, self.perturb)
+            for variant in self.variants
+        ]
+        return [future.result() for future in futures]
 
     @staticmethod
     def _score(

@@ -175,7 +175,7 @@ class Histogram:
     per bound plus a final overflow slot (the implicit ``+Inf`` bucket), so a
     value lands in the first bucket whose bound is ``>= value``.  Because
     bounds are fixed at creation, two histograms with equal bounds can be
-    merged exactly — shard threads and process workers each fill a local
+    merged exactly — process workers each fill a local
     histogram, and the coordinator :meth:`merge`\\ s them into one
     distribution with no approximation beyond the shared bucketing.
 
@@ -302,7 +302,7 @@ class Telemetry:
     dots, e.g. ``'storage.rpc.open'`` or ``'autocomp.gbhr'``.
 
     Every mutation and read takes one internal :class:`threading.RLock`, so
-    concurrent shard threads, the daemon scheduler thread and the metrics
+    the cycle thread, the daemon scheduler thread and the metrics
     exporter thread can share a sink without torn counter updates or
     mid-insert series reads.  Note that objects *returned* by
     :meth:`series` / :meth:`histogram` are live references — writers should

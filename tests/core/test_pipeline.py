@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     AutoCompPipeline,
-    CandidateFilter,
     LstConnector,
     LstExecutionBackend,
     MinSmallFileCountFilter,
@@ -27,7 +26,7 @@ from repro.units import GiB, HOUR, MiB
 from tests.conftest import fragment_table
 
 
-def _make_pipeline(catalog, generation="table", k=10, stats_filters=(), trait_filters=(), hooks=()):
+def _make_pipeline(catalog, generation="table", k=10, stats_filters=(), hooks=()):
     connector = LstConnector(catalog)
     cluster = Cluster("maint", executors=3)
     backend = LstExecutionBackend(connector, cluster)
@@ -52,7 +51,6 @@ def _make_pipeline(catalog, generation="table", k=10, stats_filters=(), trait_fi
         scheduler=SequentialScheduler(),
         generation=generation,
         stats_filters=list(stats_filters),
-        trait_filters=list(trait_filters),
         telemetry=catalog.telemetry,
         feedback_hooks=list(hooks),
     )
@@ -100,15 +98,6 @@ class TestRunCycle:
         assert early.after_stats_filters == 0
         late = pipeline.run_cycle(now=2 * HOUR)
         assert late.after_stats_filters == 3
-
-    def test_trait_filters_apply_after_orient(self, fragmented_catalog):
-        class ReducesTenFiles(CandidateFilter):
-            def keep(self, candidate, now):
-                return candidate.traits["file_count_reduction"] >= 10
-
-        pipeline = _make_pipeline(fragmented_catalog, trait_filters=[ReducesTenFiles()])
-        report = pipeline.run_cycle(now=HOUR)
-        assert report.after_trait_filters == 1
 
     def test_cycle_report_totals(self, fragmented_catalog):
         pipeline = _make_pipeline(fragmented_catalog)

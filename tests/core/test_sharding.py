@@ -216,7 +216,7 @@ class _CountingPolicy:
 class TestDecideConfigFollowsShards:
     """The fleet-level decide config is read from the shards every cycle."""
 
-    @pytest.mark.parametrize("workers", ["threads", "processes"])
+    @pytest.mark.parametrize("workers", ["inline", "processes"])
     def test_replaced_shard_selectors_drive_local_selection(self, workers):
         model = FleetModel(FleetConfig(initial_tables=300, seed=8))
         model.step_day()
@@ -414,7 +414,7 @@ class TestPipelinedLocalCycle:
             )
 
         catalogs = [_lst_catalog(), _lst_catalog()]
-        with pipeline(catalogs[0], "threads") as threads, pipeline(
+        with pipeline(catalogs[0], "inline") as inline, pipeline(
             catalogs[1], "processes"
         ) as processes:
             shipped: list[int] = []
@@ -429,7 +429,7 @@ class TestPipelinedLocalCycle:
                 shipped.clear()
                 reports = [
                     pipeline.run_cycle(now=catalog.clock.now)
-                    for pipeline, catalog in zip((threads, processes), catalogs)
+                    for pipeline, catalog in zip((inline, processes), catalogs)
                 ]
                 assert dataclasses.asdict(reports[0].report) == dataclasses.asdict(
                     reports[1].report

@@ -74,23 +74,18 @@ class TestCapability:
 
 
 class TestHandshake:
-    def test_thread_pool_negotiates_the_local_contract(self):
-        with WorkerPool(mode="threads") as pool:
-            contract = pool.negotiate()
-            assert contract == TransportContract(version=WORK_SPEC_VERSION)
-
     @pytest.mark.skipif(
         not process_workers_available(), reason="process workers need fork"
     )
     def test_process_pool_handshake_round_trips_through_a_worker(self):
-        with WorkerPool(mode="processes", max_workers=1) as pool:
+        with WorkerPool(1) as pool:
             contract = pool.negotiate()
             assert contract.version == WORK_SPEC_VERSION
             # Cached: the second call must not cost another round trip.
             assert pool.negotiate() is contract
 
     def test_version_mismatch_raises_one_error_naming_both_sides(self):
-        pool = WorkerPool(mode="threads")
+        pool = WorkerPool()
         try:
             # Simulate workers answering with an older build's contract.
             pool._contract = TransportContract(version=WORK_SPEC_VERSION - 1)
@@ -138,7 +133,6 @@ def _decided(transport, placed, spec):
         placed,
         WeightedSumPolicy([Objective("file_count_reduction", 1.0, maximize=True)]),
         TopKSelector(2),
-        (),
         (),
     )
 
@@ -276,7 +270,7 @@ class TestSegmentLifecycle:
         block = _shm_block()
         assert block.backing == "shm"
         path = _segment_path(block)
-        pool = WorkerPool(mode="threads")
+        pool = WorkerPool()
         pool.track_resource(block)
         assert os.path.exists(path)
         pool.close()
@@ -285,7 +279,7 @@ class TestSegmentLifecycle:
     def test_untracked_segments_are_left_alone(self):
         block = _shm_block()
         path = _segment_path(block)
-        pool = WorkerPool(mode="threads")
+        pool = WorkerPool()
         pool.track_resource(block)
         pool.untrack_resource(block)  # the normal per-cycle release path
         pool.close()
@@ -299,7 +293,7 @@ class TestSegmentLifecycle:
     def test_worker_crash_still_unlinks_segments(self):
         block = _shm_block()
         path = _segment_path(block)
-        pool = WorkerPool(mode="processes", max_workers=1)
+        pool = WorkerPool(1)
         try:
             pool.track_resource(block)
             future = pool.submit(_sigkill_self)

@@ -83,20 +83,12 @@ def _observed(spec: ShardWorkSpec, result=None) -> list[Candidate]:
 
 
 class TestWorkerPool:
-    def test_rejects_unknown_mode_and_bad_width(self):
+    def test_rejects_bad_width(self):
         with pytest.raises(ValidationError):
-            WorkerPool(mode="fibers")  # repro-lint: disable=RL006 -- constructor validation raises before any resource is acquired
-        with pytest.raises(ValidationError):
-            WorkerPool(max_workers=0)  # repro-lint: disable=RL006 -- constructor validation raises before any resource is acquired
-
-    def test_threads_run_closures_in_order(self):
-        with WorkerPool(mode="threads", max_workers=2) as pool:
-            results = pool.run_tasks([lambda i=i: i * i for i in range(5)])
-            assert results == [0, 1, 4, 9, 16]
-            assert pool.started
+            WorkerPool(0)  # repro-lint: disable=RL006 -- constructor validation raises before any resource is acquired
 
     def test_executor_persists_across_submissions(self):
-        pool = WorkerPool(mode="threads", max_workers=1)
+        pool = WorkerPool(1)
         try:
             pool.submit(int).result()
             first = pool._executor
@@ -107,18 +99,9 @@ class TestWorkerPool:
         assert not pool.started
         pool.close()  # idempotent
 
-    def test_process_pool_rejects_closures(self):
-        pool = WorkerPool(mode="processes", max_workers=1)
-        try:
-            with pytest.raises(ValidationError):
-                pool.run_tasks([lambda: 1])
-            assert not pool.started, "validation must not spawn processes"
-        finally:
-            pool.close()
-
     def test_process_pool_runs_module_level_work(self):
         spec = _spec()
-        with WorkerPool(mode="processes", max_workers=1) as pool:
+        with WorkerPool(1) as pool:
             result = pool.submit(run_shard_work, spec).result()
         assert isinstance(result, ShardCycleResult)
         assert result.columnar.matrix.shape == (len(spec.keys), len(spec.traits.names()))
@@ -135,7 +118,7 @@ class TestProcessPoolDispatch:
     """Process mode: direct pipes, a queue past max_workers, no threads."""
 
     def test_queued_tasks_return_in_submission_order(self):
-        with WorkerPool(mode="processes", max_workers=2) as pool:
+        with WorkerPool(2) as pool:
             futures = [
                 pool.submit(_after, delay, i)
                 for i, delay in enumerate([0.2, 0.0, 0.1, 0.0, 0.05])
@@ -152,7 +135,7 @@ class TestProcessPoolDispatch:
 
         from repro.errors import WorkerError
 
-        pool = WorkerPool(mode="processes", max_workers=1)
+        pool = WorkerPool(1)
         try:
             pid = pool.submit(_os.getpid).result(timeout=30)
             future = pool.submit(_time.sleep, 30)
@@ -175,7 +158,7 @@ class TestProcessPoolDispatch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with WorkerPool(mode="processes", max_workers=2) as pool:
+            with WorkerPool(2) as pool:
 
                 def client(n: int) -> None:
                     futures = [pool.submit(_after, 0.001 * (i % 3), n * 100 + i) for i in range(12)]
@@ -213,7 +196,7 @@ class TestWorkerPoolDrain:
         import multiprocessing
         import time as _time
 
-        pool = WorkerPool(mode="processes", max_workers=2)
+        pool = WorkerPool(2)
         pool.submit(_time.sleep, 30)
         pool.submit(_time.sleep, 30)
         started = _time.monotonic()
@@ -226,32 +209,23 @@ class TestWorkerPoolDrain:
         assert multiprocessing.active_children() == []
         pool.close(timeout=0.3)  # idempotent
 
-    def test_timed_close_cancels_queued_thread_work(self):
+    def test_timed_close_cancels_queued_process_work(self):
         import time as _time
 
-        pool = WorkerPool(mode="threads", max_workers=1)
+        pool = WorkerPool(1)
         running = pool.submit(_time.sleep, 0.2)
         queued = pool.submit(_time.sleep, 0.2)
         pool.close(timeout=5.0)
-        assert running.done()
-        assert queued.cancelled() or queued.done()
+        assert running.result(timeout=0) is None
+        assert queued.cancelled()
 
     def test_untimed_close_still_waits(self):
         import time as _time
 
-        pool = WorkerPool(mode="threads", max_workers=1)
+        pool = WorkerPool(1)
         future = pool.submit(_time.sleep, 0.05)
         pool.close()  # historical behaviour: wait for running work
         assert future.done() and not future.cancelled()
-
-    def test_future_tracking_is_pruned(self):
-        pool = WorkerPool(mode="threads", max_workers=2)
-        try:
-            for _ in range(300):
-                pool.submit(int).result()
-            assert len(pool._futures) <= 65
-        finally:
-            pool.close()
 
 
 class TestShardWorkContracts:
@@ -467,7 +441,6 @@ class TestWorkerSideDecide:
         assert list(result.columnar.scores) == [c.score for c in expected]
         assert result.decision.ranked == len(ranked)
         assert result.decision.after_stats_filters == 4
-        assert result.decision.after_trait_filters == 4
 
     def test_delta_covers_every_miss(self):
         spec = self._decided_spec(k=1)

@@ -47,7 +47,7 @@ def build_fleet(databases=2, tables=2):
     return catalog
 
 
-def build_obs_daemon(tmp_path, tracer, workers="threads"):
+def build_obs_daemon(tmp_path, tracer, workers="inline"):
     catalog = build_fleet()
     pipeline = openhouse_sharded_pipeline(
         catalog,
@@ -55,8 +55,9 @@ def build_obs_daemon(tmp_path, tracer, workers="threads"):
         n_shards=2,
         selection="local",
         workers=workers,
-        # On small CI boxes cpu_count() can be 1, which would silently
-        # fall back to in-process observe; two workers force real fork.
+        # Process mode only: on small CI boxes cpu_count() can be 1, which
+        # would silently fall back to in-process observe; two workers
+        # force real fork.
         max_workers=2,
         tracer=tracer,
     )
@@ -145,7 +146,7 @@ class TestStitchedProcessTrace:
 class TestDaemonObsSurface:
     def test_exporter_status_and_http(self, tmp_path):
         tracer = Tracer()
-        daemon = build_obs_daemon(tmp_path, tracer, workers="threads")
+        daemon = build_obs_daemon(tmp_path, tracer)
         server = None
         try:
             daemon.run_once()

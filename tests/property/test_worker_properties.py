@@ -2,7 +2,7 @@
 
 Two guarantees the scale-out control plane leans on:
 
-* **mode equivalence** — thread- and process-mode sharded cycles produce
+* **mode equivalence** — inline and process-mode sharded cycles produce
   *identical* :class:`~repro.core.sharding.ShardedCycleReport` contents
   for the same seeded fleet (the decide/act phases never notice which
   side of a process boundary observation happened on);
@@ -45,25 +45,25 @@ class TestWorkerModeEquivalence:
         tables=st.integers(min_value=60, max_value=160),
     )
     @settings(max_examples=6, deadline=None)
-    def test_thread_and_process_cycles_are_identical(self, seed, n_shards, tables):
+    def test_inline_and_process_cycles_are_identical(self, seed, n_shards, tables):
         """Every field of every cycle report — counts, selections, realised
         results — must match across worker modes, over multiple days so the
         second cycle exercises the cross-process cache delta path."""
         config = FleetConfig(initial_tables=tables, seed=seed)
-        model_t, model_p = FleetModel(config), FleetModel(config)
-        model_t.step_day()
+        model_i, model_p = FleetModel(config), FleetModel(config)
+        model_i.step_day()
         model_p.step_day()
         with ShardedAutoCompStrategy(
-            model_t, n_shards=n_shards, k=8, workers="threads"
-        ) as threads, ShardedAutoCompStrategy(
+            model_i, n_shards=n_shards, k=8
+        ) as inline, ShardedAutoCompStrategy(
             model_p, n_shards=n_shards, k=8, workers="processes", max_workers=2
         ) as processes:
             for day in range(3):
                 now = float(day) * DAY
-                thread_cycle = threads.pipeline.run_cycle(now=now)
+                inline_cycle = inline.pipeline.run_cycle(now=now)
                 process_cycle = processes.pipeline.run_cycle(now=now)
-                assert _report_fields(thread_cycle) == _report_fields(process_cycle)
-                model_t.step_day()
+                assert _report_fields(process_cycle) == _report_fields(inline_cycle)
+                model_i.step_day()
                 model_p.step_day()
 
 
@@ -94,11 +94,10 @@ class TestLocalSelectionModeEquivalence:
         self, seed, n_shards, tables
     ):
         """selection="local" must produce identical cycle reports whether the
-        decide phase runs inline, on threads, or inside process workers."""
+        decide phase runs inline or inside process workers."""
         config = FleetConfig(initial_tables=tables, seed=seed)
         variants = [
-            {"workers": "threads", "max_workers": 1},  # inline
-            {"workers": "threads", "max_workers": 2},
+            {"workers": "inline"},  # the reference
             {"workers": "processes", "max_workers": 2},
         ]
         models, strategies = [], []
@@ -197,7 +196,7 @@ class TestLstConnectorModeEquivalence:
         "cached,selection",
         [(False, "global"), (True, "global"), (True, "local")],
     )
-    def test_thread_and_process_lst_cycles_are_identical(self, cached, selection):
+    def test_inline_and_process_lst_cycles_are_identical(self, cached, selection):
         from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
         from repro.engine import Cluster
 
@@ -215,30 +214,31 @@ class TestLstConnectorModeEquivalence:
                 generation="hybrid",
             )
 
-        catalog_t, catalog_p = _build_lst_catalog(), _build_lst_catalog()
-        with pipeline(catalog_t, "threads") as threads, pipeline(
+        catalog_i, catalog_p = _build_lst_catalog(), _build_lst_catalog()
+        with pipeline(catalog_i, "inline") as inline, pipeline(
             catalog_p, "processes"
         ) as processes:
             for day in range(3):
-                now = catalog_t.clock.now
-                thread_cycle = threads.run_cycle(now=now)
+                now = catalog_i.clock.now
+                inline_cycle = inline.run_cycle(now=now)
                 process_cycle = processes.run_cycle(now=now)
-                assert _report_fields(thread_cycle) == _report_fields(process_cycle), (
+                assert _report_fields(process_cycle) == _report_fields(inline_cycle), (
                     f"diverged on day {day}"
                 )
-                _lst_daily_writes(catalog_t, day)
+                _lst_daily_writes(catalog_i, day)
                 _lst_daily_writes(catalog_p, day)
 
     def test_lst_cycles_byte_identical_across_execution_matrix(self):
-        """Inline, thread-pool and process-pool cycles must produce
-        byte-identical cycle reports — the pickled report blobs themselves
-        are compared, so even float bit patterns must agree."""
+        """Inline cycles, process-mode cycles run inline (one worker) and
+        process-pool cycles must produce byte-identical cycle reports — the
+        pickled report blobs themselves are compared, so even float bit
+        patterns must agree."""
         from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
         from repro.engine import Cluster
 
         variants = [
-            ("threads", 1),  # max_workers=1: effectively inline
-            ("threads", 2),
+            ("inline", None),  # the reference
+            ("processes", 1),  # max_workers=1: observed inline
             ("processes", 2),
         ]
         catalogs, pipelines = [], []

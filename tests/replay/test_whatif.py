@@ -58,12 +58,14 @@ class TestWhatIfRunner:
             s.files_final for s in parallel.scores
         ]
 
-    def test_parallel_thread_pool_matches_sequential(self, trace):
-        runner = WhatIfRunner(trace, VARIANTS)
-        sequential = runner.run(workers=1)
-        threaded = runner.run(workers=2)
+    def test_in_memory_trace_replays_sequentially(self, trace):
+        with WhatIfRunner(trace, VARIANTS) as runner:
+            sequential = runner.run(workers=1)
+            asked_for_two = runner.run(workers=2)
+            assert runner._pool is None, "in-memory sweeps must start no pool"
+        assert asked_for_two.workers == 1
         assert [s.report_digest for s in sequential.scores] == [
-            s.report_digest for s in threaded.scores
+            s.report_digest for s in asked_for_two.scores
         ]
 
     def test_ranking_modes(self, trace):

@@ -14,7 +14,14 @@ import inspect
 
 import pytest
 
-from repro.core import AutoCompDaemon, AutoCompPipeline, AutoCompService, PolicyPromoter
+from repro.core import (
+    AutoCompDaemon,
+    AutoCompPipeline,
+    AutoCompService,
+    PolicyPromoter,
+    ShardedPipeline,
+    WorkerPool,
+)
 from repro.core.autotune import CostFrugalOptimizer
 from repro.engine import TrickleWriter
 from repro.fleet import ShardedAutoCompStrategy
@@ -37,7 +44,6 @@ WIDTHS = {
         "scheduler",
         "generation",
         "stats_filters",
-        "trait_filters",
         "telemetry",
         "feedback_hooks",
     ),
@@ -64,6 +70,16 @@ WIDTHS = {
         "observe_cost",
         "telemetry",
     ),
+    ShardedPipeline: (
+        "shards",
+        "selection",
+        "merge_order",
+        "workers",
+        "max_workers",
+        "telemetry",
+        "tracer",
+    ),
+    WorkerPool: ("max_workers",),
     AutoCompService: ("pipeline", "interval_s"),
     CatalogHistoryRing: (
         "catalog",
