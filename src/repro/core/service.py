@@ -176,7 +176,9 @@ def openhouse_sharded_pipeline(
         stats_cache: optional shared incremental-observation
             :class:`~repro.core.statscache.IndexedCandidateCache`.
         selection / workers / max_workers: forwarded to
-            :class:`~repro.core.sharding.ShardedPipeline`.
+            :class:`~repro.core.sharding.ShardedPipeline`; ``max_workers``
+            counts the coordinator, which observes shard 0 itself, so
+            process mode forks ``max_workers - 1`` workers.
         telemetry: fleet-level metric sink (defaults to the catalog's).
         tracer: optional :class:`~repro.obs.tracing.Tracer` installed on
             the sharded pipeline (and thus every shard), so cycles emit

@@ -9,9 +9,10 @@ size.  This module shards one logical AutoComp instance across N per-shard
   (:func:`shard_for_key`: a stable content hash, the same shard in every
   cycle and process);
 * each shard runs **observe/orient** over its slice — inline on the
-  calling thread, or on a **process pool** (connectors with a
-  :class:`~repro.core.transport.ColumnarTransport`) that sidesteps the GIL
-  — optionally over an incremental
+  calling thread, or, for shards 1..N-1, on a **process pool** (connectors
+  with a :class:`~repro.core.transport.ColumnarTransport`) that sidesteps
+  the GIL while the coordinator observes shard 0 — optionally over an
+  incremental
   :class:`~repro.core.statscache.IndexedCandidateCache`;
 * **decide** runs globally (``selection="global"``: survivors merged in
   generation order and ranked once, exactly the unsharded cycle) or
@@ -49,8 +50,9 @@ from repro.simulation.telemetry import RATIO_BOUNDS, Telemetry
 SELECTION_MODES = ("global", "local")
 
 #: Shard execution modes: ``inline`` observes every shard on the calling
-#: thread; ``processes`` ships shard work to forked worker processes, the
-#: multi-core mode for CPU-bound observe work.
+#: thread; ``processes`` ships shards 1..N-1 to forked worker processes and
+#: observes shard 0 on the calling thread, the multi-core mode for CPU-bound
+#: observe work.
 WORKER_MODES = ("inline", "processes")
 
 
@@ -172,8 +174,11 @@ class ShardedPipeline:
             must provide a :class:`~repro.core.transport.ColumnarTransport`
             via :meth:`~repro.core.connectors.Connector.worker_transport`).
             Both produce byte-identical cycle reports.
-        max_workers: process-pool width (process mode only); defaults to
-            ``min(len(shards), cpu_count)``; 1 runs shards inline.
+        max_workers: the cycle's parallelism in process mode, counting
+            the coordinator (which observes shard 0 itself), so the pool
+            forks ``max_workers - 1`` children; defaults to
+            ``min(len(shards), cpu_count)``.  1, or a single shard, starts
+            no pool and runs every shard inline.
         telemetry: fleet-level metric sink (per-shard metrics go under
             its ``autocomp.shard<i>`` scopes).
         tracer: optional :class:`repro.obs.tracing.Tracer` (also settable
@@ -181,9 +186,8 @@ class ShardedPipeline:
             ``cycle → observe → shard → …`` span tree, with the worker's
             observe/decide spans stitched in under their shard span.
 
-    In process mode the worker pool starts on the first concurrent cycle,
-    is reused by every later one, and is shut down by :meth:`close` (or
-    ``with``).
+    In process mode the worker pool starts on the first cycle, is reused
+    by every later one, and is shut down by :meth:`close` (or ``with``).
     """
 
     def __init__(
@@ -233,10 +237,14 @@ class ShardedPipeline:
                 )
             if max_workers is None:
                 max_workers = min(len(self.shards), os.cpu_count() or 1)
-            # Persistent; one shard or max_workers=1 never starts it.
-            self._pool = WorkerPool(max_workers)
-            for transport in self._transports:
-                transport.bind_pool(self._pool)
+            if max_workers <= 0:
+                raise ValidationError(f"max_workers must be positive, got {max_workers}")
+            # The coordinator observes shard 0 itself, so its children are
+            # max_workers - 1; one shard or max_workers=1 starts no pool.
+            if max_workers > 1 and len(self.shards) > 1:
+                self._pool = WorkerPool(max_workers - 1)
+                for transport in self._transports:
+                    transport.bind_pool(self._pool)
         self.workers = workers
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._shard_telemetry = [
@@ -349,8 +357,9 @@ class ShardedPipeline:
 
         Under ``selection="local"`` each shard decides and acts, in shard
         order, as soon as its candidates are in: a process cycle acts on
-        shard 0 while the workers still compute later shards; an inline
-        cycle observes every shard first, so no shard observes the world
+        shard 0, which the coordinator observed itself, while the workers
+        still compute later shards.  Every shard is observed (or exported
+        to its worker) before the first act, so no shard observes the world
         after another shard's commit (shards of one table share its
         snapshots).  ``results`` and ``selected`` keep shard order, so the
         modes' reports stay byte-identical.  Global selection
@@ -523,65 +532,46 @@ class ShardedPipeline:
     ) -> list[float]:
         """Observe/orient every shard, handing each one's candidates (or
         its worker's decision) to ``settle(index, candidates, decision)``
-        in shard order; returns each shard's observe wall."""
-        pool = self._pool
-        if pool is not None and pool.max_workers > 1 and len(self.shards) > 1:
-            return self._observe_processes(shard_keys, shard_reports, now, settle)
-        observe_wall = [0.0] * len(self.shards)
-        tracer = self._tracer
-        per_shard = []
-        for i, shard in enumerate(self.shards):
-            with timed(
-                tracer, "shard", shard=i, mode="inline", keys=len(shard_keys[i])
-            ) as work:
-                per_shard.append(shard.observe_orient(shard_keys[i], now, shard_reports[i]))
-            observe_wall[i] = work.wall_s
-        for i, candidates in enumerate(per_shard):
-            settle(i, candidates, None)
-        return observe_wall
+        in shard order; returns each shard's observe wall.
 
-    def _observe_processes(
-        self,
-        shard_keys: list[list[CandidateKey]],
-        shard_reports: list[CycleReport],
-        now: float,
-        settle,
-    ) -> list[float]:
-        """Observe/orient (and, under local selection, decide) on the process pool.
-
-        Per shard, the coordinator resolves cache hits, packs the misses
-        into a :class:`~repro.core.workers.ShardWorkSpec` through the
-        shard's :class:`~repro.core.transport.ColumnarTransport` (shared
-        memory; under local selection plus the shard's policy, split
-        selector, filters and resolved hits) and sends it to a worker at
-        once, so workers compute while later shards pack.  Then, in shard
-        order, it merges each answer (rebuilding the misses from its own
-        arrays, replaying the cache delta), runs the filter passes, and
-        hands the shard to ``settle`` before waiting on the next: a local
-        shard acts while later shards' workers still run.  Shards with no
-        misses ship nothing and decide on the coordinator.  The same code
-        paths as inline mode produce every value, so reports match.
+        With a process pool, shards 1..N-1 ship first: per shard, the
+        coordinator resolves cache hits, packs the misses into a
+        :class:`~repro.core.workers.ShardWorkSpec` through the shard's
+        :class:`~repro.core.transport.ColumnarTransport` (shared memory;
+        under local selection plus the shard's policy, split selector,
+        filters and resolved hits) and sends it to a worker at once.  The
+        coordinator observes the rest (shard 0, or every shard without a
+        pool) itself while the workers compute, so every observation
+        precedes the first act.  Then, in shard order, it merges each
+        shipped answer (rebuilding the misses from its own arrays,
+        replaying the cache delta), runs the filter passes, and hands each
+        shard to ``settle``: shard 0 acts while the workers still run.
+        Shipped shards with no misses send nothing and decide on the
+        coordinator.  The same code paths as inline mode produce every
+        value, so reports match.
 
         A failed export, worker task or merge cancels queued shard tasks,
         drains running ones and raises one
         :class:`~repro.errors.WorkerError` (cause chained, naming the
-        shards that already acted); a failed decide or act drains the same
-        way and keeps its own exception.  Shared-memory segments are
-        released either way.
+        shards that already acted); a failed inline observe, decide or act
+        drains the same way and keeps its own exception.  Shared-memory
+        segments are released either way.
         """
         observe_wall = [0.0] * len(self.shards)
         selectors = self._split_selectors() if self.selection == "local" else None
-        placed_specs = []
+        placed_specs: dict[int, tuple] = {}  # shipped shard -> (placed, spec)
         futures = {}
+        inline: dict[int, list[Candidate]] = {}
         settled: list[int] = []
-        settling = False
+        own_error = False  # a failure now keeps its type (no WorkerError)
         pool = self._pool
-        pool.negotiate()  # once per pool: both sides speak one spec version
+        if pool is not None:
+            pool.negotiate()  # once per pool: both sides speak one spec version
         transports = self._transports
         tracer = self._tracer
-        # One coordinator-side "shard" span per shard covers export → worker
-        # round trip → merge; its context ships in the spec, so the worker's
-        # spans stitch under it.  Pack and unpack walls get child spans.
+        # One coordinator-side "shard" span per shipped shard covers export →
+        # worker round trip → merge; its context ships in the spec, so the
+        # worker's spans stitch under it.  Pack and unpack walls get child spans.
         shard_spans: list = [None] * len(self.shards)
 
         def phase(name: str, index: int) -> timed:
@@ -594,71 +584,71 @@ class ShardedPipeline:
                 detached=True,
             )
 
-        shard_index = 0
+        shard_index = returned = 0
         try:
-            for shard_index, shard in enumerate(self.shards):
+            for shard_index in range(1, len(self.shards)) if pool is not None else ():
+                shard, keys = self.shards[shard_index], shard_keys[shard_index]
                 if tracer is not None:
                     shard_spans[shard_index] = tracer.begin(
-                        "shard",
-                        detached=True,
-                        shard=shard_index,
-                        mode="processes",
-                        keys=len(shard_keys[shard_index]),
+                        "shard", detached=True, shard=shard_index, mode="processes", keys=len(keys)
                     )
                 transport = transports[shard_index]
                 with phase("pack", shard_index) as pack:
-                    placed, spec = transport.export(
-                        shard_keys[shard_index], shard_index, shard.traits
-                    )
+                    placed, spec = transport.export(keys, shard_index, shard.traits)
                     if spec is not None and selectors is not None:
                         spec = transport.attach_decide(
-                            spec,
-                            placed,
-                            shard.policy,
-                            selectors[shard_index],
-                            shard.stats_filters,
+                            spec, placed, shard.policy, selectors[shard_index], shard.stats_filters
                         )
                 if spec is not None and shard_spans[shard_index] is not None:
-                    spec = dataclasses.replace(
-                        spec, trace=shard_spans[shard_index].context
-                    )
+                    spec = dataclasses.replace(spec, trace=shard_spans[shard_index].context)
                 observe_wall[shard_index] = pack.wall_s
-                placed_specs.append((placed, spec))
+                placed_specs[shard_index] = (placed, spec)
                 if spec is not None:
                     futures[shard_index] = pool.submit(run_shard_work, spec)
-            returned = 0
+            own_error = True
             for shard_index, shard in enumerate(self.shards):
-                placed, spec = placed_specs[shard_index]
+                if shard_index not in placed_specs:
+                    keys = shard_keys[shard_index]
+                    with timed(
+                        tracer, "shard", shard=shard_index, mode="inline", keys=len(keys)
+                    ) as work:
+                        inline[shard_index] = shard.observe_orient(
+                            keys, now, shard_reports[shard_index]
+                        )
+                    observe_wall[shard_index] = work.wall_s
+            for shard_index, shard in enumerate(self.shards):
                 decision = None
-                if spec is None:
-                    candidates = [c for c in placed if c is not None]
+                if shard_index in inline:
+                    candidates = inline.pop(shard_index)
                 else:
-                    result = futures.pop(shard_index).result()
-                    if tracer is not None:
-                        tracer.adopt(result.spans)
-                    observe_wall[shard_index] += result.observe_wall_s
-                    transport = transports[shard_index]
-                    merge = (
-                        transport.merge if spec.decide is None else transport.merge_decision
-                    )
-                    with phase("unpack", shard_index) as unpack:
-                        merged = merge(spec, placed, result)
-                    observe_wall[shard_index] += unpack.wall_s
-                    if spec.decide is not None:
-                        returned += len(merged.selected)
-                        # The decision replaces the survivors.
-                        decision, candidates = merged, []
+                    own_error = False
+                    placed, spec = placed_specs[shard_index]
+                    if spec is None:
+                        candidates = [c for c in placed if c is not None]
                     else:
-                        returned += len(spec.keys)
-                        candidates = merged
-                if decision is None:
-                    candidates = shard.orient(
-                        candidates, now, shard_reports[shard_index], only_missing=True
-                    )
-                self._end_shard_span(shard_spans, shard_index)
-                settling = True
+                        result = futures.pop(shard_index).result()
+                        if tracer is not None:
+                            tracer.adopt(result.spans)
+                        observe_wall[shard_index] += result.observe_wall_s
+                        transport = transports[shard_index]
+                        merge = transport.merge if spec.decide is None else transport.merge_decision
+                        with phase("unpack", shard_index) as unpack:
+                            merged = merge(spec, placed, result)
+                        observe_wall[shard_index] += unpack.wall_s
+                        if spec.decide is not None:
+                            returned += len(merged.selected)
+                            # The decision replaces the survivors.
+                            decision, candidates = merged, []
+                        else:
+                            returned += len(spec.keys)
+                            candidates = merged
+                    if decision is None:
+                        candidates = shard.orient(
+                            candidates, now, shard_reports[shard_index], only_missing=True
+                        )
+                    self._end_shard_span(shard_spans, shard_index)
+                    own_error = True
                 settle(shard_index, candidates, decision)
-                settling = False
                 settled.append(shard_index)
         except Exception as exc:
             # Nothing may be left in flight behind a half-run cycle:
@@ -670,8 +660,8 @@ class ShardedPipeline:
                         future.result()
             for i in range(len(shard_spans)):
                 self._end_shard_span(shard_spans, i, error=str(exc))
-            if settling:
-                raise  # a decide or act failure keeps its own type
+            if own_error:
+                raise  # an inline observe, decide or act failure keeps its type
             acted = (
                 f"; shard(s) {settled} already acted and their compactions stand"
                 if settled and selectors is not None
@@ -683,10 +673,11 @@ class ShardedPipeline:
             ) from exc
         finally:
             # Idempotent; the error path has drained every reader first.
-            for (_, spec), transport in zip(placed_specs, transports):
-                transport.release(spec)
-        # Local selection returns O(selected) references, not O(misses).
-        self.telemetry.record("autocomp.fleet.returned_candidates", now, returned)
+            for index, (_, spec) in placed_specs.items():
+                transports[index].release(spec)
+        if pool is not None:
+            # Local selection returns O(selected) references, not O(misses).
+            self.telemetry.record("autocomp.fleet.returned_candidates", now, returned)
         return observe_wall
 
     def _end_shard_span(self, shard_spans: list, index: int, **attrs) -> None:

@@ -229,7 +229,9 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             ``"processes"`` (true multi-core observe/orient via columnar
             shard work; see :mod:`repro.core.workers`).  Both produce
             byte-identical cycle reports.
-        max_workers: process-pool width (see
+        max_workers: the cycle's parallelism in process mode, counting the
+            coordinator, which observes shard 0 itself: the pool forks
+            ``max_workers - 1`` workers (see
             :class:`~repro.core.sharding.ShardedPipeline`).
         observe_cost: per-candidate CPU units emulating real statistics-
             collection cost (see

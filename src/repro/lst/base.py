@@ -508,6 +508,13 @@ class BaseTable(abc.ABC):
             snapshot (physically deleted when it expires).
         """
 
+    def _metadata_files(self, version: int) -> tuple[str, int]:
+        """``(directory, count)``: the metadata files
+        :meth:`_write_commit_metadata` creates for ``version``, counted by
+        the quota room check before a commit creates anything.  Every
+        built-in format overrides it; the default counts none."""
+        return self.location, 0
+
     # --- properties -----------------------------------------------------------------
 
     @property
@@ -696,6 +703,8 @@ class BaseTable(abc.ABC):
         self._validate(txn, touched)
 
         parent = self.current_snapshot()
+        if self.fs.namenode.quota_covers(self.location):
+            self._check_room(txn._pending)
         added_data, added_deletes = self._materialize(txn._pending)
 
         # Copy-then-patch: the C-level dict copy never hashes a file, and
@@ -971,6 +980,19 @@ class BaseTable(abc.ABC):
         """Storage directory holding a partition's data and delete files."""
         partition_dir = self.spec.partition_path(partition)
         return f"{self.location}/data/{partition_dir}" if partition_dir else f"{self.location}/data"
+
+    def _check_room(self, pending: list[_PendingFile]) -> None:
+        """Fail a commit before its first create unless every quota takes
+        its data and delete files, its metadata files and the directories
+        they need; a commit rejected part-way would leave orphans charged
+        against the quota."""
+        counts: dict[str, int] = {}
+        for partition, run in groupby(pending, key=attrgetter("partition")):
+            directory = self._partition_directory(partition)
+            counts[directory] = counts.get(directory, 0) + sum(1 for _ in run)
+        directory, count = self._metadata_files(self._version + 1)
+        counts[directory] = counts.get(directory, 0) + count
+        self.fs.namenode.check_room(counts)
 
     def _materialize(
         self, pending: list[_PendingFile]

@@ -46,6 +46,10 @@ class DeltaTable(BaseTable):
         ``delta.checkpoint-interval``, default 10)."""
         return int(self.properties.get("delta.checkpoint-interval", DEFAULT_CHECKPOINT_INTERVAL))
 
+    def _metadata_files(self, version: int) -> tuple[str, int]:
+        checkpoint = version % self.checkpoint_interval == 0
+        return f"{self.location}/_delta_log", 2 if checkpoint else 1
+
     def _write_commit_metadata(
         self,
         snapshot_id: int,

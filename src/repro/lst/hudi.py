@@ -43,6 +43,9 @@ class HudiTable(BaseTable):
             rewrite_fails_on_same_partition_write=False,
         )
 
+    def _metadata_files(self, version: int) -> tuple[str, int]:
+        return f"{self.location}/.hoodie", 1
+
     def _write_commit_metadata(
         self,
         snapshot_id: int,

@@ -42,6 +42,9 @@ class IcebergTable(BaseTable):
     def _default_conflict_semantics(self) -> ConflictSemantics:
         return ConflictSemantics.iceberg_v1_2()
 
+    def _metadata_files(self, version: int) -> tuple[str, int]:
+        return f"{self.location}/metadata", 3
+
     def _write_commit_metadata(
         self,
         snapshot_id: int,

@@ -290,6 +290,48 @@ class NameNode:
             raise ValidationError(f"no quota set on {directory!r}")
         return quota.used, quota.limit
 
+    def quota_covers(self, directory: str) -> bool:
+        """Whether a quota charges entries created under ``directory``: one
+        is set on it, on an ancestor or on a directory below it."""
+        if not self._quotas:
+            return False
+        directory = normalize_path(directory)
+        if self._enclosing_quotas("" if directory == "/" else directory):
+            return True
+        inside = directory + "/"
+        return any(root.startswith(inside) for root in self._quotas)
+
+    def check_room(self, counts: dict[str, int]) -> None:
+        """Raise unless every quota takes ``counts[directory]`` new files in
+        each directory plus the missing directories they need.
+
+        Changes nothing, so a writer that calls it once before its first
+        create (an LST commit) fails before it creates anything.
+
+        Raises:
+            QuotaExceededError: for the first quota without room.
+        """
+        entries: dict[str, int] = {}  # parent directory -> new entries in it
+        new_dirs: set[str] = set()
+        for directory, count in counts.items():
+            directory = normalize_path(directory)
+            prefix = "" if directory == "/" else directory
+            entries[prefix] = entries.get(prefix, 0) + count
+            if prefix and prefix not in self._dirs:
+                for ancestor in parent_directories(prefix + "/_"):
+                    if ancestor not in self._dirs and ancestor not in new_dirs:
+                        new_dirs.add(ancestor)
+                        parent = ancestor.rpartition("/")[0]
+                        entries[parent] = entries.get(parent, 0) + 1
+        need: dict[str, int] = {}
+        for parent, count in entries.items():
+            for root, _ in self._enclosing_quotas(parent):
+                need[root] = need.get(root, 0) + count
+        for root, count in need.items():
+            quota = self._quotas[root]
+            if quota.used + count > quota.limit:
+                raise QuotaExceededError(root, quota.used, quota.limit)
+
     def _enclosing_quotas(self, parent: str) -> tuple[tuple[str, _Quota], ...]:
         """Quotas charged for an entry of directory ``parent`` (``""``: root)."""
         enclosing = self._dir_quotas.get(parent)

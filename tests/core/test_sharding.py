@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from repro.core import (
     shard_for_key,
     split_selector,
 )
-from repro.errors import ValidationError
+from repro.errors import ValidationError, WorkerError
 from repro.fleet import (
     AutoCompStrategy,
     FleetConfig,
@@ -418,6 +420,7 @@ class TestPipelinedLocalCycle:
             catalogs[1], "processes"
         ) as processes:
             shipped: list[int] = []
+            observed: list[int] = []
             submit = processes._pool.submit
 
             def recording_submit(fn, *args):
@@ -425,8 +428,16 @@ class TestPipelinedLocalCycle:
                 return submit(fn, *args)
 
             processes._pool.submit = recording_submit
+            for index, shard in enumerate(processes.shards):
+
+                def recording_observe(keys, now, report, _index=index, _observe=shard.observe_orient):
+                    observed.append(_index)
+                    return _observe(keys, now, report)
+
+                shard.observe_orient = recording_observe
             for cycle in range(3):
                 shipped.clear()
+                observed.clear()
                 reports = [
                     pipeline.run_cycle(now=catalog.clock.now)
                     for pipeline, catalog in zip((inline, processes), catalogs)
@@ -440,17 +451,16 @@ class TestPipelinedLocalCycle:
                 assert [r.candidate for r in reports[1].report.results] == [
                     key for r in reports[1].shard_reports for key in r.selected
                 ]
-                if cycle:
-                    # Warm: shard 1's tables are all cache hits, so it
-                    # decides on the coordinator between two shipped shards.
-                    assert shipped == [0, 2]
-                    assert reports[1].shard_reports[1].candidates_generated > 0
+                # The coordinator observes shard 0 itself; the pool takes
+                # shards 1 and 2.  Warm, shard 1's tables are all cache
+                # hits, so it ships nothing and decides on the coordinator.
+                assert observed == [0]
+                assert shipped == ([2] if cycle else [1, 2])
+                assert reports[1].shard_reports[1].candidates_generated > 0
                 assert reports[1].report.results, "no shard acted"
 
     def test_failed_shard_leaves_earlier_shards_acted(self):
         from collections import Counter
-
-        from repro.errors import WorkerError
 
         model = FleetModel(FleetConfig(initial_tables=150, seed=6))
         model.step_day()
@@ -491,3 +501,126 @@ class TestPipelinedLocalCycle:
             model.step_day()
             report = pipeline.run_cycle(now=DAY)
         assert len(report.report.results) == 6
+
+
+class TestCoordinatorObservesShardZero:
+    """Process cycles: the coordinator observes shard 0 itself, and
+    ``max_workers`` counts it, so the pool forks ``max_workers - 1``."""
+
+    @staticmethod
+    def _strategy(model, **kwargs):
+        kwargs.setdefault("n_shards", 3)
+        return ShardedAutoCompStrategy(
+            model, k=6, selection="local", workers="processes", **kwargs
+        )
+
+    def test_pool_forks_max_workers_minus_one_children(self):
+        model = FleetModel(FleetConfig(initial_tables=120, seed=3))
+        model.step_day()
+        before = len(multiprocessing.active_children())
+        with self._strategy(model, max_workers=3) as strategy:
+            pipeline = strategy.pipeline
+            assert pipeline._pool.max_workers == 2
+            pipeline.run_cycle(now=0.0)
+            assert len(pipeline._pool._executor._children) == 2
+            assert len(multiprocessing.active_children()) == before + 2
+        assert len(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("n_shards,max_workers", [(3, 1), (1, 2), (1, None)])
+    def test_no_pool_for_one_worker_or_one_shard(self, n_shards, max_workers):
+        config = FleetConfig(initial_tables=120, seed=3)
+        models = [FleetModel(config), FleetModel(config)]
+        for model in models:
+            model.step_day()
+        before = multiprocessing.active_children()
+        with self._strategy(
+            models[0], n_shards=n_shards, max_workers=max_workers
+        ) as processes, ShardedAutoCompStrategy(
+            models[1], n_shards=n_shards, k=6, selection="local"
+        ) as inline:
+            assert processes.pipeline._pool is None
+            for day in range(2):
+                reports = [
+                    s.pipeline.run_cycle(now=day * DAY) for s in (processes, inline)
+                ]
+                assert dataclasses.asdict(reports[0].report) == dataclasses.asdict(
+                    reports[1].report
+                )
+                assert multiprocessing.active_children() == before
+                for model in models:
+                    model.step_day()
+
+    def test_rejects_nonpositive_max_workers(self):
+        model = FleetModel(FleetConfig(initial_tables=20, seed=3))
+        with pytest.raises(ValidationError, match="max_workers"):
+            self._strategy(model, max_workers=0)
+
+    def test_failed_inline_observation_drains_shipped_shards(self):
+        model = FleetModel(FleetConfig(initial_tables=150, seed=6))
+        model.step_day()
+        with self._strategy(model, max_workers=2) as strategy:
+            pipeline = strategy.pipeline
+            pool = pipeline._pool
+            futures = []
+            released = []
+            compacted = []
+            compact = model.compact
+            model.compact = lambda index: compacted.append(index) or compact(index)
+            pool.negotiate()
+            submit = pool.submit
+
+            def recording_submit(fn, *args):
+                futures.append(submit(fn, *args))
+                return futures[-1]
+
+            pool.submit = recording_submit
+            for transport in pipeline._transports:
+                release = transport.release
+
+                def recording_release(spec, _release=release):
+                    released.append(spec)
+                    return _release(spec)
+
+                transport.release = recording_release
+
+            def exploding_observe(keys, now, report):
+                raise RuntimeError("coordinator observe exploded")
+
+            pipeline.shards[0].observe_orient = exploding_observe
+            # The coordinator's own failure keeps its type, as inline.
+            with pytest.raises(RuntimeError, match="coordinator observe exploded"):
+                pipeline.run_cycle(now=0.0)
+            # Both shipped shards went out before shard 0's observation, and
+            # both were drained (one child: shard 2 queued behind shard 1)
+            # or cancelled, and their segments released.
+            assert len(futures) == 2
+            assert all(f.done() for f in futures)
+            assert sorted(s.shard_index for s in released if s is not None) == [1, 2]
+            assert pool._resources == {}
+            assert compacted == []  # no shard acted
+            del pipeline.shards[0].observe_orient
+            model.step_day()
+            report = pipeline.run_cycle(now=DAY)
+            assert len(report.report.results) == 6
+            assert pool._resources == {}
+
+    def test_dead_worker_on_shard_one_names_shard_zero_acted(self):
+        model = FleetModel(FleetConfig(initial_tables=150, seed=6))
+        model.step_day()
+        with self._strategy(model, n_shards=2, max_workers=2) as strategy:
+            pipeline = strategy.pipeline
+            pool = pipeline._pool
+            submit = pool.submit
+            # Shard 1's task kills its worker process.
+            pool.negotiate()
+            pool.submit = lambda fn, spec: submit(os._exit, 3)
+            with pytest.raises(
+                WorkerError, match=r"shard 1 failed .*died.*shard\(s\) \[0\] already acted"
+            ):
+                pipeline.run_cycle(now=0.0)
+            assert pool._resources == {}
+            del pool.submit
+            # The pool replaced its dead child; the next cycle completes.
+            model.step_day()
+            report = pipeline.run_cycle(now=DAY)
+            assert len(report.report.results) == 6

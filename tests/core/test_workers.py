@@ -514,7 +514,8 @@ class TestWorkerFailureHandling:
             max_workers=2,
         ) as strategy:
             pipeline = strategy.pipeline
-            victim = pipeline.shards[0].connector
+            # Shard 1 ships; the coordinator observes shard 0 itself.
+            victim = pipeline.shards[1].connector
             original = victim.export_columnar
             victim.export_columnar = lambda keys, i, traits: (_ for _ in ()).throw(
                 RuntimeError("export exploded")
@@ -524,5 +525,6 @@ class TestWorkerFailureHandling:
                 raise AssertionError("expected WorkerError")
             except WorkerError as exc:
                 assert isinstance(exc.__cause__, RuntimeError)
+                assert "shard 1 failed" in str(exc)
             finally:
                 victim.export_columnar = original

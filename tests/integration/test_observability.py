@@ -97,23 +97,25 @@ class TestStitchedProcessTrace:
         coordinator_pid = os.getpid()
         assert cycle.pid == coordinator_pid
 
-        # Coordinator-side shard spans parent under the observe phase.
+        # Coordinator-side shard spans parent under the observe phase: the
+        # coordinator observes shard 0 itself, and shard 1 ships.
         [observe] = [s for s in by_name["observe"] if s.pid == coordinator_pid]
-        shard_spans = by_name["shard"]
-        assert len(shard_spans) == 2
+        shard_spans = sorted(by_name["shard"], key=lambda s: s.attrs["shard"])
+        assert [(s.attrs["shard"], s.attrs["mode"]) for s in shard_spans] == [
+            (0, "inline"),
+            (1, "processes"),
+        ]
         for shard in shard_spans:
             assert shard.pid == coordinator_pid
             assert shard.parent_id == observe.span_id
-            assert shard.attrs["mode"] == "processes"
 
         # Worker-side spans crossed the process boundary and stitched in
-        # under their shard span with the worker's own pid.
+        # under the shipped shard's span with the worker's own pid.
         worker_spans = [s for s in spans if s.pid != coordinator_pid]
         assert worker_spans, "no worker-recorded spans were adopted"
-        shard_ids = {s.span_id: s for s in shard_spans}
         for span in worker_spans:
             assert span.name in ("observe", "decide")
-            assert span.parent_id in shard_ids
+            assert span.parent_id == shard_spans[1].span_id
 
         # Non-overlapping wall-clock attribution per worker: the shard's
         # observe finishes before its decide starts, and both sit inside

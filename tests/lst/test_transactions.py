@@ -95,37 +95,33 @@ class TestAppend:
         with pytest.raises(ValidationError):
             txn.commit()
 
-    def test_quota_overflow_part_way_keeps_the_created_prefix(self, table, fs):
-        """A commit that overflows a quota mid-append leaves the files it
-        created before the overflow, the ids it allocated up to and
-        including the failing file, and the head snapshot as it was."""
+    def test_quota_overflow_creates_nothing(self, table, fs):
+        """A commit that would overflow a quota fails before its first
+        create: no file, directory, quota charge, create RPC or file id."""
         fragment_table(table, partitions=[(0,)], files_per_partition=1)
         head = table.current_snapshot()
         fs.set_quota("/data", 10**6)
         used, _ = fs.quota_usage("/data")
-        # Room for two files in (0,), then the new (1,) directory and one
-        # file in it: the fourth pending file overflows.
+        # Room for two files in (0,), the new (1,) directory and one file
+        # in it, but the commit needs 5 files, 1 directory and 3 metadata
+        # files.
         limit = used + 4
         fs.set_quota("/data", limit)
         creates = fs.telemetry.counter("storage.rpc.create")
         before = {info.path for info in fs.namenode.files_under("/")}
+        directories = fs.namenode.directory_count
         txn = table.new_append()
         for partition in [(0,), (0,), (1,), (1,), (0,)]:
             txn.add_file(1 * MiB, partition=partition)
         with pytest.raises(QuotaExceededError) as raised:
             txn.commit()
         error = raised.value
-        assert (error.directory, error.used, error.limit) == ("/data", limit, limit)
-        created = {info.path for info in fs.namenode.files_under("/")} - before
-        data_dir = f"{table.location}/data"
-        assert created == {
-            f"{data_dir}/event_date_month=0/part-00000002.parquet",
-            f"{data_dir}/event_date_month=0/part-00000003.parquet",
-            f"{data_dir}/event_date_month=1/part-00000004.parquet",
-        }
-        assert fs.quota_usage("/data") == (limit, limit)
-        assert fs.telemetry.counter("storage.rpc.create") == creates + 4
-        assert table._next_file_id == 6  # ids 2-5 allocated, 5 failed
+        assert (error.directory, error.used, error.limit) == ("/data", used, limit)
+        assert {info.path for info in fs.namenode.files_under("/")} == before
+        assert fs.namenode.directory_count == directories
+        assert fs.quota_usage("/data") == (used, limit)
+        assert fs.telemetry.counter("storage.rpc.create") == creates
+        assert table._next_file_id == 2
         assert table.current_snapshot() is head
         assert table.version == 1
 
