@@ -31,6 +31,13 @@ and the full promotion history replays clean
 rollbacks are allowed (the workload is adversarial), inconsistency is
 not.
 
+Two recorded rows ride along (neither is a gate): ``peak_rss_mb``, the
+soak process's peak resident set (``ru_maxrss``), and
+``ring_retained_bytes``, the traced memory the self-evaluation history
+holds over 8 segments of 32 tables × 2,000 files with one compaction per
+table per segment, for the ring's pins and for eager checkpoints (a full
+checkpoint per segment and each commit's event built when it lands).
+
 Run as a script::
 
     PYTHONPATH=src python benchmarks/soak_daemon.py [--duration 60]
@@ -45,12 +52,15 @@ local smoke.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import resource
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -69,10 +79,12 @@ from repro.core import (
 from repro.core.locks import LOCK_SUFFIX
 from repro.engine import Cluster
 from repro.lst import Field, MonthTransform, PartitionField, PartitionSpec, Schema
+from repro.lst.maintenance import execute_rewrite, plan_table_rewrite
 from repro.obs.promcheck import check_exposition
 from repro.obs.status import log_lines
 from repro.obs.tracing import Tracer
-from repro.replay import PolicyVariant
+from repro.replay import CatalogHistoryRing, PolicyVariant, catalog_checkpoint
+from repro.simulation.taps import CATALOG_EVENT_KINDS, TapBus
 from repro.units import HOUR, MiB
 
 
@@ -92,6 +104,67 @@ def build_fleet(databases: int, tables: int) -> tuple[Catalog, list]:
             fleet_tables.append(table)
     catalog.clock.advance_by(2 * HOUR)  # age past the recent-table filter
     return catalog, fleet_tables
+
+
+#: The ring-retention row: tables, files per table, partitions per table
+#: (one is compacted per table per segment), and segments.
+RING_TABLES, RING_FILES, RING_PARTITIONS, RING_SEGMENTS = 32, 2_000, 20, 8
+
+
+def ring_retained_bytes(pinned: bool) -> int:
+    """Traced bytes freed when the self-evaluation history is dropped.
+
+    ``pinned`` measures a :class:`CatalogHistoryRing`; otherwise a list
+    holding what the ring held before pins.  Tracing starts before the
+    catalog is built, so snapshots and files only a pin keeps alive (their
+    tables compacted and expired since) count too.
+    """
+    tracemalloc.start()
+    try:
+        taps = TapBus()
+        catalog = Catalog(taps=taps)
+        catalog.create_database("db")
+        schema = Schema.of(Field("id", "long"), Field("event_date", "date"))
+        spec = PartitionSpec.of(PartitionField("event_date", MonthTransform()))
+        tables = [catalog.create_table(f"db.t{t}", schema, spec=spec) for t in range(RING_TABLES)]
+        for table in tables:
+            for partition in range(RING_PARTITIONS):
+                txn = table.new_append()
+                for _ in range(RING_FILES // RING_PARTITIONS):
+                    txn.add_file(MiB, partition=(partition,))
+                txn.commit()
+            table.expire_snapshots()
+        if pinned:
+            ring = CatalogHistoryRing(catalog, taps, segment_cycles=1, max_segments=RING_SEGMENTS)
+        else:
+            held = [catalog_checkpoint(catalog)]
+
+            def record(kind, payload):
+                event = payload.as_event() if kind == "table_commit" else {"kind": kind, **payload}
+                held.append(event)
+                if kind == "cycle":
+                    held.append(catalog_checkpoint(catalog))
+
+            for kind in CATALOG_EVENT_KINDS:
+                taps.subscribe(kind, record)
+        for segment in range(RING_SEGMENTS):
+            if segment:  # seal the last segment and open this one
+                taps.publish("cycle", {"t": catalog.clock.now, "report": {}})
+            for table in tables:
+                execute_rewrite(table, plan_table_rewrite(table, partitions=[(segment,)]))
+                table.expire_snapshots()
+        holding = tracemalloc.get_traced_memory()[0]
+        if pinned:
+            ring.close()
+            del ring
+        else:
+            for kind in CATALOG_EVENT_KINDS:
+                taps.unsubscribe(kind, record)
+            del held, record
+        gc.collect()
+        return holding - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def build_daemon(catalog, lock_dir, owner, interval_s, **daemon_kwargs):
@@ -193,6 +266,7 @@ def main(argv=None) -> int:
     alpha.stop()  # graceful drain: finish in-flight work, spill history
     beta.stop()
     elapsed = time.monotonic() - started
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
     summary = verify_audit(lock_dir)
     promotion_summary = verify_promotions(store.store_dir)
@@ -238,6 +312,11 @@ def main(argv=None) -> int:
         "guard_passes": promoter.guard_passes,
         "policy_version": store.version,
         "promotion_violations": promotion_summary.violations,
+        "peak_rss_mb": round(peak_rss_mb, 1),
+        "ring_retained_bytes": {
+            "pins": ring_retained_bytes(pinned=True),
+            "eager": ring_retained_bytes(pinned=False),
+        },
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as stream:

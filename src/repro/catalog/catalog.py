@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import (
     NoSuchTableError,
@@ -50,6 +51,38 @@ def _policy_properties(policy: TablePolicy) -> dict[str, object]:
     }
 
 
+class TableCommit(NamedTuple):
+    """A ``table_commit`` as the catalog publishes it: the commit's own file
+    lists and removed-id set, by reference (nothing mutates them after the
+    commit hooks run); :meth:`as_event` builds the trace event on demand."""
+
+    t: float
+    database: str
+    table: str
+    op: str
+    added_data: list  # of DataFile
+    added_deletes: list  # of DeleteFile
+    removed_ids: frozenset[int]
+    version: int
+
+    def as_event(self) -> dict:
+        """The ``table_commit`` trace event for this commit."""
+        return {
+            "kind": "table_commit",
+            "t": self.t,
+            "database": self.database,
+            "table": self.table,
+            "op": self.op,
+            # Added files in materialization order, so a replayer
+            # re-staging them allocates identical file ids.
+            "added": [[list(f.partition), f.size_bytes] for f in self.added_data],
+            "deletes": [[list(d.partition), d.size_bytes, sorted(d.references)]
+                        for d in self.added_deletes],
+            "removed": sorted(self.removed_ids),
+            "version": self.version,
+        }
+
+
 @dataclass
 class Database:
     """A tenant's logical group of tables."""
@@ -71,11 +104,11 @@ class Catalog:
         warehouse: storage root under which databases live.
         taps: optional event bus; when present the catalog publishes the
             Policy Lab's catalog-scoped trace events — ``db_create`` /
-            ``table_create`` on creation, and ``table_commit`` (with the
-            exact per-commit file delta and the post-commit
-            ``table.version`` freshness token) from a hook installed on
-            every table it creates.  A bus can also be attached later via
-            :meth:`attach_taps`.
+            ``table_create`` on creation, and ``table_commit`` (a
+            :class:`TableCommit` of the exact per-commit file delta and the
+            post-commit ``table.version`` freshness token) from a hook
+            installed on every table it creates.  A bus can also be
+            attached later via :meth:`attach_taps`.
     """
 
     def __init__(
@@ -126,21 +159,8 @@ class Catalog:
             ident = table.identifier
             taps.publish(
                 "table_commit",
-                {
-                    "t": table.clock.now,
-                    "database": ident.database,
-                    "table": ident.name,
-                    "op": operation,
-                    # Added files in materialization order, so a replayer
-                    # re-staging them allocates identical file ids.
-                    "added": [[list(f.partition), f.size_bytes] for f in added_data],
-                    "deletes": [
-                        [list(d.partition), d.size_bytes, sorted(d.references)]
-                        for d in added_deletes
-                    ],
-                    "removed": sorted(removed_ids),
-                    "version": table.version,
-                },
+                TableCommit(table.clock.now, ident.database, ident.name, operation,
+                            added_data, added_deletes, removed_ids, table.version),
             )
 
         publish_commit._catalog_tap = True  # type: ignore[attr-defined]

@@ -780,11 +780,10 @@ class PolicyPromoter:
                 "autocomp.promoter.active_version", time.time(), self.store.version
             )
 
-    def _on_commit(self, kind: str, event: dict) -> None:
-        if event.get("op") == "replace":
+    def _on_commit(self, kind: str, commit) -> None:
+        if commit.op == "replace":
             return  # compaction output, not workload ingest
-        added = event.get("added") or ()
-        total = sum(size for _partition, size in added)
+        total = sum(f.size_bytes for f in commit.added_data)
         with self._ingest_lock:
             self._ingested_bytes += total
 

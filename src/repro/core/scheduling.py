@@ -154,7 +154,8 @@ class LstExecutionBackend(ExecutionBackend):
         connector: resolves candidate keys to tables.
         cluster: the (dedicated) compaction cluster.
         cost_model: duration/GBHr model; defaults to :class:`CostModel`.
-        min_input_files: partitions with fewer small files are not rewritten.
+
+    Partitions with fewer than two small files are not rewritten.
     """
 
     def __init__(
@@ -162,12 +163,10 @@ class LstExecutionBackend(ExecutionBackend):
         connector: LstConnector,
         cluster: Cluster,
         cost_model: CostModel | None = None,
-        min_input_files: int = 2,
     ) -> None:
         self.connector = connector
         self.cluster = cluster
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.min_input_files = min_input_files
 
     def prepare(self, task: CompactionTask) -> PreparedJob | None:
         key = task.candidate.key
@@ -181,15 +180,12 @@ class LstExecutionBackend(ExecutionBackend):
                 self.connector.files_for(key),
                 target_file_size=table.target_file_size,
                 table=str(table.identifier),
-                min_input_files=self.min_input_files,
             )
         else:
             partitions = (
                 [key.partition] if key.scope is CandidateScope.PARTITION else None
             )
-            plan = plan_table_rewrite(
-                table, partitions=partitions, min_input_files=self.min_input_files
-            )
+            plan = plan_table_rewrite(table, partitions=partitions)
         if plan.is_empty:
             return None
         job = CompactionJob(

@@ -703,9 +703,13 @@ class BaseTable(abc.ABC):
         self._validate(txn, touched)
 
         parent = self.current_snapshot()
+        # Runs of same-partition files: the room check and creates share them.
+        runs = ((self._partition_directory(partition), run)
+                for partition, run in groupby(txn._pending, key=attrgetter("partition")))
         if self.fs.namenode.quota_covers(self.location):
-            self._check_room(txn._pending)
-        added_data, added_deletes = self._materialize(txn._pending)
+            runs = [(directory, list(run)) for directory, run in runs]
+            self._check_room(runs)
+        added_data, added_deletes = self._materialize(runs)
 
         # Copy-then-patch: the C-level dict copy never hashes a file, and
         # the Python work is one pop per removed file and one insert per
@@ -981,29 +985,26 @@ class BaseTable(abc.ABC):
         partition_dir = self.spec.partition_path(partition)
         return f"{self.location}/data/{partition_dir}" if partition_dir else f"{self.location}/data"
 
-    def _check_room(self, pending: list[_PendingFile]) -> None:
+    def _check_room(self, runs: list[tuple[str, list[_PendingFile]]]) -> None:
         """Fail a commit before its first create unless every quota takes
         its data and delete files, its metadata files and the directories
         they need; a commit rejected part-way would leave orphans charged
         against the quota."""
         counts: dict[str, int] = {}
-        for partition, run in groupby(pending, key=attrgetter("partition")):
-            directory = self._partition_directory(partition)
-            counts[directory] = counts.get(directory, 0) + sum(1 for _ in run)
+        for directory, run in runs:
+            counts[directory] = counts.get(directory, 0) + len(run)
         directory, count = self._metadata_files(self._version + 1)
         counts[directory] = counts.get(directory, 0) + count
         self.fs.namenode.check_room(counts)
 
     def _materialize(
-        self, pending: list[_PendingFile]
+        self, runs: Iterable[tuple[str, Iterable[_PendingFile]]]
     ) -> tuple[list[DataFile], list[DeleteFile]]:
         data: list[DataFile] = []
         deletes: list[DeleteFile] = []
-        # One storage batch per run of consecutive same-partition files, in
-        # staging order: the file ids (and so ``Snapshot.files``) stay in
-        # the order the files were added.
-        for partition, run in groupby(pending, key=attrgetter("partition")):
-            directory = self._partition_directory(partition)
+        # Runs in staging order: the file ids (and so ``Snapshot.files``)
+        # stay in the order the files were added.
+        for directory, run in runs:
             self.fs.create_files(directory, self._allocate(directory, run, data, deletes))
         return data, deletes
 

@@ -19,6 +19,7 @@ replayable traces:
   to the what-if machinery (``evaluate_recent``) without unbounded growth:
   old segments fall off the back, and any suffix of the ring is a valid
   standalone trace because every segment boundary carries a checkpoint.
+  Checkpoints (snapshot pins) and commits become events only when read.
 """
 
 from __future__ import annotations
@@ -59,6 +60,59 @@ def catalog_header(seed: int, warehouse: str = "/data", cluster=None) -> dict:
     }
 
 
+class _CheckpointPin:
+    """A checkpoint by reference: per table, the table, its policy and current
+    snapshot (all frozen), its counters and copies of its partition mtimes
+    and properties; O(tables + partitions), and no file record is read."""
+
+    def __init__(self, catalog: Catalog, t: float | None = None) -> None:
+        self.t = catalog.clock.now if t is None else t
+        self.databases = []
+        for db_name in catalog.list_databases():
+            database = catalog.database(db_name)
+            tables = [
+                (table, catalog.policy(table.identifier), table.current_snapshot(),
+                 table.created_at, table.last_modified_at, table.version,
+                 table._next_file_id, table._next_snapshot_id,
+                 dict(table._partition_last_modified), dict(table.properties))
+                for _, table in sorted(database.tables.items())
+            ]
+            self.databases.append((db_name, database.quota_objects, tables))
+
+    def as_event(self) -> dict:
+        """The ``checkpoint`` event as of the moment the pin was taken."""
+        databases = [
+            {"name": name, "quota_objects": quota, "tables": [_table_entry(*t) for t in tables]}
+            for name, quota, tables in self.databases
+        ]
+        return {"kind": "checkpoint", "t": self.t, "databases": databases}
+
+
+def _table_entry(table, policy, snap, created_at, last_modified_at, version,
+                 next_file_id, next_snapshot_id, mtimes, properties) -> dict:
+    # A snapshot's file maps are in ascending id order.
+    files = snap.files.values() if snap else ()
+    deletes = snap.deletes.values() if snap else ()
+    return {
+        "table": table.identifier.name,
+        "format": table.format_name,
+        "schema": serialize_schema(table.schema),
+        "spec": serialize_spec(table.spec),
+        "properties": serialize_properties(properties),
+        "policy": serialize_policy(policy),
+        "created_at": created_at,
+        "last_modified_at": last_modified_at,
+        "version": version,
+        "next_file_id": next_file_id,
+        "next_snapshot_id": next_snapshot_id,
+        "current_snapshot_id": snap.snapshot_id if snap else None,
+        "files": [[f.file_id, list(f.partition), f.size_bytes] for f in files],
+        "deletes": [[d.file_id, list(d.partition), d.size_bytes, sorted(d.references)]
+                    for d in deletes],
+        "partition_mtimes": [[list(p), mtime] for p, mtime in sorted(mtimes.items())],
+    }
+
+
 def catalog_checkpoint(catalog: Catalog, t: float | None = None) -> dict:
     """A ``checkpoint`` event freezing the catalog's current state.
 
@@ -68,50 +122,7 @@ def catalog_checkpoint(catalog: Catalog, t: float | None = None) -> dict:
     counters that keep post-checkpoint replays allocating exactly the ids
     the source run allocated.
     """
-    now = catalog.clock.now if t is None else t
-    databases = []
-    for db_name in catalog.list_databases():
-        database = catalog.database(db_name)
-        tables = []
-        for table_name in sorted(database.tables):
-            table = database.tables[table_name]
-            policy = catalog.policy(f"{db_name}.{table_name}")
-            snap = table.current_snapshot()
-            files = sorted(table.live_files(), key=lambda f: f.file_id)
-            deletes = sorted(
-                snap.delete_files if snap is not None else (), key=lambda d: d.file_id
-            )
-            tables.append(
-                {
-                    "table": table_name,
-                    "format": table.format_name,
-                    "schema": serialize_schema(table.schema),
-                    "spec": serialize_spec(table.spec),
-                    "properties": serialize_properties(table.properties),
-                    "policy": serialize_policy(policy),
-                    "created_at": table.created_at,
-                    "last_modified_at": table.last_modified_at,
-                    "version": table.version,
-                    "next_file_id": table._next_file_id,
-                    "next_snapshot_id": table._next_snapshot_id,
-                    "current_snapshot_id": snap.snapshot_id if snap is not None else None,
-                    "files": [[f.file_id, list(f.partition), f.size_bytes] for f in files],
-                    "deletes": [
-                        [d.file_id, list(d.partition), d.size_bytes, sorted(d.references)]
-                        for d in deletes
-                    ],
-                    "partition_mtimes": [
-                        [list(partition), mtime]
-                        for partition, mtime in sorted(
-                            table._partition_last_modified.items()
-                        )
-                    ],
-                }
-            )
-        databases.append(
-            {"name": db_name, "quota_objects": database.quota_objects, "tables": tables}
-        )
-    return {"kind": "checkpoint", "t": now, "databases": databases}
+    return _CheckpointPin(catalog, t).as_event()
 
 
 def restore_checkpoint(catalog: Catalog, event: dict) -> None:
@@ -226,10 +237,11 @@ class CatalogTraceRecorder:
         if checkpoint and self._catalog is not None:
             self.write_checkpoint()
 
-    def _on_event(self, kind: str, payload: dict) -> None:
+    def _on_event(self, kind: str, payload) -> None:
         if self._closed:
             return
-        self._writer.write({"kind": kind, **payload})
+        event = payload.as_event() if kind == "table_commit" else {"kind": kind, **payload}
+        self._writer.write(event)
 
     def close(self) -> None:
         """Unsubscribe and flush/close the underlying writer (idempotent)."""
@@ -259,8 +271,10 @@ class CatalogHistoryRing:
     :meth:`~repro.core.service.AutoCompService.evaluate_recent` asks the
     ring for a :class:`~repro.replay.trace.Trace` covering the last
     ``window`` segments and sweeps policy variants over it offline.  Every
-    segment opens with a :func:`catalog_checkpoint`, so dropping old
-    segments never breaks replayability; segments seal after
+    segment opens with a checkpoint, so dropping old segments never breaks
+    replayability.  Checkpoints are held as snapshot pins and commits as the
+    catalog's records; :meth:`trace` and :meth:`spill` build each event once,
+    the event it was when recorded.  Segments seal after
     ``segment_cycles`` recorded cycle events and the ring keeps at most
     ``max_segments`` of them (the current, still-open segment included).
 
@@ -297,7 +311,7 @@ class CatalogHistoryRing:
         self.segment_cycles = segment_cycles
         self.max_segments = max_segments
         self._taps = taps
-        self._segments: deque[list[dict]] = deque()
+        self._segments: deque[list] = deque()  # events, pins, commit records
         self._cycles_in_segment = 0
         self.events_recorded = 0
         self._closed = False
@@ -317,15 +331,16 @@ class CatalogHistoryRing:
         return len(self._segments)
 
     def _begin_segment(self) -> None:
-        self._segments.append([catalog_checkpoint(self.catalog)])
+        self._segments.append([_CheckpointPin(self.catalog)])
         self._cycles_in_segment = 0
         while len(self._segments) > self.max_segments:
             self._segments.popleft()
 
-    def _on_event(self, kind: str, payload: dict) -> None:
+    def _on_event(self, kind: str, payload) -> None:
         if self._closed:
             return
-        self._segments[-1].append({"kind": kind, **payload})
+        # A commit stays a TableCommit record until a trace reads it.
+        self._segments[-1].append(payload if kind == "table_commit" else {"kind": kind, **payload})
         self.events_recorded += 1
         if kind == "cycle":
             self._cycles_in_segment += 1
@@ -361,10 +376,19 @@ class CatalogHistoryRing:
         segments = list(self._segments)
         if window is not None:
             segments = segments[-window:]  # clamps when window > len
-        events: list[dict] = list(segments[0])
+        events = self._events(segments[0])
         for segment in segments[1:]:
-            events.extend(e for e in segment if e["kind"] != "checkpoint")
+            events.extend(self._events(segment, start=1))  # skip its checkpoint
         return Trace(header=header, events=events)
+
+    @staticmethod
+    def _events(segment: list, start: int = 0) -> list[dict]:
+        """``segment[start:]`` as events, each pin or record built once, in place."""
+        end = len(segment)  # a commit may append meanwhile
+        for i in range(start, end):
+            if not isinstance(segment[i], dict):
+                segment[i] = segment[i].as_event()
+        return segment[start:end]
 
     def spill(self, path: str | os.PathLike) -> int:
         """Persist the whole ring, one gzip trace segment per ring segment.
@@ -385,7 +409,7 @@ class CatalogHistoryRing:
                 )
             )
             for segment in self._segments:
-                for event in segment:
+                for event in self._events(segment):
                     writer.write(event)
                 writer.rotate()  # one trace segment per ring segment
         finally:

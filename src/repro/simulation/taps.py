@@ -26,7 +26,7 @@ FLEET_EVENT_KINDS = ("onboard", "day", "compact", "cycle")
 
 #: Event kinds published by the LST-catalog plane (see
 #: :class:`~repro.catalog.catalog.Catalog` — database/table creation and
-#: per-commit file deltas — and :class:`~repro.core.pipeline.AutoCompPipeline`,
+#: per-commit ``TableCommit`` records — and :class:`~repro.core.pipeline.AutoCompPipeline`,
 #: which publishes one ``cycle`` summary per OODA pass when handed a bus).
 CATALOG_EVENT_KINDS = ("db_create", "table_create", "table_commit", "cycle")
 

@@ -22,9 +22,11 @@ from repro.core import (
     replay_promotions,
     verify_promotions,
 )
+from repro.catalog.catalog import TableCommit
 from repro.core.filters import MinSmallFileCountFilter, QuiescenceFilter
 from repro.engine import Cluster
 from repro.errors import ValidationError
+from repro.lst.files import DataFile
 from repro.replay import PolicyVariant
 from repro.units import HOUR, MiB
 
@@ -445,6 +447,12 @@ def live_report(files=20, gbhr=2.0, rewritten=100 * MiB, candidates=5):
     )
 
 
+def commit(op, size):
+    """A one-file ``table_commit`` record as the catalog publishes it."""
+    added = [DataFile(1, "/data/db/t/data/part-00000001.parquet", size, 1, ("p",))]
+    return TableCommit(0.0, "db", "t", op, added, [], frozenset(), 1)
+
+
 def make_promoter(tmp_path, report=None, pool=(CHALLENGER,), **kwargs):
     store = PolicyStore(tmp_path)
     store.initialize(ACTIVE, pool=list(pool))
@@ -602,9 +610,9 @@ class TestGuardWindow:
         }
         store._write_json(store._active_path, record)
         store._active = record
-        promoter._on_commit("table_commit", {"op": "append", "added": [["p", MiB]]})
+        promoter._on_commit("table_commit", commit("append", MiB))
         promoter.observe_cycle(live_report(files=30, gbhr=3.0, rewritten=100 * MiB))
-        promoter._on_commit("table_commit", {"op": "append", "added": [["p", MiB]]})
+        promoter._on_commit("table_commit", commit("append", MiB))
         promoter.observe_cycle(live_report(files=30, gbhr=3.0, rewritten=100 * MiB))
         assert store.state == "STABLE"
         assert store.active == ACTIVE
@@ -612,9 +620,9 @@ class TestGuardWindow:
 
     def test_replace_commits_do_not_count_as_ingest(self, tmp_path):
         promoter, _, _ = make_promoter(tmp_path)
-        promoter._on_commit("table_commit", {"op": "replace", "added": [["p", MiB]]})
+        promoter._on_commit("table_commit", commit("replace", MiB))
         assert promoter._drain_ingested() == 0
-        promoter._on_commit("table_commit", {"op": "append", "added": [["p", 2 * MiB]]})
+        promoter._on_commit("table_commit", commit("append", 2 * MiB))
         assert promoter._drain_ingested() == 2 * MiB
 
 

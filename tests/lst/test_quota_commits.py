@@ -141,3 +141,26 @@ class TestRejectedCommitLeavesNoOrphans:
             txn.commit()
         assert raised.value.directory == partition_dir
         assert _state(catalog, table) == before
+
+
+@pytest.mark.parametrize("quota", (False, True))
+def test_each_run_directory_is_computed_once(quota, monkeypatch):
+    """The room check and the creates share one grouping of the staged
+    files: a commit computes each run's directory exactly once, with or
+    without a quota over the table."""
+    catalog, table = _table()
+    if quota:
+        _set_room(catalog, table, 100)
+    computed = []
+    directory = type(table)._partition_directory
+
+    def counting(self, partition):
+        computed.append(partition)
+        return directory(self, partition)
+
+    monkeypatch.setattr(type(table), "_partition_directory", counting)
+    txn = table.new_append()
+    for partition in ((0,), (0,), (1,), (1,), (0,)):
+        txn.add_file(1 * MiB, partition=partition)
+    txn.commit()
+    assert computed == [(0,), (1,), (0,)]  # one per run of the same partition

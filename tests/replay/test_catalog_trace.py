@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.catalog import Catalog
+from repro.catalog.catalog import TableCommit
 from repro.core.candidates import CandidateKey, CandidateScope
 from repro.core.service import AutoCompService, openhouse_pipeline
 from repro.engine import Cluster, EngineSession
@@ -545,7 +546,7 @@ class TestRingEdges:
 
         taps = TapBus()
         ring = CatalogHistoryRing(catalog, taps)
-        commit = {"t": 0.0, "database": "db", "table": "t0", "op": "append"}
+        commit = TableCommit(0.0, "db", "t0", "append", [], [], frozenset(), 1)
         for _ in range(SEGMENT_EVENTS - 1):
             taps.publish("table_commit", commit)
         assert ring.n_segments == 1
@@ -553,7 +554,7 @@ class TestRingEdges:
         assert ring.n_segments == 2  # sealed although no cycle ever ran
         sealed, fresh = ring._segments
         assert len(sealed) == SEGMENT_EVENTS + 1  # its checkpoint, then the cap
-        assert [e["kind"] for e in fresh] == ["checkpoint"]
+        assert [e["kind"] for e in ring.trace(window=1).events] == ["checkpoint"]
 
     def test_unsealed_trailing_segment_is_included(self):
         service, ring, _ = build_service_run(segment_cycles=8)  # never seals

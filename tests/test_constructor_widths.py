@@ -18,6 +18,7 @@ from repro.core import (
     AutoCompDaemon,
     AutoCompPipeline,
     AutoCompService,
+    LstExecutionBackend,
     PolicyPromoter,
     ShardedPipeline,
     WorkerPool,
@@ -81,6 +82,7 @@ WIDTHS = {
     ),
     WorkerPool: ("max_workers",),
     AutoCompService: ("pipeline", "interval_s"),
+    LstExecutionBackend: ("connector", "cluster", "cost_model"),
     CatalogHistoryRing: (
         "catalog",
         "taps",
